@@ -231,6 +231,10 @@ class BatchedWorkingSetMap:
         if not pairs:
             return
         self.n += len(pairs)
+        # a deletion may have emptied the last segment; filling it while the
+        # one before is short would leave a non-final segment not full
+        while self.segments and self.segments[-1].size == 0:
+            self.segments.pop()
         if not self.segments:
             self.segments.append(PairedSegment(0, self.meter))
         idx = 0

@@ -20,11 +20,18 @@ A task yields one of:
 Plain Python executed between yields runs atomically within one node, which
 is the serialization granularity of the whole model (simultaneous memory
 operations are ordered by node id).
+
+Node ids only grow and are handed out when a node is staged, so each ready
+queue is a FIFO deque that is always sorted by id; the scheduler merges the
+two heads. When a step would run every ready node and each of them is a
+stall tick, no task code runs, so with trace off ``run`` skips k such steps
+at once, k being the fewest ticks left: work, spans, step counters and node
+ids come out as if the k steps had run one by one.
 """
 
 from __future__ import annotations
 
-import heapq
+from collections import deque
 from dataclasses import dataclass, field
 
 Q1 = 1
@@ -217,13 +224,12 @@ class Runtime:
         self.trace = [] if trace else None
         self.step_stats = [] if trace else None
         self.filter_probe = filter_probe
-        self.step_hooks = []
         self.now = 0
         self.current_slot = 0
         self._locks = []
         self._next_id = 0
-        self._ready1 = []   # heaps of (node_id, task, send, path, throw)
-        self._ready2 = []
+        self._ready1 = deque()   # (node_id, task, send, path, throw), id order
+        self._ready2 = deque()
         self._staged = []
         self._parked = 0
         self._spans = [0, 0, 0]
@@ -306,32 +312,40 @@ class Runtime:
         self._flush_staged()
         m = self.metrics
         half = self.p // 2
-        while self._ready1 or self._ready2:
-            if len(self._ready1) >= half:
-                m.high_busy_steps += 1
-            else:
-                m.high_idle_steps += 1
-            if self.filter_probe is not None:
-                if self.filter_probe() >= self.p:
-                    m.filter_full_steps += 1
-                else:
-                    m.filter_empty_steps += 1
-            for hook in self.step_hooks:
-                hook(self.now)
-            q1_ready, q2_ready = len(self._ready1), len(self._ready2)
+        r1, r2 = self._ready1, self._ready2
+        while r1 or r2:
+            q1_ready, q2_ready = len(r1), len(r2)
+            high_busy = q1_ready >= half
+            filter_full = (self.filter_probe is not None
+                           and self.filter_probe() >= self.p)
             if self.scheduler == "greedy":
-                batch = self._pick_greedy(self.p)
+                batch = _merge(r1, r2, self.p)
             else:
                 batch = self._pick_quota(half, half)
             if self.step_stats is not None:
                 q1_exec = sum(1 for e in batch if e[1].queue == Q1)
                 self.step_stats.append(
                     (q1_ready, q2_ready, q1_exec, len(batch) - q1_exec))
-            for slot, entry in enumerate(batch):
-                self.current_slot = slot
-                self._exec(entry)
-            m.steps += 1
-            self.now += 1
+            k = 1
+            if self.trace is None and not (r1 or r2):
+                k = max(1, min(entry[1].ticks for entry in batch))
+            if k > 1:
+                self._skip_ticks(batch, k)
+            else:
+                for slot, entry in enumerate(batch):
+                    self.current_slot = slot
+                    self._exec(entry)
+            if high_busy:
+                m.high_busy_steps += k
+            else:
+                m.high_idle_steps += k
+            if self.filter_probe is not None:
+                if filter_full:
+                    m.filter_full_steps += k
+                else:
+                    m.filter_empty_steps += k
+            m.steps += k
+            self.now += k
             self._flush_staged()
         if self._parked:
             blocked = [(lk.name, lk.waiters()) for lk in self._locks if lk.waiters()]
@@ -351,30 +365,32 @@ class Runtime:
     def _flush_staged(self):
         for entry in self._staged:
             if entry[1].queue == Q1:
-                heapq.heappush(self._ready1, entry)
+                self._ready1.append(entry)
             else:
-                heapq.heappush(self._ready2, entry)
+                self._ready2.append(entry)
         self._staged.clear()
 
-    def _pick_greedy(self, quota):
-        batch = []
-        r1, r2 = self._ready1, self._ready2
-        while quota and (r1 or r2):
-            if r1 and (not r2 or r1[0][0] < r2[0][0]):
-                batch.append(heapq.heappop(r1))
-            else:
-                batch.append(heapq.heappop(r2))
-            quota -= 1
-        return batch
-
     def _pick_quota(self, quota1, quota2):
-        take1 = [heapq.heappop(self._ready1)
-                 for _ in range(min(quota1, len(self._ready1)))]
-        take2 = [heapq.heappop(self._ready2)
-                 for _ in range(min(quota2, len(self._ready2)))]
-        batch = take1 + take2
-        batch.sort(key=lambda e: e[0])
-        return batch
+        r1, r2 = self._ready1, self._ready2
+        take1 = deque(r1.popleft() for _ in range(min(quota1, len(r1))))
+        take2 = deque(r2.popleft() for _ in range(min(quota2, len(r2))))
+        return _merge(take1, take2, quota1 + quota2)
+
+    def _skip_ticks(self, batch, k):
+        """Run k steps of a batch that is the whole ready set and holds only
+        stall ticks: no task code runs, so each entry just gains k nodes and
+        is restaged with the id the k-th one-node step would have given it."""
+        work, spans = self.metrics.work, self._spans
+        first = self._next_id + (k - 1) * len(batch)
+        for i, (_nid, task, _send, path, _throw) in enumerate(batch):
+            slot = _PATH_SLOT[task.owner]
+            here = path[:slot] + (path[slot] + k,) + path[slot + 1:]
+            work[task.owner] = work.get(task.owner, 0) + k
+            if here[slot] > spans[slot]:
+                spans[slot] = here[slot]
+            task.ticks -= k
+            self._staged.append((first + i, task, None, here, None))
+        self._next_id += k * len(batch)
 
     def _exec(self, entry):
         nid, task, send, path, throw = entry
@@ -460,6 +476,18 @@ class Runtime:
             else:
                 merged = tuple(map(max, join.paths[0], join.paths[1]))
                 self._stage(join.task, tuple(join.results), merged)
+
+
+def _merge(a, b, quota):
+    """Pop up to quota entries from the id-sorted deques a and b, in id order."""
+    batch = []
+    while quota and (a or b):
+        if a and (not b or a[0][0] < b[0][0]):
+            batch.append(a.popleft())
+        else:
+            batch.append(b.popleft())
+        quota -= 1
+    return batch
 
 
 # -- task-code combinators -----------------------------------------------------

@@ -170,3 +170,16 @@ def test_work_tracks_working_set_bound_loosely():
     import math
     bound = rep.w_l + rep.e_l * math.log2(8)
     assert metrics.ds_work <= 120 * bound
+
+
+def test_append_after_deletion_empties_last_segment():
+    # hot_zipf_m1 shape: a deletion empties the last segment while the one
+    # before it is one short; the next inserts must top that one up first
+    # rather than refill the empty segment
+    from wsmap.bench import WorkloadSpec, run_experiment
+    spec = WorkloadSpec(generator="zipf", n_ops=500, universe=256,
+                        mix={"search": 0.7, "insert": 0.15, "delete": 0.1,
+                             "update": 0.05},
+                        width=8, seed=2, p=8, name="hot_zipf_m1")
+    report = run_experiment(spec, "m1", audit=True)
+    assert not report.failed(), report.failed()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -104,6 +105,30 @@ def test_run_experiment_all_lines_pass(structure):
         assert "front_access_bound" in names
     for ratio in report.ratios.values():
         assert math.isfinite(ratio)
+
+
+# Golden report digests. The simulator is deterministic, so a change that
+# only speeds it up must leave every report byte-identical; a drift of the
+# cost model shows here. The m1 spec is the hot_zipf_m1 benchmark shape and
+# the m2 spec the deep_insert_m2 shape at 400 ops, the smallest size at
+# which that seed opens M2's final slab, filter and front-locks.
+_HOT_MIX = {"search": 0.7, "insert": 0.15, "delete": 0.1, "update": 0.05}
+_DEEP_MIX = {"search": 0.15, "insert": 0.75, "delete": 0.05, "update": 0.05}
+
+
+@pytest.mark.parametrize("structure, spec, digest", [
+    ("m1", WorkloadSpec(generator="zipf", n_ops=300, universe=256,
+                        mix=_HOT_MIX, width=8, seed=1, p=8,
+                        name="hot_zipf_m1"),
+     "23157018594a93d3edb560eb84e04cfb184862614e330a5695bb9469c80a49a1"),
+    ("m2", WorkloadSpec(generator="uniform", n_ops=400, universe=8192,
+                        mix=_DEEP_MIX, width=8, seed=1, p=8,
+                        name="deep_insert_m2"),
+     "fa6fafd074f51cdcd7d37fa8ff90aa1a82d20ad4f5b5db99cce667498568233f"),
+])
+def test_report_digest_pinned(structure, spec, digest):
+    report = run_experiment(spec, structure)
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
 
 
 def test_m2_greedy_reports_but_does_not_assert_bounds():

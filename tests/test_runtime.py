@@ -368,3 +368,160 @@ def test_detach_runs_independently():
     rt.spawn_root(main())
     rt.run()
     assert sorted(hits) == ["main", "side"]
+
+
+# -- tick fast-forward ---------------------------------------------------------
+#
+# With trace=False, Runtime.run skips a run of steps in which every ready node
+# runs and is a stall tick of a `yield c`; with trace=True it steps one by
+# one. Both must give the same metrics, node ids and park handles.
+
+
+def _run_both(monkeypatch, build, p=4, scheduler="greedy"):
+    """Run the DAG that build(rt, handles) spawns step by step and with the
+    fast-forward; assert they agree and return the fast-forwarded runs as
+    (first step, steps skipped) pairs."""
+    skips = []
+    executed = {True: [], False: []}   # trace on? -> (step, node id) run
+    skip_ticks, exec_ = Runtime._skip_ticks, Runtime._exec
+
+    def recording_skip(rt, batch, k):
+        skips.append((rt.now, k))
+        skip_ticks(rt, batch, k)
+
+    def recording_exec(rt, entry):
+        executed[rt.trace is not None].append((rt.now, entry[0]))
+        exec_(rt, entry)
+
+    monkeypatch.setattr(Runtime, "_skip_ticks", recording_skip)
+    monkeypatch.setattr(Runtime, "_exec", recording_exec)
+    runs = []
+    for trace in (True, False):
+        rt = Runtime(p=p, scheduler=scheduler, trace=trace)
+        handles = []
+        build(rt, handles)
+        metrics = rt.run()
+        runs.append((metrics, rt._next_id, [h.node_id for h in handles],
+                     rt.step_stats))
+    (slow, slow_id, slow_handles, stats), (fast, fast_id, fast_handles, _) = runs
+    assert fast == slow
+    assert fast_id == slow_id
+    assert fast_handles == slow_handles
+    # a skipped step is one where the scheduler ran every ready node, and
+    # every other step runs the same node ids as step by step
+    skipped = set()
+    for now, k in skips:
+        skipped.update(range(now, now + k))
+        for q1_ready, q2_ready, q1_exec, q2_exec in stats[now:now + k]:
+            assert (q1_exec, q2_exec) == (q1_ready, q2_ready)
+    assert executed[False] == [(step, nid) for step, nid in executed[True]
+                               if step not in skipped]
+    return skips
+
+
+def _costs(*cs):
+    for c in cs:
+        yield c
+
+
+def test_fast_forward_greedy_mixed_tick_lengths(monkeypatch):
+    def fork():
+        yield Par(_costs(12, 2), _costs(7))
+
+    def root():
+        yield 4
+        yield Par(_costs(3, 9, 1), fork())
+        yield 5
+
+    def build(rt, handles):
+        rt.spawn_root(root())
+        rt.spawn_root(_costs(6, 6), owner=DS)
+
+    skips = _run_both(monkeypatch, build)
+    assert len(skips) > 1
+
+
+def test_fast_forward_waits_while_more_than_p_ready(monkeypatch):
+    def build(rt, handles):
+        for _ in range(2):
+            rt.spawn_root(_costs(4))
+        for _ in range(4):
+            rt.spawn_root(_costs(30))
+
+    skips = _run_both(monkeypatch, build, p=4)
+    # six chains share four slots: nothing is skipped until the two short
+    # chains (5 nodes each) are done
+    assert skips and all(now >= 5 for now, _k in skips)
+
+
+def test_fast_forward_weak_priority_queue_at_quota(monkeypatch):
+    def build(rt, handles):
+        # Q1 holds exactly its quota of p/2 = 2, Q2 holds one
+        rt.spawn_root(_costs(10), owner=DS, queue=Q1)
+        rt.spawn_root(_costs(14), owner=DS, queue=Q1)
+        rt.spawn_root(_costs(8, 3), owner=PROGRAM, queue=Q2)
+
+    skips = _run_both(monkeypatch, build, scheduler="weak_priority")
+    assert skips
+
+    def crowded(rt, handles):
+        for _ in range(3):
+            rt.spawn_root(_costs(10), owner=DS, queue=Q1)
+
+    # three Q1 nodes exceed the quota until one chain finishes
+    assert all(now >= 10 for now, _k in
+               _run_both(monkeypatch, crowded, scheduler="weak_priority"))
+
+
+def test_fast_forward_counts_filter_probe_steps(monkeypatch):
+    def build(rt, handles):
+        filt = []
+        rt.filter_probe = lambda: len(filt)
+
+        def filler():
+            for _ in range(6):
+                yield 5
+                filt.append(None)
+
+        rt.spawn_root(filler())
+
+    skips = _run_both(monkeypatch, build)
+    assert skips
+    rt = Runtime(p=4)
+    build(rt, [])
+    m = rt.run()
+    assert m.filter_full_steps > 0 and m.filter_empty_steps > 0
+    assert m.filter_full_steps + m.filter_empty_steps == m.steps
+
+
+def test_fast_forward_lock_waiter_parked_across_long_tick(monkeypatch):
+    def build(rt, handles):
+        lock = rt.register_lock(DedicatedLock(2, name="L"))
+
+        def holder():
+            yield Acquire(lock, 1)
+            yield 30
+            handles.append(lock.slots[2])
+            rt.release(lock)
+
+        def waiter():
+            yield 2
+            yield Acquire(lock, 2)
+            yield 9
+            rt.release(lock)
+
+        def parker():
+            value = yield Park(handles.append)
+            yield value
+
+        def resumer():
+            yield 17
+            rt.resume(handles[0], 11)
+
+        rt.spawn_root(parker())
+        rt.spawn_root(holder())
+        rt.spawn_root(waiter())
+        rt.spawn_root(resumer())
+
+    skips = _run_both(monkeypatch, build)
+    assert skips
