@@ -1,12 +1,18 @@
-"""Batched working-set map.
+"""Batched working-set map and the segment engine it shares with M2.
 
-An activation-gated interface repeatedly: flushes the parallel buffer, cuts
-the input into p^2-sized bunches on a feed buffer, forms a cut batch of
-ceil(log n / p) bunches, entropy-sorts it so same-key operations combine
-into group-operations, and sweeps the segment list. Hits return immediately
-and shift to the front of the previous segment, deletions travel to the end,
-capacity prefixes are restored boundary by boundary, and trailing insertions
-are carved into just-enough new segments.
+`SegmentedMap` is the activation-gated interface of both parallel maps. One
+cycle flushes the parallel buffer, cuts the input into p^2-sized bunches on
+a feed buffer, forms a cut batch, entropy-sorts it so same-key operations
+combine into group-operations, and sweeps the segment list. Hits return
+immediately and shift to the front of the previous segment, deletions
+travel to the end, capacity prefixes are restored boundary by boundary, and
+trailing insertions are carved into just-enough new segments.
+
+A map built on it sets three policies: how many bunches a cut batch takes
+(`_form_cut`), how finished groups enter the linearization (`_record`), and
+where a new segment goes (`_last_segment`, `_grow_segment`). The batched
+map M1 cuts ceil(log n / p) bunches, records its linearization at sort time
+and keeps every segment in one list.
 """
 
 from __future__ import annotations
@@ -14,11 +20,9 @@ from __future__ import annotations
 import math
 from collections import deque
 
-from .core import DELETE, INSERT, UPDATE, OpResult
+from .core import DELETE, INSERT, UPDATE, OpResult, working_set_bound
 from .pbuffer import ParallelBuffer
-from .runtime import (
-    ActivationGate, BUFFER, Call, Sub, concat_tree, par_map,
-)
+from .runtime import ActivationGate, BUFFER, Call, concat_tree, par_map
 from .segments import (
     PairedSegment, preload_segment, restore_prefix_task, seg_find_task,
     seg_insert_block_task, seg_remove_found_task,
@@ -32,16 +36,13 @@ class GroupOp:
     equivalent operation; each original still gets its individually correct
     result when the group resolves against the item's actual state."""
 
-    __slots__ = ("key", "entries", "finished", "deletion_success",
-                 "cached_results", "found_value")
+    __slots__ = ("key", "entries", "finished", "found_value")
 
     def __init__(self, key, entries):
         self.key = key
         self.entries = entries            # [(Operation, park handle)]
         self.finished = False
-        self.deletion_success = False     # tagged successful deletion
-        self.cached_results = None
-        self.found_value = None
+        self.found_value = None           # (True, v) once a tagged deletion
 
     def resolve(self, found, value):
         """Fold the group left to right against an initial presence; returns
@@ -77,23 +78,28 @@ def group_sorted_ops(cut, order):
     return groups
 
 
-class BatchedWorkingSetMap:
-    structure_name = "m1"
+class SegmentedMap:
+    """The interface engine over a list of paired segments. A map sets
+    `structure_name` and provides `_cycle`, `extract_linearization` and the
+    policies `_form_cut` and `_record`; `_last_segment`/`_grow_segment`
+    default to one unbounded segment list."""
+
+    structure_name = None
+    terminal = None     # deepest final-slab index; None: all in `segments`
 
     def __init__(self, rt, p):
         self.rt = rt
         self.p = p
+        self.p2 = p * p
         self.meter = StepMeter()
-        self.segments = []
+        self.segments = []            # PairedSegment list (M2: first slab)
         self.feed = deque()
-        self.gate = ActivationGate(self._ready, self._cycle, name="m1")
+        self.gate = ActivationGate(self._ready, self._cycle,
+                                   name=self.structure_name)
         self.pbuf = ParallelBuffer(rt, p, activate=self.gate.activate)
         self.n = 0
-        self.events = []        # op lists in linearization order
+        self.events = []        # linearization events, map-specific form
         self.cut_batches = []   # op lists per cut batch, arrival order
-        self.audit_every_batch = False
-        self.promotion_audit = False
-        self.promotions = []    # (pre_rank, post_rank_bound_peers) samples
 
     # -- program-facing API ------------------------------------------------------
 
@@ -101,13 +107,9 @@ class BatchedWorkingSetMap:
         result = yield from self.pbuf.submit(op)
         return result
 
-    def extract_linearization(self):
-        return [op for group in self.events for op in group]
-
     def stats(self):
         """Bound report over the extracted linearization plus the metrics
         slice accumulated so far."""
-        from .core import working_set_bound
         rep = working_set_bound(self.extract_linearization(), p=self.p)
         return {"bound_report": {"W_L": rep.w_l, "IW_L": rep.iw_l,
                                  "e_L": rep.e_l, "N": rep.n_ops,
@@ -119,18 +121,21 @@ class BatchedWorkingSetMap:
     def _ready(self):
         return self.pbuf.pending > 0 or bool(self.feed)
 
-    def _cycle(self):
+    def _sorted_groups(self):
+        """Flush the buffer, ingest, cut a batch and sort it into groups."""
         incoming = yield Call(self.pbuf.flush_task(), owner=BUFFER)
-        yield from self._ingest([ih for ih in incoming])
-        cut = yield from self._form_cut_batch()
-        yield from self._process(cut)
-        if self.audit_every_batch:
-            self.audit()
-        return True
+        yield from self._ingest(incoming)
+        if not self.feed:
+            raise RuntimeError("cut batch requested with an empty feed buffer")
+        cut = yield from self._form_cut()
+        keys = [op.key for op, _h in cut]
+        order = yield from pesort_task(keys)
+        self.cut_batches.append([op for op, _h in cut])
+        return group_sorted_ops(cut, order)
 
     def _ingest(self, incoming):
         b = len(incoming)
-        p2 = self.p * self.p
+        p2 = self.p2
         yield max(1, b // p2 + 1)
         if b == 0:
             return
@@ -145,6 +150,148 @@ class BatchedWorkingSetMap:
             self.feed.append(bunch)
             idx += p2
 
+    def _sweep(self, pending, k, stop):
+        """Segment passes over S[k..stop-1] while groups remain; returns
+        (the unfinished groups, the next segment index)."""
+        while k < stop and pending:
+            pending = yield from self._segment_pass(k, pending)
+            k += 1
+        return pending, k
+
+    def _segment_pass(self, k, pending):
+        """One pass over segment k; returns the unfinished groups (deletions
+        stay, tagged)."""
+        seg = self.segments[k]
+        leaves = yield from seg_find_task(seg, [g.key for g in pending])
+        found = [(g, lf) for g, lf in zip(pending, leaves) if lf is not None]
+        if found:
+            keeps, deliveries = self._resolve_found(found)
+            yield from seg_remove_found_task(seg, [lf for _g, lf in found])
+            if keeps:
+                dst = self.segments[k - 1] if k > 0 else seg
+                yield from seg_insert_block_task(dst, keeps, "front")
+            if deliveries:
+                self._deliver(deliveries)
+        yield from restore_prefix_task(self.segments, k)
+        return [g for g in pending if not g.finished]
+
+    def _resolve_found(self, found):
+        """Resolve groups against their found items: a kept item finishes
+        its group, a removed one leaves the map and tags the group. Returns
+        (kept (key, value) pairs, deliveries)."""
+        keeps = []
+        deliveries = []
+        for g, lf in found:
+            results, net = g.resolve(True, lf.val)
+            if net[0] == "keep":
+                keeps.append((g.key, net[1]))
+                deliveries.append((g, results))
+                g.finished = True
+            else:
+                g.found_value = (True, lf.val)
+                self.n -= 1
+        return keeps, deliveries
+
+    def _resolve_rest(self, groups):
+        """Finish groups whose key no segment holds (any more): each
+        resolves against its tagged deletion or absence. Returns
+        (inserted (key, value) pairs, deliveries)."""
+        inserts = []
+        deliveries = []
+        for g in groups:
+            results, net = g.resolve(*(g.found_value or (False, None)))
+            if net[0] == "insert":
+                inserts.append((g.key, net[1]))
+            deliveries.append((g, results))
+            g.finished = True
+        self.n += len(inserts)
+        return inserts, deliveries
+
+    def _finish_tail(self, pending):
+        """Finish every leftover group and carve trailing insertions into
+        just-enough new segments."""
+        inserts, deliveries = self._resolve_rest(pending)
+        yield 1
+        # a deletion may have emptied the last segment: drop it, as filling it
+        # while the one before is short would leave a non-final one not full
+        self._drop_empty_tail()
+        idx = 0
+        while idx < len(inserts):
+            seg = self._last_segment()
+            if seg is None or seg.size >= seg.cap:
+                seg = self._grow_segment()
+            take = min(seg.cap - seg.size, len(inserts) - idx)
+            yield from seg_insert_block_task(seg, inserts[idx:idx + take],
+                                             "back")
+            idx += take
+        if deliveries:
+            self._deliver(deliveries)
+
+    def _drop_empty_tail(self):
+        while (self.segments and self.terminal is None
+               and self.segments[-1].size == 0):
+            self.segments.pop()
+
+    def _last_segment(self):
+        return self.segments[-1] if self.segments else None
+
+    def _grow_segment(self):
+        seg = PairedSegment(len(self.segments), self.meter)
+        self.segments.append(seg)
+        return seg
+
+    def _deliver(self, deliveries):
+        """Record finished groups and resume their callers in a detached
+        fan-out."""
+        self._record(deliveries)
+        pairs = [(handle, res) for g, results in deliveries
+                 for (_op, handle), res in zip(g.entries, results)]
+        rt = self.rt
+
+        def one(pair):
+            rt.resume(*pair)
+            return None
+            yield  # pragma: no cover
+
+        rt.detach(par_map(pairs, one))
+
+    def preload(self, pairs):
+        """Warm-start: fill segments to exact capacity with (key, value)
+        pairs, most recent first, without simulating the insert traffic."""
+        assert self._last_segment() is None and self.n == 0
+        idx = 0
+        while idx < len(pairs):
+            seg = self._grow_segment()
+            take = min(seg.cap, len(pairs) - idx)
+            preload_segment(seg, pairs[idx:idx + take])
+            idx += take
+        self.n = len(pairs)
+
+    def _audit_full_prefix(self):
+        for i, seg in enumerate(self.segments[:-1]):
+            assert seg.size == seg.cap, \
+                f"segment {i} not exactly full: {seg.size}/{seg.cap}"
+
+
+class BatchedWorkingSetMap(SegmentedMap):
+    structure_name = "m1"
+
+    def __init__(self, rt, p):
+        super().__init__(rt, p)
+        self.audit_every_batch = False
+
+    def extract_linearization(self):
+        return [op for group in self.events for op in group]
+
+    def _cycle(self):
+        groups = yield from self._sorted_groups()
+        self.events.extend([op for op, _h in g.entries] for g in groups)
+        pending, _k = yield from self._sweep(groups, 0, len(self.segments))
+        yield from self._finish_tail(pending)
+        if self.audit_every_batch:
+            self.audit()
+        return True
+
     def _cut_bunch_count(self):
         if self.n < 2:
             want = 1
@@ -152,145 +299,20 @@ class BatchedWorkingSetMap:
             want = max(1, math.ceil(math.log2(self.n) / self.p))
         return min(len(self.feed), want)
 
-    def _form_cut_batch(self):
-        if not self.feed:
-            raise RuntimeError("cut batch requested with an empty feed buffer")
-        take = self._cut_bunch_count()
-        bunches = [self.feed.popleft() for _ in range(take)]
+    def _form_cut(self):
+        bunches = [self.feed.popleft() for _ in range(self._cut_bunch_count())]
         converted = yield from par_map(bunches, lambda bn: bn.to_batch_task())
         cut = yield from concat_tree(converted)
         return cut
 
-    def _process(self, cut):
-        keys = [op.key for op, _h in cut]
-        order = yield from pesort_task(keys)
-        groups = group_sorted_ops(cut, order)
-        self.cut_batches.append([op for op, _h in cut])
-        for g in groups:
-            self.events.append([op for op, _h in g.entries])
-        pending = groups
-        for k in range(len(self.segments)):
-            if not pending:
-                break
-            yield from self._run_segment(k, pending)
-            pending = [g for g in pending if not g.finished]
-        yield from self._finish_tail(pending)
-        while self.segments and self.segments[-1].size == 0:
-            self.segments.pop()
-
-    def _run_segment(self, k, pending):
-        seg = self.segments[k]
-        leaves = yield from seg_find_task(seg, [g.key for g in pending])
-        found = [(g, lf) for g, lf in zip(pending, leaves) if lf is not None]
-        if found:
-            keeps = []
-            deliveries = []
-            prefix = sum(self.segments[j].size for j in range(k))
-            for g, lf in found:
-                results, net = g.resolve(True, lf.val)
-                if net[0] == "keep":
-                    if self.promotion_audit:
-                        pre = prefix + seg.rec.index_of(lf.twin) + 1
-                        post_base = sum(self.segments[j].size
-                                        for j in range(max(k - 1, 0)))
-                        self.promotions.append(
-                            (pre, post_base + len(keeps) + 1))
-                    keeps.append((g.key, net[1]))
-                    deliveries.append((g, results))
-                    g.finished = True
-                else:   # net remove: item leaves the map, group travels on
-                    g.deletion_success = True
-                    g.cached_results = results
-                    self.n -= 1
-            yield from seg_remove_found_task(seg, [lf for _g, lf in found])
-            if keeps:
-                dst = self.segments[k - 1] if k > 0 else seg
-                yield from seg_insert_block_task(dst, keeps, "front")
-            if deliveries:
-                self._fork_deliver(deliveries)
-        yield from restore_prefix_task(self.segments, k)
-
-    def _finish_tail(self, pending):
-        inserts = []
-        deliveries = []
-        for g in pending:
-            if g.deletion_success:
-                results = g.cached_results
-            else:
-                results, net = g.resolve(False, None)
-                if net[0] == "insert":
-                    inserts.append((g.key, net[1]))
-            deliveries.append((g, results))
-            g.finished = True
-        yield from self._append_inserts(inserts)
-        if deliveries:
-            self._fork_deliver(deliveries)
-
-    def _append_inserts(self, pairs):
-        yield 1
-        if not pairs:
-            return
-        self.n += len(pairs)
-        # a deletion may have emptied the last segment; filling it while the
-        # one before is short would leave a non-final segment not full
-        while self.segments and self.segments[-1].size == 0:
-            self.segments.pop()
-        if not self.segments:
-            self.segments.append(PairedSegment(0, self.meter))
-        idx = 0
-        last = self.segments[-1]
-        room = last.cap - last.size
-        if room > 0:
-            take = min(room, len(pairs))
-            yield from seg_insert_block_task(last, pairs[:take], "back")
-            idx = take
-        while idx < len(pairs):
-            seg = PairedSegment(len(self.segments), self.meter)
-            self.segments.append(seg)
-            take = min(seg.cap, len(pairs) - idx)
-            yield from seg_insert_block_task(seg, pairs[idx:idx + take], "back")
-            idx += take
-
-    def _fork_deliver(self, deliveries):
-        pairs = []
-        for g, results in deliveries:
-            for (op, handle), res in zip(g.entries, results):
-                pairs.append((handle, res))
-        rt = self.rt
-
-        def one(pair):
-            rt.resume(pair[0], pair[1])
-            return None
-            yield  # pragma: no cover
-
-        def fan_out():
-            yield from par_map(pairs, one)
-
-        rt.detach(fan_out())
-
-    def preload(self, pairs):
-        """Warm-start: fill segments to exact capacity with (key, value)
-        pairs, most recent first, without simulating the insert traffic."""
-        assert not self.segments and self.n == 0
-        idx = 0
-        while idx < len(pairs):
-            seg = PairedSegment(len(self.segments), self.meter)
-            self.segments.append(seg)
-            take = min(seg.cap, len(pairs) - idx)
-            preload_segment(seg, pairs[idx:idx + take])
-            idx += take
-        self.n = len(pairs)
+    def _record(self, deliveries):
+        """Events are recorded in sorted group order at cut time."""
 
     # -- test hooks -------------------------------------------------------------
 
     def audit(self):
-        total = 0
-        for i, seg in enumerate(self.segments):
+        for seg in self.segments:
             seg.audit()
-            total += seg.size
-            if i < len(self.segments) - 1:
-                assert seg.size == seg.cap, \
-                    f"segment {i} not exactly full: {seg.size}/{seg.cap}"
-            else:
-                assert seg.size <= seg.cap
-        assert total == self.n
+            assert seg.size <= seg.cap
+        self._audit_full_prefix()
+        assert sum(seg.size for seg in self.segments) == self.n

@@ -133,29 +133,6 @@ def generate(spec, ctr=None):
     return [ops[i:i + d] for i in range(0, len(ops), d)]
 
 
-def weighted_span(n_nodes, edges, weights):
-    """Longest weighted path in a DAG given as edge list over 0..n-1."""
-    children = [[] for _ in range(n_nodes)]
-    indeg = [0] * n_nodes
-    for a, b in edges:
-        children[a].append(b)
-        indeg[b] += 1
-    best = list(weights)
-    queue = [i for i in range(n_nodes) if indeg[i] == 0]
-    out = 0.0
-    while queue:
-        node = queue.pop()
-        out = max(out, best[node])
-        for ch in children[node]:
-            cand = best[node] + weights[ch]
-            if cand > best[ch]:
-                best[ch] = cand
-            indeg[ch] -= 1
-            if indeg[ch] == 0:
-                queue.append(ch)
-    return out
-
-
 def chain_weighted_span(chains, rank_by_id):
     """s_L for a chains-shaped program DAG: each map call weighted
     log2(rank) + 1; the heaviest chain is the weighted span."""
@@ -292,7 +269,6 @@ def run_experiment(spec, structure, scheduler=None, audit=True):
 
     ranks = access_ranks(lin_ops)
     rank_by_id = {op.op_id: r for op, r in zip(lin_ops, ranks)}
-    sizes = 0
     n_max = 1
     present = set()
     for op in lin_ops:

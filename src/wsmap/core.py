@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 SEARCH = "search"
 INSERT = "insert"
@@ -101,11 +101,6 @@ class OpResult:
         return (self.found, self.value)
 
 
-def op_success(kind, found):
-    """Insertions always succeed; the rest succeed iff the key was present."""
-    return True if kind == INSERT else found
-
-
 @dataclass
 class BoundReport:
     w_l: float
@@ -126,17 +121,9 @@ class BoundReport:
 
 @dataclass
 class Linearization:
-    """An operation order plus the per-op annotations of the cost model."""
+    """An operation order with its text form."""
 
     ops: list
-    ranks: list = field(default_factory=list)
-    sizes: list = field(default_factory=list)      # map size just before each op
-    results: list = field(default_factory=list)
-
-    def annotate(self):
-        self.ranks = access_ranks(self.ops)
-        self.results, self.sizes = oracle_replay(self.ops, with_sizes=True)
-        return self
 
     def to_text(self):
         lines = []
@@ -178,27 +165,6 @@ class _Fenwick:
             s += self.tree[i]
             i -= i & (-i)
         return s
-
-
-def effective_kinds(ops):
-    """Resolve each op against presence: an insert on a present key acts as
-    an update, an update on an absent key as an unsuccessful search."""
-    present = set()
-    out = []
-    for op in ops:
-        k = op.key.value
-        found = k in present
-        if op.kind == INSERT:
-            out.append((UPDATE, True) if found else (INSERT, False))
-            present.add(k)
-        elif op.kind == DELETE:
-            present.discard(k)
-            out.append((DELETE, found))
-        elif op.kind == UPDATE:
-            out.append((UPDATE, found))
-        else:
-            out.append((SEARCH, found))
-    return out
 
 
 def access_ranks(ops):
@@ -297,7 +263,7 @@ def insert_working_set_bound(ops_or_keys):
     return sum(math.log2(r) + 1.0 for r in ranks)
 
 
-def oracle_replay(ops, with_sizes=False):
+def oracle_replay(ops):
     """Run ops on the reference sequential map; ground truth for equivalence.
 
     Returns one OpResult per op: presence at the key and the value stored
@@ -305,10 +271,8 @@ def oracle_replay(ops, with_sizes=False):
     """
     store = {}
     results = []
-    sizes = []
     for op in ops:
         k = op.key.value
-        sizes.append(len(store))
         found = k in store
         prior = store.get(k)
         if op.kind == SEARCH:
@@ -324,43 +288,7 @@ def oracle_replay(ops, with_sizes=False):
             results.append(OpResult(found, prior))
             if found:
                 del store[k]
-    if with_sizes:
-        return results, sizes
     return results
-
-
-class ListMap:
-    """Independently coded second map (sorted association list) used to
-    cross-check the dict-based oracle."""
-
-    def __init__(self):
-        self.items = []
-
-    def _locate(self, k):
-        lo, hi = 0, len(self.items)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.items[mid][0] < k:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
-    def apply(self, op):
-        k = op.key.value
-        i = self._locate(k)
-        hit = i < len(self.items) and self.items[i][0] == k
-        prior = self.items[i][1] if hit else None
-        if op.kind == INSERT:
-            if hit:
-                self.items[i] = (k, op.payload)
-            else:
-                self.items.insert(i, (k, op.payload))
-        elif op.kind == UPDATE and hit:
-            self.items[i] = (k, op.payload)
-        elif op.kind == DELETE and hit:
-            del self.items[i]
-        return OpResult(hit, prior)
 
 
 def validate_batch_preserving(batches, lin):

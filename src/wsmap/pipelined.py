@@ -1,12 +1,15 @@
 """Pipelined working-set map.
 
 Segments split into a first slab S[0..m-1], processed batch-at-a-time by the
-interface exactly like the batched map, and a pipelined final slab S[m..l]
-of activation-gated segment actors. A filter in front of the final slab
-guarantees all in-flight final-slab operations are on distinct keys: an
-operation on a filtered key is trapped in that key's entry and finishes
-together with it. Neighbour-locks serialize adjacent segment runs (acquired
-in the alternating arrow order, so no cycles form) and front-locks FL[0..]
+interface exactly like the batched map (the shared `SegmentedMap` engine,
+with `segments` as the first slab), and a pipelined final slab S[m..l] of
+activation-gated segment actors. Against M1's policies, a cut batch is one
+bunch, every delivery records a linearization event, and growth past S[m-1]
+opens the final slab. A filter in front of the final slab guarantees all
+in-flight final-slab operations are on distinct keys: an operation on a
+filtered key is trapped in that key's entry and finishes together with it.
+Neighbour-locks serialize adjacent segment runs (acquired in the
+alternating arrow order, so no cycles form) and front-locks FL[0..]
 serialize every access to the filter and S[m]'s contents. All final-slab
 nodes run on the high-priority queue; interface activations stay on the low
 queue.
@@ -15,22 +18,18 @@ queue.
 from __future__ import annotations
 
 import math
-from collections import deque
 
-from .batched import GroupOp, group_sorted_ops
-from .pbuffer import ParallelBuffer
+from .batched import SegmentedMap
 from .runtime import (
-    Acquire, ActivationGate, BUFFER, Call, DS, DS_FINAL, DedicatedLock, Q1,
-    Q2, Sub, par_map,
+    Acquire, ActivationGate, DS, DS_FINAL, DedicatedLock, Q1, Q2,
 )
 from .segments import (
-    PairedSegment, preload_segment, restore_prefix_task, seg_find_task,
-    seg_insert_block_task, seg_move_block_task, seg_remove_found_task,
+    PairedSegment, seg_find_task, seg_insert_block_task, seg_move_block_task,
+    seg_remove_found_task,
 )
-from .sortlib import pesort_task
 from .tree23 import (
-    Bunch, StepMeter, Tree23, batch_delete_keys_task, batch_insert_task,
-    batch_search_task, pop_extreme_task,
+    Tree23, batch_delete_keys_task, batch_insert_task, batch_search_task,
+    pop_extreme_task,
 )
 
 
@@ -51,39 +50,21 @@ class _SlabSegment(PairedSegment):
         self.alive = True
 
 
-class PipelinedWorkingSetMap:
+class PipelinedWorkingSetMap(SegmentedMap):
     structure_name = "m2"
 
     def __init__(self, rt, p, m_override=None):
-        self.rt = rt
-        self.p = p
-        self.p2 = p * p
+        super().__init__(rt, p)
         self.m = m_override if m_override is not None else first_slab_depth(p)
-        self.meter = StepMeter()
-        self.first = []               # PairedSegment list, at most m entries
         self.final = {}               # k -> _SlabSegment for k >= m
         self.terminal = None          # deepest final-slab index, or None
         self.filter = Tree23(self.meter)
-        self.feed = deque()
-        self.nl = {}                  # k -> lock between S[k-1] and S[k]
-        self.fl = {}                  # j -> front-lock FL[j]
-        self.gate = ActivationGate(self._iface_ready, self._iface_cycle,
-                                   name="m2")
-        self.pbuf = ParallelBuffer(rt, p, activate=self.gate.activate)
-        self.n = 0
-        self.events = []              # ((seq, tie), step, key value, [ops])
-        self._event_seq = 0
-        self.cut_batches = []
+        self.locks = {}               # ("nl", k): S[k-1]|S[k]; ("fl", j): FL[j]
+        self._event_seq = 0           # events: ((seq, tie), step, key, ops)
         self.trapped_ops = 0          # ops folded into an in-flight entry
         self.fl_delays = []           # (segment index, front-access steps)
         self.audit_every_run = False
         self.rank_audit = False
-
-    # -- program-facing API ----------------------------------------------------
-
-    def call(self, op):
-        result = yield from self.pbuf.submit(op)
-        return result
 
     def filter_size(self):
         return len(self.filter)
@@ -95,70 +76,67 @@ class PipelinedWorkingSetMap:
         ordered = sorted(self.events, key=lambda e: e[0])
         return [op for _ord, _step, _key, ops in ordered for op in ops]
 
-    def stats(self):
-        """Bound report over the extracted linearization plus the metrics
-        slice accumulated so far."""
-        from .core import working_set_bound
-        rep = working_set_bound(self.extract_linearization(), p=self.p)
-        return {"bound_report": {"W_L": rep.w_l, "IW_L": rep.iw_l,
-                                 "e_L": rep.e_l, "N": rep.n_ops,
-                                 "log_base": rep.log_base},
-                "metrics": self.rt.metrics.to_dict()}
+    # -- interface policies ------------------------------------------------------
 
-    # -- interface ---------------------------------------------------------------
+    def _ready(self):
+        return super()._ready() and len(self.filter) <= self.p2
 
-    def _iface_ready(self):
-        return ((self.pbuf.pending > 0 or bool(self.feed))
-                and len(self.filter) <= self.p2)
+    def _form_cut(self):
+        cut = yield from self.feed.popleft().to_batch_task()
+        return cut
 
-    def _lock_segment(self, k):
-        return self.final[k] if k >= self.m else self.first[k]
+    def _record(self, deliveries):
+        step = self.rt.now
+        seq = self._event_seq
+        self._event_seq += 1
+        ranked = sorted(deliveries, key=lambda d: d[0].key.value, reverse=True)
+        for j, (g, _results) in enumerate(ranked):
+            self.events.append(((seq, j), step, g.key.value,
+                                [op for op, _h in g.entries]))
 
-    def _nl_lock(self, k):
-        if k not in self.nl:
-            self.nl[k] = self.rt.register_lock(
-                DedicatedLock(2, name=f"nl[{k}]"))
-        return self.nl[k]
+    def _last_segment(self):
+        if self.terminal is not None:
+            return self.final[self.terminal]
+        return super()._last_segment()
 
-    def _fl_lock(self, j):
-        if j not in self.fl:
-            self.fl[j] = self.rt.register_lock(
-                DedicatedLock(2, name=f"fl[{j}]"))
-        return self.fl[j]
+    def _grow_segment(self):
+        if self.terminal is not None:
+            return self._new_slab_segment(self.terminal + 1)
+        if len(self.segments) < self.m:
+            return super()._grow_segment()
+        return self._new_slab_segment(self.m)
 
-    def _iface_cycle(self):
-        incoming = yield Call(self.pbuf.flush_task(), owner=BUFFER)
-        yield from self._ingest(incoming)
-        if not self.feed:
-            raise RuntimeError("interface ran with an empty feed buffer")
-        bunch = self.feed.popleft()
-        cut = yield from bunch.to_batch_task()
-        keys = [op.key for op, _h in cut]
-        order = yield from pesort_task(keys)
-        groups = group_sorted_ops(cut, order)
-        self.cut_batches.append([op for op, _h in cut])
-        pending = groups
+    def _segment(self, k):
+        return self.final[k] if k >= self.m else self.segments[k]
+
+    def _lock(self, family, j):
+        """Neighbour-lock ("nl", j) or front-lock ("fl", j), registered on
+        first use."""
+        lock = self.locks.get((family, j))
+        if lock is None:
+            lock = self.locks[family, j] = self.rt.register_lock(
+                DedicatedLock(2, name=f"{family}[{j}]"))
+        return lock
+
+    def _cycle(self):
+        pending = yield from self._sorted_groups()
         has_final = self.terminal is not None
-        limit = (self.m - 1) if has_final else len(self.first)
-        k = 0
-        while k < min(limit, len(self.first)) and pending:
-            pending = yield from self._first_slab_segment(k, pending)
-            k += 1
+        pending, k = yield from self._sweep(
+            pending, 0, self.m - 1 if has_final else len(self.segments))
         if has_final and pending:
             t0 = self.rt.now
-            yield Acquire(self._nl_lock(self.m), 1)
-            yield Acquire(self._fl_lock(0), 2)
+            nl, fl = self._lock("nl", self.m), self._lock("fl", 0)
+            yield Acquire(nl, 1)
+            yield Acquire(fl, 2)
             if self.terminal is None:
                 # the final slab drained away while we waited for the locks
-                self.rt.release(self.fl[0])
-                self.rt.release(self.nl[self.m])
-                while k < len(self.first) and pending:
-                    pending = yield from self._first_slab_segment(k, pending)
-                    k += 1
+                self.rt.release(fl)
+                self.rt.release(nl)
+                pending, _k = yield from self._sweep(pending, k,
+                                                     len(self.segments))
                 yield from self._finish_tail(pending)
             else:
-                if k == self.m - 1 and k < len(self.first):
-                    pending = yield from self._first_slab_segment(k, pending)
+                pending = yield from self._segment_pass(self.m - 1, pending)
                 admitted = yield from self._filter_pass(pending)
                 if admitted:
                     seg = self.final[self.m]
@@ -166,104 +144,15 @@ class PipelinedWorkingSetMap:
                         seg.buffer, [(g.key, g) for g in admitted])
                     self.rt.detach(seg.gate.activate(),
                                    owner=DS_FINAL, queue=Q1)
-                self.rt.release(self.fl[0])
-                self.rt.release(self.nl[self.m])
+                self.rt.release(fl)
+                self.rt.release(nl)
                 self.fl_delays.append((self.m, self.rt.now - t0))
         else:
             yield from self._finish_tail(pending)
+        if self.terminal is None and self.audit_every_run == "full":
+            self._audit_full_prefix()
         self._maybe_audit()
         return True
-
-    def _ingest(self, incoming):
-        b = len(incoming)
-        yield max(1, b // self.p2 + 1)
-        if b == 0:
-            return
-        idx = 0
-        if self.feed and self.feed[-1].size < self.p2:
-            first = min(b, self.p2 - self.feed[-1].size)
-            self.feed[-1].add(incoming[:first])
-            idx = first
-        while idx < b:
-            bunch = Bunch()
-            bunch.add(incoming[idx:idx + self.p2])
-            self.feed.append(bunch)
-            idx += self.p2
-
-    def _first_slab_segment(self, k, pending):
-        """One batched-map segment pass over first-slab segment k; returns
-        the unfinished groups (deletions stay, tagged)."""
-        seg = self.first[k]
-        leaves = yield from seg_find_task(seg, [g.key for g in pending])
-        found = [(g, lf) for g, lf in zip(pending, leaves) if lf is not None]
-        if found:
-            keeps = []
-            deliveries = []
-            for g, lf in found:
-                results, net = g.resolve(True, lf.val)
-                if net[0] == "keep":
-                    keeps.append((g.key, net[1]))
-                    deliveries.append((g, results))
-                    g.finished = True
-                else:
-                    g.deletion_success = True
-                    g.found_value = (True, lf.val)
-                    self.n -= 1
-            yield from seg_remove_found_task(seg, [lf for _g, lf in found])
-            if keeps:
-                dst = self.first[k - 1] if k > 0 else seg
-                yield from seg_insert_block_task(dst, keeps, "front")
-            if deliveries:
-                self._record_and_deliver(deliveries)
-        yield from restore_prefix_task(self.first, k)
-        return [g for g in pending if not g.finished]
-
-    def _finish_tail(self, pending):
-        """No final slab: resolve every leftover group and carve trailing
-        insertions into just-enough new segments (possibly opening the
-        final slab)."""
-        inserts = []
-        deliveries = []
-        for g in pending:
-            state = g.found_value if g.found_value else (False, None)
-            results, net = g.resolve(*state)
-            if net[0] == "insert":
-                inserts.append((g.key, net[1]))
-                self.n += 1
-            deliveries.append((g, results))
-            g.finished = True
-        yield from self._append_inserts(inserts)
-        if deliveries:
-            self._record_and_deliver(deliveries)
-        self._drop_empty_tail()
-
-    def _append_inserts(self, pairs):
-        yield 1
-        if not pairs:
-            return
-        idx = 0
-        while idx < len(pairs):
-            seg = self._last_segment()
-            if seg is None or seg.size >= seg.cap:
-                seg = self._grow_segment()
-            take = min(seg.cap - seg.size, len(pairs) - idx)
-            yield from seg_insert_block_task(seg, pairs[idx:idx + take], "back")
-            idx += take
-
-    def _last_segment(self):
-        if self.terminal is not None:
-            return self.final[self.terminal]
-        return self.first[-1] if self.first else None
-
-    def _grow_segment(self):
-        nxt = (self.terminal + 1 if self.terminal is not None
-               else len(self.first))
-        if nxt < self.m:
-            seg = PairedSegment(nxt, self.meter)
-            self.first.append(seg)
-            return seg
-        seg = self._new_slab_segment(nxt)
-        return seg
 
     def _new_slab_segment(self, k):
         seg = _SlabSegment(k, self.meter)
@@ -273,31 +162,9 @@ class PipelinedWorkingSetMap:
             name=f"s[{k}]")
         self.final[k] = seg
         self.terminal = k
-        self._nl_lock(k)
-        self._fl_lock(k - self.m)
+        self._lock("nl", k)
+        self._lock("fl", k - self.m)
         return seg
-
-    def _drop_empty_tail(self):
-        while self.first and self.terminal is None and self.first[-1].size == 0:
-            self.first.pop()
-
-    def preload(self, pairs):
-        """Warm-start: fill segments to exact capacity with (key, value)
-        pairs, most recent first, without simulating the insert traffic."""
-        assert not self.first and not self.final and self.n == 0
-        idx = 0
-        i = 0
-        while idx < len(pairs):
-            if i < self.m:
-                seg = PairedSegment(i, self.meter)
-                self.first.append(seg)
-            else:
-                seg = self._new_slab_segment(i)
-            take = min(seg.cap, len(pairs) - idx)
-            preload_segment(seg, pairs[idx:idx + take])
-            idx += take
-            i += 1
-        self.n = len(pairs)
 
     # -- the filter ----------------------------------------------------------------
 
@@ -314,7 +181,7 @@ class PipelinedWorkingSetMap:
         for g, leaf in zip(groups, hits):
             if leaf is not None:
                 entry = leaf.val
-                assert not g.deletion_success, \
+                assert g.found_value is None, \
                     "a tagged deletion cannot collide with an in-flight key"
                 entry.entries.extend(g.entries)
                 self.trapped_ops += len(g.entries)
@@ -338,10 +205,10 @@ class PipelinedWorkingSetMap:
             yield  # pragma: no cover
         # step 1: neighbour-locks in arrow order (key 2 = right user of nl[k],
         # key 1 = left user of nl[k+1])
-        plan = [(self._arrow_label(k), self.nl[k], 2)]
+        plan = [(self._arrow_label(k), self._lock("nl", k), 2)]
         has_right = (k + 1) in self.final
         if has_right:
-            plan.append((self._arrow_label(k + 1), self.nl[k + 1], 1))
+            plan.append((self._arrow_label(k + 1), self._lock("nl", k + 1), 1))
             plan.sort(key=lambda t: t[0])
         for _lbl, lock, lock_key in plan:
             yield Acquire(lock, lock_key)
@@ -350,14 +217,15 @@ class PipelinedWorkingSetMap:
         # step 2
         if k == self.m:
             fl_t0 = self.rt.now
-            yield Acquire(self._fl_lock(0), 2)
+            yield Acquire(self._lock("fl", 0), 2)
         # step 3: grow a terminal segment if this one overflows
         if self.terminal == k:
-            left = self._lock_segment(k - 1)
+            left = self._segment(k - 1)
             if left.size + seg.size > left.cap + seg.cap:
                 self._new_slab_segment(k + 1)
-                yield Acquire(self.nl[k + 1], 1)   # fresh lock, uncontended
-                plan.append((self._arrow_label(k + 1), self.nl[k + 1], 1))
+                nxt_lock = self._lock("nl", k + 1)
+                yield Acquire(nxt_lock, 1)   # fresh lock, uncontended
+                plan.append((self._arrow_label(k + 1), nxt_lock, 1))
         # step 4: flush and process the buffer
         buf_leaves = yield from pop_extreme_task(seg.buffer, len(seg.buffer),
                                                  "front")
@@ -370,64 +238,43 @@ class PipelinedWorkingSetMap:
         if k > self.m:
             fl_t0 = self.rt.now
             for j in range(k - self.m, -1, -1):
-                yield Acquire(self._fl_lock(j), 2 if j == k - self.m else 1)
+                yield Acquire(self._lock("fl", j), 2 if j == k - self.m else 1)
         # step 4c: consult the filter to split R into kept items R' and
         # successful deletions
-        keeps = []
-        delivered = []
-        finished_keys = []
-        for g, lf in found:
-            results, net = g.resolve(True, lf.val)
-            if net[0] == "keep":
-                keeps.append((g.key, net[1]))
-                delivered.append((g, results))
-                finished_keys.append(g.key)
-                g.finished = True
-            else:
-                g.deletion_success = True
-                g.found_value = (True, lf.val)
-                self.n -= 1
+        keeps, delivered = self._resolve_found(found)
         # step 4d: return results for R', insert R' at the front of S[m'],
         # and at the terminal segment finish everything else too
-        m_prime = min(k - 1, self.m)
-        dst = self._lock_segment(m_prime)
-        remaining = [g for g in batch if not g.finished]
+        dst = self._segment(min(k - 1, self.m))
         inserts = []
         if self.terminal == k:
-            for g in remaining:
-                state = g.found_value if g.found_value else (False, None)
-                results, net = g.resolve(*state)
-                if net[0] == "insert":
-                    inserts.append((g.key, net[1]))
-                    self.n += 1
-                delivered.append((g, results))
-                finished_keys.append(g.key)
-                g.finished = True
+            inserts, rest = self._resolve_rest(
+                [g for g in batch if not g.finished])
+            delivered += rest
         if keeps or inserts:
             block = sorted(keeps + inserts, key=lambda kv: kv[0].value)
             yield from seg_insert_block_task(dst, block, "front")
-        if finished_keys:
-            ordered = sorted(finished_keys, key=lambda kk: kk.value)
-            yield from batch_delete_keys_task(self.filter, ordered)
         if delivered:
-            self._record_and_deliver(delivered)
+            ordered = sorted((g.key for g, _r in delivered),
+                             key=lambda kk: kk.value)
+            yield from batch_delete_keys_task(self.filter, ordered)
+            self._deliver(delivered)
         # step 4e
         if len(self.filter) <= self.p2:
             self.rt.detach(self.gate.activate(), owner=DS, queue=Q2)
         # step 4f
         if k > self.m:
             for j in range(0, k - self.m + 1):
-                self.rt.release(self.fl[j])
+                self.rt.release(self._lock("fl", j))
                 yield 1
             self.fl_delays.append((k, self.rt.now - fl_t0))
         # steps 4g/4h: rebalance against the previous segment
-        left = self._lock_segment(k - 1)
+        left = self._segment(k - 1)
         if left.size > left.cap:
             yield from seg_move_block_task(left, seg, left.size - left.cap,
                                            "back", "front")
         else:
             holes = left.cap - left.size
-            dels = sum(1 for g in batch if g.deletion_success)
+            dels = sum(1 for g in batch if g.found_value is not None)
             pull = min(holes, seg.size, dels)
             if pull:
                 yield from seg_move_block_task(seg, left, pull,
@@ -449,7 +296,7 @@ class PipelinedWorkingSetMap:
                 assert len(self.filter) == 0
         # step 6
         if k == self.m:
-            self.rt.release(self.fl[0])
+            self.rt.release(self._lock("fl", 0))
             self.fl_delays.append((k, self.rt.now - fl_t0))
         # step 7
         seg.running = False
@@ -457,32 +304,6 @@ class PipelinedWorkingSetMap:
             self.rt.release(lock)
         self._maybe_audit()
         return seg.alive
-
-    # -- results + linearization events --------------------------------------------
-
-    def _record_and_deliver(self, deliveries):
-        step = self.rt.now
-        seq = self._event_seq
-        self._event_seq += 1
-        pairs = []
-        ranked = sorted(deliveries, key=lambda d: d[0].key.value, reverse=True)
-        for j, (g, results) in enumerate(ranked):
-            self.events.append(((seq, j), step, g.key.value,
-                                [op for op, _h in g.entries]))
-        for g, results in deliveries:
-            for (op, handle), res in zip(g.entries, results):
-                pairs.append((handle, res))
-        rt = self.rt
-
-        def one(pair):
-            rt.resume(pair[0], pair[1])
-            return None
-            yield  # pragma: no cover
-
-        def fan_out():
-            yield from par_map(pairs, one)
-
-        rt.detach(fan_out())
 
     # -- audits ---------------------------------------------------------------------
 
@@ -523,7 +344,7 @@ class PipelinedWorkingSetMap:
         if self._quiescent():
             assert set(in_flight) == filter_keys, \
                 "filter keys diverge from in-flight keys"
-        for seg in self.first:
+        for seg in self.segments:
             for lf in seg.keys.leaves():
                 assert lf.key.value not in filter_keys
 
@@ -534,45 +355,39 @@ class PipelinedWorkingSetMap:
             assert self.final[k].size <= 3 * self.final[k].cap, \
                 f"final segment {k} over 3x capacity"
         # invariant 1: S[m-1] within capacity unless S[m] is running
-        if len(self.first) >= self.m:
+        if len(self.segments) >= self.m:
             sm = self.final.get(self.m)
             if sm is None or not sm.running:
-                assert self.first[self.m - 1].size <= self.first[self.m - 1].cap
+                last = self.segments[self.m - 1]
+                assert last.size <= last.cap
         # invariant 2: with the interface idle, S[0..m-2] has no holes and
         # S[m-1] has at most d holes (d = successful deletions in S[m])
         if not self.gate.flag.held and self.terminal is not None:
-            for i in range(min(len(self.first), self.m - 1)):
-                if self._has_deeper(i):
-                    assert self.first[i].size == self.first[i].cap, \
-                        f"hole in first-slab segment {i}"
-            if len(self.first) >= self.m:
-                sm = self.final.get(self.m)
-                d = 0
-                if sm is not None:
-                    d += sum(1 for lf in sm.buffer.leaves()
-                             if lf.val.deletion_success)
-                    d += sum(1 for g in sm.in_flight
-                             if g.deletion_success and not g.finished)
-                seg = self.first[self.m - 1]
-                assert seg.cap - seg.size <= d, \
-                    f"S[m-1] has {seg.cap - seg.size} holes > {d} deletions"
+            for i, seg in enumerate(self.segments[:self.m - 1]):
+                assert seg.size == seg.cap, \
+                    f"hole in first-slab segment {i}"
+            sm = self.final.get(self.m)
+            d = 0
+            if sm is not None:
+                d += sum(1 for lf in sm.buffer.leaves()
+                         if lf.val.found_value is not None)
+                d += sum(1 for g in sm.in_flight
+                         if g.found_value is not None and not g.finished)
+            seg = self.segments[self.m - 1]
+            assert seg.cap - seg.size <= d, \
+                f"S[m-1] has {seg.cap - seg.size} holes > {d} deletions"
         # invariant 4: when S[k] is idle, S[0..k-1] is at most 2p^2 below
         # total capacity
         for k in self._final_indices():
             seg = self.final[k]
             if seg.running or self.terminal == k:
                 continue
-            caps = sum(s.cap for s in self.first) + \
+            caps = sum(s.cap for s in self.segments) + \
                 sum(self.final[j].cap for j in self._final_indices() if j < k)
-            sizes = sum(s.size for s in self.first) + \
+            sizes = sum(s.size for s in self.segments) + \
                 sum(self.final[j].size for j in self._final_indices() if j < k)
             assert sizes >= caps - 2 * p2, \
                 f"prefix below S[{k}] is {caps - sizes} under capacity"
-
-    def _has_deeper(self, i):
-        if self.terminal is not None:
-            return True
-        return i < len(self.first) - 1
 
     def audit_rank_invariant(self):
         """Every final-slab item sits within the first r items of the final

@@ -507,15 +507,6 @@ def par_map(items, fn):
     return left + right
 
 
-def par_chunks(items, chunk, fn):
-    """Like par_map but leaves process contiguous chunks of the given size."""
-    chunk = max(1, chunk)
-    pieces = [items[i:i + chunk] for i in range(0, len(items), chunk)]
-    if not pieces:
-        pieces = [items]
-    return (yield from par_map(pieces, fn))
-
-
 def concat_tree(pieces):
     """Concatenate list pieces with a balanced binary join tree."""
     n = len(pieces)

@@ -30,9 +30,6 @@ class PairedSegment:
     def size(self):
         return len(self.keys)
 
-    def items_by_recency(self):
-        return [(lf.key, lf.val) for lf in self.rec.leaves()]
-
     def audit(self):
         assert len(self.keys) == len(self.rec)
         self.keys.audit(sorted_keys=True)

@@ -339,9 +339,8 @@ class Tree23:
 
     def _split(self, route):
         """Generic split; route(node) returns the kid index where the cut
-        descends (kids before it go left, after it go right)."""
-        if self.root is None:
-            return Tree23(self.meter), Tree23(self.meter)
+        descends (kids before it go left, after it go right); the tree is
+        non-empty."""
         left_pieces = []
         right_groups = []   # per-level, outermost first
         node = self.root
@@ -526,23 +525,48 @@ def _check_sorted_distinct(keys):
             raise TreeUsageError("batch keys must be sorted and distinct")
 
 
-def batch_op_task(tree, ops):
-    """Apply an item-sorted batch of (kind, key, val) triples with kinds in
-    {'search','insert','delete'}; returns one result per op in batch order:
-    the live leaf handle for search/insert hits and inserts, the dead handle
-    for deletes that removed something, None for misses.
-
-    Runs as a split/apply/rejoin task DAG: Theta(b log n)-style work, with the
-    split recursion depth O(log b).
-    """
-    if not ops:
+def _split_join_task(tree, items, split, leaf):
+    """Split the tree at the middle item, recurse on both halves in
+    parallel, and join them back (Blelloch, Ferizovic & Sun's join-based
+    batch pattern). split(t, items, mid) returns (left tree, right tree,
+    the items from mid on re-addressed to the right tree); leaf(t, item)
+    applies one item. Returns the per-item results in item order."""
+    if not items:
         yield 1
         return []
-    _check_sorted_distinct([op[1] for op in ops])
     piece = Tree23(tree.meter).adopt(tree)
-    results = yield from _batch_rec(piece, ops)
+    results = yield from _split_join_rec(piece, items, split, leaf)
     tree.adopt(piece)
     return results
+
+
+def _split_join_rec(t, items, split, leaf):
+    meter = t.meter
+    if len(items) == 1:
+        start = meter.count
+        res = leaf(t, items[0])
+        yield _charge(meter, start)
+        return [res]
+    mid = len(items) // 2
+    start = meter.count
+    left_t, right_t, right_items = split(t, items, mid)
+    yield _charge(meter, start)
+    lres, rres = yield Par(_split_join_rec(left_t, items[:mid], split, leaf),
+                           _split_join_rec(right_t, right_items, split, leaf))
+    start = meter.count
+    left_t.join(right_t)
+    t.adopt(left_t)
+    yield _charge(meter, start)
+    return lres + rres
+
+
+def _split_by_key(t, ops, mid):
+    return (*t.split_lt(ops[mid][1]), ops[mid:])
+
+
+def _split_by_pos(t, positions, mid):
+    cut = positions[mid]
+    return (*t.split_pos(cut), [p - cut for p in positions[mid:]])
 
 
 def _apply_one(t, op):
@@ -560,24 +584,23 @@ def _apply_one(t, op):
     raise TreeUsageError(f"unknown batch op kind {kind!r}")
 
 
-def _batch_rec(t, ops):
-    meter = t.meter
-    if len(ops) == 1:
-        start = meter.count
-        res = _apply_one(t, ops[0])
-        yield _charge(meter, start)
-        return [res]
-    mid = len(ops) // 2
-    start = meter.count
-    left_t, right_t = t.split_lt(ops[mid][1])
-    yield _charge(meter, start)
-    lres, rres = yield Par(_batch_rec(left_t, ops[:mid]),
-                           _batch_rec(right_t, ops[mid:]))
-    start = meter.count
-    left_t.join(right_t)
-    t.adopt(left_t)
-    yield _charge(meter, start)
-    return lres + rres
+def _delete_at(t, pos):
+    leaf = t.leaf_at(pos)
+    t.delete_leaf(leaf)
+    return leaf
+
+
+def batch_op_task(tree, ops):
+    """Apply an item-sorted batch of (kind, key, val) triples with kinds in
+    {'search','insert','delete'}; returns one result per op in batch order:
+    the live leaf handle for search/insert hits and inserts, the dead handle
+    for deletes that removed something, None for misses.
+
+    Runs as a split/apply/rejoin task DAG: Theta(b log n)-style work, with the
+    split recursion depth O(log b).
+    """
+    _check_sorted_distinct([op[1] for op in ops])
+    return (yield from _split_join_task(tree, ops, _split_by_key, _apply_one))
 
 
 def batch_search_task(tree, keys):
@@ -595,8 +618,8 @@ def batch_delete_keys_task(tree, keys):
     return (yield from batch_op_task(tree, ops))
 
 
-def reverse_index_task(tree, handles, by="pos"):
-    """From live leaf handles to the item-sorted batch (leaf, position) list;
+def reverse_index_task(tree, handles):
+    """From live leaf handles to the position-sorted (position, leaf) list;
     the tree is not modified."""
     for h in handles:
         if not h.alive:
@@ -610,49 +633,18 @@ def reverse_index_task(tree, handles, by="pos"):
         return (pos, leaf)
 
     located = yield from par_map(list(handles), locate)
-    if by == "key":
-        ordered = yield from merge_sort_task(located, key=lambda pl: pl[1].key)
-    else:
-        ordered = yield from merge_sort_task(located, key=lambda pl: pl[0])
+    ordered = yield from merge_sort_task(located, key=lambda pl: pl[0])
     return ordered
 
 
 def batch_delete_pos_task(tree, positions):
     """Delete the leaves at the given sorted positions; returns them in
     tree order."""
-    if not positions:
-        yield 1
-        return []
     for a, b in zip(positions, positions[1:]):
         if not a < b:
             raise TreeUsageError("positions must be sorted and distinct")
-    piece = Tree23(tree.meter).adopt(tree)
-    removed = yield from _del_pos_rec(piece, list(positions))
-    tree.adopt(piece)
-    return removed
-
-
-def _del_pos_rec(t, positions):
-    meter = t.meter
-    if len(positions) == 1:
-        start = meter.count
-        leaf = t.leaf_at(positions[0])
-        t.delete_leaf(leaf)
-        yield _charge(meter, start)
-        return [leaf]
-    mid = len(positions) // 2
-    cut = positions[mid]
-    start = meter.count
-    left_t, right_t = t.split_pos(cut)
-    yield _charge(meter, start)
-    right_pos = [p - cut for p in positions[mid:]]
-    lres, rres = yield Par(_del_pos_rec(left_t, positions[:mid]),
-                           _del_pos_rec(right_t, right_pos))
-    start = meter.count
-    left_t.join(right_t)
-    t.adopt(left_t)
-    yield _charge(meter, start)
-    return lres + rres
+    return (yield from _split_join_task(tree, list(positions), _split_by_pos,
+                                        _delete_at))
 
 
 def push_edge_task(tree, pairs, end):
@@ -672,9 +664,8 @@ def push_edge_task(tree, pairs, end):
     return leaves
 
 
-def pop_extreme_task(tree, count, end, sort_by_key=False):
-    """Remove the count front/back leaves (by tree order); returned in tree
-    order, optionally re-sorted by key."""
+def pop_extreme_task(tree, count, end):
+    """Remove the count front/back leaves; returned in tree order."""
     if count > len(tree):
         raise TreeUsageError("pop_extreme count exceeds size")
     meter = tree.meter
@@ -694,8 +685,6 @@ def pop_extreme_task(tree, count, end, sort_by_key=False):
         lf.alive = False
         lf.parent = None
     yield _charge(meter, start)
-    if sort_by_key:
-        leaves = yield from merge_sort_task(leaves, key=lambda lf: lf.key)
     return leaves
 
 

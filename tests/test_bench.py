@@ -4,9 +4,10 @@ import math
 
 import pytest
 
+from wsmap import bench
 from wsmap.bench import (
     Report, WorkloadSpec, chain_weighted_span, generate, render_table,
-    run_experiment, weighted_span,
+    run_experiment,
 )
 from wsmap.cli import main
 from wsmap.core import CmpCounter, INSERT, Key, Operation, SEARCH
@@ -69,6 +70,30 @@ def test_coldest_generator_targets_least_recent():
             recency.append(recency.pop(0))
 
 
+def weighted_span(n_nodes, edges, weights):
+    """Longest weighted path in a DAG given as edge list over 0..n-1; the
+    general reference for chain_weighted_span."""
+    children = [[] for _ in range(n_nodes)]
+    indeg = [0] * n_nodes
+    for a, b in edges:
+        children[a].append(b)
+        indeg[b] += 1
+    best = list(weights)
+    queue = [i for i in range(n_nodes) if indeg[i] == 0]
+    out = 0.0
+    while queue:
+        node = queue.pop()
+        out = max(out, best[node])
+        for ch in children[node]:
+            cand = best[node] + weights[ch]
+            if cand > best[ch]:
+                best[ch] = cand
+            indeg[ch] -= 1
+            if indeg[ch] == 0:
+                queue.append(ch)
+    return out
+
+
 def test_weighted_span_examples():
     # single op, rank 1
     assert weighted_span(1, [], [1.0]) == 1.0
@@ -85,6 +110,9 @@ def test_weighted_span_examples():
               [Operation(2, SEARCH, Key(3, ctr))]]
     ranks = {0: 1, 1: 2, 2: 4}
     assert chain_weighted_span(chains, ranks) == pytest.approx(1 + 2)
+    # the chains as a DAG: an edge from each call to the next in its chain
+    w = [math.log2(ranks[i]) + 1 for i in range(3)]
+    assert weighted_span(3, [(0, 1)], w) == chain_weighted_span(chains, ranks)
 
 
 @pytest.mark.parametrize("structure", ["oracle", "m0", "m1", "m2"])
@@ -111,9 +139,14 @@ def test_run_experiment_all_lines_pass(structure):
 # only speeds it up must leave every report byte-identical; a drift of the
 # cost model shows here. The m1 spec is the hot_zipf_m1 benchmark shape and
 # the m2 spec the deep_insert_m2 shape at 400 ops, the smallest size at
-# which that seed opens M2's final slab, filter and front-locks.
+# which that seed opens M2's final slab, filter and front-locks. The last
+# case runs M2 on a 256-key universe, which fits in the 278-item first slab:
+# it pins M2's first-slab-only path through the shared segment engine.
 _HOT_MIX = {"search": 0.7, "insert": 0.15, "delete": 0.1, "update": 0.05}
 _DEEP_MIX = {"search": 0.15, "insert": 0.75, "delete": 0.05, "update": 0.05}
+_FIRST_SLAB_ONLY = WorkloadSpec(generator="zipf", n_ops=300, universe=256,
+                                mix=_HOT_MIX, width=8, seed=1, p=8,
+                                name="first_slab_m2")
 
 
 @pytest.mark.parametrize("structure, spec, digest", [
@@ -125,10 +158,23 @@ _DEEP_MIX = {"search": 0.15, "insert": 0.75, "delete": 0.05, "update": 0.05}
                         mix=_DEEP_MIX, width=8, seed=1, p=8,
                         name="deep_insert_m2"),
      "fa6fafd074f51cdcd7d37fa8ff90aa1a82d20ad4f5b5db99cce667498568233f"),
+    ("m2", _FIRST_SLAB_ONLY,
+     "c49254b4bcf257ec304ab5f4241177c42e72ad5c69219362b1a2c7a4fc911efd"),
 ])
-def test_report_digest_pinned(structure, spec, digest):
+def test_report_digest_pinned(structure, spec, digest, monkeypatch):
+    runs = []
+    run_parallel = bench._run_parallel
+
+    def recording(*args):
+        runs.append(run_parallel(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(bench, "_run_parallel", recording)
     report = run_experiment(spec, structure)
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+    if spec is _FIRST_SLAB_ONLY:
+        m = runs[0][0]
+        assert m.terminal is None and not m.final
 
 
 def test_m2_greedy_reports_but_does_not_assert_bounds():

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_ops
 from wsmap.core import (
-    CmpCounter, DELETE, INSERT, Key, Linearization, ListMap, Operation,
+    CmpCounter, DELETE, INSERT, Key, Linearization, Operation, OpResult,
     SEARCH, UPDATE, access_rank, access_ranks, insert_working_set_bound,
     oracle_replay, validate_batch_preserving, working_set_bound,
 )
@@ -145,6 +145,40 @@ def test_oracle_replay_examples():
     assert res[1].found is True and res[1].value == 0
     res = oracle_replay(_ops([(DELETE, "a")]))
     assert res[0].found is False
+
+
+class ListMap:
+    """Independently coded second map (sorted association list) used to
+    cross-check the dict-based oracle."""
+
+    def __init__(self):
+        self.items = []
+
+    def _locate(self, k):
+        lo, hi = 0, len(self.items)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self.items[mid][0] < k:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+
+    def apply(self, op):
+        k = op.key.value
+        i = self._locate(k)
+        hit = i < len(self.items) and self.items[i][0] == k
+        prior = self.items[i][1] if hit else None
+        if op.kind == INSERT:
+            if hit:
+                self.items[i] = (k, op.payload)
+            else:
+                self.items.insert(i, (k, op.payload))
+        elif op.kind == UPDATE and hit:
+            self.items[i] = (k, op.payload)
+        elif op.kind == DELETE and hit:
+            del self.items[i]
+        return OpResult(hit, prior)
 
 
 def test_oracle_cross_check_against_list_map():

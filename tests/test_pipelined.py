@@ -167,6 +167,20 @@ def test_balance_invariants_audited_with_real_m():
     _check_equivalence(results, m)
 
 
+def test_emptied_last_segment_not_refilled_before_a_short_one():
+    # hot_zipf_m1 shape on m2: a deletion empties the last first-slab
+    # segment while the one before it is short; the next inserts must top
+    # that one up first (the interface audits that every first-slab segment
+    # but the last is exactly full while no final slab exists)
+    from wsmap.bench import WorkloadSpec, run_experiment
+    spec = WorkloadSpec(generator="zipf", n_ops=500, universe=256,
+                        mix={"search": 0.7, "insert": 0.15, "delete": 0.1,
+                             "update": 0.05},
+                        width=8, seed=2, p=8, name="hot_zipf_m1")
+    report = run_experiment(spec, "m2", audit=True)
+    assert not report.failed(), report.failed()
+
+
 def test_metrics_expose_filter_steps():
     ops = random_ops(300, 32, 12, mix=(0.3, 0.6, 0.1, 0.0))
     _results, m, metrics, _rt = run_map_workload(

