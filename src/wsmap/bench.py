@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .batched import BatchedWorkingSetMap
 from .calibration import frozen_constants, slack
@@ -47,12 +47,38 @@ class WorkloadSpec:
     def __post_init__(self):
         if self.generator not in GENERATORS:
             raise ValueError(f"unknown generator {self.generator!r}")
+        for name in ("n_ops", "universe", "width", "hot_window"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if type(self.seed) is not int:
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if type(self.p) is not int or self.p < 4 or self.p % 2:
+            raise ValueError(f"p must be an even integer >= 4 (the weak-priority "
+                             f"scheduler gives each queue p/2 slots), got {self.p!r}")
+        if not isinstance(self.mix, dict):
+            raise ValueError(f"op mix must be an object, got {self.mix!r}")
+        unknown = sorted(set(self.mix) - set(_KIND_ORDER))
+        if unknown:
+            raise ValueError(f"unknown op kind(s) in mix: {unknown}; "
+                             f"expected a subset of {list(_KIND_ORDER)}")
+        for kind, weight in self.mix.items():
+            if type(weight) not in (int, float) or not weight >= 0:
+                raise ValueError(f"mix weight of {kind!r} must be a number "
+                                 f">= 0, got {weight!r}")
         if abs(sum(self.mix.values()) - 1.0) > 1e-9:
             raise ValueError("op mix must sum to 1")
 
     @staticmethod
     def from_json(text):
-        return WorkloadSpec(**json.loads(text))
+        """Parse a spec; any malformed input raises ValueError."""
+        data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("a workload spec must be a JSON object")
+        unknown = sorted(set(data) - {f.name for f in fields(WorkloadSpec)})
+        if unknown:
+            raise ValueError(f"unknown workload spec field(s): {unknown}")
+        return WorkloadSpec(**data)
 
     def to_json(self):
         return json.dumps(asdict(self), indent=2)

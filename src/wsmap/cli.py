@@ -6,17 +6,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .bench import Report, WorkloadSpec, render_table, run_experiment
 
 
 def _cmd_run(args):
-    spec = WorkloadSpec.from_json(Path(args.workload).read_text())
-    if args.seed is not None:
-        spec.seed = args.seed
-    if args.p is not None:
-        spec.p = args.p
+    overrides = {name: value for name, value in
+                 (("seed", args.seed), ("p", args.p)) if value is not None}
+    try:
+        spec = replace(WorkloadSpec.from_json(Path(args.workload).read_text()),
+                       **overrides)
+    except ValueError as exc:
+        print(f"wsmap run: invalid workload {args.workload}: {exc}",
+              file=sys.stderr)
+        return 2
     report = run_experiment(spec, args.structure, scheduler=args.scheduler)
     out = Path(args.out)
     out.write_text(report.to_json() + "\n")

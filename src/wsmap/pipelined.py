@@ -72,9 +72,10 @@ class PipelinedWorkingSetMap(SegmentedMap):
     def extract_linearization(self):
         """Time linearization: finish events in occurrence order; within one
         event, descending key, i.e. the reverse of how the items were pushed
-        onto the front of S[m'] (front-most item last)."""
-        ordered = sorted(self.events, key=lambda e: e[0])
-        return [op for _ord, _step, _key, ops in ordered for op in ops]
+        onto the front of S[m'] (front-most item last). _record appends each
+        event inside one node with a growing seq, so events is already in
+        (seq, tie) order."""
+        return [op for _ord, _step, _key, ops in self.events for op in ops]
 
     # -- interface policies ------------------------------------------------------
 
@@ -392,7 +393,7 @@ class PipelinedWorkingSetMap(SegmentedMap):
     def audit_rank_invariant(self):
         """Every final-slab item sits within the first r items of the final
         slab, r = distinct keys kept/inserted since the item's last shift."""
-        ordered = sorted(self.events, key=lambda e: e[0])
+        ordered = self.events    # already in (seq, tie) order
         last_index = {}
         for i, (_ord, _step, ekey, _ops) in enumerate(ordered):
             last_index[ekey] = i

@@ -21,17 +21,22 @@ Plain Python executed between yields runs atomically within one node, which
 is the serialization granularity of the whole model (simultaneous memory
 operations are ordered by node id).
 
-Node ids only grow and are handed out when a node is staged, so each ready
-queue is a FIFO deque that is always sorted by id; the scheduler merges the
-two heads. When a step would run every ready node and each of them is a
-stall tick, no task code runs, so with trace off ``run`` skips k such steps
-at once, k being the fewest ticks left: work, spans, step counters and node
+Node ids only grow and are handed out when a node is staged, so the ready
+set is one list in id order plus a count of its Q1 nodes, kept at staging
+time. A step that runs every ready node (greedy: at most p ready; weak
+priority: at most p/2 in each queue) takes the whole list, which trades
+places with the staging list; a contended greedy step takes the first p
+entries, and a contended weak-priority step takes, in one pass, the first
+p/2 of each queue and leaves the rest in order. With trace off the nodes of
+a step run inline, and a stall tick only charges its node and restages its
+task. When a step would run every ready node and each of them is a stall
+tick, no task code runs, so with trace off ``run`` skips k such steps at
+once, k being the fewest ticks left: work, spans, step counters and node
 ids come out as if the k steps had run one by one.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 Q1 = 1
@@ -228,9 +233,8 @@ class Runtime:
         self.current_slot = 0
         self._locks = []
         self._next_id = 0
-        self._ready1 = deque()   # (node_id, task, send, path, throw), id order
-        self._ready2 = deque()
-        self._staged = []
+        self._staged = []        # (node_id, task, send, path, throw), id order
+        self._staged_q1 = 0      # Q1 entries in _staged
         self._parked = 0
         self._spans = [0, 0, 0]
         self._cur_path = (0, 0, 0)
@@ -264,8 +268,10 @@ class Runtime:
 
     def _stage(self, task, send, path, throw=None):
         nid = self._next_id
-        self._next_id += 1
+        self._next_id = nid + 1
         self._staged.append((nid, task, send, path, throw))
+        if task.queue == Q1:
+            self._staged_q1 += 1
 
     def _spawn_sub(self, sub, parent, path):
         task = _Task(sub.gen, sub.owner or parent.owner, sub.queue or parent.queue)
@@ -309,44 +315,60 @@ class Runtime:
     # -- main loop -------------------------------------------------------------
 
     def run(self):
-        self._flush_staged()
         m = self.metrics
-        half = self.p // 2
-        r1, r2 = self._ready1, self._ready2
-        while r1 or r2:
-            q1_ready, q2_ready = len(r1), len(r2)
-            high_busy = q1_ready >= half
-            filter_full = (self.filter_probe is not None
-                           and self.filter_probe() >= self.p)
-            if self.scheduler == "greedy":
-                batch = _merge(r1, r2, self.p)
+        p = self.p
+        half = p // 2
+        greedy = self.scheduler == "greedy"
+        probe = self.filter_probe
+        stats = self.step_stats
+        fast = self.trace is None
+        ready, n1 = self._staged, self._staged_q1
+        self._staged, self._staged_q1 = [], 0
+        while ready:
+            n = len(ready)
+            q1_ready = n1
+            high_busy = n1 >= half
+            filter_full = probe is not None and probe() >= p
+            if (n <= p) if greedy else (n1 <= half and n - n1 <= half):
+                batch, ready, q1_exec = ready, None, n1
+            elif greedy:
+                batch = ready[:p]
+                del ready[:p]
+                q1_exec = sum(1 for entry in batch if entry[1].queue == Q1)
             else:
-                batch = self._pick_quota(half, half)
-            if self.step_stats is not None:
-                q1_exec = sum(1 for e in batch if e[1].queue == Q1)
-                self.step_stats.append(
-                    (q1_ready, q2_ready, q1_exec, len(batch) - q1_exec))
+                batch, ready = _pick_quota(ready, half)
+                q1_exec = min(n1, half)
+            n1 -= q1_exec
+            if stats is not None:
+                stats.append((q1_ready, n - q1_ready, q1_exec,
+                              len(batch) - q1_exec))
             k = 1
-            if self.trace is None and not (r1 or r2):
-                k = max(1, min(entry[1].ticks for entry in batch))
+            if fast and ready is None:
+                k = min([entry[1].ticks for entry in batch]) or 1
             if k > 1:
                 self._skip_ticks(batch, k)
             else:
-                for slot, entry in enumerate(batch):
-                    self.current_slot = slot
-                    self._exec(entry)
+                self._run_batch(batch)
             if high_busy:
                 m.high_busy_steps += k
             else:
                 m.high_idle_steps += k
-            if self.filter_probe is not None:
+            if probe is not None:
                 if filter_full:
                     m.filter_full_steps += k
                 else:
                     m.filter_empty_steps += k
             m.steps += k
             self.now += k
-            self._flush_staged()
+            staged = self._staged
+            if ready is None:
+                batch.clear()
+                ready, self._staged = staged, batch
+            else:
+                ready += staged
+                staged.clear()
+            n1 += self._staged_q1
+            self._staged_q1 = 0
         if self._parked:
             blocked = [(lk.name, lk.waiters()) for lk in self._locks if lk.waiters()]
             raise SimDeadlock(
@@ -362,20 +384,6 @@ class Runtime:
         m.ds_span = self._spans[2]
         return m
 
-    def _flush_staged(self):
-        for entry in self._staged:
-            if entry[1].queue == Q1:
-                self._ready1.append(entry)
-            else:
-                self._ready2.append(entry)
-        self._staged.clear()
-
-    def _pick_quota(self, quota1, quota2):
-        r1, r2 = self._ready1, self._ready2
-        take1 = deque(r1.popleft() for _ in range(min(quota1, len(r1))))
-        take2 = deque(r2.popleft() for _ in range(min(quota2, len(r2))))
-        return _merge(take1, take2, quota1 + quota2)
-
     def _skip_ticks(self, batch, k):
         """Run k steps of a batch that is the whole ready set and holds only
         stall ticks: no task code runs, so each entry just gains k nodes and
@@ -390,9 +398,49 @@ class Runtime:
                 spans[slot] = here[slot]
             task.ticks -= k
             self._staged.append((first + i, task, None, here, None))
+            if task.queue == Q1:
+                self._staged_q1 += 1
         self._next_id += k * len(batch)
 
+    def _run_batch(self, batch):
+        """Execute one step's batch in id order. With trace on, each node
+        goes through _exec; with trace off the same bookkeeping runs inline,
+        and a stall tick never leaves this loop."""
+        if self.trace is not None:
+            for slot, entry in enumerate(batch):
+                self.current_slot = slot
+                self._exec(entry)
+            return
+        work = self.metrics.work
+        spans = self._spans
+        staged = self._staged
+        for slot, (_nid, task, send, path, throw) in enumerate(batch):
+            owner = task.owner
+            s = _PATH_SLOT[owner]
+            if s == 0:
+                here = (path[0] + 1, path[1], path[2])
+            elif s == 1:
+                here = (path[0], path[1] + 1, path[2])
+            else:
+                here = (path[0], path[1], path[2] + 1)
+            work[owner] = work.get(owner, 0) + 1
+            if here[s] > spans[s]:
+                spans[s] = here[s]
+            if task.ticks:
+                task.ticks -= 1
+                nid = self._next_id
+                self._next_id = nid + 1
+                staged.append((nid, task, None, here, None))
+                if task.queue == Q1:
+                    self._staged_q1 += 1
+                continue
+            self.current_slot = slot
+            self._cur_path = here
+            self._cur_task = task
+            self._advance(task, send, here, throw)
+
     def _exec(self, entry):
+        """Run one node on the traced path, recording it in the trace."""
         nid, task, send, path, throw = entry
         slot = _PATH_SLOT[task.owner]
         if slot == 0:
@@ -407,8 +455,7 @@ class Runtime:
         m.work[task.owner] = m.work.get(task.owner, 0) + 1
         if here[slot] > self._spans[slot]:
             self._spans[slot] = here[slot]
-        if self.trace is not None:
-            self.trace.append((self.now, nid, task.owner, task.queue))
+        self.trace.append((self.now, nid, task.owner, task.queue))
         if task.ticks:
             task.ticks -= 1
             self._stage(task, None, here)
@@ -478,16 +525,23 @@ class Runtime:
                 self._stage(join.task, tuple(join.results), merged)
 
 
-def _merge(a, b, quota):
-    """Pop up to quota entries from the id-sorted deques a and b, in id order."""
-    batch = []
-    while quota and (a or b):
-        if a and (not b or a[0][0] < b[0][0]):
-            batch.append(a.popleft())
-        else:
-            batch.append(b.popleft())
-        quota -= 1
-    return batch
+def _pick_quota(ready, quota):
+    """Split an id-ordered ready list into the first quota entries of each
+    queue and the rest, both still in id order."""
+    batch, rest = [], []
+    left1 = left2 = quota
+    for entry in ready:
+        if entry[1].queue == Q1:
+            if left1:
+                left1 -= 1
+                batch.append(entry)
+                continue
+        elif left2:
+            left2 -= 1
+            batch.append(entry)
+            continue
+        rest.append(entry)
+    return batch, rest
 
 
 # -- task-code combinators -----------------------------------------------------

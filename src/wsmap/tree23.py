@@ -30,6 +30,7 @@ class StepMeter:
 
 class Leaf:
     __slots__ = ("key", "val", "parent", "alive", "twin")
+    size = 1
 
     def __init__(self, key, val=None):
         self.key = key
@@ -54,10 +55,6 @@ class Inner:
             kid.parent = self
 
 
-def _size(node):
-    return 1 if type(node) is Leaf else node.size
-
-
 def _hi(node):
     return node.key if type(node) is Leaf else node.hi
 
@@ -75,7 +72,7 @@ class Tree23:
     # -- basics ---------------------------------------------------------------
 
     def __len__(self):
-        return 0 if self.root is None else _size(self.root)
+        return 0 if self.root is None else self.root.size
 
     def leaves(self):
         if self.root is None:
@@ -93,8 +90,12 @@ class Tree23:
 
     def _refresh(self, node):
         self.meter.count += 1
-        node.size = sum(_size(k) for k in node.kids)
-        node.hi = _hi(node.kids[-1])
+        size = 0
+        for kid in node.kids:
+            size += kid.size
+        node.size = size
+        last = node.kids[-1]
+        node.hi = last.key if type(last) is Leaf else last.hi
 
     def _refresh_up(self, node):
         while node is not None:
@@ -145,7 +146,7 @@ class Tree23:
         while type(node.kids[0]) is Inner:
             self.meter.count += 1
             for kid in node.kids[:-1]:
-                if not _hi(kid) < key:
+                if not kid.hi < key:
                     node = kid
                     break
             else:
@@ -267,7 +268,7 @@ class Tree23:
         while type(node) is Inner:
             self.meter.count += 1
             for kid in node.kids:
-                s = _size(kid)
+                s = kid.size
                 if pos < s:
                     node = kid
                     break
@@ -285,7 +286,7 @@ class Tree23:
             for kid in parent.kids:
                 if kid is node:
                     break
-                pos += _size(kid)
+                pos += kid.size
             node = parent
         return pos
 
@@ -406,7 +407,7 @@ class Tree23:
         def route(node):
             skip = state["skip"]
             for i, kid in enumerate(node.kids):
-                s = _size(kid)
+                s = kid.size
                 if skip < s:
                     state["skip"] = skip
                     return i

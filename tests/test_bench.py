@@ -24,6 +24,51 @@ def test_workload_spec_round_trip():
         WorkloadSpec(mix={"search": 0.5})
 
 
+# Each spec below crashed deep inside a run, or was silently misread, before
+# WorkloadSpec validated its fields.
+@pytest.mark.parametrize("fields, message", [
+    ({"n_ops": 0}, "n_ops must be an integer >= 1"),
+    ({"width": 0}, "width must be an integer >= 1"),
+    ({"universe": 0}, "universe must be an integer >= 1"),
+    ({"mix": {"serch": 0.5, "insert": 0.5}}, "unknown op kind(s) in mix: ['serch']"),
+    ({"mix": {"search": 1.2, "insert": -0.2}}, "mix weight of 'insert' must be"),
+    ({"hot_window": 0}, "hot_window must be an integer >= 1"),
+    ({"p": 3}, "p must be an even integer >= 4"),
+], ids=["n_ops_0", "width_0", "universe_0", "mix_key_typo", "mix_negative",
+        "hot_window_0", "p_3"])
+def test_workload_spec_rejects_bad_fields(fields, message):
+    with pytest.raises(ValueError) as info:
+        WorkloadSpec(**fields)
+    assert message in str(info.value)
+    text = json.dumps({**json.loads(WorkloadSpec().to_json()), **fields})
+    with pytest.raises(ValueError):
+        WorkloadSpec.from_json(text)
+
+
+def test_workload_spec_from_json_rejects_unknown_fields():
+    with pytest.raises(ValueError, match=r"unknown workload spec field\(s\): \['nops'\]"):
+        WorkloadSpec.from_json('{"nops": 10}')
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        WorkloadSpec.from_json("[1, 2]")
+
+
+@pytest.mark.parametrize("structure", ["m0", "m1", "m2"])
+def test_cli_run_rejects_bad_spec_with_status_2(tmp_path, capsys, structure):
+    spec_path = tmp_path / "w.json"
+    spec_path.write_text(json.dumps({"generator": "uniform", "n_ops": 0}))
+    out_path = tmp_path / "report.json"
+    argv = ["run", "--structure", structure, "--workload", str(spec_path),
+            "--out", str(out_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "n_ops must be an integer >= 1" in err
+    # an override is validated too: p=3 fails the same way on every structure
+    spec_path.write_text(WorkloadSpec(n_ops=20, p=4).to_json())
+    assert main(argv + ["--p", "3"]) == 2
+    assert "p must be an even integer >= 4" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_generate_shapes_and_determinism():
     spec = WorkloadSpec(generator="uniform", n_ops=20, universe=8, width=4,
                         seed=3, p=4)

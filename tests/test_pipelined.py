@@ -188,3 +188,21 @@ def test_metrics_expose_filter_steps():
         scheduler="weak_priority")
     assert metrics.filter_full_steps + metrics.filter_empty_steps == \
         metrics.steps
+
+
+def test_events_recorded_in_linearization_order():
+    # extract_linearization and audit_rank_invariant read events in list
+    # order, which must be the (seq, tie) order of the finish events; run a
+    # deep_insert_m2-shaped workload long enough to open the final slab
+    from wsmap import bench
+    from wsmap.bench import WorkloadSpec, generate
+    spec = WorkloadSpec(generator="uniform", n_ops=400, universe=8192,
+                        mix={"search": 0.15, "insert": 0.75, "delete": 0.05,
+                             "update": 0.05},
+                        width=8, seed=1, p=8, name="deep_insert_m2")
+    m, _results, metrics = bench._run_parallel(
+        "m2", generate(spec), spec.p, "weak_priority", True)
+    assert m.terminal is not None and metrics.work.get("ds_final", 0) > 0
+    order = [event[0] for event in m.events]
+    assert len(order) >= spec.n_ops // 2
+    assert all(a < b for a, b in zip(order, order[1:]))

@@ -1,9 +1,11 @@
+import random
+
 import pytest
 
 from wsmap.runtime import (
-    Acquire, ActivationGate, DedicatedLock, Detach, LockUsageError, Par, Park,
-    Q1, Q2, Runtime, SimDeadlock, concat_tree, merge_sort_task, par_map,
-    PROGRAM, DS,
+    Acquire, ActivationGate, BUFFER, Call, DedicatedLock, Detach,
+    LockUsageError, Par, Park, Q1, Q2, Runtime, SimDeadlock, Sub, concat_tree,
+    merge_sort_task, par_map, PROGRAM, DS,
 )
 
 
@@ -373,8 +375,10 @@ def test_detach_runs_independently():
 # -- tick fast-forward ---------------------------------------------------------
 #
 # With trace=False, Runtime.run skips a run of steps in which every ready node
-# runs and is a stall tick of a `yield c`; with trace=True it steps one by
-# one. Both must give the same metrics, node ids and park handles.
+# runs and is a stall tick of a `yield c`, and runs the other steps' nodes
+# inline; with trace=True it steps one by one through _exec. Both must give
+# the same metrics, node ids and park handles. Every step that is not
+# skipped goes through Runtime._run_batch on both paths.
 
 
 def _run_both(monkeypatch, build, p=4, scheduler="greedy"):
@@ -383,18 +387,19 @@ def _run_both(monkeypatch, build, p=4, scheduler="greedy"):
     (first step, steps skipped) pairs."""
     skips = []
     executed = {True: [], False: []}   # trace on? -> (step, node id) run
-    skip_ticks, exec_ = Runtime._skip_ticks, Runtime._exec
+    skip_ticks, run_batch = Runtime._skip_ticks, Runtime._run_batch
 
     def recording_skip(rt, batch, k):
         skips.append((rt.now, k))
         skip_ticks(rt, batch, k)
 
-    def recording_exec(rt, entry):
-        executed[rt.trace is not None].append((rt.now, entry[0]))
-        exec_(rt, entry)
+    def recording_run_batch(rt, batch):
+        executed[rt.trace is not None].extend(
+            (rt.now, entry[0]) for entry in batch)
+        run_batch(rt, batch)
 
     monkeypatch.setattr(Runtime, "_skip_ticks", recording_skip)
-    monkeypatch.setattr(Runtime, "_exec", recording_exec)
+    monkeypatch.setattr(Runtime, "_run_batch", recording_run_batch)
     runs = []
     for trace in (True, False):
         rt = Runtime(p=p, scheduler=scheduler, trace=trace)
@@ -403,6 +408,10 @@ def _run_both(monkeypatch, build, p=4, scheduler="greedy"):
         metrics = rt.run()
         runs.append((metrics, rt._next_id, [h.node_id for h in handles],
                      rt.step_stats))
+        if trace:
+            # the trace=True run executes every node through the seam
+            assert executed[True] == [(step, nid)
+                                      for step, nid, _o, _q in rt.trace]
     (slow, slow_id, slow_handles, stats), (fast, fast_id, fast_handles, _) = runs
     assert fast == slow
     assert fast_id == slow_id
@@ -525,3 +534,110 @@ def test_fast_forward_lock_waiter_parked_across_long_tick(monkeypatch):
 
     skips = _run_both(monkeypatch, build)
     assert skips
+
+
+# -- differential scheduler check ----------------------------------------------
+#
+# Seeded random DAGs with wide fan-out run under both schedulers. With
+# trace=True every step's executed ids must match a reference picker that
+# sees the whole ready set: the first p by id (greedy), or the first p/2 of
+# each queue by id (weak priority). trace=False must give the same metrics.
+
+
+def _random_plan(rnd, depth, keys):
+    """A task as a list of actions; keys hands out distinct lock keys."""
+    plan = []
+    for _ in range(rnd.randint(1, 4)):
+        r = rnd.random()
+        if depth and r < 0.3:
+            plan.append(("par", _random_sub(rnd, depth - 1, keys),
+                         _random_sub(rnd, depth - 1, keys)))
+        elif depth and r < 0.4:
+            plan.append(("call", _random_sub(rnd, depth - 1, keys)))
+        elif depth and r < 0.5:
+            plan.append(("detach", _random_sub(rnd, depth - 1, keys)))
+        elif r < 0.6:
+            keys.append(len(keys) + 1)
+            plan.append(("lock", keys[-1], rnd.randint(1, 9)))
+        else:
+            plan.append(("cost", rnd.randint(1, 9)))
+    return plan
+
+
+def _random_sub(rnd, depth, keys):
+    return (_random_plan(rnd, depth, keys), rnd.choice((PROGRAM, BUFFER, DS)),
+            rnd.choice((Q1, Q2)))
+
+
+def _plan_task(rt, lock, plan):
+    for action in plan:
+        kind = action[0]
+        if kind == "cost":
+            yield action[1]
+        elif kind == "lock":
+            yield Acquire(lock, action[1])
+            yield action[2]
+            rt.release(lock)
+        elif kind == "par":
+            yield Par(*(Sub(_plan_task(rt, lock, sub), owner, queue)
+                        for sub, owner, queue in action[1:]))
+        else:
+            sub, owner, queue = action[1]
+            child = _plan_task(rt, lock, sub)
+            yield (Call if kind == "call" else Detach)(child, owner, queue)
+
+
+def _run_plans(plans, n_keys, p, scheduler, trace):
+    rt = Runtime(p=p, scheduler=scheduler, trace=trace)
+    lock = rt.register_lock(DedicatedLock(max(n_keys, 1), name="L"))
+    for sub, owner, queue in plans:
+        rt.spawn_root(_plan_task(rt, lock, sub), owner=owner, queue=queue)
+    return rt, rt.run()
+
+
+@pytest.mark.parametrize("scheduler", ["greedy", "weak_priority"])
+@pytest.mark.parametrize("p", [4, 8])
+def test_scheduler_matches_reference_picker(monkeypatch, scheduler, p):
+    staged_before = {}   # (runtime, step) -> ids handed out before the step
+    run_batch = Runtime._run_batch
+
+    def recording(rt, batch):
+        staged_before[rt, rt.now] = rt._next_id
+        run_batch(rt, batch)
+
+    monkeypatch.setattr(Runtime, "_run_batch", recording)
+    half = p // 2
+    contended = 0
+    for seed in range(4):
+        rnd = random.Random(1000 * p + seed)
+        keys = []
+        plans = [_random_sub(rnd, 4, keys) for _ in range(p)]
+        rt, metrics = _run_plans(plans, len(keys), p, scheduler, True)
+        queue_of = {nid: queue for _step, nid, _owner, queue in rt.trace}
+        assert sorted(queue_of) == list(range(rt._next_id))
+        by_step = {}
+        for step, nid, _owner, _queue in rt.trace:
+            by_step.setdefault(step, []).append(nid)
+        assert sorted(by_step) == list(range(metrics.steps))
+        done = set()
+        for step in range(metrics.steps):
+            ready = [nid for nid in range(staged_before[rt, step])
+                     if nid not in done]
+            q1 = [nid for nid in ready if queue_of[nid] == Q1]
+            q2 = [nid for nid in ready if queue_of[nid] != Q1]
+            if scheduler == "greedy":
+                expect = ready[:p]
+                contended += len(ready) > p
+            else:
+                expect = sorted(q1[:half] + q2[:half])
+                contended += len(q1) > half or len(q2) > half
+            assert by_step[step] == expect, f"seed {seed} step {step}"
+            q1_exec = sum(queue_of[nid] == Q1 for nid in expect)
+            assert rt.step_stats[step] == (len(q1), len(q2), q1_exec,
+                                           len(expect) - q1_exec)
+            done.update(expect)
+        fast_rt, fast = _run_plans(plans, len(keys), p, scheduler, False)
+        assert fast == metrics
+        assert fast_rt._next_id == rt._next_id
+    # the DAGs are wide enough to reach the contended branch
+    assert contended >= 20
