@@ -232,7 +232,6 @@ def _run_parallel(structure, chains, p, scheduler, audit):
         m = PipelinedWorkingSetMap(rt, p)
         m.audit_every_run = "full" if audit else None
         m.rank_audit = bool(audit)
-        rt.filter_probe = m.filter_size
     results = {}
 
     def chain_task(ops):

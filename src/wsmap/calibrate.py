@@ -196,7 +196,6 @@ def span_separation_demo(structure, p=4, n=2 ** 16, calls=64, cold_width=2):
     ctr = CmpCounter()
     if structure == "m2":
         m = PipelinedWorkingSetMap(rt, p)
-        rt.filter_probe = m.filter_size
     else:
         m = BatchedWorkingSetMap(rt, p)
     m.preload([(Key(i, ctr), i) for i in range(n)])

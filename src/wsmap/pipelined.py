@@ -59,15 +59,14 @@ class PipelinedWorkingSetMap(SegmentedMap):
         self.final = {}               # k -> _SlabSegment for k >= m
         self.terminal = None          # deepest final-slab index, or None
         self.filter = Tree23(self.meter)
+        rt.filter_probe = self.filter.__len__   # read once per step
         self.locks = {}               # ("nl", k): S[k-1]|S[k]; ("fl", j): FL[j]
         self._event_seq = 0           # events: ((seq, tie), step, key, ops)
+        self._recency = {}            # event keys, least recent event first
         self.trapped_ops = 0          # ops folded into an in-flight entry
         self.fl_delays = []           # (segment index, front-access steps)
         self.audit_every_run = False
         self.rank_audit = False
-
-    def filter_size(self):
-        return len(self.filter)
 
     def extract_linearization(self):
         """Time linearization: finish events in occurrence order; within one
@@ -91,9 +90,13 @@ class PipelinedWorkingSetMap(SegmentedMap):
         seq = self._event_seq
         self._event_seq += 1
         ranked = sorted(deliveries, key=lambda d: d[0].key.value, reverse=True)
+        recency = self._recency
         for j, (g, _results) in enumerate(ranked):
-            self.events.append(((seq, j), step, g.key.value,
+            key = g.key.value
+            self.events.append(((seq, j), step, key,
                                 [op for op, _h in g.entries]))
+            recency.pop(key, None)
+            recency[key] = None
 
     def _last_segment(self):
         if self.terminal is not None:
@@ -345,9 +348,11 @@ class PipelinedWorkingSetMap(SegmentedMap):
         if self._quiescent():
             assert set(in_flight) == filter_keys, \
                 "filter keys diverge from in-flight keys"
-        for seg in self.segments:
-            for lf in seg.keys.leaves():
-                assert lf.key.value not in filter_keys
+        if filter_keys:
+            for seg in self.segments:
+                for lf in seg.keys.leaves():
+                    assert lf.key.value not in filter_keys, \
+                        f"first-slab key {lf.key.value} in the filter"
 
     def audit_balance(self):
         p2 = self.p2
@@ -392,25 +397,21 @@ class PipelinedWorkingSetMap(SegmentedMap):
 
     def audit_rank_invariant(self):
         """Every final-slab item sits within the first r items of the final
-        slab, r = distinct keys kept/inserted since the item's last shift."""
-        ordered = self.events    # already in (seq, tie) order
-        last_index = {}
-        for i, (_ord, _step, ekey, _ops) in enumerate(ordered):
-            last_index[ekey] = i
-        # suffix distinct-key counts make each item's budget an O(1) lookup
-        suffix = [0] * (len(ordered) + 1)
-        seen = set()
-        for i in range(len(ordered) - 1, -1, -1):
-            seen.add(ordered[i][2])
-            suffix[i] = len(seen)
-        position = 0
-        for k in self._final_indices():
-            seg = self.final[k]
-            for lf in seg.rec.leaves():
-                position += 1
-                key = lf.key.value
-                last = last_index.get(key)
-                assert last is not None, f"final-slab item {key} has no event"
-                assert position <= suffix[last], \
-                    f"item {key} at final-slab position {position} " \
-                    f"exceeds its recency budget {suffix[last]}"
+        slab, r = distinct keys kept/inserted since the item's last shift,
+        i.e. the rank of its key in event recency (1 = most recent). Only
+        the F most recent keys (F = final-slab size) can have r below a
+        final-slab position, so only they are ranked; O(F) per call."""
+        items = [lf.key.value for k in self._final_indices()
+                 for lf in self.final[k].rec.leaves()]
+        budget = self._recency_ranks(len(items))
+        for position, key in enumerate(items, 1):
+            assert key in self._recency, f"final-slab item {key} has no event"
+            r = budget.get(key)
+            assert r is None or position <= r, \
+                f"item {key} at final-slab position {position} " \
+                f"exceeds its recency budget {r}"
+
+    def _recency_ranks(self, limit):
+        """{key: recency rank} for the limit most recently recorded event
+        keys."""
+        return dict(zip(reversed(self._recency), range(1, limit + 1)))

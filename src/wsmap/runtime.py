@@ -233,7 +233,7 @@ class Runtime:
         self.current_slot = 0
         self._locks = []
         self._next_id = 0
-        self._staged = []        # (node_id, task, send, path, throw), id order
+        self._staged = []        # (node_id, task, send, path), id order
         self._staged_q1 = 0      # Q1 entries in _staged
         self._parked = 0
         self._spans = [0, 0, 0]
@@ -266,10 +266,10 @@ class Runtime:
             for step, node_id, owner, queue in self.trace:
                 fh.write(f"{step} {node_id} {owner} {queue}\n")
 
-    def _stage(self, task, send, path, throw=None):
+    def _stage(self, task, send, path):
         nid = self._next_id
         self._next_id = nid + 1
-        self._staged.append((nid, task, send, path, throw))
+        self._staged.append((nid, task, send, path))
         if task.queue == Q1:
             self._staged_q1 += 1
 
@@ -344,7 +344,11 @@ class Runtime:
                               len(batch) - q1_exec))
             k = 1
             if fast and ready is None:
-                k = min([entry[1].ticks for entry in batch]) or 1
+                for entry in batch:
+                    if not entry[1].ticks:
+                        break
+                else:
+                    k = min([entry[1].ticks for entry in batch])
             if k > 1:
                 self._skip_ticks(batch, k)
             else:
@@ -390,22 +394,23 @@ class Runtime:
         is restaged with the id the k-th one-node step would have given it."""
         work, spans = self.metrics.work, self._spans
         first = self._next_id + (k - 1) * len(batch)
-        for i, (_nid, task, _send, path, _throw) in enumerate(batch):
+        for i, (_nid, task, _send, path) in enumerate(batch):
             slot = _PATH_SLOT[task.owner]
             here = path[:slot] + (path[slot] + k,) + path[slot + 1:]
             work[task.owner] = work.get(task.owner, 0) + k
             if here[slot] > spans[slot]:
                 spans[slot] = here[slot]
             task.ticks -= k
-            self._staged.append((first + i, task, None, here, None))
+            self._staged.append((first + i, task, None, here))
             if task.queue == Q1:
                 self._staged_q1 += 1
         self._next_id += k * len(batch)
 
     def _run_batch(self, batch):
         """Execute one step's batch in id order. With trace on, each node
-        goes through _exec; with trace off the same bookkeeping runs inline,
-        and a stall tick never leaves this loop."""
+        goes through _exec; with trace off the same bookkeeping runs inline:
+        a stall tick or an int effect restages its task here, and only the
+        other effects go through _dispatch."""
         if self.trace is not None:
             for slot, entry in enumerate(batch):
                 self.current_slot = slot
@@ -414,7 +419,7 @@ class Runtime:
         work = self.metrics.work
         spans = self._spans
         staged = self._staged
-        for slot, (_nid, task, send, path, throw) in enumerate(batch):
+        for slot, (_nid, task, send, path) in enumerate(batch):
             owner = task.owner
             s = _PATH_SLOT[owner]
             if s == 0:
@@ -428,20 +433,30 @@ class Runtime:
                 spans[s] = here[s]
             if task.ticks:
                 task.ticks -= 1
-                nid = self._next_id
-                self._next_id = nid + 1
-                staged.append((nid, task, None, here, None))
-                if task.queue == Q1:
-                    self._staged_q1 += 1
-                continue
-            self.current_slot = slot
-            self._cur_path = here
-            self._cur_task = task
-            self._advance(task, send, here, throw)
+            else:
+                self.current_slot = slot
+                self._cur_path = here
+                self._cur_task = task
+                try:
+                    effect = task.gen.send(send)
+                except StopIteration as stop:
+                    if task.join is not None:
+                        self._finish(task, stop.value, here)
+                    continue
+                if type(effect) is not int:
+                    self._dispatch(task, effect, here)
+                    continue
+                if effect > 1:
+                    task.ticks = effect - 1
+            nid = self._next_id
+            self._next_id = nid + 1
+            staged.append((nid, task, None, here))
+            if task.queue == Q1:
+                self._staged_q1 += 1
 
     def _exec(self, entry):
         """Run one node on the traced path, recording it in the trace."""
-        nid, task, send, path, throw = entry
+        nid, task, send, path = entry
         slot = _PATH_SLOT[task.owner]
         if slot == 0:
             here = (path[0] + 1, path[1], path[2])
@@ -460,14 +475,8 @@ class Runtime:
             task.ticks -= 1
             self._stage(task, None, here)
             return
-        self._advance(task, send, here, throw)
-
-    def _advance(self, task, send, here, throw=None):
         try:
-            if throw is not None:
-                effect = task.gen.throw(throw)
-            else:
-                effect = task.gen.send(send)
+            effect = task.gen.send(send)
         except StopIteration as stop:
             self._finish(task, stop.value, here)
             return
@@ -475,12 +484,25 @@ class Runtime:
             if effect > 1:
                 task.ticks = effect - 1
             self._stage(task, None, here)
-        elif isinstance(effect, Par):
+        else:
+            self._dispatch(task, effect, here)
+
+    def _dispatch(self, task, effect, here):
+        """Apply an effect other than an int that task yielded at the node
+        whose path is here."""
+        if isinstance(effect, Par):
             join = _Join(task)
-            lt = self._spawn_sub(effect.left, task, here)
-            rt_ = self._spawn_sub(effect.right, task, here)
+            left, right = effect.left, effect.right
+            lt = _Task(left.gen, left.owner or task.owner,
+                       left.queue or task.queue)
+            rt_ = _Task(right.gen, right.owner or task.owner,
+                        right.queue or task.queue)
             lt.join = (join, 0)
             rt_.join = (join, 1)
+            nid = self._next_id
+            self._next_id = nid + 2
+            self._staged += ((nid, lt, None, here), (nid + 1, rt_, None, here))
+            self._staged_q1 += (lt.queue == Q1) + (rt_.queue == Q1)
         elif isinstance(effect, Call):
             join = _Join(task, single=True)
             child = self._spawn_sub(effect, task, here)
@@ -521,7 +543,10 @@ class Runtime:
             if join.single:
                 self._stage(join.task, join.results[0], join.paths[0])
             else:
-                merged = tuple(map(max, join.paths[0], join.paths[1]))
+                a, b = join.paths
+                merged = (a[0] if a[0] > b[0] else b[0],
+                          a[1] if a[1] > b[1] else b[1],
+                          a[2] if a[2] > b[2] else b[2])
                 self._stage(join.task, tuple(join.results), merged)
 
 

@@ -55,10 +55,6 @@ class Inner:
             kid.parent = self
 
 
-def _hi(node):
-    return node.key if type(node) is Leaf else node.hi
-
-
 class Tree23:
     """A 2-3 tree over leaves; empty tree has root None and height -1."""
 
@@ -75,15 +71,14 @@ class Tree23:
         return 0 if self.root is None else self.root.size
 
     def leaves(self):
+        """The leaves in order, gathered level by level (all at depth
+        height)."""
         if self.root is None:
-            return
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if type(node) is Leaf:
-                yield node
-            else:
-                stack.extend(reversed(node.kids))
+            return []
+        level = [self.root]
+        for _ in range(self.height):
+            level = [kid for node in level for kid in node.kids]
+        return level
 
     def items(self):
         return [(lf.key, lf.val) for lf in self.leaves()]
@@ -112,14 +107,29 @@ class Tree23:
 
     # -- sequential key operations ---------------------------------------------
 
+    def _bottom(self, key):
+        """Descend from an inner root by hi keys to the inner node above
+        the leaves, charging one meter step per level passed."""
+        node = self.root
+        while type(node.kids[0]) is Inner:
+            self.meter.count += 1
+            for kid in node.kids[:-1]:
+                if not kid.hi < key:
+                    node = kid
+                    break
+            else:
+                node = node.kids[-1]
+        return node
+
     def search(self, key):
         node = self.root
         if node is None:
             return None
-        while type(node) is Inner:
+        if type(node) is Inner:
+            node = self._bottom(key)
             self.meter.count += 1
             for kid in node.kids[:-1]:
-                if not _hi(kid) < key:
+                if not kid.key < key:
                     node = kid
                     break
             else:
@@ -142,15 +152,7 @@ class Tree23:
             self._refresh(self.root)
             self.height = 1
             return leaf
-        node = self.root
-        while type(node.kids[0]) is Inner:
-            self.meter.count += 1
-            for kid in node.kids[:-1]:
-                if not kid.hi < key:
-                    node = kid
-                    break
-            else:
-                node = node.kids[-1]
+        node = self._bottom(key)
         pos = len(node.kids)
         for i, kid in enumerate(node.kids):
             if key < kid.key:
@@ -292,26 +294,23 @@ class Tree23:
 
     # -- split / join -------------------------------------------------------------
 
-    def _detach(self, node, height):
-        node.parent = None
-        t = Tree23(self.meter)
-        t.root = node
-        t.height = height
-        return t
-
     def join(self, other, lazy=False):
         """Append other (to the right); both inputs are consumed. A lazy
         join skips the root-path refresh; callers must _respine afterwards."""
-        self.meter.count += 1
-        if other.root is None:
-            return self
-        if self.root is None:
-            self.root, self.height = other.root, other.height
-            other.root, other.height = None, -1
-            return self
-        ra, ha = self.root, self.height
         rb, hb = other.root, other.height
         other.root, other.height = None, -1
+        return self._append(rb, hb, lazy)
+
+    def _append(self, rb, hb, lazy):
+        """Join the detached subtree rb of height hb on the right."""
+        self.meter.count += 1
+        if rb is None:
+            return self
+        rb.parent = None
+        if self.root is None:
+            self.root, self.height = rb, hb
+            return self
+        ra, ha = self.root, self.height
         if ha == hb:
             root = Inner([ra, rb])
             self._refresh(root)
@@ -341,37 +340,37 @@ class Tree23:
     def _split(self, route):
         """Generic split; route(node) returns the kid index where the cut
         descends (kids before it go left, after it go right); the tree is
-        non-empty."""
-        left_pieces = []
-        right_groups = []   # per-level, outermost first
+        non-empty. Returns the left tree, the right tree and the boundary
+        leaf as a one-leaf tree."""
+        meter = self.meter
+        left = Tree23(meter)
+        right_groups = []   # (kids, height) per level, outermost first
         node = self.root
-        h = self.height
+        h = self.height - 1
         self.root = None
         self.height = -1
         while type(node) is Inner:
-            self.meter.count += 1
+            meter.count += 1
             idx = route(node)
-            for kid in node.kids[:idx]:
-                left_pieces.append(self._detach(kid, h - 1))
-            group = [self._detach(kid, h - 1) for kid in node.kids[idx + 1:]]
-            if group:
-                right_groups.append(group)
-            nxt = node.kids[idx]
+            kids = node.kids
+            for kid in kids[:idx]:
+                left._append(kid, h, True)
+            if idx + 1 < len(kids):
+                right_groups.append((kids[idx + 1:], h))
             node.kids = []
-            node = nxt
+            node = kids[idx]
             h -= 1
-        boundary = self._detach(node, 0)
-        left = Tree23(self.meter)
-        for piece in left_pieces:
-            left.join(piece, lazy=True)
         left._respine()
-        right = Tree23(self.meter)
-        for group in reversed(right_groups):
+        right = Tree23(meter)
+        for kids, h in reversed(right_groups):
             # deepest pieces sit closest to the cut, so folding groups
             # inner-to-outer appends strictly increasing key ranges
-            for piece in group:
-                right.join(piece, lazy=True)
+            for kid in kids:
+                right._append(kid, h, True)
         right._respine()
+        node.parent = None
+        boundary = Tree23(meter)
+        boundary.root, boundary.height = node, 0
         return left, right, boundary
 
     def split_lt(self, key):
@@ -380,10 +379,13 @@ class Tree23:
             return Tree23(self.meter), Tree23(self.meter)
 
         def route(node):
-            for i, kid in enumerate(node.kids[:-1]):
-                if not _hi(kid) < key:
+            kids = node.kids
+            leafy = type(kids[0]) is Leaf
+            for i in range(len(kids) - 1):
+                kid = kids[i]
+                if not (kid.key if leafy else kid.hi) < key:
                     return i
-            return len(node.kids) - 1
+            return len(kids) - 1
 
         left, right, boundary = self._split(route)
         if boundary.root.key < key:
@@ -483,6 +485,10 @@ class Tree23:
         return None if self.root is None else walk(self.root)
 
     def audit(self, sorted_keys=False):
+        """Check arity, leaf depth, parent links, sizes, hi keys and, with
+        sorted_keys, key order. Keys are compared by identity and by value,
+        never through a counting key's operators, so an audit leaves the
+        comparison count alone."""
         if self.root is None:
             assert self.height == -1
             return
@@ -501,14 +507,14 @@ class Tree23:
                 size += s
                 hi = h
             assert node.size == size, "stale size"
-            assert node.hi == hi, "stale hi"
+            assert node.hi is hi, "stale hi"
             return size, hi
 
         walk(self.root, 0)
         assert self.root.parent is None
         assert depths == {self.height}, f"leaf depths {depths} != {self.height}"
         if sorted_keys:
-            keys = [lf.key for lf in self.leaves()]
+            keys = [getattr(lf.key, "value", lf.key) for lf in self.leaves()]
             assert all(keys[i] < keys[i + 1] for i in range(len(keys) - 1)), \
                 "keys not strictly increasing"
 
@@ -681,7 +687,7 @@ def pop_extreme_task(tree, count, end):
         taken_at = len(whole) - count
         rest, taken = whole.split_pos(taken_at)
     tree.adopt(rest)
-    leaves = list(taken.leaves())
+    leaves = taken.leaves()
     for lf in leaves:
         lf.alive = False
         lf.parent = None

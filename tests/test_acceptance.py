@@ -278,7 +278,6 @@ def test_criterion_9_locks_and_scheduler_quota():
     # weak-priority quota, exact at every step of a traced m2 run
     rt = Runtime(p=4, scheduler="weak_priority", trace=True)
     m = PipelinedWorkingSetMap(rt, 4)
-    rt.filter_probe = m.filter_size
     ctr = CmpCounter()
     ops = [Operation(i, INSERT, Key(i, ctr), i) for i in range(300)]
     ops += [Operation(300 + i, SEARCH, Key(i % 330, ctr)) for i in range(100)]

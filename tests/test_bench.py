@@ -184,14 +184,20 @@ def test_run_experiment_all_lines_pass(structure):
 # only speeds it up must leave every report byte-identical; a drift of the
 # cost model shows here. The m1 spec is the hot_zipf_m1 benchmark shape and
 # the m2 spec the deep_insert_m2 shape at 400 ops, the smallest size at
-# which that seed opens M2's final slab, filter and front-locks. The last
+# which that seed opens M2's final slab, filter and front-locks. The third
 # case runs M2 on a 256-key universe, which fits in the 278-item first slab:
-# it pins M2's first-slab-only path through the shared segment engine.
+# it pins M2's first-slab-only path through the shared segment engine. The
+# last one is the deep_insert_m2 shape at 600 ops, which ends with the final
+# slab open, so its rank-audited run boundaries and final-slab segments are
+# pinned too.
 _HOT_MIX = {"search": 0.7, "insert": 0.15, "delete": 0.1, "update": 0.05}
 _DEEP_MIX = {"search": 0.15, "insert": 0.75, "delete": 0.05, "update": 0.05}
 _FIRST_SLAB_ONLY = WorkloadSpec(generator="zipf", n_ops=300, universe=256,
                                 mix=_HOT_MIX, width=8, seed=1, p=8,
                                 name="first_slab_m2")
+_FINAL_SLAB_OPEN = WorkloadSpec(generator="uniform", n_ops=600, universe=8192,
+                                mix=_DEEP_MIX, width=8, seed=3, p=8,
+                                name="deep_insert_m2")
 
 
 @pytest.mark.parametrize("structure, spec, digest", [
@@ -205,6 +211,8 @@ _FIRST_SLAB_ONLY = WorkloadSpec(generator="zipf", n_ops=300, universe=256,
      "fa6fafd074f51cdcd7d37fa8ff90aa1a82d20ad4f5b5db99cce667498568233f"),
     ("m2", _FIRST_SLAB_ONLY,
      "c49254b4bcf257ec304ab5f4241177c42e72ad5c69219362b1a2c7a4fc911efd"),
+    ("m2", _FINAL_SLAB_OPEN,
+     "26786975275956ace49c3f230ca9d0b53460c3a6439650717fc991e9552909f9"),
 ])
 def test_report_digest_pinned(structure, spec, digest, monkeypatch):
     runs = []
@@ -220,6 +228,26 @@ def test_report_digest_pinned(structure, spec, digest, monkeypatch):
     if spec is _FIRST_SLAB_ONLY:
         m = runs[0][0]
         assert m.terminal is None and not m.final
+    if spec is _FINAL_SLAB_OPEN:
+        m = runs[0][0]
+        assert m.terminal is not None and m.final
+
+
+@pytest.mark.parametrize("structure, scheduler", [
+    ("m1", "greedy"), ("m2", "weak_priority")])
+def test_audits_leave_the_comparison_counter_alone(structure, scheduler):
+    # the audits are not part of the measured cost: with them on, the
+    # shared key-comparison counter must read exactly as with them off
+    spec = WorkloadSpec(generator="zipf", n_ops=300, universe=256,
+                        mix=_HOT_MIX, width=8, seed=1, p=8,
+                        name="hot_zipf_m1")
+    counts = []
+    for audit in (True, False):
+        ctr = CmpCounter()
+        chains = generate(spec, ctr)
+        bench._run_parallel(structure, chains, spec.p, scheduler, audit)
+        counts.append(ctr.count)
+    assert counts[0] == counts[1] > 0
 
 
 def test_m2_greedy_reports_but_does_not_assert_bounds():

@@ -3,6 +3,9 @@ import random
 import pytest
 
 from conftest import chunk_chains, random_ops, run_map_workload
+from wsmap import bench
+from wsmap.batched import GroupOp
+from wsmap.bench import WorkloadSpec, generate
 from wsmap.core import (
     CmpCounter, DELETE, INSERT, Key, Operation, SEARCH, oracle_replay,
 )
@@ -14,7 +17,6 @@ def _maker(m_override=None, audit="full", rank_audit=False):
         m = PipelinedWorkingSetMap(rt, p, m_override=m_override)
         m.audit_every_run = audit
         m.rank_audit = rank_audit
-        rt.filter_probe = m.filter_size
         return m
     return make
 
@@ -190,19 +192,140 @@ def test_metrics_expose_filter_steps():
         metrics.steps
 
 
-def test_events_recorded_in_linearization_order():
-    # extract_linearization and audit_rank_invariant read events in list
-    # order, which must be the (seq, tie) order of the finish events; run a
-    # deep_insert_m2-shaped workload long enough to open the final slab
-    from wsmap import bench
-    from wsmap.bench import WorkloadSpec, generate
-    spec = WorkloadSpec(generator="uniform", n_ops=400, universe=8192,
+def _deep_insert_m2(n_ops=400, seed=1):
+    """Run the deep_insert_m2 benchmark shape with every audit on, long
+    enough to open the final slab; returns (map, metrics)."""
+    spec = WorkloadSpec(generator="uniform", n_ops=n_ops, universe=8192,
                         mix={"search": 0.15, "insert": 0.75, "delete": 0.05,
                              "update": 0.05},
-                        width=8, seed=1, p=8, name="deep_insert_m2")
+                        width=8, seed=seed, p=8, name="deep_insert_m2")
     m, _results, metrics = bench._run_parallel(
         "m2", generate(spec), spec.p, "weak_priority", True)
     assert m.terminal is not None and metrics.work.get("ds_final", 0) > 0
+    return m, metrics
+
+
+def test_events_recorded_in_linearization_order():
+    # extract_linearization reads events in list order, which must be the
+    # (seq, tie) order of the finish events
+    m, _metrics = _deep_insert_m2()
     order = [event[0] for event in m.events]
-    assert len(order) >= spec.n_ops // 2
+    assert len(order) >= 200
     assert all(a < b for a, b in zip(order, order[1:]))
+
+
+def _reference_budgets(m):
+    """The suffix-count formulation of the rank audit, rebuilt from every
+    event: returns (event keys by last event, [(final-slab position, key,
+    budget or None for a key with no event)])."""
+    last_index = {}
+    for i, (_ord, _step, ekey, _ops) in enumerate(m.events):
+        last_index[ekey] = i
+    suffix = [0] * (len(m.events) + 1)
+    seen = set()
+    for i in range(len(m.events) - 1, -1, -1):
+        seen.add(m.events[i][2])
+        suffix[i] = len(seen)
+    items = []
+    position = 0
+    for k in sorted(m.final):
+        for lf in m.final[k].rec.leaves():
+            position += 1
+            last = last_index.get(lf.key.value)
+            items.append((position, lf.key.value,
+                          None if last is None else suffix[last]))
+    return sorted(last_index, key=last_index.get), items
+
+
+def test_rank_budgets_match_the_suffix_count_reference(monkeypatch):
+    # at every run boundary, the recency-ranked budgets give each final-slab
+    # item the same pass/fail as the suffix counts, at its budget and at its
+    # budget lowered by one; an unranked key's suffix count exceeds F
+    audit = PipelinedWorkingSetMap.audit_rank_invariant
+    seen = {"calls": 0, "items": 0, "ranked": 0, "tight": 0}
+
+    def checked(m):
+        by_recency, items = _reference_budgets(m)
+        assert list(m._recency) == by_recency
+        ranks = m._recency_ranks(len(items))
+        for position, key, old in items:
+            assert old is not None and key in m._recency
+            new = ranks.get(key)
+            for lower in (0, 1):
+                assert (position <= old - lower) == \
+                    (new is None or position <= new - lower)
+            if new is None:
+                assert old > len(items)
+            else:
+                assert new == old
+                seen["ranked"] += 1
+            seen["tight"] += position == old
+        seen["calls"] += 1
+        seen["items"] += len(items)
+        audit(m)
+
+    monkeypatch.setattr(PipelinedWorkingSetMap, "audit_rank_invariant",
+                        checked)
+    for seed in (1, 2):
+        _deep_insert_m2(600, seed)
+    assert seen["calls"] >= 300 and seen["items"] >= 10_000
+    assert seen["ranked"] > 0 and seen["tight"] > 0
+
+
+def _final_slab_leaves(m):
+    return [lf for k in sorted(m.final) for lf in m.final[k].rec.leaves()]
+
+
+def _filter_holds_a_first_slab_key(m):
+    m.filter.insert(m.segments[0].keys.leaves()[0].key, None)
+    m.gate.flag.held = True   # mid-cycle: in-flight keys may lag the filter
+
+
+def _duplicate_in_flight_key(m):
+    ghost = GroupOp(Key(-1), [])
+    m.final[m.terminal].in_flight = [ghost, ghost]
+
+
+def _item_without_event(m):
+    _final_slab_leaves(m)[0].key = Key(-1)
+
+
+@pytest.mark.parametrize("corrupt, audit, message", [
+    (_filter_holds_a_first_slab_key, "audit_distinctness",
+     "first-slab key"),
+    (_duplicate_in_flight_key, "audit_distinctness", "duplicate keys"),
+    (_item_without_event, "audit_rank_invariant", "has no event"),
+])
+def test_audits_catch_corrupted_state(corrupt, audit, message):
+    m, _metrics = _deep_insert_m2()
+    getattr(m, audit)()
+    corrupt(m)
+    with pytest.raises(AssertionError, match=message):
+        getattr(m, audit)()
+
+
+def test_rank_audit_catches_an_item_swapped_past_its_budget(monkeypatch):
+    # when this run ends no final-slab budget is below F, so no swap can
+    # break one; swap at the first run boundary where a budget is below F,
+    # check the audit, then swap back
+    audit = PipelinedWorkingSetMap.audit_rank_invariant
+    caught = []
+
+    def swapping(m):
+        audit(m)
+        _by_recency, items = _reference_budgets(m)
+        tight = [pos for pos, _key, budget in items if budget < len(items)]
+        if caught or not tight:
+            return
+        leaves = _final_slab_leaves(m)
+        a, b = leaves[tight[0] - 1], leaves[-1]
+        a.key, b.key = b.key, a.key
+        with pytest.raises(AssertionError, match="exceeds its recency budget"):
+            audit(m)
+        a.key, b.key = b.key, a.key
+        caught.append(m)
+
+    monkeypatch.setattr(PipelinedWorkingSetMap, "audit_rank_invariant",
+                        swapping)
+    _deep_insert_m2()
+    assert caught

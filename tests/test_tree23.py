@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -232,3 +233,63 @@ def test_bunch():
     assert out == list(range(1, 13))
     empty, _m, _rt = run_task(Bunch().to_batch_task())
     assert empty == []
+
+
+def _split_join_trail():
+    """A seeded sequence of splits, joins and batch tasks on one meter;
+    returns the meter count, the simulated work and span of the batch
+    tasks, and a digest of every intermediate (meter count, shape)."""
+    rnd = random.Random(20160711)
+    meter = StepMeter()
+    t, _ = Tree23.build([(k, None) for k in range(0, 600, 3)], meter)
+    trail = []
+    work = span = 0
+    for step in range(60):
+        keys = [lf.key for lf in t.leaves()]
+        lo, hi = keys[0], keys[-1]
+        kind = step % 5
+        if kind == 0:
+            left, right = t.split_lt(rnd.randrange(lo - 5, hi + 5))
+            trail.append(left.dump())
+            left.join(right)
+            t = left
+        elif kind == 1:
+            left, right = t.split_pos(rnd.randrange(0, len(t) + 1))
+            trail.append(right.dump())
+            left.join(right)
+            t = left
+        elif kind == 2:
+            # joins of unequal heights on both sides
+            back, _ = Tree23.build([(hi + 1 + k, None) for k in range(
+                rnd.randrange(0, 40))], meter)
+            front, _ = Tree23.build([(lo - k, None) for k in range(
+                rnd.randrange(1, 40), 0, -1)], meter)
+            front.join(t)
+            t = front
+            t.join(back)
+        elif kind == 3:
+            batch = set(rnd.sample(range(lo - 20, hi + 20), 24))
+            batch.update(rnd.sample(keys, min(8, len(keys))))
+            ops = [(rnd.choice(["search", "insert", "delete"]), k, k)
+                   for k in sorted(batch)]
+            _res, metrics, _rt = run_task(batch_op_task(t, ops))
+            work += metrics.ds_work
+            span += metrics.ds_span
+        else:
+            positions = sorted(rnd.sample(range(len(t)), min(12, len(t))))
+            _res, metrics, _rt = run_task(batch_delete_pos_task(t, positions))
+            work += metrics.ds_work
+            span += metrics.ds_span
+        t.audit(sorted_keys=True)
+        trail.append((meter.count, t.dump()))
+    digest = hashlib.sha256(repr(trail).encode()).hexdigest()
+    return meter.count, work, span, digest
+
+
+def test_split_join_meter_and_shapes_pinned():
+    # meter charges are the simulated cost of every tree operation, so a
+    # rewrite of split/join must leave the count, the batch tasks' work and
+    # span, and each intermediate shape of this sequence unchanged
+    assert _split_join_trail() == (
+        29095, 27384, 7614,
+        "4722340a4a062fb195ca732efbb723705584992122e5799c397a66e68e06a212")
