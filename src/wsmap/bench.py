@@ -282,7 +282,8 @@ def run_experiment(spec, structure, scheduler=None, audit=True):
     scheduler = scheduler or ("weak_priority" if structure == "m2" else "greedy")
     m, results, metrics = _run_parallel(structure, chains, p, scheduler, audit)
     lin_ops = m.extract_linearization()
-    rep = working_set_bound(lin_ops, p=p)
+    ranks = access_ranks(lin_ops)
+    rep = working_set_bound(lin_ops, p=p, ranks=ranks)
     expected = oracle_replay(lin_ops)
     equal = len(lin_ops) == spec.n_ops and all(
         results[op.op_id] == r for op, r in zip(lin_ops, expected))
@@ -292,7 +293,6 @@ def run_experiment(spec, structure, scheduler=None, audit=True):
             "batch_preserving",
             validate_batch_preserving(m.cut_batches, lin_ops), 1))
 
-    ranks = access_ranks(lin_ops)
     rank_by_id = {op.op_id: r for op, r in zip(lin_ops, ranks)}
     n_max = 1
     present = set()

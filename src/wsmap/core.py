@@ -175,37 +175,34 @@ def access_ranks(ops):
     deletes and misses rank n+1. A deletion (or any other op naming x)
     resets x's recency window.
     """
-    n = len(ops)
+    return _ranks([(op.kind, op.key.value) for op in ops])
+
+
+def _ranks(steps):
+    """access_ranks over (kind, key value) pairs."""
+    n = len(steps)
     fen = _Fenwick(n)
     last_access = {}   # member key -> 1-based op index of last access mark
     last_op = {}
     present = set()
     ranks = []
-    for i, op in enumerate(ops):
-        idx = i + 1
-        k = op.key.value
+    # each member holds exactly one live mark, so len(present) counts them
+    for idx, (kind, k) in enumerate(steps, 1):
         found = k in present
         size = len(present)
-        if op.kind in (SEARCH, UPDATE) and found:
-            since = last_op.get(k, 0)
-            rank = 1 + (fen.prefix(n) - fen.prefix(since))
-            # x's own point is at last_access[x] <= last_op[x], never counted
-            ranks.append(rank)
+        if found and kind != DELETE:
+            # a hit (search, update or insert of a member) moves k's mark;
+            # k's own mark sits at last_access[k] <= last_op[k], never counted
+            ranks.append(1 + size - fen.prefix(last_op.get(k, 0)))
             fen.add(last_access[k], -1)
             fen.add(idx, 1)
             last_access[k] = idx
-        elif op.kind == INSERT and found:
-            since = last_op.get(k, 0)
-            ranks.append(1 + (fen.prefix(n) - fen.prefix(since)))
-            fen.add(last_access[k], -1)
-            fen.add(idx, 1)
-            last_access[k] = idx
-        elif op.kind == INSERT:
+        elif kind == INSERT:
             ranks.append(size + 1)
             present.add(k)
             fen.add(idx, 1)
             last_access[k] = idx
-        elif op.kind == DELETE and found:
+        elif kind == DELETE and found:
             ranks.append(size + 1)
             present.discard(k)
             fen.add(last_access[k], -1)
@@ -223,10 +220,12 @@ def access_rank(ops, index):
     return access_ranks(ops[:index + 1])[index]
 
 
-def working_set_bound(ops, p=None):
+def working_set_bound(ops, p=None, ranks=None):
     """W_L = sum(log2(r_i) + 1); e_L counts ops run while the map has fewer
-    than p members (0 when p is None)."""
-    ranks = access_ranks(ops)
+    than p members (0 when p is None). Pass ranks when access_ranks(ops) is
+    already at hand."""
+    if ranks is None:
+        ranks = access_ranks(ops)
     w = 0.0
     for r in ranks:
         w += math.log2(r) + 1.0
@@ -250,16 +249,13 @@ def insert_working_set_bound(ops_or_keys):
     initially empty map."""
     derived = []
     seen = set()
-    nid = 0
     for item in ops_or_keys:
-        key = item.key if isinstance(item, Operation) else item
-        derived.append(Operation(nid, SEARCH, key))
-        nid += 1
-        if key.value not in seen:
-            derived.append(Operation(nid, INSERT, key))
-            nid += 1
-            seen.add(key.value)
-    ranks = access_ranks(derived)
+        k = (item.key if isinstance(item, Operation) else item).value
+        derived.append((SEARCH, k))
+        if k not in seen:
+            derived.append((INSERT, k))
+            seen.add(k)
+    ranks = _ranks(derived)
     return sum(math.log2(r) + 1.0 for r in ranks)
 
 

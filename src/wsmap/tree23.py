@@ -10,6 +10,12 @@ tree live in ``Leaf.twin``.
 Structural work is charged to a shared StepMeter (one count per node touch);
 batch tasks convert meter deltas into simulator cost, so measured work/span
 reflect what the split/apply/rejoin recursion actually touched.
+
+Descents route on raw key values: a leaf keeps its key's value in ``kv``
+(the key itself when it has no ``value``) and an inner node the raw ``hi``
+of its last leaf. Each call counts the key comparisons it makes and adds the
+total to the probe key's counter once, exactly what comparing the counting
+keys one by one would charge, since a tree's keys share the probe's counter.
 """
 
 from __future__ import annotations
@@ -29,11 +35,12 @@ class StepMeter:
 
 
 class Leaf:
-    __slots__ = ("key", "val", "parent", "alive", "twin")
+    __slots__ = ("key", "kv", "val", "parent", "alive", "twin")
     size = 1
 
     def __init__(self, key, val=None):
         self.key = key
+        self.kv = getattr(key, "value", key)
         self.val = val
         self.parent = None
         self.alive = True
@@ -90,7 +97,7 @@ class Tree23:
             size += kid.size
         node.size = size
         last = node.kids[-1]
-        node.hi = last.key if type(last) is Leaf else last.hi
+        node.hi = last.kv if type(last) is Leaf else last.hi
 
     def _refresh_up(self, node):
         while node is not None:
@@ -107,35 +114,49 @@ class Tree23:
 
     # -- sequential key operations ---------------------------------------------
 
-    def _bottom(self, key):
-        """Descend from an inner root by hi keys to the inner node above
-        the leaves, charging one meter step per level passed."""
+    def _bottom(self, kv):
+        """Descend from an inner root by hi values to the inner node above
+        the leaves, charging one meter step per level passed. Returns that
+        node and the number of key comparisons made."""
         node = self.root
-        while type(node.kids[0]) is Inner:
-            self.meter.count += 1
-            for kid in node.kids[:-1]:
-                if not kid.hi < key:
-                    node = kid
-                    break
+        kids = node.kids
+        levels = cmps = 0
+        while type(kids[0]) is Inner:
+            levels += 1
+            cmps += 1
+            if kv <= kids[0].hi:
+                node = kids[0]
+            elif len(kids) == 2:
+                node = kids[1]
             else:
-                node = node.kids[-1]
-        return node
+                cmps += 1
+                node = kids[1] if kv <= kids[1].hi else kids[2]
+            kids = node.kids
+        self.meter.count += levels
+        return node, cmps
 
     def search(self, key):
         node = self.root
         if node is None:
             return None
+        kv = getattr(key, "value", key)
+        cmps = 1   # the equality test at the leaf
         if type(node) is Inner:
-            node = self._bottom(key)
+            node, down = self._bottom(kv)
+            kids = node.kids
             self.meter.count += 1
-            for kid in node.kids[:-1]:
-                if not kid.key < key:
-                    node = kid
-                    break
+            if kv <= kids[0].kv:
+                node = kids[0]
+                cmps += down + 1
+            elif len(kids) == 2:
+                node = kids[1]
+                cmps += down + 1
             else:
-                node = node.kids[-1]
+                node = kids[1] if kv <= kids[1].kv else kids[2]
+                cmps += down + 2
         self.meter.count += 1
-        return node if node.key == key else None
+        _count(key, cmps)
+        return node if node.kv == kv else None
 
     def insert(self, key, val=None):
         """Insert an absent key; returns the new leaf."""
@@ -145,20 +166,28 @@ class Tree23:
             self.root = leaf
             self.height = 0
             return leaf
+        kv = leaf.kv
         if type(self.root) is Leaf:
             old = self.root
-            kids = [leaf, old] if key < old.key else [old, leaf]
+            kids = [leaf, old] if kv < old.kv else [old, leaf]
+            _count(key, 1)
             self.root = Inner(kids)
             self._refresh(self.root)
             self.height = 1
             return leaf
-        node = self._bottom(key)
-        pos = len(node.kids)
-        for i, kid in enumerate(node.kids):
-            if key < kid.key:
-                pos = i
-                break
-        node.kids.insert(pos, leaf)
+        node, cmps = self._bottom(kv)
+        kids = node.kids
+        if kv < kids[0].kv:
+            pos = 0
+        elif kv < kids[1].kv:
+            pos = 1
+        elif len(kids) == 2:
+            pos = 2
+        else:
+            pos = 2 if kv < kids[2].kv else 3
+        # the scan stops at the first larger kid or passes them all
+        _count(key, cmps + min(pos + 1, len(kids)))
+        kids.insert(pos, leaf)
         leaf.parent = node
         self._split_up(node)
         return leaf
@@ -378,17 +407,24 @@ class Tree23:
         if self.root is None:
             return Tree23(self.meter), Tree23(self.meter)
 
+        kv = getattr(key, "value", key)
+        cmps = 1   # the boundary test
+
         def route(node):
+            nonlocal cmps
             kids = node.kids
             leafy = type(kids[0]) is Leaf
-            for i in range(len(kids) - 1):
-                kid = kids[i]
-                if not (kid.key if leafy else kid.hi) < key:
-                    return i
-            return len(kids) - 1
+            cmps += 1
+            if kv <= (kids[0].kv if leafy else kids[0].hi):
+                return 0
+            if len(kids) == 2:
+                return 1
+            cmps += 1
+            return 1 if kv <= (kids[1].kv if leafy else kids[1].hi) else 2
 
         left, right, boundary = self._split(route)
-        if boundary.root.key < key:
+        _count(key, cmps)
+        if boundary.root.kv < kv:
             left.join(boundary)
         else:
             boundary.join(right)
@@ -485,38 +521,44 @@ class Tree23:
         return None if self.root is None else walk(self.root)
 
     def audit(self, sorted_keys=False):
-        """Check arity, leaf depth, parent links, sizes, hi keys and, with
-        sorted_keys, key order. Keys are compared by identity and by value,
-        never through a counting key's operators, so an audit leaves the
-        comparison count alone."""
+        """Check, level by level, arity, parent links, sizes, hi values,
+        that every leaf sits at depth height and, with sorted_keys, that
+        key values strictly increase. Only raw values are compared, so an
+        audit leaves the comparison count alone."""
         if self.root is None:
             assert self.height == -1
             return
-        depths = set()
-
-        def walk(node, depth):
-            if type(node) is Leaf:
-                depths.add(depth)
-                return 1, node.key
-            assert 2 <= len(node.kids) <= 3, f"arity {len(node.kids)}"
-            size = 0
-            hi = None
-            for kid in node.kids:
-                assert kid.parent is node
-                s, h = walk(kid, depth + 1)
-                size += s
-                hi = h
-            assert node.size == size, "stale size"
-            assert node.hi is hi, "stale hi"
-            return size, hi
-
-        walk(self.root, 0)
         assert self.root.parent is None
-        assert depths == {self.height}, f"leaf depths {depths} != {self.height}"
+        level = [self.root]
+        for depth in range(self.height):
+            nxt = []
+            for node in level:
+                assert type(node) is Inner, \
+                    f"leaf at depth {depth} != {self.height}"
+                kids = node.kids
+                assert 2 <= len(kids) <= 3, f"arity {len(kids)}"
+                size = 0
+                for kid in kids:
+                    assert kid.parent is node, "stale parent link"
+                    size += kid.size
+                assert node.size == size, "stale size"
+                last = kids[-1]
+                assert node.hi == (last.kv if type(last) is Leaf
+                                   else last.hi), "stale hi"
+                nxt.extend(kids)
+            level = nxt
+        for node in level:
+            assert type(node) is Leaf, f"inner node at depth {self.height}"
         if sorted_keys:
-            keys = [getattr(lf.key, "value", lf.key) for lf in self.leaves()]
-            assert all(keys[i] < keys[i + 1] for i in range(len(keys) - 1)), \
+            assert all(a.kv < b.kv for a, b in zip(level, level[1:])), \
                 "keys not strictly increasing"
+
+
+def _count(key, cmps):
+    """Charge cmps key comparisons to the probe key's counter, if it has one."""
+    ctr = getattr(key, "ctr", None)
+    if ctr is not None:
+        ctr.count += cmps
 
 
 # -- batched task operations ----------------------------------------------------------

@@ -187,9 +187,10 @@ def test_run_experiment_all_lines_pass(structure):
 # which that seed opens M2's final slab, filter and front-locks. The third
 # case runs M2 on a 256-key universe, which fits in the 278-item first slab:
 # it pins M2's first-slab-only path through the shared segment engine. The
-# last one is the deep_insert_m2 shape at 600 ops, which ends with the final
+# fourth is the deep_insert_m2 shape at 600 ops, which ends with the final
 # slab open, so its rank-audited run boundaries and final-slab segments are
-# pinned too.
+# pinned too. The m0 case is the coldest_m0 shape at 1,000 ops: its
+# steps_per_wl includes every key comparison the 2-3 trees charge.
 _HOT_MIX = {"search": 0.7, "insert": 0.15, "delete": 0.1, "update": 0.05}
 _DEEP_MIX = {"search": 0.15, "insert": 0.75, "delete": 0.05, "update": 0.05}
 _FIRST_SLAB_ONLY = WorkloadSpec(generator="zipf", n_ops=300, universe=256,
@@ -213,6 +214,11 @@ _FINAL_SLAB_OPEN = WorkloadSpec(generator="uniform", n_ops=600, universe=8192,
      "c49254b4bcf257ec304ab5f4241177c42e72ad5c69219362b1a2c7a4fc911efd"),
     ("m2", _FINAL_SLAB_OPEN,
      "26786975275956ace49c3f230ca9d0b53460c3a6439650717fc991e9552909f9"),
+    ("m0", WorkloadSpec(generator="coldest", n_ops=1000, universe=4096,
+                        mix={"search": 0.6, "insert": 0.35, "delete": 0.05,
+                             "update": 0.0},
+                        width=1, seed=1, p=4, name="coldest_m0"),
+     "249bac75bc03e1891d4b56016be85badf7014a493a22458011936e5d155d73f1"),
 ])
 def test_report_digest_pinned(structure, spec, digest, monkeypatch):
     runs = []

@@ -4,10 +4,12 @@ import random
 import pytest
 
 from conftest import run_task
+from wsmap.core import CmpCounter, Key
 from wsmap.tree23 import (
-    Bunch, StepMeter, Tree23, TreeUsageError, batch_delete_keys_task,
-    batch_delete_pos_task, batch_insert_task, batch_op_task,
-    batch_search_task, pop_extreme_task, push_edge_task, reverse_index_task,
+    Bunch, Inner, Leaf, StepMeter, Tree23, TreeUsageError,
+    batch_delete_keys_task, batch_delete_pos_task, batch_insert_task,
+    batch_op_task, batch_search_task, pop_extreme_task, push_edge_task,
+    reverse_index_task,
 )
 
 
@@ -293,3 +295,241 @@ def test_split_join_meter_and_shapes_pinned():
     assert _split_join_trail() == (
         29095, 27384, 7614,
         "4722340a4a062fb195ca732efbb723705584992122e5799c397a66e68e06a212")
+
+
+# -- audit corruption: each check must catch its own defect -------------------
+
+
+def _bottom_nodes(t):
+    return [lf.parent for lf in t.leaves() if lf.parent.kids[0] is lf]
+
+
+def _arity(t):
+    node = _bottom_nodes(t)[0]
+    node.kids.pop()
+
+
+def _parent_link(t):
+    t.leaves()[5].parent = None
+
+
+def _size(t):
+    t.root.kids[0].size += 1
+
+
+def _hi(t):
+    _bottom_nodes(t)[1].hi = -1
+
+
+def _depth(t):
+    # hoist a grandchild of the root into its parent's place, with size and
+    # hi refreshed, so only the leaf depths are wrong
+    root = t.root
+    child = root.kids[0]
+    root.kids[0] = child.kids[0]
+    root.kids[0].parent = root
+    t._refresh(root)
+
+
+def _order(t):
+    # first kids of two bottom nodes: no hi value names either leaf
+    a, b = (node.kids[0] for node in _bottom_nodes(t)[:2])
+    a.kv, b.kv = b.kv, a.kv
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_arity, "arity"),
+    (_parent_link, "stale parent link"),
+    (_size, "stale size"),
+    (_hi, "stale hi"),
+    (_depth, "leaf at depth"),
+    (_order, "keys not strictly increasing"),
+])
+def test_audit_catches_each_corruption(corrupt, message):
+    t, _ = _build(range(40))
+    assert t.height >= 3
+    t.audit(sorted_keys=True)
+    corrupt(t)
+    with pytest.raises(AssertionError, match=message):
+        t.audit(sorted_keys=True)
+
+
+# -- raw-value routing against the loops it replaced --------------------------
+# The reference descents below are the loops tree23 used while it routed
+# through the counting keys' operators: kid by kid, with an inner node's hi
+# read as its last leaf's key. Every comparison they make is counted, so the
+# counter shows what each call must charge in bulk.
+
+
+def _hi_key(node):
+    while type(node) is Inner:
+        node = node.kids[-1]
+    return node.key
+
+
+def _ref_bottom(t, key):
+    node = t.root
+    while type(node.kids[0]) is Inner:
+        t.meter.count += 1
+        for kid in node.kids[:-1]:
+            if not _hi_key(kid) < key:
+                node = kid
+                break
+        else:
+            node = node.kids[-1]
+    return node
+
+
+def _ref_search(t, key):
+    node = t.root
+    if node is None:
+        return None
+    if type(node) is Inner:
+        node = _ref_bottom(t, key)
+        t.meter.count += 1
+        for kid in node.kids[:-1]:
+            if not kid.key < key:
+                node = kid
+                break
+        else:
+            node = node.kids[-1]
+    t.meter.count += 1
+    return node if node.key == key else None
+
+
+def _ref_insert_position(t, key):
+    node = _ref_bottom(t, key)
+    pos = len(node.kids)
+    for i, kid in enumerate(node.kids):
+        if key < kid.key:
+            pos = i
+            break
+    return node, pos
+
+
+def _ref_split_lt(t, key):
+    def route(node):
+        kids = node.kids
+        for i in range(len(kids) - 1):
+            if not _hi_key(kids[i]) < key:
+                return i
+        return len(kids) - 1
+
+    left, right, boundary = t._split(route)
+    if boundary.root.key < key:
+        left.join(boundary)
+    else:
+        boundary.join(right)
+        right.adopt(boundary)
+    return left, right
+
+
+def _random_tree(seed, ctr):
+    """A tree over even key values, reshaped by seeded inserts and deletes
+    so both 2- and 3-kid nodes occur."""
+    rnd = random.Random(seed)
+    t, _ = Tree23.build([(Key(v, ctr), None) for v in
+                         range(0, 2 * rnd.randrange(1, 90), 2)])
+    for _ in range(rnd.randrange(0, 40)):
+        v = 2 * rnd.randrange(0, 120)
+        if t.search(Key(v, ctr)) is None:
+            t.insert(Key(v, ctr))
+        else:
+            t.delete_key(Key(v, ctr))
+    return t
+
+
+def _shape(node):
+    if type(node) is Leaf:
+        return node.kv
+    return [_shape(kid) for kid in node.kids]
+
+
+def _probe_values(t, rnd):
+    values = [lf.kv for lf in t.leaves()]
+    top = values[-1] if values else 0
+    return (rnd.sample(values, min(6, len(values)))
+            + [rnd.randrange(-3, top + 4) for _ in range(6)])
+
+
+def _arities(t):
+    level, seen = [t.root], set()
+    for _ in range(t.height):
+        seen.update(len(node.kids) for node in level)
+        level = [kid for node in level for kid in node.kids]
+    return seen
+
+
+def _counted(t, ctr, call):
+    c0, m0 = ctr.count, t.meter.count
+    out = call()
+    return out, ctr.count - c0, t.meter.count - m0
+
+
+def test_raw_value_routing_matches_the_reference_loops(monkeypatch):
+    arities = set()
+    calls = 0
+    for seed in range(60):
+        rnd = random.Random(seed)
+        ctr = CmpCounter()
+        t = _random_tree(seed, ctr)
+        if t.root is not None:
+            arities |= _arities(t)
+        for v in _probe_values(t, rnd):
+            key = Key(v, ctr)
+            ref = _counted(t, ctr, lambda: _ref_search(t, key))
+            assert _counted(t, ctr, lambda: t.search(key)) == ref, (seed, v)
+            calls += 1
+        for v in _probe_values(t, rnd):
+            # each split on a fresh copy: same seed, same tree
+            ref_t, new_t = _random_tree(seed, ctr), _random_tree(seed, ctr)
+            if ref_t.root is None:
+                continue
+            ref, ref_c, ref_m = _counted(
+                ref_t, ctr, lambda: _ref_split_lt(ref_t, Key(v, ctr)))
+            got, got_c, got_m = _counted(
+                new_t, ctr, lambda: new_t.split_lt(Key(v, ctr)))
+            assert (got_c, got_m) == (ref_c, ref_m), (seed, v)
+            for r, g in zip(ref, got):
+                assert (g.height, g.root and _shape(g.root)) == \
+                    (r.height, r.root and _shape(r.root)), (seed, v)
+                g.audit(sorted_keys=True)
+            calls += 1
+        if len(t) < 2:
+            continue
+        seen = []
+        split_up = Tree23._split_up
+
+        def spy(self, node, lazy=False):
+            seen.append((node, list(node.kids), self.meter.count))
+            return split_up(self, node, lazy)
+
+        monkeypatch.setattr(Tree23, "_split_up", spy)
+        for v in _probe_values(t, rnd):
+            key = Key(v, ctr)
+            if t.search(key) is not None:
+                continue
+            m0 = t.meter.count
+            (node, pos), ref_c, ref_m = _counted(
+                t, ctr, lambda: _ref_insert_position(t, key))
+            kids = list(node.kids)
+            c0, m1 = ctr.count, t.meter.count
+            leaf = t.insert(key)
+            assert ctr.count - c0 == ref_c, (seed, v)
+            at, at_kids, at_meter = seen.pop()
+            assert at is node and at_kids == kids[:pos] + [leaf] + kids[pos:]
+            # insert charges one step for the new leaf, then the descent
+            assert at_meter - m1 == 1 + ref_m and m1 - m0 == ref_m
+            t.audit(sorted_keys=True)
+            calls += 1
+        monkeypatch.undo()
+    assert {2, 3} <= arities and calls > 1000
+
+
+def test_insert_into_a_one_leaf_tree_counts_one_comparison():
+    ctr = CmpCounter()
+    t = Tree23()
+    t.insert(Key(5, ctr))
+    assert ctr.count == 0
+    t.insert(Key(3, ctr))
+    assert ctr.count == 1 and [lf.kv for lf in t.leaves()] == [3, 5]
