@@ -10,9 +10,11 @@ trailing insertions are carved into just-enough new segments.
 
 A map built on it sets three policies: how many bunches a cut batch takes
 (`_form_cut`), how finished groups enter the linearization (`_record`), and
-where a new segment goes (`_last_segment`, `_grow_segment`). The batched
-map M1 cuts ceil(log n / p) bunches, records its linearization at sort time
-and keeps every segment in one list.
+what kind of segment the tail grows (`_grow_segment`). Both maps keep their
+whole segment chain in one list, `segments`. The batched map M1 cuts
+ceil(log n / p) bunches, records its linearization at sort time and grows
+plain paired segments. Setting `audit` checks the map's invariants after
+every cycle (tests and `wsmap run` turn it on).
 """
 
 from __future__ import annotations
@@ -81,18 +83,19 @@ def group_sorted_ops(cut, order):
 class SegmentedMap:
     """The interface engine over a list of paired segments. A map sets
     `structure_name` and provides `_cycle`, `extract_linearization` and the
-    policies `_form_cut` and `_record`; `_last_segment`/`_grow_segment`
-    default to one unbounded segment list."""
+    policies `_form_cut` and `_record`; `_grow_segment` defaults to a plain
+    paired segment."""
 
     structure_name = None
-    terminal = None     # deepest final-slab index; None: all in `segments`
+    terminal = None     # deepest final-slab index; None: no final slab
+    audit = False       # check the invariants after every cycle
 
     def __init__(self, rt, p):
         self.rt = rt
         self.p = p
         self.p2 = p * p
         self.meter = StepMeter()
-        self.segments = []            # PairedSegment list (M2: first slab)
+        self.segments = []            # the segment chain S[0..]
         self.feed = deque()
         self.gate = ActivationGate(self._ready, self._cycle,
                                    name=self.structure_name)
@@ -195,12 +198,14 @@ class SegmentedMap:
     def _resolve_rest(self, groups):
         """Finish groups whose key no segment holds (any more): each
         resolves against its tagged deletion or absence. Returns
-        (inserted (key, value) pairs, deliveries)."""
+        (inserted (key, value) pairs, deliveries). A tagged group that ends
+        present (M2 traps a later insert into its filter entry) resolves to
+        "keep"; its item already left the map, so it is re-inserted."""
         inserts = []
         deliveries = []
         for g in groups:
             results, net = g.resolve(*(g.found_value or (False, None)))
-            if net[0] == "insert":
+            if net[0] in ("insert", "keep"):
                 inserts.append((g.key, net[1]))
             deliveries.append((g, results))
             g.finished = True
@@ -217,7 +222,7 @@ class SegmentedMap:
         self._drop_empty_tail()
         idx = 0
         while idx < len(inserts):
-            seg = self._last_segment()
+            seg = self.segments[-1] if self.segments else None
             if seg is None or seg.size >= seg.cap:
                 seg = self._grow_segment()
             take = min(seg.cap - seg.size, len(inserts) - idx)
@@ -231,9 +236,6 @@ class SegmentedMap:
         while (self.segments and self.terminal is None
                and self.segments[-1].size == 0):
             self.segments.pop()
-
-    def _last_segment(self):
-        return self.segments[-1] if self.segments else None
 
     def _grow_segment(self):
         seg = PairedSegment(len(self.segments), self.meter)
@@ -258,7 +260,7 @@ class SegmentedMap:
     def preload(self, pairs):
         """Warm-start: fill segments to exact capacity with (key, value)
         pairs, most recent first, without simulating the insert traffic."""
-        assert self._last_segment() is None and self.n == 0
+        assert not self.segments and self.n == 0
         idx = 0
         while idx < len(pairs):
             seg = self._grow_segment()
@@ -276,10 +278,6 @@ class SegmentedMap:
 class BatchedWorkingSetMap(SegmentedMap):
     structure_name = "m1"
 
-    def __init__(self, rt, p):
-        super().__init__(rt, p)
-        self.audit_every_batch = False
-
     def extract_linearization(self):
         return [op for group in self.events for op in group]
 
@@ -288,8 +286,8 @@ class BatchedWorkingSetMap(SegmentedMap):
         self.events.extend([op for op, _h in g.entries] for g in groups)
         pending, _k = yield from self._sweep(groups, 0, len(self.segments))
         yield from self._finish_tail(pending)
-        if self.audit_every_batch:
-            self.audit()
+        if self.audit:
+            self.audit_segments()
         return True
 
     def _cut_bunch_count(self):
@@ -308,9 +306,7 @@ class BatchedWorkingSetMap(SegmentedMap):
     def _record(self, deliveries):
         """Events are recorded in sorted group order at cut time."""
 
-    # -- test hooks -------------------------------------------------------------
-
-    def audit(self):
+    def audit_segments(self):
         for seg in self.segments:
             seg.audit()
             assert seg.size <= seg.cap

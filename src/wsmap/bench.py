@@ -227,11 +227,9 @@ def _run_parallel(structure, chains, p, scheduler, audit):
     rt = Runtime(p=p, scheduler=scheduler)
     if structure == "m1":
         m = BatchedWorkingSetMap(rt, p)
-        m.audit_every_batch = audit
     else:
         m = PipelinedWorkingSetMap(rt, p)
-        m.audit_every_run = "full" if audit else None
-        m.rank_audit = bool(audit)
+    m.audit = bool(audit)
     results = {}
 
     def chain_task(ops):

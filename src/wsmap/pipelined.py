@@ -1,18 +1,19 @@
 """Pipelined working-set map.
 
-Segments split into a first slab S[0..m-1], processed batch-at-a-time by the
-interface exactly like the batched map (the shared `SegmentedMap` engine,
-with `segments` as the first slab), and a pipelined final slab S[m..l] of
+One segment chain S[0..l] in `segments`: a first slab S[0..m-1], processed
+batch-at-a-time by the interface exactly like the batched map (the shared
+`SegmentedMap` engine), then a pipelined final slab S[m..l] of
 activation-gated segment actors. Against M1's policies, a cut batch is one
 bunch, every delivery records a linearization event, and growth past S[m-1]
-opens the final slab. A filter in front of the final slab guarantees all
-in-flight final-slab operations are on distinct keys: an operation on a
-filtered key is trapped in that key's entry and finishes together with it.
-Neighbour-locks serialize adjacent segment runs (acquired in the
-alternating arrow order, so no cycles form) and front-locks FL[0..]
-serialize every access to the filter and S[m]'s contents. All final-slab
-nodes run on the high-priority queue; interface activations stay on the low
-queue.
+appends final-slab segments; an emptied terminal segment is popped. A filter
+in front of the final slab guarantees all in-flight final-slab operations
+are on distinct keys: an operation on a filtered key is trapped in that
+key's entry and finishes together with it. Neighbour-locks serialize
+adjacent segment runs (acquired in the alternating arrow order, so no
+cycles form) and front-locks FL[0..] serialize every access to the filter
+and S[m]'s contents; `_front_acquire`/`_front_release` are the one place
+that takes and releases them. All final-slab nodes run on the
+high-priority queue; interface activations stay on the low queue.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .runtime import (
     Acquire, ActivationGate, DS, DS_FINAL, DedicatedLock, Q1, Q2,
 )
 from .segments import (
-    PairedSegment, seg_find_task, seg_insert_block_task, seg_move_block_task,
+    PairedSegment, boundary_move, seg_find_task, seg_insert_block_task,
     seg_remove_found_task,
 )
 from .tree23 import (
@@ -56,8 +57,6 @@ class PipelinedWorkingSetMap(SegmentedMap):
     def __init__(self, rt, p, m_override=None):
         super().__init__(rt, p)
         self.m = m_override if m_override is not None else first_slab_depth(p)
-        self.final = {}               # k -> _SlabSegment for k >= m
-        self.terminal = None          # deepest final-slab index, or None
         self.filter = Tree23(self.meter)
         rt.filter_probe = self.filter.__len__   # read once per step
         self.locks = {}               # ("nl", k): S[k-1]|S[k]; ("fl", j): FL[j]
@@ -65,8 +64,18 @@ class PipelinedWorkingSetMap(SegmentedMap):
         self._recency = {}            # event keys, least recent event first
         self.trapped_ops = 0          # ops folded into an in-flight entry
         self.fl_delays = []           # (segment index, front-access steps)
-        self.audit_every_run = False
-        self.rank_audit = False
+
+    @property
+    def terminal(self):
+        """Index of the deepest final-slab segment, or None while the final
+        slab is closed."""
+        last = len(self.segments) - 1
+        return last if last >= self.m else None
+
+    @property
+    def final(self):
+        """The final slab S[m..terminal], as a read-only slice."""
+        return self.segments[self.m:]
 
     def extract_linearization(self):
         """Time linearization: finish events in occurrence order; within one
@@ -98,20 +107,21 @@ class PipelinedWorkingSetMap(SegmentedMap):
             recency.pop(key, None)
             recency[key] = None
 
-    def _last_segment(self):
-        if self.terminal is not None:
-            return self.final[self.terminal]
-        return super()._last_segment()
-
     def _grow_segment(self):
-        if self.terminal is not None:
-            return self._new_slab_segment(self.terminal + 1)
-        if len(self.segments) < self.m:
+        """Append S[k]: a plain first-slab segment below m, else a final-slab
+        segment with its actor gate and locks."""
+        k = len(self.segments)
+        if k < self.m:
             return super()._grow_segment()
-        return self._new_slab_segment(self.m)
-
-    def _segment(self, k):
-        return self.final[k] if k >= self.m else self.segments[k]
+        seg = _SlabSegment(k, self.meter)
+        seg.gate = ActivationGate(
+            lambda s=seg: s.alive and len(s.buffer) > 0,
+            lambda k=k: self._segment_cycle(k),
+            name=f"s[{k}]")
+        self.segments.append(seg)
+        self._lock("nl", k)
+        self._lock("fl", k - self.m)
+        return seg
 
     def _lock(self, family, j):
         """Neighbour-lock ("nl", j) or front-lock ("fl", j), registered on
@@ -122,19 +132,39 @@ class PipelinedWorkingSetMap(SegmentedMap):
                 DedicatedLock(2, name=f"{family}[{j}]"))
         return lock
 
+    def _front_acquire(self, k):
+        """Take the front-locks FL[k-m..0] for S[k]'s front access (k = m for
+        the interface), outermost first: key 2 on FL[k-m], key 1 on the rest.
+        Returns the window's start step."""
+        t0 = self.rt.now
+        top = k - self.m
+        for j in range(top, -1, -1):
+            yield Acquire(self._lock("fl", j), 2 if j == top else 1)
+        return t0
+
+    def _front_release(self, k, t0):
+        """Release FL[0..k-m], one step apart past S[m], and record the
+        front-access delay since t0 (None: record nothing)."""
+        for j in range(k - self.m + 1):
+            self.rt.release(self._lock("fl", j))
+            if k > self.m:
+                yield 1
+        if t0 is not None:
+            self.fl_delays.append((k, self.rt.now - t0))
+
     def _cycle(self):
         pending = yield from self._sorted_groups()
         has_final = self.terminal is not None
         pending, k = yield from self._sweep(
             pending, 0, self.m - 1 if has_final else len(self.segments))
         if has_final and pending:
-            t0 = self.rt.now
-            nl, fl = self._lock("nl", self.m), self._lock("fl", 0)
+            t0 = self.rt.now   # the interface's window includes its nl wait
+            nl = self._lock("nl", self.m)
             yield Acquire(nl, 1)
-            yield Acquire(fl, 2)
+            yield from self._front_acquire(self.m)
             if self.terminal is None:
                 # the final slab drained away while we waited for the locks
-                self.rt.release(fl)
+                yield from self._front_release(self.m, None)
                 self.rt.release(nl)
                 pending, _k = yield from self._sweep(pending, k,
                                                      len(self.segments))
@@ -143,32 +173,19 @@ class PipelinedWorkingSetMap(SegmentedMap):
                 pending = yield from self._segment_pass(self.m - 1, pending)
                 admitted = yield from self._filter_pass(pending)
                 if admitted:
-                    seg = self.final[self.m]
+                    seg = self.segments[self.m]
                     yield from batch_insert_task(
                         seg.buffer, [(g.key, g) for g in admitted])
                     self.rt.detach(seg.gate.activate(),
                                    owner=DS_FINAL, queue=Q1)
-                self.rt.release(fl)
+                yield from self._front_release(self.m, t0)
                 self.rt.release(nl)
-                self.fl_delays.append((self.m, self.rt.now - t0))
         else:
             yield from self._finish_tail(pending)
-        if self.terminal is None and self.audit_every_run == "full":
+        if self.audit and self.terminal is None:
             self._audit_full_prefix()
         self._maybe_audit()
         return True
-
-    def _new_slab_segment(self, k):
-        seg = _SlabSegment(k, self.meter)
-        seg.gate = ActivationGate(
-            lambda s=seg: s.alive and len(s.buffer) > 0,
-            lambda k=k: self._segment_cycle(k),
-            name=f"s[{k}]")
-        self.final[k] = seg
-        self.terminal = k
-        self._lock("nl", k)
-        self._lock("fl", k - self.m)
-        return seg
 
     # -- the filter ----------------------------------------------------------------
 
@@ -203,33 +220,35 @@ class PipelinedWorkingSetMap(SegmentedMap):
         return 1 if (j - self.m) % 2 == 0 else 2
 
     def _segment_cycle(self, k):
-        seg = self.final.get(k)
+        segs = self.segments
+        seg = segs[k] if k < len(segs) else None
         if seg is None or not seg.alive:
             return False
             yield  # pragma: no cover
         # step 1: neighbour-locks in arrow order (key 2 = right user of nl[k],
         # key 1 = left user of nl[k+1])
         plan = [(self._arrow_label(k), self._lock("nl", k), 2)]
-        has_right = (k + 1) in self.final
+        has_right = k + 1 < len(segs)
         if has_right:
             plan.append((self._arrow_label(k + 1), self._lock("nl", k + 1), 1))
             plan.sort(key=lambda t: t[0])
         for _lbl, lock, lock_key in plan:
             yield Acquire(lock, lock_key)
         seg.running = True
-        fl_t0 = None
-        # step 2
+        # step 2: S[m]'s front access spans steps 2-6
         if k == self.m:
-            fl_t0 = self.rt.now
-            yield Acquire(self._lock("fl", 0), 2)
+            fl_t0 = yield from self._front_acquire(k)
         # step 3: grow a terminal segment if this one overflows
         if self.terminal == k:
-            left = self._segment(k - 1)
+            left = segs[k - 1]
             if left.size + seg.size > left.cap + seg.cap:
-                self._new_slab_segment(k + 1)
-                nxt_lock = self._lock("nl", k + 1)
-                yield Acquire(nxt_lock, 1)   # fresh lock, uncontended
-                plan.append((self._arrow_label(k + 1), nxt_lock, 1))
+                self._grow_segment()
+                # with has_right, step 1 already holds nl[k+1]: S[k+1] emptied
+                # and left the chain while this actor waited for the locks
+                if not has_right:
+                    nxt_lock = self._lock("nl", k + 1)
+                    yield Acquire(nxt_lock, 1)   # fresh lock, uncontended
+                    plan.append((self._arrow_label(k + 1), nxt_lock, 1))
         # step 4: flush and process the buffer
         buf_leaves = yield from pop_extreme_task(seg.buffer, len(seg.buffer),
                                                  "front")
@@ -238,17 +257,15 @@ class PipelinedWorkingSetMap(SegmentedMap):
         leaves = yield from seg_find_task(seg, [g.key for g in batch])
         found = [(g, lf) for g, lf in zip(batch, leaves) if lf is not None]
         yield from seg_remove_found_task(seg, [lf for _g, lf in found])
-        # step 4b: front-locks, outermost first
+        # step 4b: deeper segments' front access spans steps 4b-4f
         if k > self.m:
-            fl_t0 = self.rt.now
-            for j in range(k - self.m, -1, -1):
-                yield Acquire(self._lock("fl", j), 2 if j == k - self.m else 1)
+            fl_t0 = yield from self._front_acquire(k)
         # step 4c: consult the filter to split R into kept items R' and
         # successful deletions
         keeps, delivered = self._resolve_found(found)
         # step 4d: return results for R', insert R' at the front of S[m'],
         # and at the terminal segment finish everything else too
-        dst = self._segment(min(k - 1, self.m))
+        dst = segs[min(k - 1, self.m)]
         inserts = []
         if self.terminal == k:
             inserts, rest = self._resolve_rest(
@@ -267,41 +284,31 @@ class PipelinedWorkingSetMap(SegmentedMap):
             self.rt.detach(self.gate.activate(), owner=DS, queue=Q2)
         # step 4f
         if k > self.m:
-            for j in range(0, k - self.m + 1):
-                self.rt.release(self._lock("fl", j))
-                yield 1
-            self.fl_delays.append((k, self.rt.now - fl_t0))
-        # steps 4g/4h: rebalance against the previous segment
-        left = self._segment(k - 1)
-        if left.size > left.cap:
-            yield from seg_move_block_task(left, seg, left.size - left.cap,
-                                           "back", "front")
-        else:
-            holes = left.cap - left.size
-            dels = sum(1 for g in batch if g.found_value is not None)
-            pull = min(holes, seg.size, dels)
-            if pull:
-                yield from seg_move_block_task(seg, left, pull,
-                                               "front", "back")
+            yield from self._front_release(k, fl_t0)
+        # steps 4g/4h: rebalance against the previous segment, pulling at
+        # most as many items as this batch deleted
+        left = segs[k - 1]
+        dels = sum(1 for g in batch if g.found_value is not None)
+        move = boundary_move(left, seg, left.size - left.cap, dels)
+        if move is not None:
+            yield from move
         # step 4i: forward survivors (they leave this segment's books first)
         remaining = [g for g in batch if not g.finished]
         seg.in_flight = []
         if self.terminal != k and remaining:
-            nxt = self.final[k + 1]
+            nxt = segs[k + 1]
             yield from batch_insert_task(nxt.buffer,
                                          [(g.key, g) for g in remaining])
             self.rt.detach(nxt.gate.activate(), owner=DS_FINAL, queue=Q1)
         # step 5: an empty terminal segment is removed
         if self.terminal == k and seg.size == 0 and len(seg.buffer) == 0:
             seg.alive = False
-            del self.final[k]
-            self.terminal = k - 1 if (k - 1) >= self.m else None
+            segs.pop()
             if self.terminal is None:
                 assert len(self.filter) == 0
         # step 6
         if k == self.m:
-            self.rt.release(self._lock("fl", 0))
-            self.fl_delays.append((k, self.rt.now - fl_t0))
+            yield from self._front_release(k, fl_t0)
         # step 7
         seg.running = False
         for _lbl, lock, _key in reversed(plan):
@@ -312,22 +319,14 @@ class PipelinedWorkingSetMap(SegmentedMap):
     # -- audits ---------------------------------------------------------------------
 
     def _maybe_audit(self):
-        if self.audit_every_run == "full":
+        if self.audit:
             self.audit_distinctness()
             self.audit_balance()
-        elif self.audit_every_run:
-            self.audit_distinctness()
-        if self.rank_audit:
             self.audit_rank_invariant()
 
-    def _final_indices(self):
-        return sorted(self.final)
-
     def _quiescent(self):
-        if self.gate.flag.held:
-            return False
-        return all(not self.final[k].gate.flag.held
-                   for k in self._final_indices())
+        return not self.gate.flag.held and \
+            all(not seg.gate.flag.held for seg in self.final)
 
     def audit_distinctness(self):
         """Final-slab op keys are pairwise distinct and tracked by the
@@ -335,8 +334,7 @@ class PipelinedWorkingSetMap(SegmentedMap):
         in the filter."""
         assert len(self.filter) <= 2 * self.p2, "filter grew past 2p^2"
         in_flight = []
-        for k in self._final_indices():
-            seg = self.final[k]
+        for seg in self.final:
             in_flight.extend(lf.key.value for lf in seg.buffer.leaves())
             in_flight.extend(g.key.value for g in seg.in_flight
                              if not g.finished)
@@ -349,49 +347,43 @@ class PipelinedWorkingSetMap(SegmentedMap):
             assert set(in_flight) == filter_keys, \
                 "filter keys diverge from in-flight keys"
         if filter_keys:
-            for seg in self.segments:
+            for seg in self.segments[:self.m]:
                 for lf in seg.keys.leaves():
                     assert lf.key.value not in filter_keys, \
                         f"first-slab key {lf.key.value} in the filter"
 
     def audit_balance(self):
         p2 = self.p2
+        segs = self.segments
+        sm = segs[self.m] if len(segs) > self.m else None
         # invariant 3: final segments stay within 3x capacity
-        for k in self._final_indices():
-            assert self.final[k].size <= 3 * self.final[k].cap, \
-                f"final segment {k} over 3x capacity"
+        for seg in self.final:
+            assert seg.size <= 3 * seg.cap, \
+                f"final segment {seg.index} over 3x capacity"
         # invariant 1: S[m-1] within capacity unless S[m] is running
-        if len(self.segments) >= self.m:
-            sm = self.final.get(self.m)
-            if sm is None or not sm.running:
-                last = self.segments[self.m - 1]
-                assert last.size <= last.cap
+        if len(segs) >= self.m and (sm is None or not sm.running):
+            last = segs[self.m - 1]
+            assert last.size <= last.cap
         # invariant 2: with the interface idle, S[0..m-2] has no holes and
         # S[m-1] has at most d holes (d = successful deletions in S[m])
-        if not self.gate.flag.held and self.terminal is not None:
-            for i, seg in enumerate(self.segments[:self.m - 1]):
+        if not self.gate.flag.held and sm is not None:
+            for i, seg in enumerate(segs[:self.m - 1]):
                 assert seg.size == seg.cap, \
                     f"hole in first-slab segment {i}"
-            sm = self.final.get(self.m)
-            d = 0
-            if sm is not None:
-                d += sum(1 for lf in sm.buffer.leaves()
-                         if lf.val.found_value is not None)
-                d += sum(1 for g in sm.in_flight
-                         if g.found_value is not None and not g.finished)
-            seg = self.segments[self.m - 1]
+            d = sum(1 for lf in sm.buffer.leaves()
+                    if lf.val.found_value is not None)
+            d += sum(1 for g in sm.in_flight
+                     if g.found_value is not None and not g.finished)
+            seg = segs[self.m - 1]
             assert seg.cap - seg.size <= d, \
                 f"S[m-1] has {seg.cap - seg.size} holes > {d} deletions"
-        # invariant 4: when S[k] is idle, S[0..k-1] is at most 2p^2 below
-        # total capacity
-        for k in self._final_indices():
-            seg = self.final[k]
-            if seg.running or self.terminal == k:
+        # invariant 4: when a non-terminal S[k] is idle, S[0..k-1] is at most
+        # 2p^2 below total capacity
+        for k in range(self.m, len(segs) - 1):
+            if segs[k].running:
                 continue
-            caps = sum(s.cap for s in self.segments) + \
-                sum(self.final[j].cap for j in self._final_indices() if j < k)
-            sizes = sum(s.size for s in self.segments) + \
-                sum(self.final[j].size for j in self._final_indices() if j < k)
+            caps = sum(s.cap for s in segs[:k])
+            sizes = sum(s.size for s in segs[:k])
             assert sizes >= caps - 2 * p2, \
                 f"prefix below S[{k}] is {caps - sizes} under capacity"
 
@@ -401,8 +393,8 @@ class PipelinedWorkingSetMap(SegmentedMap):
         i.e. the rank of its key in event recency (1 = most recent). Only
         the F most recent keys (F = final-slab size) can have r below a
         final-slab position, so only they are ranked; O(F) per call."""
-        items = [lf.key.value for k in self._final_indices()
-                 for lf in self.final[k].rec.leaves()]
+        items = [lf.key.value for seg in self.final
+                 for lf in seg.rec.leaves()]
         budget = self._recency_ranks(len(items))
         for position, key in enumerate(items, 1):
             assert key in self._recency, f"final-slab item {key} has no event"

@@ -107,19 +107,29 @@ def seg_move_block_task(src, dst, count, src_end, dst_end):
     return pairs
 
 
+def boundary_move(left, right, surplus, limit=None):
+    """The block move across one boundary whose prefix holds surplus items
+    over capacity: a surplus goes from the back of left to the front of
+    right; a deficit pulls from the front of right to the back of left, at
+    most right's size and limit. Returns the move task, or None (no
+    generator built) when nothing moves."""
+    if surplus > 0:
+        return seg_move_block_task(left, right, surplus, "back", "front")
+    pull = min(-surplus, right.size)
+    if limit is not None and limit < pull:
+        pull = limit
+    if pull > 0:
+        return seg_move_block_task(right, left, pull, "front", "back")
+    return None
+
+
 def restore_prefix_task(segments, k):
     """Re-establish the exact-prefix capacity rule after processing segment
     k: walking boundaries outward-in, move items between the back of S[i-1]
     and the front of S[i] until S[0..i-1] is exactly full or S[i] is empty."""
     for i in range(min(k, len(segments) - 1), 0, -1):
-        target = sum(segments[j].cap for j in range(i))
-        cur = sum(segments[j].size for j in range(i))
-        if cur > target:
-            yield from seg_move_block_task(segments[i - 1], segments[i],
-                                           cur - target, "back", "front")
-        elif cur < target:
-            pull = min(target - cur, segments[i].size)
-            if pull:
-                yield from seg_move_block_task(segments[i], segments[i - 1],
-                                               pull, "front", "back")
+        surplus = sum(segments[j].size - segments[j].cap for j in range(i))
+        move = boundary_move(segments[i - 1], segments[i], surplus)
+        if move is not None:
+            yield from move
     yield 1

@@ -13,7 +13,7 @@ from wsmap.runtime import Runtime
 
 def _make(rt, p):
     m = BatchedWorkingSetMap(rt, p)
-    m.audit_every_batch = True
+    m.audit = True
     return m
 
 
@@ -61,7 +61,7 @@ def test_serial_inserts_and_searches():
         assert results[i].tuple == (False, None)
         assert results[40 + i].tuple == (True, i * 10)
     assert m.n == 40
-    m.audit()
+    m.audit_segments()
     _check_equivalence(results, m)
 
 
@@ -89,7 +89,7 @@ def test_multi_segment_carving():
     results, m, _metrics, _rt = run_map_workload(_make, chains, p=8)
     assert m.n == 300
     assert [seg.size for seg in m.segments] == [2, 4, 16, 256, 22]
-    m.audit()
+    m.audit_segments()
     _check_equivalence(results, m)
 
 

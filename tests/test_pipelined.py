@@ -12,11 +12,10 @@ from wsmap.core import (
 from wsmap.pipelined import PipelinedWorkingSetMap, first_slab_depth
 
 
-def _maker(m_override=None, audit="full", rank_audit=False):
+def _maker(m_override=None, audit=True):
     def make(rt, p):
         m = PipelinedWorkingSetMap(rt, p, m_override=m_override)
-        m.audit_every_run = audit
-        m.rank_audit = rank_audit
+        m.audit = audit
         return m
     return make
 
@@ -66,7 +65,7 @@ def test_final_slab_engages_with_overrides(scheduler):
         ops.append(Operation(oid, kind, Key(i, ctr),
                              oid if kind == INSERT else None)); oid += 1
     results, m, _metrics, _rt = run_map_workload(
-        _maker(m_override=2, audit="distinct", rank_audit=True),
+        _maker(m_override=2),
         chunk_chains(ops, 4), p=4, scheduler=scheduler)
     assert m.terminal is not None and m.terminal >= 2
     _check_equivalence(results, m)
@@ -106,7 +105,7 @@ def test_filter_traps_second_op_on_in_flight_key():
         oid += 1
     chains.append(chain_b)
     results, m, _metrics, _rt = run_map_workload(
-        _maker(m_override=1, audit="distinct"), chains, p=4,
+        _maker(m_override=1), chains, p=4,
         scheduler="weak_priority")
     _check_equivalence(results, m)
     assert m.trapped_ops > 0, "no op was ever trapped in the filter"
@@ -123,12 +122,27 @@ def test_deletions_drain_final_slab_and_remove_terminal():
     ops += [Operation(96 + i, INSERT, Key(1000 + i, ctr), i) for i in range(20)]
     ops += [Operation(116 + i, SEARCH, Key(1000 + i, ctr)) for i in range(20)]
     results, m, _metrics, _rt = run_map_workload(
-        _maker(m_override=2, audit="distinct"), [ops], p=4,
+        _maker(m_override=2), [ops], p=4,
         scheduler="weak_priority")
     assert m.n == 20
     _check_equivalence(results, m)
     for i in range(20):
         assert results[116 + i].tuple == (True, i)
+
+
+@pytest.mark.parametrize("scheduler", ["weak_priority", "greedy"])
+@pytest.mark.parametrize("m_override, seed", [(1, 3), (1, 34), (2, 16)])
+def test_deep_final_slab_actors_match_the_oracle(m_override, seed, scheduler):
+    # actors deeper than S[m]: seed 3 once regrew S[k+1] after it emptied
+    # and left the chain while S[k] waited for nl[k+1], then acquired the
+    # nl[k+1] it already held (SimDeadlock); seeds 34 and 16 trapped an
+    # insert into a tagged deletion's filter entry, and the group's "keep"
+    # result was never re-inserted (a later search missed the key)
+    ops = random_ops(700, 160, seed, mix=(0.35, 0.4, 0.2, 0.05))
+    results, m, _metrics, _rt = run_map_workload(
+        _maker(m_override=m_override, audit=False), chunk_chains(ops, 16),
+        p=4, scheduler=scheduler)
+    _check_equivalence(results, m)
 
 
 def test_front_lock_delays_recorded_and_bounded():
@@ -140,7 +154,7 @@ def test_front_lock_delays_recorded_and_bounded():
     for j in range(300):
         ops.append(Operation(420 + j, SEARCH, Key(rnd.randrange(440), ctr)))
     _results, m, _metrics, _rt = run_map_workload(
-        _maker(audit="full"), chunk_chains(ops, 8),
+        _maker(), chunk_chains(ops, 8),
         p=4, scheduler="weak_priority")
     assert m.fl_delays, "front-lock sections never measured"
     for k, delay in m.fl_delays:
@@ -161,7 +175,7 @@ def test_balance_invariants_audited_with_real_m():
                                oid if kind == INSERT else None))
         oid += 1
     results, m, _metrics, _rt = run_map_workload(
-        _maker(audit="full"), chunk_chains(ops, 8) + [extra], p=8,
+        _maker(), chunk_chains(ops, 8) + [extra], p=8,
         scheduler="weak_priority")
     assert m.terminal == 4
     m.audit_distinctness()
@@ -186,7 +200,7 @@ def test_emptied_last_segment_not_refilled_before_a_short_one():
 def test_metrics_expose_filter_steps():
     ops = random_ops(300, 32, 12, mix=(0.3, 0.6, 0.1, 0.0))
     _results, m, metrics, _rt = run_map_workload(
-        _maker(m_override=2, audit=None), chunk_chains(ops, 8), p=4,
+        _maker(m_override=2, audit=False), chunk_chains(ops, 8), p=4,
         scheduler="weak_priority")
     assert metrics.filter_full_steps + metrics.filter_empty_steps == \
         metrics.steps
@@ -228,8 +242,8 @@ def _reference_budgets(m):
         suffix[i] = len(seen)
     items = []
     position = 0
-    for k in sorted(m.final):
-        for lf in m.final[k].rec.leaves():
+    for seg in m.final:
+        for lf in seg.rec.leaves():
             position += 1
             last = last_index.get(lf.key.value)
             items.append((position, lf.key.value,
@@ -273,7 +287,7 @@ def test_rank_budgets_match_the_suffix_count_reference(monkeypatch):
 
 
 def _final_slab_leaves(m):
-    return [lf for k in sorted(m.final) for lf in m.final[k].rec.leaves()]
+    return [lf for seg in m.final for lf in seg.rec.leaves()]
 
 
 def _filter_holds_a_first_slab_key(m):
@@ -283,7 +297,7 @@ def _filter_holds_a_first_slab_key(m):
 
 def _duplicate_in_flight_key(m):
     ghost = GroupOp(Key(-1), [])
-    m.final[m.terminal].in_flight = [ghost, ghost]
+    m.segments[m.terminal].in_flight = [ghost, ghost]
 
 
 def _item_without_event(m):
