@@ -21,18 +21,33 @@ Plain Python executed between yields runs atomically within one node, which
 is the serialization granularity of the whole model (simultaneous memory
 operations are ordered by node id).
 
-Node ids only grow and are handed out when a node is staged, so the ready
-set is one list in id order plus a count of its Q1 nodes, kept at staging
-time. A step that runs every ready node (greedy: at most p ready; weak
-priority: at most p/2 in each queue) takes the whole list, which trades
-places with the staging list; a contended greedy step takes the first p
-entries, and a contended weak-priority step takes, in one pass, the first
-p/2 of each queue and leaves the rest in order. With trace off the nodes of
-a step run inline, and a stall tick only charges its node and restages its
-task. When a step would run every ready node and each of them is a stall
-tick, no task code runs, so with trace off ``run`` skips k such steps at
-once, k being the fewest ticks left: work, spans, step counters and node
-ids come out as if the k steps had run one by one.
+Node ids only grow and are handed out when a node is staged, so a node's id
+is its place in staging order: the ids handed out before its step plus its
+index in that step's staging list. A task carries the state of its next
+node (its path counts, the value it resumes with, its stall ticks), so the
+ready set is one list of tasks in id order plus a count of its Q1 tasks,
+kept at staging time, and no node allocates an entry of its own. A step
+that runs every ready node (greedy: at most p ready; weak priority: at most
+p/2 in each queue) takes the whole list, which trades places with the
+staging list; a contended greedy step takes the first p tasks, and a
+contended weak-priority step takes, in one pass, the first p/2 of each queue
+and leaves the rest in order.
+
+With trace on, ``run`` steps one node at a time through ``_run_batch``,
+the reference. With trace off it runs a step's nodes inline (a stall tick
+only charges its node and restages its task) and takes two shortcuts where
+no task code could see the difference:
+
+* when a step would run every ready node and each of them is a stall tick,
+  it skips k such steps at once, k being the fewest ticks left;
+* when the ready set is one task about to run code, it runs that task's code
+  nodes back to back, each ``yield c`` charged as c steps, until the task
+  yields another effect, finishes, or its code stages a node (a resume,
+  release or detach).
+
+Work, spans, step counters and node ids come out as if every step had run
+one by one, and ``now`` and ``current_slot`` are exact whenever task code
+runs.
 """
 
 from __future__ import annotations
@@ -82,11 +97,13 @@ class Detach(Sub):
 
 
 class Par:
+    """Binary fork; each branch is a task generator or a ``Sub``."""
+
     __slots__ = ("left", "right")
 
     def __init__(self, left, right):
-        self.left = left if isinstance(left, Sub) else Sub(left)
-        self.right = right if isinstance(right, Sub) else Sub(right)
+        self.left = left
+        self.right = right
 
 
 class Acquire:
@@ -104,36 +121,38 @@ class Park:
         self.register = register
 
 
-class _Join:
-    __slots__ = ("task", "need", "single", "results", "paths")
-
-    def __init__(self, task, single=False):
-        self.task = task
-        self.single = single
-        self.need = 1 if single else 2
-        self.results = [None, None]
-        self.paths = [None, None]
-
-
 class _Task:
-    __slots__ = ("gen", "owner", "queue", "join", "ticks")
+    """A task plus the state of its next node: ``path`` holds the (program,
+    buffer, ds) node counts along that node's longest incoming path and is
+    updated in place (its nodes count at ``path[axis]``), ``send`` is the value the node resumes the task with,
+    ``ticks`` its stall ticks left. While the task waits on a ``Par``,
+    ``need`` counts the branches still running, ``send`` collects their
+    results and ``path`` is the first finisher's; a child finishing under a
+    ``Par`` or ``Call`` reports to ``parent`` (at ``branch``, None for a
+    ``Call``). ``nid`` is the next node's id, stamped with trace on only."""
 
-    def __init__(self, gen, owner, queue):
+    __slots__ = ("gen", "owner", "queue", "axis", "path", "send", "ticks",
+                 "parent", "branch", "need", "nid")
+
+    def __init__(self, gen, owner, queue, path):
         self.gen = gen
         self.owner = owner
         self.queue = queue
-        self.join = None   # (_Join, branch index) set when a Par/Call waits on us
+        self.axis = _PATH_SLOT[owner]
+        self.path = path
+        self.send = None
         self.ticks = 0
+        self.parent = None
 
 
 class ParkHandle:
-    """A suspended task plus the path metrics of its suspension node."""
+    """A suspended task; its path stays that of its suspension node until
+    it is resumed."""
 
-    __slots__ = ("task", "path", "node_id", "done", "where")
+    __slots__ = ("task", "node_id", "done", "where")
 
-    def __init__(self, task, path, node_id, where=""):
+    def __init__(self, task, node_id, where=""):
         self.task = task
-        self.path = path
         self.node_id = node_id
         self.done = False
         self.where = where
@@ -232,19 +251,19 @@ class Runtime:
         self.now = 0
         self.current_slot = 0
         self._locks = []
-        self._next_id = 0
-        self._staged = []        # (node_id, task, send, path), id order
-        self._staged_q1 = 0      # Q1 entries in _staged
+        self._ids = 0            # node ids handed out before this step
+        self._staged = []        # tasks staged this step, in node-id order
+        self._staged_q1 = 0      # Q1 tasks in _staged
         self._parked = 0
         self._spans = [0, 0, 0]
-        self._cur_path = (0, 0, 0)
-        self._cur_task = None
+        self._cur_task = None    # the task whose code is running
 
     # -- task creation -------------------------------------------------------
 
     def spawn_root(self, gen, owner=PROGRAM, queue=Q2):
-        task = _Task(gen, owner, queue)
-        self._stage(task, None, (0, 0, 0))
+        task = _Task(gen, owner, queue, [0, 0, 0])
+        task.nid = self._next_id
+        self._stage(task)
         return task
 
     def register_lock(self, lock):
@@ -255,7 +274,13 @@ class Runtime:
     def current_path(self):
         """(program, buffer, ds) node counts along the executing node's
         longest incoming path; task code may sample it between yields."""
-        return self._cur_path
+        return tuple(self._cur_task.path)
+
+    @property
+    def _next_id(self):
+        """The id the next staged node gets: a node's id is its place in
+        staging order."""
+        return self._ids + len(self._staged)
 
     def export_trace(self, path):
         """Write the execution trace as '<step> <node_id> <owner> <queue>'
@@ -266,16 +291,19 @@ class Runtime:
             for step, node_id, owner, queue in self.trace:
                 fh.write(f"{step} {node_id} {owner} {queue}\n")
 
-    def _stage(self, task, send, path):
-        nid = self._next_id
-        self._next_id = nid + 1
-        self._staged.append((nid, task, send, path))
+    def _stage(self, task):
+        self._staged.append(task)
         if task.queue == Q1:
             self._staged_q1 += 1
 
-    def _spawn_sub(self, sub, parent, path):
-        task = _Task(sub.gen, sub.owner or parent.owner, sub.queue or parent.queue)
-        self._stage(task, None, path)
+    def _spawn(self, spec, parent, path):
+        """Stage a child of parent for spec, a task generator or a Sub."""
+        if isinstance(spec, Sub):
+            task = _Task(spec.gen, spec.owner or parent.owner,
+                         spec.queue or parent.queue, path)
+        else:
+            task = _Task(spec, parent.owner, parent.queue, path)
+        self._stage(task)
         return task
 
     # -- in-node operations (called from task code between yields) ------------
@@ -287,8 +315,10 @@ class Runtime:
             raise LockUsageError("double resume of a parked task")
         handle.done = True
         self._parked -= 1
-        merged = tuple(map(max, handle.path, self._cur_path))
-        self._stage(handle.task, value, merged)
+        task = handle.task
+        task.path = list(map(max, task.path, self._cur_task.path))
+        task.send = value
+        self._stage(task)
 
     def release(self, lock):
         """Dedicated-lock release with cyclic scan from the holder's key."""
@@ -310,7 +340,8 @@ class Runtime:
 
     def detach(self, gen, owner=None, queue=None):
         """Spawn a fire-and-forget child of the current node."""
-        self._spawn_sub(Sub(gen, owner, queue), self._cur_task, self._cur_path)
+        cur = self._cur_task
+        self._spawn(Sub(gen, owner, queue), cur, cur.path[:])
 
     # -- main loop -------------------------------------------------------------
 
@@ -321,12 +352,16 @@ class Runtime:
         greedy = self.scheduler == "greedy"
         probe = self.filter_probe
         stats = self.step_stats
-        fast = self.trace is None
+        traced = self.trace is not None
+        work, spans = m.work, self._spans
+        start = self.now
+        busy = full = 0          # high-busy and filter-full steps
         ready, n1 = self._staged, self._staged_q1
-        self._staged, self._staged_q1 = [], 0
+        staged = self._staged = []
+        self._staged_q1 = 0
+        self._ids += len(ready)
         while ready:
             n = len(ready)
-            q1_ready = n1
             high_busy = n1 >= half
             filter_full = probe is not None and probe() >= p
             if (n <= p) if greedy else (n1 <= half and n - n1 <= half):
@@ -334,45 +369,124 @@ class Runtime:
             elif greedy:
                 batch = ready[:p]
                 del ready[:p]
-                q1_exec = sum(1 for entry in batch if entry[1].queue == Q1)
+                q1_exec = sum(1 for task in batch if task.queue == Q1)
             else:
                 batch, ready = _pick_quota(ready, half)
                 q1_exec = min(n1, half)
-            n1 -= q1_exec
             if stats is not None:
-                stats.append((q1_ready, n - q1_ready, q1_exec,
-                              len(batch) - q1_exec))
+                stats.append((n1, n - n1, q1_exec, len(batch) - q1_exec))
+            n1 -= q1_exec
             k = 1
-            if fast and ready is None:
-                for entry in batch:
-                    if not entry[1].ticks:
-                        break
-                else:
-                    k = min([entry[1].ticks for entry in batch])
-            if k > 1:
-                self._skip_ticks(batch, k)
-            else:
+            if traced:
                 self._run_batch(batch)
-            if high_busy:
-                m.high_busy_steps += k
+            elif n == 1 and not batch[0].ticks:
+                # A lone task about to run code: run its code nodes back to
+                # back while each yields an int c and stages nothing, i.e.
+                # while each is followed by c - 1 steps of its own ticks and
+                # then its next code node, with the ready set one task.
+                task = batch[0]
+                s, path, gen = task.axis, task.path, task.gen
+                self.current_slot = 0
+                self._cur_task = task
+                send, task.send = task.send, None
+                before = path[s]
+                while True:
+                    path[s] += 1
+                    try:
+                        effect = gen.send(send)
+                    except StopIteration as stop:
+                        self._finish(task, stop.value)
+                        break
+                    if type(effect) is not int:
+                        self._dispatch(task, effect)
+                        break
+                    if staged:
+                        task.ticks = effect - 1
+                        self._stage(task)
+                        break
+                    send = None
+                    path[s] += effect - 1
+                    if filter_full:
+                        full += 1
+                    if effect > 1 and probe is not None and probe() >= p:
+                        full += effect - 1
+                    self.now += effect
+                    self._ids += effect
+                    filter_full = probe is not None and probe() >= p
+                work[task.owner] = work.get(task.owner, 0) + path[s] - before
+                if path[s] > spans[s]:
+                    spans[s] = path[s]
             else:
-                m.high_idle_steps += k
-            if probe is not None:
-                if filter_full:
-                    m.filter_full_steps += k
+                if ready is None:
+                    for task in batch:
+                        if not task.ticks:
+                            break
+                    else:
+                        k = min([task.ticks for task in batch])
+                if k > 1:
+                    # every ready node is a stall tick for k steps: no task
+                    # code runs, and each task is restaged k times in order
+                    for task in batch:
+                        s, path = task.axis, task.path
+                        path[s] += k
+                        work[task.owner] = work.get(task.owner, 0) + k
+                        if path[s] > spans[s]:
+                            spans[s] = path[s]
+                        task.ticks -= k
+                    self._ids += (k - 1) * n
+                    batch, staged = staged, batch
+                    self._staged, self._staged_q1 = staged, q1_exec
                 else:
-                    m.filter_empty_steps += k
-            m.steps += k
+                    for slot, task in enumerate(batch):
+                        s, path, owner = task.axis, task.path, task.owner
+                        path[s] += 1
+                        work[owner] = work.get(owner, 0) + 1
+                        if path[s] > spans[s]:
+                            spans[s] = path[s]
+                        if task.ticks:
+                            task.ticks -= 1
+                        else:
+                            self.current_slot = slot
+                            self._cur_task = task
+                            send, task.send = task.send, None
+                            try:
+                                effect = task.gen.send(send)
+                            except StopIteration as stop:
+                                self._finish(task, stop.value)
+                                continue
+                            if type(effect) is not int:
+                                self._dispatch(task, effect)
+                                continue
+                            if effect > 1:
+                                task.ticks = effect - 1
+                        staged.append(task)
+                        if task.queue == Q1:
+                            self._staged_q1 += 1
+            if high_busy:
+                busy += k
+            if filter_full:
+                full += k
             self.now += k
-            staged = self._staged
+            if traced:
+                for nid, task in enumerate(staged, self._ids):
+                    task.nid = nid
+            self._ids += len(staged)
             if ready is None:
                 batch.clear()
-                ready, self._staged = staged, batch
+                ready, staged = staged, batch
+                self._staged = staged
             else:
                 ready += staged
                 staged.clear()
             n1 += self._staged_q1
             self._staged_q1 = 0
+        steps = self.now - start
+        m.steps += steps
+        m.high_busy_steps += busy
+        m.high_idle_steps += steps - busy
+        if probe is not None:
+            m.filter_full_steps += full
+            m.filter_empty_steps += steps - full
         if self._parked:
             blocked = [(lk.name, lk.waiters()) for lk in self._locks if lk.waiters()]
             raise SimDeadlock(
@@ -380,192 +494,126 @@ class Runtime:
                 f"blocked locks: {blocked}",
                 blocked=blocked,
             )
-        m.t1 = m.work.get(PROGRAM, 0)
-        m.t_inf = self._spans[0]
-        m.buffer_work = m.work.get(BUFFER, 0)
-        m.buffer_span = self._spans[1]
-        m.ds_work = m.work.get(DS, 0) + m.work.get(DS_FINAL, 0)
-        m.ds_span = self._spans[2]
+        m.t1 = work.get(PROGRAM, 0)
+        m.t_inf = spans[0]
+        m.buffer_work = work.get(BUFFER, 0)
+        m.buffer_span = spans[1]
+        m.ds_work = work.get(DS, 0) + work.get(DS_FINAL, 0)
+        m.ds_span = spans[2]
         return m
 
-    def _skip_ticks(self, batch, k):
-        """Run k steps of a batch that is the whole ready set and holds only
-        stall ticks: no task code runs, so each entry just gains k nodes and
-        is restaged with the id the k-th one-node step would have given it."""
-        work, spans = self.metrics.work, self._spans
-        first = self._next_id + (k - 1) * len(batch)
-        for i, (_nid, task, _send, path) in enumerate(batch):
-            slot = _PATH_SLOT[task.owner]
-            here = path[:slot] + (path[slot] + k,) + path[slot + 1:]
-            work[task.owner] = work.get(task.owner, 0) + k
-            if here[slot] > spans[slot]:
-                spans[slot] = here[slot]
-            task.ticks -= k
-            self._staged.append((first + i, task, None, here))
-            if task.queue == Q1:
-                self._staged_q1 += 1
-        self._next_id += k * len(batch)
-
     def _run_batch(self, batch):
-        """Execute one step's batch in id order. With trace on, each node
-        goes through _exec; with trace off the same bookkeeping runs inline:
-        a stall tick or an int effect restages its task here, and only the
-        other effects go through _dispatch."""
-        if self.trace is not None:
-            for slot, entry in enumerate(batch):
-                self.current_slot = slot
-                self._exec(entry)
-            return
-        work = self.metrics.work
-        spans = self._spans
-        staged = self._staged
-        for slot, (_nid, task, send, path) in enumerate(batch):
-            owner = task.owner
-            s = _PATH_SLOT[owner]
-            if s == 0:
-                here = (path[0] + 1, path[1], path[2])
-            elif s == 1:
-                here = (path[0], path[1] + 1, path[2])
-            else:
-                here = (path[0], path[1], path[2] + 1)
-            work[owner] = work.get(owner, 0) + 1
-            if here[s] > spans[s]:
-                spans[s] = here[s]
+        """Execute one step's batch in id order, one node at a time and
+        recorded in the trace: the reference the untraced loop in run must
+        match."""
+        work, spans = self.metrics.work, self._spans
+        for slot, task in enumerate(batch):
+            self.current_slot = slot
+            s, path = task.axis, task.path
+            path[s] += 1
+            self._cur_task = task
+            work[task.owner] = work.get(task.owner, 0) + 1
+            if path[s] > spans[s]:
+                spans[s] = path[s]
+            self.trace.append((self.now, task.nid, task.owner, task.queue))
             if task.ticks:
                 task.ticks -= 1
-            else:
-                self.current_slot = slot
-                self._cur_path = here
-                self._cur_task = task
-                try:
-                    effect = task.gen.send(send)
-                except StopIteration as stop:
-                    if task.join is not None:
-                        self._finish(task, stop.value, here)
-                    continue
-                if type(effect) is not int:
-                    self._dispatch(task, effect, here)
-                    continue
+                self._stage(task)
+                continue
+            send, task.send = task.send, None
+            try:
+                effect = task.gen.send(send)
+            except StopIteration as stop:
+                self._finish(task, stop.value)
+                continue
+            if type(effect) is int:
                 if effect > 1:
                     task.ticks = effect - 1
-            nid = self._next_id
-            self._next_id = nid + 1
-            staged.append((nid, task, None, here))
-            if task.queue == Q1:
-                self._staged_q1 += 1
+                self._stage(task)
+            else:
+                self._dispatch(task, effect)
 
-    def _exec(self, entry):
-        """Run one node on the traced path, recording it in the trace."""
-        nid, task, send, path = entry
-        slot = _PATH_SLOT[task.owner]
-        if slot == 0:
-            here = (path[0] + 1, path[1], path[2])
-        elif slot == 1:
-            here = (path[0], path[1] + 1, path[2])
-        else:
-            here = (path[0], path[1], path[2] + 1)
-        self._cur_path = here
-        self._cur_task = task
-        m = self.metrics
-        m.work[task.owner] = m.work.get(task.owner, 0) + 1
-        if here[slot] > self._spans[slot]:
-            self._spans[slot] = here[slot]
-        self.trace.append((self.now, nid, task.owner, task.queue))
-        if task.ticks:
-            task.ticks -= 1
-            self._stage(task, None, here)
-            return
-        try:
-            effect = task.gen.send(send)
-        except StopIteration as stop:
-            self._finish(task, stop.value, here)
-            return
-        if type(effect) is int:
-            if effect > 1:
-                task.ticks = effect - 1
-            self._stage(task, None, here)
-        else:
-            self._dispatch(task, effect, here)
-
-    def _dispatch(self, task, effect, here):
-        """Apply an effect other than an int that task yielded at the node
-        whose path is here."""
+    def _dispatch(self, task, effect):
+        """Apply an effect other than an int that task yielded at its
+        current node."""
         if isinstance(effect, Par):
-            join = _Join(task)
-            left, right = effect.left, effect.right
-            lt = _Task(left.gen, left.owner or task.owner,
-                       left.queue or task.queue)
-            rt_ = _Task(right.gen, right.owner or task.owner,
-                        right.queue or task.queue)
-            lt.join = (join, 0)
-            rt_.join = (join, 1)
-            nid = self._next_id
-            self._next_id = nid + 2
-            self._staged += ((nid, lt, None, here), (nid + 1, rt_, None, here))
-            self._staged_q1 += (lt.queue == Q1) + (rt_.queue == Q1)
+            path = task.path
+            left = self._spawn(effect.left, task, path[:])
+            right = self._spawn(effect.right, task, path[:])
+            left.parent = right.parent = task
+            left.branch, right.branch = 0, 1
+            task.need = 2
+            task.send = [None, None]
         elif isinstance(effect, Call):
-            join = _Join(task, single=True)
-            child = self._spawn_sub(effect, task, here)
-            child.join = (join, 0)
+            child = self._spawn(effect, task, task.path[:])
+            child.parent = task
+            child.branch = None
         elif isinstance(effect, Detach):
-            self._spawn_sub(effect, task, here)
-            self._stage(task, None, here)
+            self._spawn(effect, task, task.path[:])
+            self._stage(task)
         elif isinstance(effect, Acquire):
             lock, key = effect.lock, effect.key
             if not 1 <= key <= lock.k:
                 raise LockUsageError(f"key {key} out of range for lock {lock.name}")
-            lock.count += 1
-            if lock.count == 1:
-                lock.holder = key
-                self._stage(task, None, here)
-            else:
+            if lock.count:
+                if key == lock.holder:
+                    raise LockUsageError(
+                        f"key {key} of lock {lock.name} is already held")
                 if lock.slots[key] is not None:
                     raise LockUsageError(
                         f"duplicate key {key} among concurrent acquirers of {lock.name}")
-                lock.slots[key] = ParkHandle(task, here, self._next_id,
-                                             where=lock.name)
+            lock.count += 1
+            if lock.count == 1:
+                lock.holder = key
+                self._stage(task)
+            else:
+                lock.slots[key] = ParkHandle(task, self._next_id, where=lock.name)
                 self._parked += 1
         elif isinstance(effect, Park):
-            handle = ParkHandle(task, here, self._next_id)
+            handle = ParkHandle(task, self._next_id)
             self._parked += 1
             effect.register(handle)
         else:
             raise TypeError(f"task yielded unsupported effect {effect!r}")
 
-    def _finish(self, task, value, here):
-        if task.join is None:
+    def _finish(self, task, value):
+        """Report a finished task's value to the task waiting on it."""
+        parent = task.parent
+        if parent is None:
             return
-        join, idx = task.join
-        join.results[idx] = value
-        join.paths[idx] = here
-        join.need -= 1
-        if join.need == 0:
-            if join.single:
-                self._stage(join.task, join.results[0], join.paths[0])
-            else:
-                a, b = join.paths
-                merged = (a[0] if a[0] > b[0] else b[0],
-                          a[1] if a[1] > b[1] else b[1],
-                          a[2] if a[2] > b[2] else b[2])
-                self._stage(join.task, tuple(join.results), merged)
+        if task.branch is None:
+            parent.send = value
+            parent.path = task.path
+        else:
+            parent.send[task.branch] = value
+            parent.need -= 1
+            if parent.need:
+                parent.path = task.path
+                return
+            a, b = parent.path, task.path
+            parent.path = [a[0] if a[0] > b[0] else b[0],
+                           a[1] if a[1] > b[1] else b[1],
+                           a[2] if a[2] > b[2] else b[2]]
+            parent.send = tuple(parent.send)
+        self._stage(parent)
 
 
 def _pick_quota(ready, quota):
-    """Split an id-ordered ready list into the first quota entries of each
+    """Split an id-ordered ready list into the first quota tasks of each
     queue and the rest, both still in id order."""
     batch, rest = [], []
     left1 = left2 = quota
-    for entry in ready:
-        if entry[1].queue == Q1:
+    for task in ready:
+        if task.queue == Q1:
             if left1:
                 left1 -= 1
-                batch.append(entry)
+                batch.append(task)
                 continue
         elif left2:
             left2 -= 1
-            batch.append(entry)
+            batch.append(task)
             continue
-        rest.append(entry)
+        rest.append(task)
     return batch, rest
 
 
@@ -637,8 +685,8 @@ def execute_inline(gen):
         if type(effect) is int:
             send = None
         elif isinstance(effect, Par):
-            send = (execute_inline(effect.left.gen),
-                    execute_inline(effect.right.gen))
+            send = tuple(execute_inline(b.gen if isinstance(b, Sub) else b)
+                         for b in (effect.left, effect.right))
         elif isinstance(effect, Call):
             send = execute_inline(effect.gen)
         elif isinstance(effect, Detach):

@@ -1,7 +1,11 @@
+import hashlib
 import random
 
 import pytest
 
+from conftest import chunk_chains, random_ops
+from wsmap.batched import BatchedWorkingSetMap
+from wsmap.pipelined import PipelinedWorkingSetMap
 from wsmap.runtime import (
     Acquire, ActivationGate, BUFFER, Call, DedicatedLock, Detach,
     LockUsageError, Par, Park, Q1, Q2, Runtime, SimDeadlock, Sub, concat_tree,
@@ -186,6 +190,42 @@ def test_dedicated_lock_duplicate_key_rejected():
     rt.spawn_root(waiter())
     with pytest.raises(LockUsageError):
         rt.run()
+    assert lock.count == 2
+
+
+def test_acquire_of_the_holders_key_rejected():
+    # a task that acquires a key it already holds used to park on its own
+    # lock, and the run ended in a SimDeadlock that named neither
+    rt = Runtime(p=4)
+    lock = DedicatedLock(2, name="L")
+
+    def twice():
+        yield Acquire(lock, 1)
+        yield Acquire(lock, 1)
+
+    rt.spawn_root(twice())
+    with pytest.raises(LockUsageError, match="key 1 of lock L"):
+        rt.run()
+    assert lock.count == 1
+
+    rt = Runtime(p=4)
+    lock = DedicatedLock(2, name="M")
+
+    def holder():
+        yield Acquire(lock, 2)
+        yield 5
+        rt.release(lock)
+
+    def other():
+        yield 1
+        yield Acquire(lock, 2)
+        rt.release(lock)
+
+    rt.spawn_root(holder())
+    rt.spawn_root(other())
+    with pytest.raises(LockUsageError, match="key 2 of lock M"):
+        rt.run()
+    assert lock.count == 1
 
 
 def test_deadlock_detection_reports():
@@ -372,118 +412,98 @@ def test_detach_runs_independently():
     assert sorted(hits) == ["main", "side"]
 
 
-# -- tick fast-forward ---------------------------------------------------------
+# -- untraced shortcuts against the traced reference -----------------------
 #
-# With trace=False, Runtime.run skips a run of steps in which every ready node
-# runs and is a stall tick of a `yield c`, and runs the other steps' nodes
-# inline; with trace=True it steps one by one through _exec. Both must give
-# the same metrics, node ids and park handles. Every step that is not
-# skipped goes through Runtime._run_batch on both paths.
+# With trace=False, Runtime.run executes a step's nodes inline, skips a run of
+# steps in which every ready node runs and is a stall tick of a `yield c`, and
+# runs a lone task's code nodes back to back; with trace=True it steps one node
+# at a time. Both must run every code node at the same step and slot and give
+# the same metrics, node ids and park handles.
 
 
-def _run_both(monkeypatch, build, p=4, scheduler="greedy"):
-    """Run the DAG that build(rt, handles) spawns step by step and with the
-    fast-forward; assert they agree and return the fast-forwarded runs as
-    (first step, steps skipped) pairs."""
-    skips = []
-    executed = {True: [], False: []}   # trace on? -> (step, node id) run
-    skip_ticks, run_batch = Runtime._skip_ticks, Runtime._run_batch
+def _logged(rt, log, label, gen):
+    """Run gen as a task, logging (step, slot, label) at each code node."""
+    send = None
+    while True:
+        log.append((rt.now, rt.current_slot, label))
+        try:
+            effect = gen.send(send)
+        except StopIteration as stop:
+            return stop.value
+        send = yield effect
 
-    def recording_skip(rt, batch, k):
-        skips.append((rt.now, k))
-        skip_ticks(rt, batch, k)
 
-    def recording_run_batch(rt, batch):
-        executed[rt.trace is not None].extend(
-            (rt.now, entry[0]) for entry in batch)
-        run_batch(rt, batch)
-
-    monkeypatch.setattr(Runtime, "_skip_ticks", recording_skip)
-    monkeypatch.setattr(Runtime, "_run_batch", recording_run_batch)
+def _run_both(build, p=4, scheduler="greedy"):
+    """Run the DAG that build(rt, handles, task) spawns with trace on and
+    off, task(label, gen) wrapping a generator so its code nodes are logged;
+    assert the runs agree and return the untraced one's metrics."""
     runs = []
     for trace in (True, False):
         rt = Runtime(p=p, scheduler=scheduler, trace=trace)
-        handles = []
-        build(rt, handles)
+        log, handles = [], []
+        build(rt, handles,
+              lambda label, gen, rt=rt, log=log: _logged(rt, log, label, gen))
         metrics = rt.run()
-        runs.append((metrics, rt._next_id, [h.node_id for h in handles],
-                     rt.step_stats))
-        if trace:
-            # the trace=True run executes every node through the seam
-            assert executed[True] == [(step, nid)
-                                      for step, nid, _o, _q in rt.trace]
-    (slow, slow_id, slow_handles, stats), (fast, fast_id, fast_handles, _) = runs
-    assert fast == slow
-    assert fast_id == slow_id
-    assert fast_handles == slow_handles
-    # a skipped step is one where the scheduler ran every ready node, and
-    # every other step runs the same node ids as step by step
-    skipped = set()
-    for now, k in skips:
-        skipped.update(range(now, now + k))
-        for q1_ready, q2_ready, q1_exec, q2_exec in stats[now:now + k]:
-            assert (q1_exec, q2_exec) == (q1_ready, q2_ready)
-    assert executed[False] == [(step, nid) for step, nid in executed[True]
-                               if step not in skipped]
-    return skips
+        assert log
+        runs.append((log, metrics, rt._next_id,
+                     [h.node_id for h in handles]))
+    assert runs[0] == runs[1]
+    return runs[1][1]
 
 
 def _costs(*cs):
     for c in cs:
         yield c
+    return sum(cs)
 
 
-def test_fast_forward_greedy_mixed_tick_lengths(monkeypatch):
-    def fork():
-        yield Par(_costs(12, 2), _costs(7))
+def test_fast_forward_greedy_mixed_tick_lengths():
+    def build(rt, handles, task):
+        def fork():
+            yield Par(task("f1", _costs(12, 2)), task("f2", _costs(7)))
 
-    def root():
-        yield 4
-        yield Par(_costs(3, 9, 1), fork())
-        yield 5
+        def root():
+            yield 4
+            yield Par(task("a", _costs(3, 9, 1)), task("fork", fork()))
+            yield 5
 
-    def build(rt, handles):
-        rt.spawn_root(root())
-        rt.spawn_root(_costs(6, 6), owner=DS)
+        rt.spawn_root(task("root", root()))
+        rt.spawn_root(task("ds", _costs(6, 6)), owner=DS)
 
-    skips = _run_both(monkeypatch, build)
-    assert len(skips) > 1
-
-
-def test_fast_forward_waits_while_more_than_p_ready(monkeypatch):
-    def build(rt, handles):
-        for _ in range(2):
-            rt.spawn_root(_costs(4))
-        for _ in range(4):
-            rt.spawn_root(_costs(30))
-
-    skips = _run_both(monkeypatch, build, p=4)
-    # six chains share four slots: nothing is skipped until the two short
-    # chains (5 nodes each) are done
-    assert skips and all(now >= 5 for now, _k in skips)
+    _run_both(build)
 
 
-def test_fast_forward_weak_priority_queue_at_quota(monkeypatch):
-    def build(rt, handles):
+def test_fast_forward_waits_while_more_than_p_ready():
+    # six chains share four slots until the two short ones are done
+    def build(rt, handles, task):
+        for i in range(2):
+            rt.spawn_root(task(f"short{i}", _costs(4)))
+        for i in range(4):
+            rt.spawn_root(task(f"long{i}", _costs(30)))
+
+    _run_both(build, p=4)
+
+
+def test_fast_forward_weak_priority_queue_at_quota():
+    def build(rt, handles, task):
         # Q1 holds exactly its quota of p/2 = 2, Q2 holds one
-        rt.spawn_root(_costs(10), owner=DS, queue=Q1)
-        rt.spawn_root(_costs(14), owner=DS, queue=Q1)
-        rt.spawn_root(_costs(8, 3), owner=PROGRAM, queue=Q2)
+        rt.spawn_root(task("q1a", _costs(10)), owner=DS, queue=Q1)
+        rt.spawn_root(task("q1b", _costs(14)), owner=DS, queue=Q1)
+        rt.spawn_root(task("q2", _costs(8, 3)), owner=PROGRAM, queue=Q2)
 
-    skips = _run_both(monkeypatch, build, scheduler="weak_priority")
-    assert skips
+    def crowded(rt, handles, task):
+        # three Q1 nodes exceed the quota until one chain finishes
+        for i in range(3):
+            rt.spawn_root(task(f"q1{i}", _costs(10)), owner=DS, queue=Q1)
 
-    def crowded(rt, handles):
-        for _ in range(3):
-            rt.spawn_root(_costs(10), owner=DS, queue=Q1)
-
-    # three Q1 nodes exceed the quota until one chain finishes
-    assert all(now >= 10 for now, _k in
-               _run_both(monkeypatch, crowded, scheduler="weak_priority"))
+    _run_both(build, scheduler="weak_priority")
+    _run_both(crowded, scheduler="weak_priority")
 
 
-def test_fast_forward_counts_filter_probe_steps(monkeypatch):
-    def build(rt, handles):
+def test_fast_forward_counts_filter_probe_steps():
+    # a lone task fills the filter while it runs: the probe is read at each
+    # of its code nodes and once for the ticks after each
+    def build(rt, handles, task):
         filt = []
         rt.filter_probe = lambda: len(filt)
 
@@ -492,19 +512,15 @@ def test_fast_forward_counts_filter_probe_steps(monkeypatch):
                 yield 5
                 filt.append(None)
 
-        rt.spawn_root(filler())
+        rt.spawn_root(task("filler", filler()))
 
-    skips = _run_both(monkeypatch, build)
-    assert skips
-    rt = Runtime(p=4)
-    build(rt, [])
-    m = rt.run()
+    m = _run_both(build)
     assert m.filter_full_steps > 0 and m.filter_empty_steps > 0
     assert m.filter_full_steps + m.filter_empty_steps == m.steps
 
 
-def test_fast_forward_lock_waiter_parked_across_long_tick(monkeypatch):
-    def build(rt, handles):
+def test_fast_forward_lock_waiter_parked_across_long_tick():
+    def build(rt, handles, task):
         lock = rt.register_lock(DedicatedLock(2, name="L"))
 
         def holder():
@@ -527,13 +543,100 @@ def test_fast_forward_lock_waiter_parked_across_long_tick(monkeypatch):
             yield 17
             rt.resume(handles[0], 11)
 
-        rt.spawn_root(parker())
-        rt.spawn_root(holder())
-        rt.spawn_root(waiter())
-        rt.spawn_root(resumer())
+        rt.spawn_root(task("parker", parker()))
+        rt.spawn_root(task("holder", holder()))
+        rt.spawn_root(task("waiter", waiter()))
+        rt.spawn_root(task("resumer", resumer()))
 
-    skips = _run_both(monkeypatch, build)
-    assert skips
+    _run_both(build)
+
+
+def _chain_left_by_detach(rt, handles, task):
+    def main():
+        yield 3
+        yield 1
+        yield 4
+        yield Detach(task("side", _costs(2, 3)), owner=BUFFER)
+        yield 9
+        rt.detach(task("inline", _costs(4, 1)), owner=DS, queue=Q1)
+        yield 3
+        yield 1
+
+    rt.spawn_root(task("main", main()))
+
+
+def _chain_left_by_resume(rt, handles, task):
+    def waiter():
+        value = yield Park(handles.append)
+        yield value
+        yield 2
+
+    def resumer():
+        yield 1
+        yield 3
+        yield 2
+        rt.resume(handles[0], 4)
+        yield 3
+        yield 1
+
+    rt.spawn_root(task("waiter", waiter()))
+    rt.spawn_root(task("resumer", resumer()))
+
+
+def _chain_left_by_release(rt, handles, task):
+    lock = rt.register_lock(DedicatedLock(2, name="L"))
+
+    def holder():
+        yield Acquire(lock, 1)
+        yield 2
+        yield 3
+        handles.append(lock.slots[2])
+        rt.release(lock)
+        yield 2
+
+    def waiter():
+        yield Acquire(lock, 2)
+        yield 3
+        rt.release(lock)
+
+    rt.spawn_root(task("holder", holder()))
+    rt.spawn_root(task("waiter", waiter()))
+
+
+def _chain_left_by_par(rt, handles, task):
+    def main():
+        yield 3
+        yield 2
+        a, b = yield Par(task("l", _costs(2, 2)),
+                         Sub(task("r", _costs(5)), owner=DS, queue=Q1))
+        yield a + b
+        yield 1
+
+    rt.spawn_root(task("main", main()))
+
+
+def _chain_left_by_call_finish(rt, handles, task):
+    def child():
+        yield 2
+        yield 4
+        yield 1
+        return 7
+
+    def main():
+        value = yield Call(task("child", child()), owner=DS, queue=Q1)
+        yield value
+        yield 1
+
+    rt.spawn_root(task("main", main()), owner=BUFFER)
+
+
+@pytest.mark.parametrize("build", [
+    _chain_left_by_detach, _chain_left_by_resume, _chain_left_by_release,
+    _chain_left_by_par, _chain_left_by_call_finish,
+], ids=lambda build: build.__name__[len("_chain_left_by_"):])
+@pytest.mark.parametrize("scheduler", ["greedy", "weak_priority"])
+def test_lone_task_chain_exits(build, scheduler):
+    _run_both(build, scheduler=scheduler)
 
 
 # -- differential scheduler check ----------------------------------------------
@@ -641,3 +744,56 @@ def test_scheduler_matches_reference_picker(monkeypatch, scheduler, p):
         assert fast_rt._next_id == rt._next_id
     # the DAGs are wide enough to reach the contended branch
     assert contended >= 20
+
+
+# -- pinned traced runs ----------------------------------------------------------
+#
+# The traced runtime is the reference the untraced loop is checked against, so
+# its own behaviour is pinned: sha256 of the trace, step_stats, metrics,
+# fl_delays and results of map workloads, M2 at m_override=1 among them (final
+# slab actors deeper than S[m] take the front-lock chain and neighbour locks).
+
+
+def _traced_map_digest(structure, scheduler, m_override):
+    if structure == "m1":
+        ops, width, p = random_ops(300, 64, 41, mix=(0.6, 0.25, 0.1, 0.05)), 8, 8
+    elif m_override is None:
+        # grows past the first slab, so the final slab and front-locks run
+        ops, width, p = random_ops(600, 2048, 5, mix=(0.15, 0.75, 0.05, 0.05)), 8, 4
+    else:
+        ops, width, p = random_ops(400, 160, 3, mix=(0.35, 0.4, 0.2, 0.05)), 16, 4
+    rt = Runtime(p=p, scheduler=scheduler, trace=True)
+    if structure == "m1":
+        m = BatchedWorkingSetMap(rt, p)
+    else:
+        m = PipelinedWorkingSetMap(rt, p, m_override=m_override)
+    m.audit = False
+    results = {}
+
+    def chain_task(chain):
+        for op in chain:
+            results[op.op_id] = (yield from m.call(op)).tuple
+
+    def root():
+        yield from par_map(chunk_chains(ops, width), chain_task)
+
+    rt.spawn_root(root())
+    metrics = rt.run()
+    fingerprint = (rt.trace, rt.step_stats, metrics.to_dict(),
+                   sorted(metrics.work.items()), getattr(m, "fl_delays", None),
+                   sorted(results.items()))
+    return hashlib.sha256(repr(fingerprint).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("structure, scheduler, m_override, digest", [
+    ("m1", "greedy", None,
+     "3c1bcf442e475de611fe513fa2b2ea21c64875634663f06b581471fd73ed0e37"),
+    ("m2", "weak_priority", None,
+     "c3d75582ffb5eb8f746b76dde2c7a0b5b135ab67197bab4ebbff774c95a2c8e8"),
+    ("m2", "weak_priority", 1,
+     "9781ce0d7c821acdf5e33a12f473106a85e64048b7b0ae824ba526e415568db8"),
+    ("m2", "greedy", 1,
+     "da2828efe0f88d177fd0f3fb75f51de523477348f9a0d83ca5ea43238295552d"),
+])
+def test_traced_runtime_pinned(structure, scheduler, m_override, digest):
+    assert _traced_map_digest(structure, scheduler, m_override) == digest
