@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from collections import deque
 
-from .core import DELETE, INSERT, UPDATE, OpResult, working_set_bound
+from .core import DELETE, INSERT, UPDATE, OpResult
 from .pbuffer import ParallelBuffer
 from .runtime import ActivationGate, BUFFER, Call, concat_tree, par_map
 from .segments import (
@@ -82,9 +82,8 @@ def group_sorted_ops(cut, order):
 
 class SegmentedMap:
     """The interface engine over a list of paired segments. A map sets
-    `structure_name` and provides `_cycle`, `extract_linearization` and the
-    policies `_form_cut` and `_record`; `_grow_segment` defaults to a plain
-    paired segment."""
+    `structure_name` and provides `_cycle` and the policies `_form_cut` and
+    `_record`; `_grow_segment` defaults to a plain paired segment."""
 
     structure_name = None
     terminal = None     # deepest final-slab index; None: no final slab
@@ -101,7 +100,7 @@ class SegmentedMap:
                                    name=self.structure_name)
         self.pbuf = ParallelBuffer(rt, p, activate=self.gate.activate)
         self.n = 0
-        self.events = []        # linearization events, map-specific form
+        self.events = []        # linearization events: one op list each
         self.cut_batches = []   # op lists per cut batch, arrival order
 
     # -- program-facing API ------------------------------------------------------
@@ -110,14 +109,9 @@ class SegmentedMap:
         result = yield from self.pbuf.submit(op)
         return result
 
-    def stats(self):
-        """Bound report over the extracted linearization plus the metrics
-        slice accumulated so far."""
-        rep = working_set_bound(self.extract_linearization(), p=self.p)
-        return {"bound_report": {"W_L": rep.w_l, "IW_L": rep.iw_l,
-                                 "e_L": rep.e_l, "N": rep.n_ops,
-                                 "log_base": rep.log_base},
-                "metrics": self.rt.metrics.to_dict()}
+    def extract_linearization(self):
+        """The operations of every event, in event order."""
+        return [op for ops in self.events for op in ops]
 
     # -- interface cycle -----------------------------------------------------------
 
@@ -277,9 +271,6 @@ class SegmentedMap:
 
 class BatchedWorkingSetMap(SegmentedMap):
     structure_name = "m1"
-
-    def extract_linearization(self):
-        return [op for group in self.events for op in group]
 
     def _cycle(self):
         groups = yield from self._sorted_groups()

@@ -68,6 +68,11 @@ class WorkloadSpec:
                                  f">= 0, got {weight!r}")
         if abs(sum(self.mix.values()) - 1.0) > 1e-9:
             raise ValueError("op mix must sum to 1")
+        s = self.zipf_s
+        if type(s) not in (int, float) or not math.isfinite(s):
+            raise ValueError(f"zipf_s must be a finite number, got {s!r}")
+        if type(self.name) is not str:
+            raise ValueError(f"name must be a string, got {self.name!r}")
 
     @staticmethod
     def from_json(text):

@@ -11,12 +11,11 @@ from __future__ import annotations
 import math
 import random
 
-from .bench import WorkloadSpec, generate, run_experiment
+from .bench import WorkloadSpec, run_experiment
 from .batched import BatchedWorkingSetMap
-from .core import CmpCounter, Key, SEARCH, Operation, oracle_replay
+from .core import CmpCounter, Key, SEARCH, Operation
 from .pipelined import PipelinedWorkingSetMap
 from .runtime import Runtime, par_map
-from .seqmap import SeqWorkingSetMap
 from .sortlib import entropy, esort, pesort_task
 from .tree23 import Tree23, batch_insert_task
 

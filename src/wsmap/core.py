@@ -7,7 +7,6 @@ map used as ground truth for semantic equivalence.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -108,15 +107,6 @@ class BoundReport:
     e_l: int
     n_ops: int
     log_base: float = LOG_BASE
-
-    def to_json(self):
-        return json.dumps({"W_L": self.w_l, "IW_L": self.iw_l, "e_L": self.e_l,
-                           "N": self.n_ops, "log_base": self.log_base})
-
-    @staticmethod
-    def from_json(text):
-        d = json.loads(text)
-        return BoundReport(d["W_L"], d["IW_L"], d["e_L"], d["N"], d["log_base"])
 
 
 @dataclass

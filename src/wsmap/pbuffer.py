@@ -24,11 +24,10 @@ class _FlagTree:
 
 
 class ParallelBuffer:
-    def __init__(self, rt, p, activate, activate_queue=Q2):
+    def __init__(self, rt, p, activate):
         self.rt = rt
         self.p = p
         self.activate = activate           # gate-activation task factory
-        self.activate_queue = activate_queue
         size = 1
         while size < p:
             size *= 2
@@ -60,7 +59,7 @@ class ParallelBuffer:
             if was_set:
                 return
             node //= 2
-        self.rt.detach(self.activate(), owner=DS, queue=self.activate_queue)
+        self.rt.detach(self.activate(), owner=DS, queue=Q2)
 
     # -- structure side ----------------------------------------------------------
 

@@ -60,7 +60,6 @@ class PipelinedWorkingSetMap(SegmentedMap):
         self.filter = Tree23(self.meter)
         rt.filter_probe = self.filter.__len__   # read once per step
         self.locks = {}               # ("nl", k): S[k-1]|S[k]; ("fl", j): FL[j]
-        self._event_seq = 0           # events: ((seq, tie), step, key, ops)
         self._recency = {}            # event keys, least recent event first
         self.trapped_ops = 0          # ops folded into an in-flight entry
         self.fl_delays = []           # (segment index, front-access steps)
@@ -77,14 +76,6 @@ class PipelinedWorkingSetMap(SegmentedMap):
         """The final slab S[m..terminal], as a read-only slice."""
         return self.segments[self.m:]
 
-    def extract_linearization(self):
-        """Time linearization: finish events in occurrence order; within one
-        event, descending key, i.e. the reverse of how the items were pushed
-        onto the front of S[m'] (front-most item last). _record appends each
-        event inside one node with a growing seq, so events is already in
-        (seq, tie) order."""
-        return [op for _ord, _step, _key, ops in self.events for op in ops]
-
     # -- interface policies ------------------------------------------------------
 
     def _ready(self):
@@ -95,15 +86,15 @@ class PipelinedWorkingSetMap(SegmentedMap):
         return cut
 
     def _record(self, deliveries):
-        step = self.rt.now
-        seq = self._event_seq
-        self._event_seq += 1
+        """Time linearization: one event per finished group, in occurrence
+        order; within one delivery, descending key, i.e. the reverse of how
+        the items were pushed onto the front of S[m'] (front-most item
+        last)."""
         ranked = sorted(deliveries, key=lambda d: d[0].key.value, reverse=True)
         recency = self._recency
-        for j, (g, _results) in enumerate(ranked):
+        for g, _results in ranked:
             key = g.key.value
-            self.events.append(((seq, j), step, key,
-                                [op for op, _h in g.entries]))
+            self.events.append([op for op, _h in g.entries])
             recency.pop(key, None)
             recency[key] = None
 

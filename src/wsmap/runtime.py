@@ -23,15 +23,16 @@ operations are ordered by node id).
 
 Node ids only grow and are handed out when a node is staged, so a node's id
 is its place in staging order: the ids handed out before its step plus its
-index in that step's staging list. A task carries the state of its next
-node (its path counts, the value it resumes with, its stall ticks), so the
-ready set is one list of tasks in id order plus a count of its Q1 tasks,
-kept at staging time, and no node allocates an entry of its own. A step
-that runs every ready node (greedy: at most p ready; weak priority: at most
-p/2 in each queue) takes the whole list, which trades places with the
-staging list; a contended greedy step takes the first p tasks, and a
-contended weak-priority step takes, in one pass, the first p/2 of each queue
-and leaves the rest in order.
+index in that step's staging list. Only the trace reads ids, so they are
+counted with trace on only; the ready list is in id order either way. A
+task carries the state of its next node (its path counts, the value it
+resumes with, its stall ticks), so the ready set is one list of tasks in id
+order plus a count of its Q1 tasks, kept at staging time, and no node
+allocates an entry of its own. A step that runs every ready node (greedy:
+at most p ready; weak priority: at most p/2 in each queue) takes the whole
+list, which trades places with the staging list; a contended greedy step
+takes the first p tasks, and a contended weak-priority step takes, in one
+pass, the first p/2 of each queue and leaves the rest in order.
 
 With trace on, ``run`` steps one node at a time through ``_run_batch``,
 the reference. With trace off it runs a step's nodes inline (a stall tick
@@ -45,9 +46,8 @@ no task code could see the difference:
   yields another effect, finishes, or its code stages a node (a resume,
   release or detach).
 
-Work, spans, step counters and node ids come out as if every step had run
-one by one, and ``now`` and ``current_slot`` are exact whenever task code
-runs.
+Work, spans and step counters come out as if every step had run one by one,
+and ``now`` and ``current_slot`` are exact whenever task code runs.
 """
 
 from __future__ import annotations
@@ -149,13 +149,11 @@ class ParkHandle:
     """A suspended task; its path stays that of its suspension node until
     it is resumed."""
 
-    __slots__ = ("task", "node_id", "done", "where")
+    __slots__ = ("task", "done")
 
-    def __init__(self, task, node_id, where=""):
+    def __init__(self, task):
         self.task = task
-        self.node_id = node_id
         self.done = False
-        self.where = where
 
 
 class NonBlockingFlag:
@@ -235,7 +233,7 @@ class ExecutionMetrics:
 class Runtime:
     """Single-threaded deterministic simulator of a p-processor machine."""
 
-    def __init__(self, p, scheduler="greedy", trace=False, filter_probe=None):
+    def __init__(self, p, scheduler="greedy", trace=False):
         if p < 4:
             raise ValueError("p must be at least 4")
         if scheduler not in ("greedy", "weak_priority"):
@@ -247,11 +245,11 @@ class Runtime:
         self.metrics = ExecutionMetrics(p=p, scheduler=scheduler)
         self.trace = [] if trace else None
         self.step_stats = [] if trace else None
-        self.filter_probe = filter_probe
+        self.filter_probe = None  # filter size callable, read once per step
         self.now = 0
         self.current_slot = 0
         self._locks = []
-        self._ids = 0            # node ids handed out before this step
+        self._ids = 0            # ids handed out before this step (traced)
         self._staged = []        # tasks staged this step, in node-id order
         self._staged_q1 = 0      # Q1 tasks in _staged
         self._parked = 0
@@ -262,7 +260,7 @@ class Runtime:
 
     def spawn_root(self, gen, owner=PROGRAM, queue=Q2):
         task = _Task(gen, owner, queue, [0, 0, 0])
-        task.nid = self._next_id
+        task.nid = self._ids + len(self._staged)
         self._stage(task)
         return task
 
@@ -275,12 +273,6 @@ class Runtime:
         """(program, buffer, ds) node counts along the executing node's
         longest incoming path; task code may sample it between yields."""
         return tuple(self._cur_task.path)
-
-    @property
-    def _next_id(self):
-        """The id the next staged node gets: a node's id is its place in
-        staging order."""
-        return self._ids + len(self._staged)
 
     def export_trace(self, path):
         """Write the execution trace as '<step> <node_id> <owner> <queue>'
@@ -411,7 +403,6 @@ class Runtime:
                     if effect > 1 and probe is not None and probe() >= p:
                         full += effect - 1
                     self.now += effect
-                    self._ids += effect
                     filter_full = probe is not None and probe() >= p
                 work[task.owner] = work.get(task.owner, 0) + path[s] - before
                 if path[s] > spans[s]:
@@ -433,7 +424,6 @@ class Runtime:
                         if path[s] > spans[s]:
                             spans[s] = path[s]
                         task.ticks -= k
-                    self._ids += (k - 1) * n
                     batch, staged = staged, batch
                     self._staged, self._staged_q1 = staged, q1_exec
                 else:
@@ -470,7 +460,7 @@ class Runtime:
             if traced:
                 for nid, task in enumerate(staged, self._ids):
                     task.nid = nid
-            self._ids += len(staged)
+                self._ids += len(staged)
             if ready is None:
                 batch.clear()
                 ready, staged = staged, batch
@@ -567,10 +557,10 @@ class Runtime:
                 lock.holder = key
                 self._stage(task)
             else:
-                lock.slots[key] = ParkHandle(task, self._next_id, where=lock.name)
+                lock.slots[key] = ParkHandle(task)
                 self._parked += 1
         elif isinstance(effect, Park):
-            handle = ParkHandle(task, self._next_id)
+            handle = ParkHandle(task)
             self._parked += 1
             effect.register(handle)
         else:
@@ -670,30 +660,6 @@ def merge_sort_task(items, key):
     out.extend(left[i:])
     out.extend(right[j:])
     return out
-
-
-def execute_inline(gen):
-    """Run a task generator to completion without the scheduler, executing
-    Par branches sequentially; valid only when branches touch disjoint
-    state. Returns the task's value; costs are discarded."""
-    send = None
-    while True:
-        try:
-            effect = gen.send(send)
-        except StopIteration as stop:
-            return stop.value
-        if type(effect) is int:
-            send = None
-        elif isinstance(effect, Par):
-            send = tuple(execute_inline(b.gen if isinstance(b, Sub) else b)
-                         for b in (effect.left, effect.right))
-        elif isinstance(effect, Call):
-            send = execute_inline(effect.gen)
-        elif isinstance(effect, Detach):
-            execute_inline(effect.gen)
-            send = None
-        else:
-            raise TypeError(f"inline execution cannot handle {effect!r}")
 
 
 class ActivationGate:

@@ -124,41 +124,41 @@ class SeqWorkingSetMap:
                 return k, leaf
         return None, None
 
-    def search(self, key):
+    def _access(self, key):
+        """Find key and promote it; returns its leaf after the promotion,
+        or None on a miss."""
         k, leaf = self._scan(key)
         if leaf is None:
+            return None
+        return self._promote(k, leaf)
+
+    def search(self, key):
+        leaf = self._access(key)
+        if leaf is None:
             return False, None
-        value = leaf.val
-        self._promote(k, leaf)
-        return True, value
+        return True, leaf.val
 
     def update(self, key, val):
-        k, leaf = self._scan(key)
+        leaf = self._access(key)
         if leaf is None:
             return False, None
-        prior = leaf.val
-        self._promote(k, leaf)
-        # promotion may have replaced the leaf object; find through segment k' front
-        self._last_promoted.val = val
+        prior, leaf.val = leaf.val, val
         return True, prior
 
     def insert(self, key, val):
         """Returns (found, prior value); a hit acts as update plus promotion."""
-        k, leaf = self._scan(key)
+        leaf = self._access(key)
         if leaf is not None:
-            prior = leaf.val
-            self._promote(k, leaf)
-            self._last_promoted.val = val
+            prior, leaf.val = leaf.val, val
             return True, prior
         self._append_new(key, val)
         return False, None
 
     def access_or_insert(self, key, make_val):
         """Single-pass hit-promote-or-insert; returns the item's value."""
-        k, leaf = self._scan(key)
+        leaf = self._access(key)
         if leaf is not None:
-            self._promote(k, leaf)
-            return self._last_promoted.val
+            return leaf.val
         val = make_val()
         self._append_new(key, val)
         return val
@@ -203,18 +203,19 @@ class SeqWorkingSetMap:
         self._attach(dst, key, val, dst_end)
 
     def _promote(self, k, leaf):
+        """Move the hit to the front of S[k-1] (of S[0] when k = 0); returns
+        its leaf there, a new one when it changed segment."""
         seg = self.segments[k]
         if k == 0:
             node = leaf.twin
             seg.rec.unlink(node)
             seg.rec.push_front(node)
-            self._last_promoted = leaf
-            return
+            return leaf
         key, val = self._detach(seg, leaf)
         prev = self.segments[k - 1]
         promoted = self._attach(prev, key, val, "front")
         self._move_one(prev, seg, "back", "front")
-        self._last_promoted = promoted
+        return promoted
 
     def _append_new(self, key, val):
         if not self.segments:

@@ -10,17 +10,9 @@ task DAG on the runtime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .runtime import Par, merge_sort_task, par_map
 from .seqmap import SeqWorkingSetMap
-
-
-@dataclass
-class FreqProfile:
-    u: int
-    freqs: list
-    entropy_nats: float
 
 
 def entropy(counts, n=None):
@@ -37,16 +29,6 @@ def entropy(counts, n=None):
         q = c / n
         h += q * math.log(1.0 / q)
     return h
-
-
-def freq_profile(counts):
-    counts = list(counts)
-    n = sum(counts)
-    freqs = [c / n for c in counts]
-    assert abs(sum(freqs) - 1.0) < 1e-12
-    h = entropy(counts, n)
-    assert -1e-12 <= h <= math.log(len(counts)) + 1e-12
-    return FreqProfile(len(counts), freqs, h)
 
 
 def esort(keys):
@@ -87,31 +69,25 @@ def _merge(a, b):
 # -- parallel entropy sort -------------------------------------------------------
 
 
-def pesort_task(keys, rng=None, stats=None):
+def pesort_task(keys, stats=None):
     """Task: sort by key; returns input positions (stable, duplicates
-    grouped). With rng set, pivots are sampled uniformly until one lands in
-    the middle quartiles instead of using the deterministic pivot. A stats
-    dict, if given, records the maximum recursion depth."""
-    order = yield from _pesort_rec(keys, list(range(len(keys))), rng, 0,
-                                   0, stats)
+    grouped). A stats dict, if given, records the maximum recursion depth."""
+    order = yield from _pesort_rec(keys, list(range(len(keys))), 0, 0, stats)
     return order
 
 
-def _pesort_rec(keys, idx, rng, pivot_depth, depth, stats):
+def _pesort_rec(keys, idx, pivot_depth, depth, stats):
     k = len(idx)
     if stats is not None:
         stats["max_depth"] = max(stats.get("max_depth", 0), depth)
     if k <= 1:
         yield 1
         return list(idx)
-    if rng is None:
-        pivot = yield from ppivot_task(keys, idx, pivot_depth)
-    else:
-        pivot = yield from _random_pivot_task(keys, idx, rng)
+    pivot = yield from ppivot_task(keys, idx, pivot_depth)
     low, mid, high = yield from _partition_task(keys, idx, pivot)
     lo_sorted, hi_sorted = yield Par(
-        _pesort_rec(keys, low, rng, pivot_depth, depth + 1, stats),
-        _pesort_rec(keys, high, rng, pivot_depth, depth + 1, stats))
+        _pesort_rec(keys, low, pivot_depth, depth + 1, stats),
+        _pesort_rec(keys, high, pivot_depth, depth + 1, stats))
     yield 1
     return lo_sorted + mid + hi_sorted
 
@@ -167,7 +143,7 @@ def ppivot_task(keys, idx, pivot_depth=0):
     if c < 8 or pivot_depth >= 2:
         ordered = yield from merge_sort_task(medians, key=lambda x: x)
     else:
-        perm = yield from _pesort_rec(medians, list(range(c)), None,
+        perm = yield from _pesort_rec(medians, list(range(c)),
                                       pivot_depth + 1, 0, None)
         ordered = [medians[i] for i in perm]
     candidate = ordered[(c - 1) // 2]
@@ -190,14 +166,3 @@ def _quartile_count_task(keys, idx, pivot, chunk):
         _quartile_count_task(keys, idx[half:], pivot, chunk))
     yield 1
     return l1 + l2, g1 + g2
-
-
-def _random_pivot_task(keys, idx, rng):
-    k = len(idx)
-    while True:
-        cand = keys[idx[rng.randrange(k)]]
-        yield max(1, k)
-        below = sum(1 for i in idx if keys[i] < cand)
-        not_above = sum(1 for i in idx if not (cand < keys[i]))
-        if 4 * not_above >= k and 4 * (k - below) >= k:
-            return cand

@@ -323,15 +323,15 @@ class Tree23:
 
     # -- split / join -------------------------------------------------------------
 
-    def join(self, other, lazy=False):
-        """Append other (to the right); both inputs are consumed. A lazy
-        join skips the root-path refresh; callers must _respine afterwards."""
+    def join(self, other):
+        """Append other (to the right); both inputs are consumed."""
         rb, hb = other.root, other.height
         other.root, other.height = None, -1
-        return self._append(rb, hb, lazy)
+        return self._append(rb, hb, False)
 
     def _append(self, rb, hb, lazy):
-        """Join the detached subtree rb of height hb on the right."""
+        """Join the detached subtree rb of height hb on the right. A lazy
+        append skips the root-path refresh; callers must _respine after."""
         self.meter.count += 1
         if rb is None:
             return self
@@ -440,21 +440,19 @@ class Tree23:
         if count >= n:
             taken = Tree23(self.meter).adopt(self)
             return taken, Tree23(self.meter)
-        state = {"skip": count}
+        skip = count
 
         def route(node):
-            skip = state["skip"]
+            nonlocal skip
             for i, kid in enumerate(node.kids):
                 s = kid.size
                 if skip < s:
-                    state["skip"] = skip
                     return i
                 skip -= s
-            state["skip"] = skip
             return len(node.kids) - 1
 
         left, right, boundary = self._split(route)
-        if state["skip"] > 0:
+        if skip > 0:
             left.join(boundary)
         else:
             boundary.join(right)
@@ -477,33 +475,13 @@ class Tree23:
         level = leaves
         height = 0
         while len(level) > 1:
+            # pairs, the last group a triple when the level is odd
+            cuts = [*range(0, len(level) - 1, 2), len(level)]
             nxt = []
-            i = 0
-            n = len(level)
-            while i < n:
-                take = 2
-                # avoid leaving a lone child at the end
-                if n - i == 3 or n - i == 1:
-                    take = 3 if n - i == 3 else take
-                if n - i == 1:
-                    # fold the straggler into the previous group
-                    prev = nxt.pop()
-                    kids = prev.kids + [level[i]]
-                    if len(kids) > 3:
-                        a, b = Inner(kids[:2]), Inner(kids[2:])
-                        t._refresh(a)
-                        t._refresh(b)
-                        nxt.extend([a, b])
-                    else:
-                        merged = Inner(kids)
-                        t._refresh(merged)
-                        nxt.append(merged)
-                    i += 1
-                    continue
-                node = Inner(level[i:i + take])
+            for a, b in zip(cuts, cuts[1:]):
+                node = Inner(level[a:b])
                 t._refresh(node)
                 nxt.append(node)
-                i += take
             level = nxt
             height += 1
         t.root = level[0]
@@ -569,7 +547,10 @@ def _charge(meter, start):
 
 
 def _check_sorted_distinct(keys):
-    for a, b in zip(keys, keys[1:]):
+    """A usage check, not map work: raw key values are compared, so the
+    comparison count is left alone."""
+    vals = [getattr(k, "value", k) for k in keys]
+    for a, b in zip(vals, vals[1:]):
         if not a < b:
             raise TreeUsageError("batch keys must be sorted and distinct")
 

@@ -25,13 +25,37 @@ from wsmap.core import (
 )
 from wsmap.pipelined import PipelinedWorkingSetMap
 from wsmap.runtime import (
-    Acquire, DedicatedLock, Q1, Runtime, execute_inline, par_map,
+    Acquire, Call, DedicatedLock, Detach, Par, Q1, Runtime, Sub, par_map,
 )
 from wsmap.seqmap import SeqWorkingSetMap
 from wsmap.sortlib import esort, pesort_task, ppivot_task
 from wsmap.tree23 import (
     Tree23, batch_op_task, reverse_index_task,
 )
+
+
+def execute_inline(gen):
+    """Run a task generator to completion without the scheduler, executing
+    Par branches sequentially; valid only when branches touch disjoint
+    state. Returns the task's value; costs are discarded."""
+    send = None
+    while True:
+        try:
+            effect = gen.send(send)
+        except StopIteration as stop:
+            return stop.value
+        if type(effect) is int:
+            send = None
+        elif isinstance(effect, Par):
+            send = tuple(execute_inline(b.gen if isinstance(b, Sub) else b)
+                         for b in (effect.left, effect.right))
+        elif isinstance(effect, Call):
+            send = execute_inline(effect.gen)
+        elif isinstance(effect, Detach):
+            execute_inline(effect.gen)
+            send = None
+        else:
+            raise TypeError(f"inline execution cannot handle {effect!r}")
 
 
 def _announce(num, name, passed, detail=""):

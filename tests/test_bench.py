@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -34,8 +35,14 @@ def test_workload_spec_round_trip():
     ({"mix": {"search": 1.2, "insert": -0.2}}, "mix weight of 'insert' must be"),
     ({"hot_window": 0}, "hot_window must be an integer >= 1"),
     ({"p": 3}, "p must be an even integer >= 4"),
+    ({"zipf_s": "x"}, "zipf_s must be a finite number"),
+    ({"zipf_s": math.nan}, "zipf_s must be a finite number"),
+    ({"zipf_s": math.inf}, "zipf_s must be a finite number"),
+    ({"zipf_s": True}, "zipf_s must be a finite number"),
+    ({"name": 7}, "name must be a string"),
 ], ids=["n_ops_0", "width_0", "universe_0", "mix_key_typo", "mix_negative",
-        "hot_window_0", "p_3"])
+        "hot_window_0", "p_3", "zipf_s_string", "zipf_s_nan", "zipf_s_inf",
+        "zipf_s_bool", "name_number"])
 def test_workload_spec_rejects_bad_fields(fields, message):
     with pytest.raises(ValueError) as info:
         WorkloadSpec(**fields)
@@ -239,6 +246,44 @@ def test_report_digest_pinned(structure, spec, digest, monkeypatch):
         assert m.terminal is not None and m.final
 
 
+# The same for the shipped workloads/*.json specs on every map, which CI also
+# runs through `wsmap run`.
+_SHIPPED = Path(__file__).resolve().parent.parent / "workloads"
+
+
+@pytest.mark.parametrize("workload, structure, digest", [
+    ("coldest_serial", "m0",
+     "fedf2171fcc7e6cd5c39b453f65b1072919253574c7ba381a45baa49bfb62057"),
+    ("coldest_serial", "m1",
+     "f35a6d0bdfce1af1900f5b24a72ea5f873ec0db7bd07e7d9d6656363c2c595c9"),
+    ("coldest_serial", "m2",
+     "6879ab77c8bef9f33f2ed3e692acc08eb9dc9e7907fd5e364f4f1650dc197265"),
+    ("hotset_mixed", "m0",
+     "47d5a987d73175ce767b4dd5ca5866733a3b24729e9bb6664acd42d05b6bfb38"),
+    ("hotset_mixed", "m1",
+     "05da53ac203a90ca748236a6cfa056534e31371231f2c71243463b896f28eec8"),
+    ("hotset_mixed", "m2",
+     "63a6d63972250600a89e51329f6109bb88e3b87a18d1e1319eafab939b6ca69d"),
+    ("uniform_wide", "m0",
+     "47ac0a5d39eda65b63276ec65f06bb9f0e196e2372cdb4ad27f64edefb61c513"),
+    ("uniform_wide", "m1",
+     "038663b001c694f95ea0c352d028bb1e0bc447cd0fefca3215a103a7b53695ec"),
+    ("uniform_wide", "m2",
+     "f5df15f58a6dd816b05d704dce127375baa1e90c38f5b979d3a92c537713f76b"),
+    ("zipf_small", "m0",
+     "54f279989b5d6cb217bfcf41fc5644eeaddd4128edefb3e3c512456c7df5f7c5"),
+    ("zipf_small", "m1",
+     "24660631a04c6da4dc1d057f6d6c4fa7504cb5ad0ebdf25cd2aee24147374399"),
+    ("zipf_small", "m2",
+     "c7557834d3e7a64aca161c89987a941e4aed67da8844622889e963016763b55c"),
+])
+def test_shipped_workload_digest_pinned(workload, structure, digest):
+    spec = WorkloadSpec.from_json((_SHIPPED / f"{workload}.json").read_text())
+    report = run_experiment(spec, structure)
+    assert not report.failed(), report.failed()
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("structure, scheduler", [
     ("m1", "greedy"), ("m2", "weak_priority")])
 def test_audits_leave_the_comparison_counter_alone(structure, scheduler):
@@ -317,19 +362,3 @@ def test_metrics_and_trace_formats(tmp_path):
     for line in trace_path.read_text().splitlines():
         assert len(line.split()) == 4
 
-
-def test_bound_report_json_and_stats():
-    from wsmap.core import BoundReport
-    from conftest import run_map_workload, random_ops, chunk_chains
-    from wsmap.batched import BatchedWorkingSetMap
-
-    rep = BoundReport(10.5, 12.0, 3, 8)
-    back = BoundReport.from_json(rep.to_json())
-    assert back == rep
-
-    ops = random_ops(100, 24, 5)
-    _res, m, _metrics, _rt = run_map_workload(
-        lambda rt, p: BatchedWorkingSetMap(rt, p), chunk_chains(ops, 4), p=4)
-    stats = m.stats()
-    assert stats["bound_report"]["N"] == 100
-    assert stats["metrics"]["p"] == 4

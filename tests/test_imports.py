@@ -1,0 +1,42 @@
+"""Every name a wsmap module imports is used in that module.
+
+No linter ships with the project, so this stdlib-only check stands in for
+one. `__init__.py` is skipped: its imports are the package's re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "wsmap"
+
+
+def unused_imports(source):
+    """(line, name) of each imported name that no expression in source
+    reads; `from __future__` imports are compiler directives and skipped."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_checker_finds_an_unused_import():
+    source = ("from __future__ import annotations\n"
+              "import os.path\nimport sys\n"
+              "from math import inf, log as ln\n"
+              "sys.exit(ln(2))\n")
+    assert unused_imports(source) == [(2, "os"), (4, "inf")]
+
+
+def test_no_unused_imports_in_src():
+    found = [f"{path.name}:{line} {name}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
+             for line, name in unused_imports(path.read_text())]
+    assert not found, f"unused imports: {found}"

@@ -219,26 +219,17 @@ def _deep_insert_m2(n_ops=400, seed=1):
     return m, metrics
 
 
-def test_events_recorded_in_linearization_order():
-    # extract_linearization reads events in list order, which must be the
-    # (seq, tie) order of the finish events
-    m, _metrics = _deep_insert_m2()
-    order = [event[0] for event in m.events]
-    assert len(order) >= 200
-    assert all(a < b for a, b in zip(order, order[1:]))
-
-
 def _reference_budgets(m):
     """The suffix-count formulation of the rank audit, rebuilt from every
     event: returns (event keys by last event, [(final-slab position, key,
     budget or None for a key with no event)])."""
     last_index = {}
-    for i, (_ord, _step, ekey, _ops) in enumerate(m.events):
-        last_index[ekey] = i
+    for i, ops in enumerate(m.events):
+        last_index[ops[0].key.value] = i
     suffix = [0] * (len(m.events) + 1)
     seen = set()
     for i in range(len(m.events) - 1, -1, -1):
-        seen.add(m.events[i][2])
+        seen.add(m.events[i][0].key.value)
         suffix[i] = len(seen)
     items = []
     position = 0

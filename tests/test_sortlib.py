@@ -5,7 +5,7 @@ import pytest
 
 from conftest import run_task
 from wsmap.core import CmpCounter, Key
-from wsmap.sortlib import entropy, esort, freq_profile, pesort_task, ppivot_task
+from wsmap.sortlib import entropy, esort, pesort_task, ppivot_task
 
 
 def _keys(values, ctr=None):
@@ -25,13 +25,6 @@ def test_entropy_examples():
         0.75 * math.log(4 / 3) + 0.25 * math.log(4))
     with pytest.raises(ValueError):
         entropy([2, 0], 2)
-
-
-def test_freq_profile():
-    prof = freq_profile([2, 2, 4])
-    assert prof.u == 3
-    assert sum(prof.freqs) == pytest.approx(1.0)
-    assert 0 <= prof.entropy_nats <= math.log(3)
 
 
 def test_esort_examples():
@@ -119,14 +112,6 @@ def test_pesort_matches_reference():
         keys, _ = _keys(values)
         order, _m, _rt = run_task(pesort_task(keys))
         assert order == _reference(values)
-
-
-def test_pesort_randomized_pivot_mode():
-    rnd = random.Random(9)
-    values = [rnd.randrange(40) for _ in range(200)]
-    keys, _ = _keys(values)
-    order, _m, _rt = run_task(pesort_task(keys, rng=random.Random(1)))
-    assert order == _reference(values)
 
 
 def test_pesort_recursion_depth_bound():

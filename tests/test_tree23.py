@@ -134,6 +134,17 @@ def test_batch_rejects_unsorted_or_duplicate():
         run_task(batch_op_task(t2, [("search", 3, None), ("search", 3, None)]))
 
 
+def test_batch_precondition_counts_no_key_comparison():
+    # the sorted-and-distinct check is a usage check, not map work: it must
+    # leave the shared key-comparison counter alone
+    ctr = CmpCounter()
+    t, _ = _build(range(8))
+    keys = [Key(v, ctr) for v in (0, 1, 2, 3, 4, 5, 5)]
+    with pytest.raises(TreeUsageError):
+        next(batch_op_task(t, [("search", k, None) for k in keys]))
+    assert ctr.count == 0
+
+
 def test_spec_style_mixed_batch():
     t, _ = _build(range(1, 9))
     ops = [("search", 3, None), ("delete", 5, None), ("insert", 9, "nine")]
