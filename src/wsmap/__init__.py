@@ -7,8 +7,7 @@ from .core import (
     validate_batch_preserving, working_set_bound,
 )
 from .runtime import (
-    ActivationGate, DedicatedLock, ExecutionMetrics, NonBlockingFlag,
-    Runtime, SimDeadlock,
+    ActivationGate, DedicatedLock, ExecutionMetrics, Runtime, SimDeadlock,
 )
 from .seqmap import SeqWorkingSetMap
 from .batched import BatchedWorkingSetMap
@@ -17,10 +16,9 @@ from .bench import Report, WorkloadSpec, generate, run_experiment
 
 __all__ = [
     "ActivationGate", "BatchedWorkingSetMap", "BoundReport", "CmpCounter",
-    "DedicatedLock", "ExecutionMetrics", "Key", "Linearization",
-    "NonBlockingFlag", "Operation", "OpResult", "PipelinedWorkingSetMap",
-    "Report", "Runtime", "SeqWorkingSetMap", "SimDeadlock", "WorkloadSpec",
-    "access_rank", "access_ranks", "generate", "insert_working_set_bound",
-    "oracle_replay", "run_experiment", "validate_batch_preserving",
-    "working_set_bound",
+    "DedicatedLock", "ExecutionMetrics", "Key", "Linearization", "Operation",
+    "OpResult", "PipelinedWorkingSetMap", "Report", "Runtime",
+    "SeqWorkingSetMap", "SimDeadlock", "WorkloadSpec", "access_rank",
+    "access_ranks", "generate", "insert_working_set_bound", "oracle_replay",
+    "run_experiment", "validate_batch_preserving", "working_set_bound",
 ]

@@ -300,6 +300,6 @@ class BatchedWorkingSetMap(SegmentedMap):
     def audit_segments(self):
         for seg in self.segments:
             seg.audit()
-            assert seg.size <= seg.cap
+            assert seg.size <= seg.cap, f"segment {seg.index} over capacity"
         self._audit_full_prefix()
-        assert sum(seg.size for seg in self.segments) == self.n
+        assert sum(seg.size for seg in self.segments) == self.n, "wrong n"

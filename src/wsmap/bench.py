@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass, field, fields
 from .batched import BatchedWorkingSetMap
 from .calibration import frozen_constants, slack
 from .core import (
-    CmpCounter, DELETE, INSERT, Key, Operation, SEARCH, UPDATE, access_ranks,
-    oracle_replay, validate_batch_preserving, working_set_bound,
+    CmpCounter, DELETE, INSERT, Key, Operation, OpResult, SEARCH, UPDATE,
+    access_ranks, oracle_replay, validate_batch_preserving, working_set_bound,
 )
 from .pipelined import PipelinedWorkingSetMap
 from .runtime import Runtime, par_map
@@ -69,8 +69,16 @@ class WorkloadSpec:
         if abs(sum(self.mix.values()) - 1.0) > 1e-9:
             raise ValueError("op mix must sum to 1")
         s = self.zipf_s
-        if type(s) not in (int, float) or not math.isfinite(s):
+        if type(s) not in (int, float) or not -math.inf < s < math.inf:
             raise ValueError(f"zipf_s must be a finite number, got {s!r}")
+        # keep universe ** zipf_s, the zipf generator's largest weight
+        # divisor, a finite float well above 1
+        if s < 0:
+            raise ValueError(f"zipf_s must be >= 0, got {s!r}")
+        if self.universe > 1 and s > 1000 / math.log2(self.universe):
+            raise ValueError(f"zipf_s must be <= 1000 / log2(universe) = "
+                             f"{1000 / math.log2(self.universe):.4g} for "
+                             f"universe {self.universe}, got {s!r}")
         if type(self.name) is not str:
             raise ValueError(f"name must be a string, got {self.name!r}")
 
@@ -223,7 +231,7 @@ def _run_serial(structure, chains):
             found, val = m.update(op.key, op.payload)
         else:
             found, val = m.delete(op.key)
-        out[op.op_id] = (found, val)
+        out[op.op_id] = OpResult(found, val)
     steps = m.steps + (ctr.count - c0)
     return ops, out, steps, m
 
@@ -266,9 +274,7 @@ def run_experiment(spec, structure, scheduler=None, audit=True):
         lin_ops, results, steps, _m = _run_serial(structure, chains)
         rep = working_set_bound(lin_ops, p=p)
         expected = oracle_replay(lin_ops)
-        equal = all(results[op.op_id] == (r.found, r.value) if
-                    isinstance(results[op.op_id], tuple)
-                    else results[op.op_id] == r
+        equal = all(results[op.op_id] == r
                     for op, r in zip(lin_ops, expected))
         lines.append(_line("equivalence", equal, int(equal)))
         metrics_dict = {}

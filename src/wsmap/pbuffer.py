@@ -31,7 +31,6 @@ class ParallelBuffer:
         size = 1
         while size < p:
             size *= 2
-        self._tree_size = size
         self.tree = _FlagTree(size)
         self.pending = 0
 
@@ -67,14 +66,14 @@ class ParallelBuffer:
         """Swap in a fresh tree, then combine the old sub-buffers; returns
         the batch of (op, handle) pairs, per-processor FIFO, left to right."""
         old = self.tree
-        self.tree = _FlagTree(self._tree_size)
-        batch = yield from self._flush_rec(old, 0, self._tree_size)
+        self.tree = _FlagTree(old.size)
+        batch = yield from self._flush_rec(old, 0, old.size)
         self.pending -= len(batch)
         return batch
 
     def _flush_rec(self, tree, lo, hi):
         if hi - lo == 1:
-            yield max(1, _ceil_log2(len(tree.subs[lo]) + 1))
+            yield max(1, len(tree.subs[lo]).bit_length())
             taken = tree.subs[lo]
             tree.subs[lo] = []
             return taken
@@ -83,10 +82,3 @@ class ParallelBuffer:
                                 self._flush_rec(tree, mid, hi))
         yield 1
         return left + right
-
-
-def _ceil_log2(x):
-    n = 0
-    while (1 << n) < x:
-        n += 1
-    return n

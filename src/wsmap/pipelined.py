@@ -316,8 +316,8 @@ class PipelinedWorkingSetMap(SegmentedMap):
             self.audit_rank_invariant()
 
     def _quiescent(self):
-        return not self.gate.flag.held and \
-            all(not seg.gate.flag.held for seg in self.final)
+        return not self.gate.held and \
+            all(not seg.gate.held for seg in self.final)
 
     def audit_distinctness(self):
         """Final-slab op keys are pairwise distinct and tracked by the
@@ -357,7 +357,7 @@ class PipelinedWorkingSetMap(SegmentedMap):
             assert last.size <= last.cap
         # invariant 2: with the interface idle, S[0..m-2] has no holes and
         # S[m-1] has at most d holes (d = successful deletions in S[m])
-        if not self.gate.flag.held and sm is not None:
+        if not self.gate.held and sm is not None:
             for i, seg in enumerate(segs[:self.m - 1]):
                 assert seg.size == seg.cap, \
                     f"hole in first-slab segment {i}"

@@ -156,26 +156,6 @@ class ParkHandle:
         self.done = False
 
 
-class NonBlockingFlag:
-    """Test-and-set lock; atomic at node granularity."""
-
-    __slots__ = ("held",)
-
-    def __init__(self):
-        self.held = False
-
-    def try_lock(self):
-        if self.held:
-            return False
-        self.held = True
-        return True
-
-    def unlock(self):
-        if not self.held:
-            raise LockUsageError("unlock of unheld flag")
-        self.held = False
-
-
 class DedicatedLock:
     """Blocking lock with keys 1..k; concurrent acquirers must use distinct
     keys and a release resumes the cyclically next parked waiter."""
@@ -648,6 +628,11 @@ def merge_sort_task(items, key):
     left, right = yield Par(merge_sort_task(items[:mid], key),
                             merge_sort_task(items[mid:], key))
     yield max(1, n)
+    return merge(left, right, key)
+
+
+def merge(left, right, key):
+    """Stable merge of two key-sorted lists; ties keep left's items first."""
     out = []
     i = j = 0
     while i < len(left) and j < len(right):
@@ -666,28 +651,30 @@ class ActivationGate:
     """Non-blocking-lock guard that runs a process iff it is not already
     running and its readiness predicate holds; honors self-reactivation.
 
-    The try-lock, the readiness check, and (on a negative check) the unlock
-    all happen inside one node, so an activator that first makes the
-    predicate true can never be lost.
+    `held` is the lock's test-and-set bit, atomic at node granularity. The
+    try-lock, the readiness check, and (on a negative check) the unlock all
+    happen inside one node, so an activator that first makes the predicate
+    true can never be lost.
     """
 
-    __slots__ = ("flag", "ready", "process", "name")
+    __slots__ = ("held", "ready", "process", "name")
 
     def __init__(self, ready, process, name=""):
-        self.flag = NonBlockingFlag()
+        self.held = False
         self.ready = ready
         self.process = process
         self.name = name
 
     def activate(self):
         while True:
-            if not self.flag.try_lock():
+            if self.held:
                 return
+            self.held = True
             if not self.ready():
-                self.flag.unlock()
+                self.held = False
                 return
             reactivate = yield from self.process()
-            self.flag.unlock()
+            self.held = False
             if not reactivate:
                 return
             # retry happens in the same node as the unlock: no lost wakeups

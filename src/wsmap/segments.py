@@ -35,7 +35,7 @@ class PairedSegment:
         self.keys.audit(sorted_keys=True)
         self.rec.audit()
         for lf in self.keys.leaves():
-            assert lf.twin is not None and lf.twin.twin is lf
+            assert lf.twin is not None and lf.twin.twin is lf, "broken twin"
             assert lf.twin.key.value == lf.key.value
 
 

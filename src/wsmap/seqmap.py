@@ -2,17 +2,21 @@
 
 Items live in a list of segments S[0..l] of capacity 2^(2^k), every segment
 full except perhaps the last. Each segment pairs a key-ordered 2-3 tree with
-a recency list (most recent first); a hit in S[k] promotes the item to the
-front of S[k-1] and demotes S[k-1]'s least recent item into S[k], so an item
-of recency rank q is found within the first log log q segments.
+a recency order, an OrderedDict of the tree's leaves (most recent first;
+leaves hash by identity, so the order compares no keys); a hit in S[k]
+promotes the item to the front of S[k-1] and demotes S[k-1]'s least recent
+item into S[k], so an item of recency rank q is found within the first
+log log q segments.
 
-Cost instrumentation: the shared StepMeter counts tree node touches and list
-links; key comparisons are counted by the keys' own comparator. The summed
-steps of any operation sequence stay within a constant of its working-set
-bound.
+Cost instrumentation: the shared StepMeter counts tree node touches and one
+step per recency link or unlink; key comparisons are counted by the keys'
+own comparator. The summed steps of any operation sequence stay within a
+constant of its working-set bound.
 """
 
 from __future__ import annotations
+
+from collections import OrderedDict
 
 from .tree23 import StepMeter, Tree23
 
@@ -25,78 +29,13 @@ def segment_capacity(k):
     return 1 << (1 << k)
 
 
-class _RecNode:
-    __slots__ = ("leaf", "prev", "next")
-
-    def __init__(self, leaf):
-        self.leaf = leaf
-        self.prev = None
-        self.next = None
-
-
-class _Recency:
-    """Doubly linked list, front = most recent; O(1) metered link ops."""
-
-    __slots__ = ("head", "tail", "size", "meter")
-
-    def __init__(self, meter):
-        self.head = None
-        self.tail = None
-        self.size = 0
-        self.meter = meter
-
-    def push_front(self, node):
-        self.meter.count += 1
-        node.prev = None
-        node.next = self.head
-        if self.head is not None:
-            self.head.prev = node
-        self.head = node
-        if self.tail is None:
-            self.tail = node
-        self.size += 1
-
-    def push_back(self, node):
-        self.meter.count += 1
-        node.next = None
-        node.prev = self.tail
-        if self.tail is not None:
-            self.tail.next = node
-        self.tail = node
-        if self.head is None:
-            self.head = node
-        self.size += 1
-
-    def unlink(self, node):
-        self.meter.count += 1
-        if node.prev is not None:
-            node.prev.next = node.next
-        else:
-            self.head = node.next
-        if node.next is not None:
-            node.next.prev = node.prev
-        else:
-            self.tail = node.prev
-        node.prev = node.next = None
-        self.size -= 1
-
-    def keys_front_to_back(self):
-        out = []
-        node = self.head
-        while node is not None:
-            out.append(node.leaf.key)
-            node = node.next
-        return out
-
-
 class _Segment:
-    __slots__ = ("index", "cap", "keys", "rec")
+    __slots__ = ("cap", "keys", "rec")
 
     def __init__(self, index, meter):
-        self.index = index
         self.cap = segment_capacity(index)
         self.keys = Tree23(meter)
-        self.rec = _Recency(meter)
+        self.rec = OrderedDict()    # key-tree leaves, most recent first
 
     @property
     def size(self):
@@ -167,10 +106,7 @@ class SeqWorkingSetMap:
         k, leaf = self._scan(key)
         if leaf is None:
             return False, None
-        prior = leaf.val
-        seg = self.segments[k]
-        seg.rec.unlink(leaf.twin)
-        seg.keys.delete_leaf(leaf)
+        _key, prior = self._detach(self.segments[k], leaf)
         # refill by pulling each later segment's most recent item backward
         for i in range(k, len(self.segments) - 1):
             self._move_one(self.segments[i + 1], self.segments[i],
@@ -184,22 +120,22 @@ class SeqWorkingSetMap:
 
     def _attach(self, seg, key, val, end):
         leaf = seg.keys.insert(key, val)
-        node = _RecNode(leaf)
-        leaf.twin = node
+        self.meter.count += 1
+        seg.rec[leaf] = None
         if end == "front":
-            seg.rec.push_front(node)
-        else:
-            seg.rec.push_back(node)
+            seg.rec.move_to_end(leaf, last=False)
         return leaf
 
     def _detach(self, seg, leaf):
-        seg.rec.unlink(leaf.twin)
+        self.meter.count += 1
+        del seg.rec[leaf]
         seg.keys.delete_leaf(leaf)
         return leaf.key, leaf.val
 
     def _move_one(self, src, dst, src_end, dst_end):
-        node = src.rec.head if src_end == "front" else src.rec.tail
-        key, val = self._detach(src, node.leaf)
+        rec = src.rec
+        leaf = next(iter(rec)) if src_end == "front" else next(reversed(rec))
+        key, val = self._detach(src, leaf)
         self._attach(dst, key, val, dst_end)
 
     def _promote(self, k, leaf):
@@ -207,9 +143,8 @@ class SeqWorkingSetMap:
         its leaf there, a new one when it changed segment."""
         seg = self.segments[k]
         if k == 0:
-            node = leaf.twin
-            seg.rec.unlink(node)
-            seg.rec.push_front(node)
+            self.meter.count += 2       # unlink plus push-front
+            seg.rec.move_to_end(leaf, last=False)
             return leaf
         key, val = self._detach(seg, leaf)
         prev = self.segments[k - 1]
@@ -231,27 +166,17 @@ class SeqWorkingSetMap:
 
     def rank_of(self, key):
         """1-based position in segment order then recency order."""
-        saved = self.meter.count
         base = 0
         for seg in self.segments:
-            node = seg.rec.head
-            pos = 1
-            while node is not None:
-                if node.leaf.key == key:
-                    self.meter.count = saved
+            for pos, leaf in enumerate(seg.rec, 1):
+                if leaf.key == key:
                     return base + pos
-                node = node.next
-                pos += 1
             base += seg.size
-        self.meter.count = saved
         raise KeyError(f"rank_of: {key!r} not present")
 
     def dump(self):
         """Segment contents front-to-back, for golden tests."""
-        saved = self.meter.count
-        out = [seg.rec.keys_front_to_back() for seg in self.segments]
-        self.meter.count = saved
-        return out
+        return [[leaf.key for leaf in seg.rec] for seg in self.segments]
 
     def audit(self):
         assert self.n == sum(seg.size for seg in self.segments)
@@ -263,18 +188,16 @@ class SeqWorkingSetMap:
                     f"segment {i} not full: {seg.size}/{seg.cap}"
             else:
                 assert 0 < seg.size <= seg.cap
-            assert seg.rec.size == seg.size
-            node = seg.rec.head
-            count = 0
-            while node is not None:
-                assert node.leaf.twin is node
-                assert node.leaf.alive
-                v = node.leaf.key.value
-                assert v not in seen
+            assert len(seg.rec) == seg.size, \
+                f"segment {i} recency order holds {len(seg.rec)} of " \
+                f"{seg.size} leaves"
+            for leaf in seg.rec:
+                assert leaf.alive, f"dead leaf {leaf.key!r} in segment {i}"
+                v = leaf.key.value
+                assert v not in seen, f"key {v!r} in two segments"
                 seen.add(v)
-                count += 1
-                node = node.next
-            assert count == seg.size
+            assert set(map(id, seg.rec)) == set(map(id, seg.keys.leaves())), \
+                f"segment {i}: order and key tree hold different leaves"
             seg.keys.audit(sorted_keys=True)
         if self.segments:
             import math

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .runtime import Par, merge_sort_task, par_map
+from .runtime import Par, merge, merge_sort_task, par_map
 from .seqmap import SeqWorkingSetMap
 
 
@@ -44,25 +44,10 @@ def esort(keys):
     merged = []
     for seg in d.segments:
         seg_items = seg.keys.items()  # already key-sorted
-        merged = _merge(merged, seg_items)
+        merged = merge(merged, seg_items, key=lambda kv: kv[0])
     out = []
     for _key, tag in merged:
         out.extend(tag)
-    return out
-
-
-def _merge(a, b):
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if b[j][0] < a[i][0]:
-            out.append(b[j])
-            j += 1
-        else:
-            out.append(a[i])
-            i += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
     return out
 
 

@@ -9,6 +9,7 @@ from wsmap.core import (
     oracle_replay, validate_batch_preserving,
 )
 from wsmap.runtime import Runtime
+from wsmap.segments import PairedSegment, preload_segment
 
 
 def _make(rt, p):
@@ -183,3 +184,51 @@ def test_append_after_deletion_empties_last_segment():
                         width=8, seed=2, p=8, name="hot_zipf_m1")
     report = run_experiment(spec, "m1", audit=True)
     assert not report.failed(), report.failed()
+
+
+def _preloaded(n):
+    """An M1 map warm-started with keys 0..n-1, most recent first."""
+    m = BatchedWorkingSetMap(Runtime(p=4), 4)
+    m.preload([(Key(v), v) for v in range(n)])
+    return m
+
+
+def _break_a_twin_link(m):
+    a, b = m.segments[1].keys.leaves()[:2]
+    a.twin = b.twin
+
+
+def _resize_segment_1(m, size):
+    seg = m.segments[1]
+    pairs = [(lf.key, lf.val) for lf in seg.rec.leaves()]
+    pairs = (pairs + [(Key(-v - 1), None) for v in range(size)])[:size]
+    m.segments[1] = PairedSegment(1, m.meter)
+    preload_segment(m.segments[1], pairs)
+    m.n += size - len(seg.keys)
+
+
+def _overfill_segment_1(m):
+    _resize_segment_1(m, 5)
+
+
+def _shorten_segment_1(m):
+    _resize_segment_1(m, 3)
+
+
+def _miscount_n(m):
+    m.n += 1
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_break_a_twin_link, "broken twin"),
+    (_overfill_segment_1, "segment 1 over capacity"),
+    (_shorten_segment_1, "segment 1 not exactly full"),
+    (_miscount_n, "wrong n"),
+])
+def test_audit_segments_catches_corrupted_state(corrupt, message):
+    m = _preloaded(7)
+    assert [seg.size for seg in m.segments] == [2, 4, 1]
+    m.audit_segments()
+    corrupt(m)
+    with pytest.raises(AssertionError, match=message):
+        m.audit_segments()

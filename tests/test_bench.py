@@ -39,10 +39,15 @@ def test_workload_spec_round_trip():
     ({"zipf_s": math.nan}, "zipf_s must be a finite number"),
     ({"zipf_s": math.inf}, "zipf_s must be a finite number"),
     ({"zipf_s": True}, "zipf_s must be a finite number"),
+    ({"zipf_s": 2000.0}, "zipf_s must be <= 1000 / log2(universe) = 125 "),
+    ({"zipf_s": 2000}, "zipf_s must be <= 1000 / log2(universe) = 125 "),
+    ({"zipf_s": -400.0}, "zipf_s must be >= 0"),
+    ({"zipf_s": 10 ** 400}, "zipf_s must be <= 1000 / log2(universe)"),
     ({"name": 7}, "name must be a string"),
 ], ids=["n_ops_0", "width_0", "universe_0", "mix_key_typo", "mix_negative",
         "hot_window_0", "p_3", "zipf_s_string", "zipf_s_nan", "zipf_s_inf",
-        "zipf_s_bool", "name_number"])
+        "zipf_s_bool", "zipf_s_large_float", "zipf_s_large_int",
+        "zipf_s_negative", "zipf_s_huge_int", "name_number"])
 def test_workload_spec_rejects_bad_fields(fields, message):
     with pytest.raises(ValueError) as info:
         WorkloadSpec(**fields)

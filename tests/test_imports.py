@@ -1,7 +1,8 @@
 """Every name a wsmap module imports is used in that module.
 
 No linter ships with the project, so this stdlib-only check stands in for
-one. `__init__.py` is skipped: its imports are the package's re-exports.
+one. `__init__.py` is skipped: its imports are the package's re-exports,
+and `__all__` must list exactly those.
 """
 
 import ast
@@ -10,10 +11,9 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "wsmap"
 
 
-def unused_imports(source):
-    """(line, name) of each imported name that no expression in source
-    reads; `from __future__` imports are compiler directives and skipped."""
-    tree = ast.parse(source)
+def imported_names(tree):
+    """{name: line} of each name an ast module imports; `from __future__`
+    imports are compiler directives and skipped."""
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -22,6 +22,14 @@ def unused_imports(source):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
+    return imported
+
+
+def unused_imports(source):
+    """(line, name) of each imported name that no expression in source
+    reads."""
+    tree = ast.parse(source)
+    imported = imported_names(tree)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted((line, name) for name, line in imported.items()
                   if name not in used)
@@ -40,3 +48,12 @@ def test_no_unused_imports_in_src():
              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
              for line, name in unused_imports(path.read_text())]
     assert not found, f"unused imports: {found}"
+
+
+def test_init_exports_exactly_its_imports():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    exported = next(ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and [t.id for t in node.targets] == ["__all__"])
+    assert len(exported) == len(set(exported)), "duplicate names in __all__"
+    assert set(exported) == set(imported_names(tree))

@@ -283,7 +283,7 @@ def _final_slab_leaves(m):
 
 def _filter_holds_a_first_slab_key(m):
     m.filter.insert(m.segments[0].keys.leaves()[0].key, None)
-    m.gate.flag.held = True   # mid-cycle: in-flight keys may lag the filter
+    m.gate.held = True   # mid-cycle: in-flight keys may lag the filter
 
 
 def _duplicate_in_flight_key(m):

@@ -183,3 +183,83 @@ def test_miss_cost_logarithmic():
     assert not found
     cost = (m.steps - before_steps) + (ctr.count - before_cmp)
     assert cost <= 40 * (math.log2(23) + 1)
+
+
+def test_meter_charge_on_each_path():
+    # The meter (tree node touches plus one step per recency link or unlink)
+    # after each op; the shipped digests pin only the totals, so a drift on
+    # one path shows here by name. S[0] holds 2 items, S[1] 4.
+    m = SeqWorkingSetMap()
+    ks = _keys("abcdefg")
+    path = [
+        ("insert a: opens S[0]", lambda: m.insert(ks["a"], 1), 2),
+        ("insert b into S[0]", lambda: m.insert(ks["b"], 2), 6),
+        ("hit inside S[0]", lambda: m.search(ks["b"]), 10),
+        ("insert c: opens S[1]", lambda: m.insert(ks["c"], 3), 14),
+        ("insert d", lambda: m.insert(ks["d"], 4), 20),
+        ("insert e", lambda: m.insert(ks["e"], 5), 27),
+        ("insert f: fills S[1]", lambda: m.insert(ks["f"], 6), 37),
+        ("insert g: opens S[2]", lambda: m.insert(ks["g"], 7), 44),
+        ("hit in S[1]: promote e, demote a", lambda: m.search(ks["e"]), 67),
+        ("delete b: refill S[0] and S[1], drop S[2]",
+         lambda: m.delete(ks["b"]), 89),
+        ("update g: hit in S[1]", lambda: m.update(ks["g"], 8), 112),
+        ("search miss", lambda: m.search(Key("zz")), 117),
+    ]
+    for name, op, steps in path:
+        op()
+        assert m.steps == steps, name
+    assert [[k.value for k in seg] for seg in m.dump()] == \
+        [["g", "e"], ["a", "c", "d", "f"]]
+    m.audit()
+
+
+def _drop_a_leaf_from_the_order(m):
+    seg = m.segments[1]
+    del seg.rec[next(iter(seg.rec))]
+
+
+def _leave_a_dead_leaf_in_the_order(m):
+    # the key tree gets a fresh leaf; the order keeps the old, dead one
+    seg = m.segments[1]
+    leaf = next(iter(seg.rec))
+    seg.keys.delete_leaf(leaf)
+    seg.keys.insert(leaf.key, leaf.val)
+
+
+def _swap_leaves_between_orders(m):
+    a, b = m.segments[0], m.segments[1]
+    la, lb = next(iter(a.rec)), next(iter(b.rec))
+    del a.rec[la], b.rec[lb]
+    a.rec[lb] = b.rec[la] = None
+
+
+def _shorten_a_non_final_segment(m):
+    seg = m.segments[0]
+    leaf = next(reversed(seg.rec))
+    del seg.rec[leaf]
+    seg.keys.delete_leaf(leaf)
+    m.n -= 1
+
+
+def _one_key_in_two_segments(m):
+    seg = m.segments[-1]
+    first = next(iter(m.segments[0].rec))
+    seg.rec[seg.keys.insert(Key(first.key.value), None)] = None
+    m.n += 1
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_drop_a_leaf_from_the_order, "recency order holds 3 of 4 leaves"),
+    (_leave_a_dead_leaf_in_the_order, "dead leaf"),
+    (_swap_leaves_between_orders, "different leaves"),
+    (_shorten_a_non_final_segment, "segment 0 not full"),
+    (_one_key_in_two_segments, "in two segments"),
+])
+def test_audit_catches_corrupted_state(corrupt, message):
+    m = SeqWorkingSetMap()
+    _fill(m, list("abcdefg"))
+    m.audit()
+    corrupt(m)
+    with pytest.raises(AssertionError, match=message):
+        m.audit()
