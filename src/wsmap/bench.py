@@ -199,7 +199,20 @@ class Report:
 
     @staticmethod
     def from_json(text):
-        return Report(**json.loads(text))
+        """Parse a report; any malformed input raises ValueError."""
+        data = json.loads(text)
+        names = sorted(f.name for f in fields(Report))
+        if not isinstance(data, dict) or sorted(data) != names:
+            raise ValueError(f"a report must be a JSON object with the "
+                             f"fields {names}")
+        lines = data["lines"]
+        need = {"name", "passed", "value"}
+        if not isinstance(lines, list) or not all(
+                isinstance(line, dict) and need <= line.keys()
+                for line in lines):
+            raise ValueError("report lines must be objects with a name, "
+                             "passed and value")
+        return Report(**data)
 
     def failed(self):
         return [line for line in self.lines if not line["passed"]]

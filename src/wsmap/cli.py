@@ -12,18 +12,26 @@ from pathlib import Path
 from .bench import Report, WorkloadSpec, render_table, run_experiment
 
 
+class _BadInput(Exception):
+    """A user input error; main prints it on one line and exits 2."""
+
+
 def _cmd_run(args):
     overrides = {name: value for name, value in
                  (("seed", args.seed), ("p", args.p)) if value is not None}
     try:
         spec = replace(WorkloadSpec.from_json(Path(args.workload).read_text()),
                        **overrides)
+    except OSError as exc:
+        raise _BadInput(f"cannot read workload {args.workload}: "
+                        f"{exc.strerror}") from None
     except ValueError as exc:
-        print(f"wsmap run: invalid workload {args.workload}: {exc}",
-              file=sys.stderr)
-        return 2
-    report = run_experiment(spec, args.structure, scheduler=args.scheduler)
+        raise _BadInput(f"invalid workload {args.workload}: {exc}") from None
     out = Path(args.out)
+    # a run can take minutes; a bad --out should not surface after it
+    if not out.parent.is_dir():
+        raise _BadInput(f"output directory {out.parent} does not exist")
+    report = run_experiment(spec, args.structure, scheduler=args.scheduler)
     out.write_text(report.to_json() + "\n")
     failed = report.failed()
     print(f"{args.structure}: {len(report.lines) - len(failed)}/"
@@ -31,8 +39,17 @@ def _cmd_run(args):
     return 1 if failed else 0
 
 
+def _load_report(path):
+    try:
+        return Report.from_json(Path(path).read_text())
+    except OSError as exc:
+        raise _BadInput(f"cannot read report {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise _BadInput(f"invalid report {path}: {exc}") from None
+
+
 def _cmd_check(args):
-    report = Report.from_json(Path(args.report).read_text())
+    report = _load_report(args.report)
     failed = report.failed()
     for line in report.lines:
         status = "ok" if line["passed"] else "FAIL"
@@ -41,8 +58,7 @@ def _cmd_check(args):
 
 
 def _cmd_table(args):
-    report = Report.from_json(Path(args.report).read_text())
-    print(render_table(report))
+    print(render_table(_load_report(args.report)))
     return 0
 
 
@@ -92,7 +108,11 @@ def main(argv=None):
     p_cal.set_defaults(fn=_cmd_calibrate)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _BadInput as exc:
+        print(f"wsmap {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

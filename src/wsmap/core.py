@@ -137,26 +137,6 @@ class Linearization:
         return Linearization(ops)
 
 
-class _Fenwick:
-    __slots__ = ("n", "tree")
-
-    def __init__(self, n):
-        self.n = n
-        self.tree = [0] * (n + 1)
-
-    def add(self, i, delta):
-        while i <= self.n:
-            self.tree[i] += delta
-            i += i & (-i)
-
-    def prefix(self, i):
-        s = 0
-        while i > 0:
-            s += self.tree[i]
-            i -= i & (-i)
-        return s
-
-
 def access_ranks(ops):
     """Access rank of every operation when ops run on an empty map.
 
@@ -169,9 +149,10 @@ def access_ranks(ops):
 
 
 def _ranks(steps):
-    """access_ranks over (kind, key value) pairs."""
+    """access_ranks over (kind, key value) pairs. A Fenwick tree over the op
+    indices holds one mark per member, at the op that last accessed it."""
     n = len(steps)
-    fen = _Fenwick(n)
+    fen = [0] * (n + 1)
     last_access = {}   # member key -> 1-based op index of last access mark
     last_op = {}
     present = set()
@@ -181,24 +162,30 @@ def _ranks(steps):
         found = k in present
         size = len(present)
         if found and kind != DELETE:
-            # a hit (search, update or insert of a member) moves k's mark;
-            # k's own mark sits at last_access[k] <= last_op[k], never counted
-            ranks.append(1 + size - fen.prefix(last_op.get(k, 0)))
-            fen.add(last_access[k], -1)
-            fen.add(idx, 1)
-            last_access[k] = idx
-        elif kind == INSERT:
-            ranks.append(size + 1)
-            present.add(k)
-            fen.add(idx, 1)
-            last_access[k] = idx
-        elif kind == DELETE and found:
-            ranks.append(size + 1)
-            present.discard(k)
-            fen.add(last_access[k], -1)
-            del last_access[k]
+            # a hit (search, update or insert of a member) counts the marks
+            # after k's last op; k's own mark sits at last_access[k] <=
+            # last_op[k], never counted
+            i, before = last_op[k], 0
+            while i:
+                before += fen[i]
+                i &= i - 1
+            ranks.append(1 + size - before)
         else:
             ranks.append(size + 1)
+        if found:
+            # a hit moves k's mark to this op, a delete drops it
+            i = last_access.pop(k)
+            while i <= n:
+                fen[i] -= 1
+                i += i & -i
+        if kind == DELETE:
+            present.discard(k)
+        elif found or kind == INSERT:
+            present.add(k)
+            last_access[k] = i = idx
+            while i <= n:
+                fen[i] += 1
+                i += i & -i
         last_op[k] = idx
     return ranks
 

@@ -92,17 +92,31 @@ class Tree23:
 
     def _refresh(self, node):
         self.meter.count += 1
+        kids = node.kids
         size = 0
-        for kid in node.kids:
+        for kid in kids:
             size += kid.size
         node.size = size
-        last = node.kids[-1]
+        last = kids[-1]
         node.hi = last.kv if type(last) is Leaf else last.hi
 
-    def _refresh_up(self, node):
-        while node is not None:
-            self._refresh(node)
-            node = node.parent
+    def _refresh_up(self, node, delta):
+        """Refresh node, whose kids changed, then add its size change
+        delta to every ancestor and pass its hi to each ancestor whose last
+        kid is on the path. Sizes and hi values must be exact when the
+        update starts, so this only follows non-lazy updates. One meter
+        step per node."""
+        self._refresh(node)
+        steps = 0
+        parent = node.parent
+        while parent is not None:
+            steps += 1
+            parent.size += delta
+            if parent.kids[-1] is node:
+                parent.hi = node.hi
+            node = parent
+            parent = node.parent
+        self.meter.count += steps
 
     def adopt(self, other):
         """Take over another tree's contents (used after split/rejoin)."""
@@ -189,10 +203,12 @@ class Tree23:
         _count(key, cmps + min(pos + 1, len(kids)))
         kids.insert(pos, leaf)
         leaf.parent = node
-        self._split_up(node)
+        self._split_up(node, 1)
         return leaf
 
-    def _split_up(self, node, lazy=False):
+    def _split_up(self, node, delta, lazy=False):
+        """Split node's overflow up the tree; the subtree under node grew
+        by delta leaves."""
         while len(node.kids) > 3:
             self.meter.count += 1
             right = Inner(node.kids[2:])
@@ -210,7 +226,7 @@ class Tree23:
             right.parent = parent
             node = parent
         if not lazy:
-            self._refresh_up(node)
+            self._refresh_up(node, delta)
 
     def _respine(self):
         """Recompute size/hi along both side spines bottom-up; this is where
@@ -268,7 +284,7 @@ class Tree23:
                 moved.parent = node
                 self._refresh(sib)
                 self._refresh(node)
-                self._refresh_up(parent)
+                self._refresh_up(parent, -1)
                 return
             # merge with the 2-kid sibling
             if sib_idx < idx:
@@ -281,7 +297,7 @@ class Tree23:
             parent.kids.remove(node)
             self._refresh(sib)
             node = parent
-        self._refresh_up(node)
+        self._refresh_up(node, -1)
 
     def delete_key(self, key):
         leaf = self.search(key)
@@ -354,7 +370,7 @@ class Tree23:
             node.kids.append(rb)
             rb.parent = node
             self.root, self.height = ra, ha
-            self._split_up(node, lazy)
+            self._split_up(node, rb.size, lazy)
         else:
             node = rb
             for _ in range(hb - ha - 1):
@@ -363,7 +379,7 @@ class Tree23:
             node.kids.insert(0, ra)
             ra.parent = node
             self.root, self.height = rb, hb
-            self._split_up(node, lazy)
+            self._split_up(node, ra.size, lazy)
         return self
 
     def _split(self, route):

@@ -81,6 +81,47 @@ def test_cli_run_rejects_bad_spec_with_status_2(tmp_path, capsys, structure):
     assert not out_path.exists()
 
 
+def test_cli_run_rejects_missing_workload_and_out_dir_with_status_2(
+        tmp_path, capsys, monkeypatch):
+    spec_path = tmp_path / "w.json"
+    out_path = tmp_path / "report.json"
+    argv = ["run", "--structure", "m0", "--workload", str(spec_path),
+            "--out", str(out_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"wsmap run: cannot read workload {spec_path}: ")
+    # a missing output directory is caught before the run starts
+    spec_path.write_text(WorkloadSpec(n_ops=20, p=4).to_json())
+    bad_out = tmp_path / "no_such_dir" / "report.json"
+    runs = []
+    monkeypatch.setattr("wsmap.cli.run_experiment",
+                        lambda *a, **k: runs.append(a))
+    assert main(argv[:-1] + [str(bad_out)]) == 2
+    assert runs == []
+    err = capsys.readouterr().err
+    assert err == (f"wsmap run: output directory {bad_out.parent} "
+                   f"does not exist\n")
+
+
+@pytest.mark.parametrize("command", ["check", "table"])
+@pytest.mark.parametrize("text", [
+    "[1, 2]", '{"lines": []}', "not json",
+    json.dumps({"structure": "m1", "spec": {}, "scheduler": "greedy",
+                "bound_report": {}, "metrics": {}, "ratios": {},
+                "lines": [{"name": "x"}]})])
+def test_cli_rejects_a_file_that_is_not_a_report_with_status_2(
+        tmp_path, capsys, command, text):
+    path = tmp_path / "r.json"
+    path.write_text(text)
+    assert main([command, "--report", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"wsmap {command}: invalid report {path}: ")
+    assert main([command, "--report", str(tmp_path / "missing.json")]) == 2
+    assert "cannot read report" in capsys.readouterr().err
+
+
 def test_generate_shapes_and_determinism():
     spec = WorkloadSpec(generator="uniform", n_ops=20, universe=8, width=4,
                         seed=3, p=4)

@@ -1,3 +1,4 @@
+import bisect
 import hashlib
 import random
 
@@ -308,6 +309,97 @@ def test_split_join_meter_and_shapes_pinned():
         "4722340a4a062fb195ca732efbb723705584992122e5799c397a66e68e06a212")
 
 
+def _rebalance_kind(leaf):
+    """The first rebalancing step delete_leaf(leaf) takes, read off the
+    shape before the delete: None, 'merge' or a borrow from one side."""
+    parent = leaf.parent
+    if parent is None or len(parent.kids) == 3 or parent.parent is None:
+        return None
+    kids = parent.parent.kids
+    idx = kids.index(parent)
+    sib = kids[idx - 1 if idx else 1]
+    if len(sib.kids) == 2:
+        return "merge"
+    return "borrow_left" if idx else "borrow_right"
+
+
+def _differential_trail(seed):
+    """Seeded inserts, key deletes, leaf deletes and joins of unequal
+    heights on one meter, each checked against a sorted list and audited
+    right after it runs. Returns the rebalancing steps and join directions
+    hit, and every intermediate (meter count, shape)."""
+    rnd = random.Random(seed)
+    meter = StepMeter()
+    hit, trail = set(), []
+
+    def check(t, model):
+        t.audit(sorted_keys=True)
+        assert [lf.kv for lf in t.leaves()] == model, seed
+        trail.append((meter.count, t.dump()))
+
+    def churn(t, model, lo, hi, n_ops):
+        for step in range(n_ops):
+            grow = 0.75 if step < n_ops // 2 else 0.3
+            if rnd.random() < grow or not model:
+                k = rnd.randrange(lo, hi)
+                if k not in model:
+                    t.insert(k)
+                    bisect.insort(model, k)
+            else:
+                height = t.height
+                if rnd.random() < 0.5:
+                    k = rnd.randrange(lo, hi)
+                    leaf = t.search(k)
+                    assert t.delete_key(k) is leaf
+                else:
+                    leaf = rnd.choice(t.leaves())
+                    hit.add(_rebalance_kind(leaf))
+                    t.delete_leaf(leaf)
+                if leaf is not None:
+                    model.remove(leaf.kv)
+                if t.height < height:
+                    hit.add("root_collapse")
+            check(t, model)
+
+    t, model = Tree23(meter), []
+    churn(t, model, 0, 300, rnd.randrange(150, 400))
+    for _ in range(4):
+        lo, hi = (model[0], model[-1] + 1) if model else (0, 0)
+        other, other_model = Tree23(meter), []
+        if rnd.random() < 0.5:
+            churn(other, other_model, hi, hi + 100, rnd.randrange(1, 60))
+            heights = t.height, other.height
+            t.join(other)
+            model += other_model
+        else:
+            churn(other, other_model, lo - 100, lo, rnd.randrange(1, 60))
+            heights = other.height, t.height
+            other.join(t)
+            t, model = other, other_model + model
+        if heights[0] != heights[1]:
+            hit.add("join_taller_left" if heights[0] > heights[1]
+                    else "join_taller_right")
+        check(t, model)
+        churn(t, model, lo - 100, hi + 100, rnd.randrange(20, 120))
+    return hit, trail
+
+
+def test_non_lazy_updates_match_a_sorted_list_per_op_pinned():
+    # insert, delete and join carry each size and hi change up the tree
+    # from the node that changed; a per-op audit catches a stale ancestor
+    # at once, and the pinned trail keeps every meter charge and shape
+    hits, trails = set(), []
+    for seed in range(8):
+        hit, trail = _differential_trail(seed)
+        hits |= hit
+        trails.append(trail)
+    assert hits >= {"borrow_left", "borrow_right", "merge", "root_collapse",
+                    "join_taller_left", "join_taller_right"}
+    assert sum(map(len, trails)) > 3000
+    assert hashlib.sha256(repr(trails).encode()).hexdigest() == \
+        "154f5e766a157f4aaa90706693cbf56227986ee19b302e1803af66b144c1d924"
+
+
 # -- audit corruption: each check must catch its own defect -------------------
 
 
@@ -511,9 +603,10 @@ def test_raw_value_routing_matches_the_reference_loops(monkeypatch):
         seen = []
         split_up = Tree23._split_up
 
-        def spy(self, node, lazy=False):
+        def spy(self, node, delta, lazy=False):
             seen.append((node, list(node.kids), self.meter.count))
-            return split_up(self, node, lazy)
+            assert delta == 1 and not lazy
+            return split_up(self, node, delta, lazy)
 
         monkeypatch.setattr(Tree23, "_split_up", spy)
         for v in _probe_values(t, rnd):
