@@ -2,9 +2,8 @@
 measurable effective work and span."""
 
 from .core import (
-    BoundReport, CmpCounter, Key, Linearization, Operation, OpResult,
-    access_rank, access_ranks, insert_working_set_bound, oracle_replay,
-    validate_batch_preserving, working_set_bound,
+    BoundReport, CmpCounter, Key, Operation, OpResult, access_ranks,
+    oracle_replay, validate_batch_preserving, working_set_bound,
 )
 from .runtime import (
     ActivationGate, DedicatedLock, ExecutionMetrics, Runtime, SimDeadlock,
@@ -16,9 +15,9 @@ from .bench import Report, WorkloadSpec, generate, run_experiment
 
 __all__ = [
     "ActivationGate", "BatchedWorkingSetMap", "BoundReport", "CmpCounter",
-    "DedicatedLock", "ExecutionMetrics", "Key", "Linearization", "Operation",
-    "OpResult", "PipelinedWorkingSetMap", "Report", "Runtime",
-    "SeqWorkingSetMap", "SimDeadlock", "WorkloadSpec", "access_rank",
-    "access_ranks", "generate", "insert_working_set_bound", "oracle_replay",
-    "run_experiment", "validate_batch_preserving", "working_set_bound",
+    "DedicatedLock", "ExecutionMetrics", "Key", "Operation", "OpResult",
+    "PipelinedWorkingSetMap", "Report", "Runtime", "SeqWorkingSetMap",
+    "SimDeadlock", "WorkloadSpec", "access_ranks", "generate",
+    "oracle_replay", "run_experiment", "validate_batch_preserving",
+    "working_set_bound",
 ]

@@ -206,12 +206,16 @@ class Report:
             raise ValueError(f"a report must be a JSON object with the "
                              f"fields {names}")
         lines = data["lines"]
-        need = {"name", "passed", "value"}
         if not isinstance(lines, list) or not all(
-                isinstance(line, dict) and need <= line.keys()
+                isinstance(line, dict)
+                and type(line.get("name")) is str
+                and type(line.get("passed")) is bool
+                and type(line.get("value")) in (int, float, bool)
+                and type(line.get("bound", 0)) in (int, float)
                 for line in lines):
-            raise ValueError("report lines must be objects with a name, "
-                             "passed and value")
+            raise ValueError("report lines must be objects with a string "
+                             "name, a boolean passed, a number value and, "
+                             "if any, a number bound")
         return Report(**data)
 
     def failed(self):
@@ -315,24 +319,15 @@ def run_experiment(spec, structure, scheduler=None, audit=True):
             "batch_preserving",
             validate_batch_preserving(m.cut_batches, lin_ops), 1))
 
-    rank_by_id = {op.op_id: r for op, r in zip(lin_ops, ranks)}
-    n_max = 1
-    present = set()
-    for op in lin_ops:
-        if op.kind == INSERT:
-            present.add(op.key.value)
-        elif op.kind == DELETE:
-            present.discard(op.key.value)
-        n_max = max(n_max, len(present))
-
     work_bound = rep.w_l + rep.e_l * logp
     work_ratio = metrics.ds_work / max(work_bound, 1.0)
     ratios["work_per_bound"] = work_ratio
     d = spec.depth
     if structure == "m1":
-        span_bound = spec.n_ops / p + d * (logp ** 2 + math.log2(n_max + 1))
+        span_bound = spec.n_ops / p + d * (logp ** 2 + math.log2(rep.n_max + 1))
         key_work, key_span = "m1_work", "m1_span"
     else:
+        rank_by_id = {op.op_id: r for op, r in zip(lin_ops, ranks)}
         s_l = chain_weighted_span(chains, rank_by_id)
         span_bound = rep.w_l / p + d * logp ** 2 + s_l
         ratios["s_l"] = s_l
@@ -372,8 +367,7 @@ def run_experiment(spec, structure, scheduler=None, audit=True):
 
 
 def _bound_dict(rep):
-    return {"W_L": rep.w_l, "IW_L": rep.iw_l, "e_L": rep.e_l,
-            "N": rep.n_ops, "log_base": rep.log_base}
+    return {"W_L": rep.w_l, "e_L": rep.e_l, "N": rep.n_ops}
 
 
 def render_table(report):

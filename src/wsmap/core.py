@@ -1,4 +1,4 @@
-"""Keys, operations, linearizations and working-set accounting.
+"""Keys, operations and working-set accounting.
 
 Everything here is value-level and single-threaded: the counting comparator,
 the rank/bound computations of the cost model, and the sequential reference
@@ -16,8 +16,6 @@ DELETE = "delete"
 UPDATE = "update"
 
 KINDS = (SEARCH, INSERT, DELETE, UPDATE)
-
-LOG_BASE = 2.0
 
 
 class CmpCounter:
@@ -103,38 +101,9 @@ class OpResult:
 @dataclass
 class BoundReport:
     w_l: float
-    iw_l: float
     e_l: int
     n_ops: int
-    log_base: float = LOG_BASE
-
-
-@dataclass
-class Linearization:
-    """An operation order with its text form."""
-
-    ops: list
-
-    def to_text(self):
-        lines = []
-        for op in self.ops:
-            parts = [str(op.op_id), op.kind, str(op.key.value)]
-            if op.payload is not None:
-                parts.append(str(op.payload))
-            lines.append(" ".join(parts))
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    @staticmethod
-    def from_text(text, ctr=None):
-        ops = []
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            parts = line.split()
-            payload = int(parts[3]) if len(parts) > 3 else None
-            ops.append(Operation(int(parts[0]), parts[1],
-                                 Key(int(parts[2]), ctr), payload))
-        return Linearization(ops)
+    n_max: int
 
 
 def access_ranks(ops):
@@ -143,22 +112,18 @@ def access_ranks(ops):
     A successful search/update counts the distinct members accessed since
     the last operation naming the same key (that key included); inserts,
     deletes and misses rank n+1. A deletion (or any other op naming x)
-    resets x's recency window.
+    resets x's recency window. A Fenwick tree over the op indices holds one
+    mark per member, at the op that last accessed it.
     """
-    return _ranks([(op.kind, op.key.value) for op in ops])
-
-
-def _ranks(steps):
-    """access_ranks over (kind, key value) pairs. A Fenwick tree over the op
-    indices holds one mark per member, at the op that last accessed it."""
-    n = len(steps)
+    n = len(ops)
     fen = [0] * (n + 1)
     last_access = {}   # member key -> 1-based op index of last access mark
     last_op = {}
     present = set()
     ranks = []
     # each member holds exactly one live mark, so len(present) counts them
-    for idx, (kind, k) in enumerate(steps, 1):
+    for idx, op in enumerate(ops, 1):
+        kind, k = op.kind, op.key.value
         found = k in present
         size = len(present)
         if found and kind != DELETE:
@@ -190,50 +155,30 @@ def _ranks(steps):
     return ranks
 
 
-def access_rank(ops, index):
-    """Rank of the op at index within the prefix ops[:index+1]."""
-    if not 0 <= index < len(ops):
-        raise IndexError(f"op index {index} out of range")
-    return access_ranks(ops[:index + 1])[index]
-
-
 def working_set_bound(ops, p=None, ranks=None):
-    """W_L = sum(log2(r_i) + 1); e_L counts ops run while the map has fewer
-    than p members (0 when p is None). Pass ranks when access_ranks(ops) is
-    already at hand."""
+    """W_L = sum(log2(r_i) + 1). One walk over the member set counts e_L,
+    the ops run while the map has fewer than p members (0 when p is None),
+    and n_max, the most members the map ever holds (at least 1). Pass ranks
+    when access_ranks(ops) is already at hand."""
     if ranks is None:
         ranks = access_ranks(ops)
     w = 0.0
     for r in ranks:
         w += math.log2(r) + 1.0
+    below = 0 if p is None else p
     e = 0
-    if p is not None:
-        present = set()
-        for op in ops:
-            if len(present) < p:
-                e += 1
-            k = op.key.value
-            if op.kind == INSERT:
-                present.add(k)
-            elif op.kind == DELETE:
-                present.discard(k)
-    iw = insert_working_set_bound(ops)
-    return BoundReport(w, iw, e, len(ops))
-
-
-def insert_working_set_bound(ops_or_keys):
-    """W of searching then inserting-iff-absent each item, in order, into an
-    initially empty map."""
-    derived = []
-    seen = set()
-    for item in ops_or_keys:
-        k = (item.key if isinstance(item, Operation) else item).value
-        derived.append((SEARCH, k))
-        if k not in seen:
-            derived.append((INSERT, k))
-            seen.add(k)
-    ranks = _ranks(derived)
-    return sum(math.log2(r) + 1.0 for r in ranks)
+    n_max = 1
+    present = set()
+    for op in ops:
+        if len(present) < below:
+            e += 1
+        if op.kind == INSERT:
+            present.add(op.key.value)
+            if len(present) > n_max:
+                n_max = len(present)
+        elif op.kind == DELETE:
+            present.discard(op.key.value)
+    return BoundReport(w, e, len(ops), n_max)
 
 
 def oracle_replay(ops):
@@ -268,8 +213,7 @@ def validate_batch_preserving(batches, lin):
     """True iff lin keeps batch order and, within each batch, the relative
     order of operations on the same item."""
     expected = [op.op_id for batch in batches for op in batch]
-    got = [op.op_id for op in lin.ops] if isinstance(lin, Linearization) else \
-        [op.op_id for op in lin]
+    got = [op.op_id for op in lin]
     if len(set(expected)) != len(expected):
         raise ValueError("duplicate op_id across batches")
     if sorted(expected) != sorted(got):

@@ -12,7 +12,6 @@ A task yields one of:
   through a join node that has both branch-final nodes as parents,
 * ``Call(g, ...)``  -- run g as a single child task (possibly with a
   different owner/queue) and resume with its result,
-* ``Detach(g, ...)``-- fire-and-forget child task,
 * ``Acquire(lock, key)`` -- blocking acquire of a dedicated lock,
 * ``Park(fn)``      -- suspend this task; ``fn(handle)`` stores the handle
   somewhere; another node later calls ``rt.resume(handle, value)``.
@@ -89,10 +88,6 @@ class Sub:
 
 
 class Call(Sub):
-    __slots__ = ()
-
-
-class Detach(Sub):
     __slots__ = ()
 
 
@@ -253,15 +248,6 @@ class Runtime:
         """(program, buffer, ds) node counts along the executing node's
         longest incoming path; task code may sample it between yields."""
         return tuple(self._cur_task.path)
-
-    def export_trace(self, path):
-        """Write the execution trace as '<step> <node_id> <owner> <queue>'
-        lines; requires trace=True."""
-        if self.trace is None:
-            raise ValueError("runtime was created without trace=True")
-        with open(path, "w") as fh:
-            for step, node_id, owner, queue in self.trace:
-                fh.write(f"{step} {node_id} {owner} {queue}\n")
 
     def _stage(self, task):
         self._staged.append(task)
@@ -518,9 +504,6 @@ class Runtime:
             child = self._spawn(effect, task, task.path[:])
             child.parent = task
             child.branch = None
-        elif isinstance(effect, Detach):
-            self._spawn(effect, task, task.path[:])
-            self._stage(task)
         elif isinstance(effect, Acquire):
             lock, key = effect.lock, effect.key
             if not 1 <= key <= lock.k:

@@ -162,22 +162,6 @@ class SeqWorkingSetMap:
         self._attach(last, key, val, "back")
         self.n += 1
 
-    # -- test hooks (not metered) ---------------------------------------------------
-
-    def rank_of(self, key):
-        """1-based position in segment order then recency order."""
-        base = 0
-        for seg in self.segments:
-            for pos, leaf in enumerate(seg.rec, 1):
-                if leaf.key == key:
-                    return base + pos
-            base += seg.size
-        raise KeyError(f"rank_of: {key!r} not present")
-
-    def dump(self):
-        """Segment contents front-to-back, for golden tests."""
-        return [[leaf.key for leaf in seg.rec] for seg in self.segments]
-
     def audit(self):
         assert self.n == sum(seg.size for seg in self.segments)
         seen = set()

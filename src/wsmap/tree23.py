@@ -506,14 +506,6 @@ class Tree23:
 
     # -- debug / audits (test instrumentation; not metered) ----------------------------
 
-    def dump(self):
-        """Nested-list shape of the tree, leaves as their keys."""
-        def walk(node):
-            if type(node) is Leaf:
-                return node.key
-            return [walk(kid) for kid in node.kids]
-        return None if self.root is None else walk(self.root)
-
     def audit(self, sorted_keys=False):
         """Check, level by level, arity, parent links, sizes, hi values,
         that every leaf sits at depth height and, with sorted_keys, that

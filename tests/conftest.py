@@ -8,6 +8,7 @@ from wsmap.core import (
     CmpCounter, DELETE, INSERT, Key, Operation, SEARCH, UPDATE,
 )
 from wsmap.runtime import Runtime, DS, par_map
+from wsmap.tree23 import Leaf
 
 
 def run_task(gen, p=8, scheduler="greedy", owner=DS, trace=False):
@@ -70,3 +71,29 @@ def chunk_chains(ops, width):
         return [ops]
     size = (len(ops) + width - 1) // width
     return [ops[i:i + size] for i in range(0, len(ops), size)]
+
+
+def tree_dump(tree):
+    """Nested-list shape of a Tree23, leaves as their keys."""
+    def walk(node):
+        if type(node) is Leaf:
+            return node.key
+        return [walk(kid) for kid in node.kids]
+    return None if tree.root is None else walk(tree.root)
+
+
+def seq_dump(m):
+    """A SeqWorkingSetMap's segment contents front-to-back."""
+    return [[leaf.key for leaf in seg.rec] for seg in m.segments]
+
+
+def rank_of(m, key):
+    """1-based position of key in a SeqWorkingSetMap, in segment order then
+    recency order."""
+    base = 0
+    for seg in m.segments:
+        for pos, leaf in enumerate(seg.rec, 1):
+            if leaf.key == key:
+                return base + pos
+        base += seg.size
+    raise KeyError(f"rank_of: {key!r} not present")

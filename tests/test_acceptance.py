@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from conftest import run_task
+from conftest import rank_of, run_task
 from wsmap.batched import BatchedWorkingSetMap
 from wsmap.bench import WorkloadSpec, generate, run_experiment
 from wsmap.calibrate import (
@@ -25,7 +25,7 @@ from wsmap.core import (
 )
 from wsmap.pipelined import PipelinedWorkingSetMap
 from wsmap.runtime import (
-    Acquire, Call, DedicatedLock, Detach, Par, Q1, Runtime, Sub, par_map,
+    Acquire, Call, DedicatedLock, Par, Q1, Runtime, Sub, par_map,
 )
 from wsmap.seqmap import SeqWorkingSetMap
 from wsmap.sortlib import esort, pesort_task, ppivot_task
@@ -51,9 +51,6 @@ def execute_inline(gen):
                          for b in (effect.left, effect.right))
         elif isinstance(effect, Call):
             send = execute_inline(effect.gen)
-        elif isinstance(effect, Detach):
-            execute_inline(effect.gen)
-            send = None
         else:
             raise TypeError(f"inline execution cannot handle {effect!r}")
 
@@ -102,12 +99,12 @@ def test_criterion_2_m0_working_set_bound():
     for op in chains[0]:
         if op.kind == SEARCH:
             try:
-                q = m.rank_of(op.key)
+                q = rank_of(m, op.key)
             except KeyError:
                 q = None
             found, _ = m.search(op.key)
             if found and q is not None:
-                q2 = m.rank_of(op.key)
+                q2 = rank_of(m, op.key)
                 if q2 > 2 * math.sqrt(q):
                     promo_ok = False
                     break

@@ -104,12 +104,25 @@ def test_cli_run_rejects_missing_workload_and_out_dir_with_status_2(
                    f"does not exist\n")
 
 
+def _report_text(line):
+    return json.dumps({"structure": "m1", "spec": {}, "scheduler": "greedy",
+                       "bound_report": {}, "metrics": {}, "ratios": {},
+                       "lines": [line]})
+
+
+# The last four passed `check` as ok, or made `table` die with a traceback,
+# before Report.from_json checked the type of each line field.
 @pytest.mark.parametrize("command", ["check", "table"])
 @pytest.mark.parametrize("text", [
-    "[1, 2]", '{"lines": []}', "not json",
-    json.dumps({"structure": "m1", "spec": {}, "scheduler": "greedy",
-                "bound_report": {}, "metrics": {}, "ratios": {},
-                "lines": [{"name": "x"}]})])
+    "[1, 2]", '{"lines": []}', "not json", _report_text({"name": "x"}),
+    pytest.param(_report_text({"name": "x", "passed": "no", "value": 1}),
+                 id="passed_string"),
+    pytest.param(_report_text({"name": "x", "passed": True, "value": 1.5,
+                               "bound": "x"}), id="bound_string"),
+    pytest.param(_report_text({"name": 7, "passed": True, "value": 1}),
+                 id="name_number"),
+    pytest.param(_report_text({"name": "x", "passed": True, "value": "1"}),
+                 id="value_string")])
 def test_cli_rejects_a_file_that_is_not_a_report_with_status_2(
         tmp_path, capsys, command, text):
     path = tmp_path / "r.json"
@@ -244,6 +257,8 @@ def test_run_experiment_all_lines_pass(structure):
 # slab open, so its rank-audited run boundaries and final-slab segments are
 # pinned too. The m0 case is the coldest_m0 shape at 1,000 ops: its
 # steps_per_wl includes every key comparison the 2-3 trees charge.
+# Each case is named by its map and spec rather than by its digest, so a
+# re-pinned digest keeps the test's name.
 _HOT_MIX = {"search": 0.7, "insert": 0.15, "delete": 0.1, "update": 0.05}
 _DEEP_MIX = {"search": 0.15, "insert": 0.75, "delete": 0.05, "update": 0.05}
 _FIRST_SLAB_ONLY = WorkloadSpec(generator="zipf", n_ops=300, universe=256,
@@ -258,21 +273,22 @@ _FINAL_SLAB_OPEN = WorkloadSpec(generator="uniform", n_ops=600, universe=8192,
     ("m1", WorkloadSpec(generator="zipf", n_ops=300, universe=256,
                         mix=_HOT_MIX, width=8, seed=1, p=8,
                         name="hot_zipf_m1"),
-     "23157018594a93d3edb560eb84e04cfb184862614e330a5695bb9469c80a49a1"),
+     "4324fe462f98b5531a194435ee26a1144c35898af0bc20f8a1c439920706631a"),
     ("m2", WorkloadSpec(generator="uniform", n_ops=400, universe=8192,
                         mix=_DEEP_MIX, width=8, seed=1, p=8,
                         name="deep_insert_m2"),
-     "fa6fafd074f51cdcd7d37fa8ff90aa1a82d20ad4f5b5db99cce667498568233f"),
+     "2854269cc82db5e98e8c8f601a07d920406c87c80d38bff088c77b95bbdf2100"),
     ("m2", _FIRST_SLAB_ONLY,
-     "c49254b4bcf257ec304ab5f4241177c42e72ad5c69219362b1a2c7a4fc911efd"),
+     "ed3da97e437ca9db73efe93423d61abc0d7723e1d012f0aed9cf563d3d692e96"),
     ("m2", _FINAL_SLAB_OPEN,
-     "26786975275956ace49c3f230ca9d0b53460c3a6439650717fc991e9552909f9"),
+     "97d1d0c3f62c11164ad9cd3f89a5b197193511a1d5682e7df12769dcecaef135"),
     ("m0", WorkloadSpec(generator="coldest", n_ops=1000, universe=4096,
                         mix={"search": 0.6, "insert": 0.35, "delete": 0.05,
                              "update": 0.0},
                         width=1, seed=1, p=4, name="coldest_m0"),
-     "249bac75bc03e1891d4b56016be85badf7014a493a22458011936e5d155d73f1"),
-])
+     "47359b1b6489b5deb624ada642d96b6e4e708b78f8fde480dee578d6ffababd7"),
+], ids=["m1-hot_zipf_m1", "m2-deep_insert_m2-400", "m2-first_slab_m2",
+        "m2-deep_insert_m2-600", "m0-coldest_m0"])
 def test_report_digest_pinned(structure, spec, digest, monkeypatch):
     runs = []
     run_parallel = bench._run_parallel
@@ -299,30 +315,31 @@ _SHIPPED = Path(__file__).resolve().parent.parent / "workloads"
 
 @pytest.mark.parametrize("workload, structure, digest", [
     ("coldest_serial", "m0",
-     "fedf2171fcc7e6cd5c39b453f65b1072919253574c7ba381a45baa49bfb62057"),
+     "345ba24ae48b5238ea29b1dc453dcbd764e31d3df375088e74f975f18caf8086"),
     ("coldest_serial", "m1",
-     "f35a6d0bdfce1af1900f5b24a72ea5f873ec0db7bd07e7d9d6656363c2c595c9"),
+     "4fa5f3cfbdcd9a468f48c766393f4de29b274a848411a7a712edc614b51899b3"),
     ("coldest_serial", "m2",
-     "6879ab77c8bef9f33f2ed3e692acc08eb9dc9e7907fd5e364f4f1650dc197265"),
+     "4a4a1077e4986eb1c140b3befa34e2caf2f3f8a309148e9c695c7376a26d8eb2"),
     ("hotset_mixed", "m0",
-     "47d5a987d73175ce767b4dd5ca5866733a3b24729e9bb6664acd42d05b6bfb38"),
+     "2360da27e48bc5ad2d91185146f641c701ac3750c0529ab29ab8154f60ff1754"),
     ("hotset_mixed", "m1",
-     "05da53ac203a90ca748236a6cfa056534e31371231f2c71243463b896f28eec8"),
+     "87bfab5b2485ae26c0a0f2e5de6468921a07061dd1e727be2155015926ba225b"),
     ("hotset_mixed", "m2",
-     "63a6d63972250600a89e51329f6109bb88e3b87a18d1e1319eafab939b6ca69d"),
+     "0205fdd35401b50ae6c9d0253178734a90e25b16dd7841513d6cffe2fe912fc4"),
     ("uniform_wide", "m0",
-     "47ac0a5d39eda65b63276ec65f06bb9f0e196e2372cdb4ad27f64edefb61c513"),
+     "06339532bb08dcb4b11d52c5bf9dff0c0252d033986fe892286c04334cd26989"),
     ("uniform_wide", "m1",
-     "038663b001c694f95ea0c352d028bb1e0bc447cd0fefca3215a103a7b53695ec"),
+     "8ddacec86191e9edc0993fb8a6d6b0636c86476404f0bf33bbdc94cb78db3beb"),
     ("uniform_wide", "m2",
-     "f5df15f58a6dd816b05d704dce127375baa1e90c38f5b979d3a92c537713f76b"),
+     "ae6dbcd6c7d284970c305ab369c105e7219cfb8246bf0676aa746edefa121b8a"),
     ("zipf_small", "m0",
-     "54f279989b5d6cb217bfcf41fc5644eeaddd4128edefb3e3c512456c7df5f7c5"),
+     "c0ca13b7c7e8df99f7aaebd617065c039ce73d94b19be5848ab4a0f5337fd573"),
     ("zipf_small", "m1",
-     "24660631a04c6da4dc1d057f6d6c4fa7504cb5ad0ebdf25cd2aee24147374399"),
+     "e7f4402caef230f9c5f569782647beb64dc3be28c425726009b195c096433c81"),
     ("zipf_small", "m2",
-     "c7557834d3e7a64aca161c89987a941e4aed67da8844622889e963016763b55c"),
-])
+     "62eeebcfddc08370b1eb5231e43a1c33644b7767d60e787d35d8e1ffbc8bae3a"),
+], ids=[f"{w}-{s}" for w in ("coldest_serial", "hotset_mixed", "uniform_wide",
+                              "zipf_small") for s in ("m0", "m1", "m2")])
 def test_shipped_workload_digest_pinned(workload, structure, digest):
     spec = WorkloadSpec.from_json((_SHIPPED / f"{workload}.json").read_text())
     report = run_experiment(spec, structure)
@@ -391,7 +408,7 @@ def test_cli_run_check_table(tmp_path, capsys):
     assert main(["check", "--report", str(out_path)]) == 1
 
 
-def test_metrics_and_trace_formats(tmp_path):
+def test_metrics_and_trace_formats():
     from wsmap.runtime import Runtime
 
     rt = Runtime(p=4, trace=True)
@@ -403,8 +420,7 @@ def test_metrics_and_trace_formats(tmp_path):
     metrics = rt.run()
     d = metrics.to_dict()
     assert set(d) >= {"T1", "T_inf", "per_structure", "steps", "p"}
-    trace_path = tmp_path / "trace.txt"
-    rt.export_trace(trace_path)
-    for line in trace_path.read_text().splitlines():
-        assert len(line.split()) == 4
+    assert rt.trace
+    for entry in rt.trace:
+        assert len(entry) == 4
 

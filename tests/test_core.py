@@ -5,9 +5,8 @@ import pytest
 
 from conftest import random_ops
 from wsmap.core import (
-    CmpCounter, DELETE, INSERT, Key, Linearization, Operation, OpResult,
-    SEARCH, UPDATE, access_rank, access_ranks, insert_working_set_bound,
-    oracle_replay, validate_batch_preserving, working_set_bound,
+    CmpCounter, DELETE, INSERT, Key, Operation, OpResult, SEARCH, UPDATE,
+    access_ranks, oracle_replay, validate_batch_preserving, working_set_bound,
 )
 
 
@@ -33,13 +32,11 @@ def test_counting_comparator():
 
 def test_access_rank_examples():
     ops = _ops([(INSERT, "a"), (INSERT, "b"), (SEARCH, "a")])
-    assert access_rank(ops, 2) == 2
+    assert access_ranks(ops)[2] == 2
     ops = _ops([(INSERT, "a"), (SEARCH, "a")])
-    assert access_rank(ops, 1) == 1
+    assert access_ranks(ops)[1] == 1
     ops = _ops([(INSERT, "a"), (INSERT, "b"), (INSERT, "c")])
-    assert access_rank(ops, 2) == 3
-    with pytest.raises(IndexError):
-        access_rank(ops, 3)
+    assert access_ranks(ops)[2] == 3
 
 
 def test_access_rank_miss_and_delete_reset():
@@ -64,6 +61,41 @@ def test_working_set_bound_examples():
     # ranks 1,2,3,4: sum(log2 r + 1) = 1 + 2 + (log2 3 + 1) + 3
     assert working_set_bound(ops).w_l == pytest.approx(7 + math.log2(3))
     assert working_set_bound(ops).w_l >= len(ops)
+    # n_max is the most members at any point, deletes and misses included
+    ops = _ops([(INSERT, "a"), (INSERT, "b"), (DELETE, "a"), (DELETE, "z"),
+                (INSERT, "c"), (INSERT, "c"), (DELETE, "b"), (DELETE, "c")])
+    rep = working_set_bound(ops, p=4)
+    assert (rep.n_max, rep.e_l, rep.n_ops) == (2, 8, 8)
+    # without p, e_L is 0 and n_max is still counted
+    rep = working_set_bound(ops)
+    assert (rep.n_max, rep.e_l) == (2, 0)
+    assert working_set_bound(_ops([(INSERT, i) for i in range(5)])).n_max == 5
+    # an empty or member-free sequence keeps n_max at 1
+    rep = working_set_bound([], p=4)
+    assert (rep.n_max, rep.e_l, rep.n_ops) == (1, 0, 0)
+    assert working_set_bound(_ops([(SEARCH, "a"), (DELETE, "a")])).n_max == 1
+
+
+def test_member_walk_matches_prefix_recount():
+    # e_L and n_max against recounting the members of every prefix from
+    # scratch: a key is a member iff its last insert/delete was an insert
+    def members(prefix):
+        last = {}
+        for op in prefix:
+            if op.kind in (INSERT, DELETE):
+                last[op.key.value] = op.kind
+        return sum(kind == INSERT for kind in last.values())
+
+    rnd = random.Random(12)
+    for seed in range(6):
+        mix = rnd.choice([(0.5, 0.3, 0.1, 0.1), (0.1, 0.45, 0.4, 0.05)])
+        ops = random_ops(150, rnd.choice([6, 20, 60]), seed, mix=mix)
+        p = rnd.choice([4, 8, 16])
+        sizes = [members(ops[:i]) for i in range(len(ops) + 1)]
+        rep = working_set_bound(ops, p=p)
+        assert rep.e_l == sum(size < p for size in sizes[:-1])
+        assert rep.n_max == max(1, *sizes)
+        assert working_set_bound(ops).n_max == rep.n_max
 
 
 def test_small_op_count():
@@ -71,17 +103,6 @@ def test_small_op_count():
     rep = working_set_bound(ops, p=4)
     assert rep.e_l == 4   # sizes 0..3 are below p
     assert rep.n_ops == 10
-
-
-def test_insert_working_set_bound_examples():
-    ctr = CmpCounter()
-    keys = [Key(x, ctr) for x in "aba"]
-    derived_equal = insert_working_set_bound(keys)
-    # replay by hand: search a(1)+ins a(1), search b(2)+ins b(2), search a(2)
-    expect = (1 + 1) + ((math.log2(2) + 1) * 2) + (math.log2(2) + 1)
-    assert derived_equal == pytest.approx(expect)
-    assert insert_working_set_bound([Key("a", ctr)]) == pytest.approx(2.0)
-    assert insert_working_set_bound([]) == 0.0
 
 
 def test_incremental_ranks_match_brute_force():
@@ -204,16 +225,6 @@ def test_validate_batch_preserving():
     assert validate_batch_preserving(batches, [sa2, ia]) is False
     with pytest.raises(ValueError):
         validate_batch_preserving(batches, [ia])
-
-
-def test_linearization_round_trip():
-    ops = random_ops(50, 10, 5)
-    lin = Linearization(ops)
-    text = lin.to_text()
-    back = Linearization.from_text(text)
-    assert [o.op_id for o in back.ops] == [o.op_id for o in ops]
-    assert [o.key.value for o in back.ops] == [o.key.value for o in ops]
-    assert oracle_replay(back.ops) == oracle_replay(ops)
 
 
 def test_batch_preserving_replay_invariance():

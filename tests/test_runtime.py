@@ -7,8 +7,8 @@ from conftest import chunk_chains, random_ops
 from wsmap.batched import BatchedWorkingSetMap
 from wsmap.pipelined import PipelinedWorkingSetMap
 from wsmap.runtime import (
-    Acquire, ActivationGate, BUFFER, Call, DedicatedLock, Detach,
-    LockUsageError, Par, Park, Q1, Q2, Runtime, SimDeadlock, Sub, concat_tree,
+    Acquire, ActivationGate, BUFFER, Call, DedicatedLock, LockUsageError,
+    Par, Park, Q1, Q2, Runtime, SimDeadlock, Sub, concat_tree,
     merge_sort_task, par_map, PROGRAM, DS,
 )
 
@@ -403,7 +403,8 @@ def test_detach_runs_independently():
         hits.append("side")
 
     def main():
-        yield Detach(side())
+        rt.detach(side())
+        yield 1
         yield 1
         hits.append("main")
 
@@ -555,7 +556,8 @@ def _chain_left_by_detach(rt, handles, task):
         yield 3
         yield 1
         yield 4
-        yield Detach(task("side", _costs(2, 3)), owner=BUFFER)
+        rt.detach(task("side", _costs(2, 3)), owner=BUFFER)
+        yield 1
         yield 9
         rt.detach(task("inline", _costs(4, 1)), owner=DS, queue=Q1)
         yield 3
@@ -686,7 +688,11 @@ def _plan_task(rt, lock, plan):
         else:
             sub, owner, queue = action[1]
             child = _plan_task(rt, lock, sub)
-            yield (Call if kind == "call" else Detach)(child, owner, queue)
+            if kind == "call":
+                yield Call(child, owner, queue)
+            else:
+                rt.detach(child, owner, queue)
+                yield 1
 
 
 def _run_plans(plans, n_keys, p, scheduler, trace):

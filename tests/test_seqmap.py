@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import random_ops
+from conftest import random_ops, rank_of, seq_dump
 from wsmap.core import (
     CmpCounter, DELETE, INSERT, Key, SEARCH, UPDATE, oracle_replay,
     working_set_bound,
@@ -32,7 +32,7 @@ def test_singleton_search():
     ks = _fill(m, ["a"])
     found, val = m.search(ks["a"])
     assert found and val == "va"
-    assert m.rank_of(ks["a"]) == 1
+    assert rank_of(m, ks["a"]) == 1
     m.audit()
 
 
@@ -41,11 +41,11 @@ def test_search_promotion_trace():
     # the front of S[1] and demotes S[1]'s least recent item f into S[2]
     m = SeqWorkingSetMap()
     ks = _fill(m, list("abcdefg"))
-    assert [[k.value for k in seg] for seg in m.dump()] == \
+    assert [[k.value for k in seg] for seg in seq_dump(m)] == \
         [["a", "b"], ["c", "d", "e", "f"], ["g"]]
     found, val = m.search(ks["g"])
     assert found and val == "vg"
-    assert [[k.value for k in seg] for seg in m.dump()] == \
+    assert [[k.value for k in seg] for seg in seq_dump(m)] == \
         [["a", "b"], ["g", "c", "d", "e"], ["f"]]
     m.audit()
 
@@ -54,7 +54,7 @@ def test_search_inside_s0_moves_to_front():
     m = SeqWorkingSetMap()
     ks = _fill(m, ["a", "b"])
     m.search(ks["b"])
-    assert [[k.value for k in seg] for seg in m.dump()] == [["b", "a"]]
+    assert [[k.value for k in seg] for seg in seq_dump(m)] == [["b", "a"]]
     m.audit()
 
 
@@ -63,7 +63,7 @@ def test_delete_cascade_trace():
     ks = _fill(m, list("abcdefg"))
     found, _ = m.delete(ks["a"])
     assert found
-    assert [[k.value for k in seg] for seg in m.dump()] == \
+    assert [[k.value for k in seg] for seg in seq_dump(m)] == \
         [["b", "c"], ["d", "e", "f", "g"]]
     m.audit()
 
@@ -81,7 +81,7 @@ def test_duplicate_insert_updates_and_promotes():
     ks = _fill(m, list("abcdefg"))
     found, prior = m.insert(ks["g"], "new")
     assert found and prior == "vg"
-    assert m.dump()[1][0].value == "g"
+    assert seq_dump(m)[1][0].value == "g"
     assert m.search(ks["g"]) == (True, "new")
     m.audit()
 
@@ -96,7 +96,7 @@ def test_update_miss_is_unsuccessful():
 def test_rank_of_back_of_s1():
     m = SeqWorkingSetMap()
     ks = _fill(m, list("abcdef"))
-    assert m.rank_of(ks["f"]) == 6  # |S0| + |S1|
+    assert rank_of(m, ks["f"]) == 6  # |S0| + |S1|
 
 
 def test_oracle_equivalence_random():
@@ -127,10 +127,10 @@ def test_promotion_bound_every_access():
         m.insert(ks[v], v)
     for _ in range(2500):
         v = rnd.randrange(400)
-        q = m.rank_of(ks[v])
+        q = rank_of(m, ks[v])
         found, _ = m.search(ks[v])
         assert found
-        q2 = m.rank_of(ks[v])
+        q2 = rank_of(m, ks[v])
         assert q2 <= 2 * math.sqrt(q), f"rank {q} promoted only to {q2}"
     m.audit()
 
@@ -145,7 +145,7 @@ def test_found_segment_implies_deep_rank():
         m.insert(ks[v], v)
     for _ in range(1500):
         v = rnd.randrange(300)
-        q = m.rank_of(ks[v])
+        q = rank_of(m, ks[v])
         before = [seg.size for seg in m.segments]
         k = next(i for i, seg in enumerate(m.segments)
                  if seg.keys.search(ks[v]) is not None)
@@ -209,7 +209,7 @@ def test_meter_charge_on_each_path():
     for name, op, steps in path:
         op()
         assert m.steps == steps, name
-    assert [[k.value for k in seg] for seg in m.dump()] == \
+    assert [[k.value for k in seg] for seg in seq_dump(m)] == \
         [["g", "e"], ["a", "c", "d", "f"]]
     m.audit()
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import run_task
+from conftest import run_task, tree_dump
 from wsmap.core import CmpCounter, Key
 from wsmap.tree23 import (
     Bunch, Inner, Leaf, StepMeter, Tree23, TreeUsageError,
@@ -264,12 +264,12 @@ def _split_join_trail():
         kind = step % 5
         if kind == 0:
             left, right = t.split_lt(rnd.randrange(lo - 5, hi + 5))
-            trail.append(left.dump())
+            trail.append(tree_dump(left))
             left.join(right)
             t = left
         elif kind == 1:
             left, right = t.split_pos(rnd.randrange(0, len(t) + 1))
-            trail.append(right.dump())
+            trail.append(tree_dump(right))
             left.join(right)
             t = left
         elif kind == 2:
@@ -295,7 +295,7 @@ def _split_join_trail():
             work += metrics.ds_work
             span += metrics.ds_span
         t.audit(sorted_keys=True)
-        trail.append((meter.count, t.dump()))
+        trail.append((meter.count, tree_dump(t)))
     digest = hashlib.sha256(repr(trail).encode()).hexdigest()
     return meter.count, work, span, digest
 
@@ -335,7 +335,7 @@ def _differential_trail(seed):
     def check(t, model):
         t.audit(sorted_keys=True)
         assert [lf.kv for lf in t.leaves()] == model, seed
-        trail.append((meter.count, t.dump()))
+        trail.append((meter.count, tree_dump(t)))
 
     def churn(t, model, lo, hi, n_ops):
         for step in range(n_ops):
