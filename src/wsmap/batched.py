@@ -26,11 +26,11 @@ from .core import DELETE, INSERT, UPDATE, OpResult
 from .pbuffer import ParallelBuffer
 from .runtime import ActivationGate, BUFFER, Call, concat_tree, par_map
 from .segments import (
-    PairedSegment, preload_segment, restore_prefix_task, seg_find_task,
-    seg_insert_block_task, seg_remove_found_task,
+    PairedSegment, preload_segment, restore_prefix_task, seg_insert_block_task,
+    seg_remove_found_task,
 )
 from .sortlib import pesort_task
-from .tree23 import Bunch, StepMeter
+from .tree23 import StepMeter, batch_search_task
 
 
 class GroupOp:
@@ -81,11 +81,10 @@ def group_sorted_ops(cut, order):
 
 
 class SegmentedMap:
-    """The interface engine over a list of paired segments. A map sets
-    `structure_name` and provides `_cycle` and the policies `_form_cut` and
-    `_record`; `_grow_segment` defaults to a plain paired segment."""
+    """The interface engine over a list of paired segments. A map provides
+    `_cycle` and the policies `_form_cut` and `_record`; `_grow_segment`
+    defaults to a plain paired segment."""
 
-    structure_name = None
     terminal = None     # deepest final-slab index; None: no final slab
     audit = False       # check the invariants after every cycle
 
@@ -96,8 +95,7 @@ class SegmentedMap:
         self.meter = StepMeter()
         self.segments = []            # the segment chain S[0..]
         self.feed = deque()
-        self.gate = ActivationGate(self._ready, self._cycle,
-                                   name=self.structure_name)
+        self.gate = ActivationGate(self._ready, self._cycle)
         self.pbuf = ParallelBuffer(rt, p, activate=self.gate.activate)
         self.n = 0
         self.events = []        # linearization events: one op list each
@@ -136,15 +134,13 @@ class SegmentedMap:
         yield max(1, b // p2 + 1)
         if b == 0:
             return
-        idx = 0
-        if self.feed and self.feed[-1].size < p2:
-            first = min(b, p2 - self.feed[-1].size)
-            self.feed[-1].add(incoming[:first])
-            idx = first
+        feed = self.feed
+        # top the last bunch up to p^2 ops, then open new bunches
+        idx = p2 - sum(map(len, feed[-1])) if feed else 0
+        if idx:
+            feed[-1].append(incoming[:idx])
         while idx < b:
-            bunch = Bunch()
-            bunch.add(incoming[idx:idx + p2])
-            self.feed.append(bunch)
+            feed.append([incoming[idx:idx + p2]])
             idx += p2
 
     def _sweep(self, pending, k, stop):
@@ -159,7 +155,7 @@ class SegmentedMap:
         """One pass over segment k; returns the unfinished groups (deletions
         stay, tagged)."""
         seg = self.segments[k]
-        leaves = yield from seg_find_task(seg, [g.key for g in pending])
+        leaves = yield from batch_search_task(seg.keys, [g.key for g in pending])
         found = [(g, lf) for g, lf in zip(pending, leaves) if lf is not None]
         if found:
             keeps, deliveries = self._resolve_found(found)
@@ -270,8 +266,6 @@ class SegmentedMap:
 
 
 class BatchedWorkingSetMap(SegmentedMap):
-    structure_name = "m1"
-
     def _cycle(self):
         groups = yield from self._sorted_groups()
         self.events.extend([op for op, _h in g.entries] for g in groups)
@@ -290,7 +284,7 @@ class BatchedWorkingSetMap(SegmentedMap):
 
     def _form_cut(self):
         bunches = [self.feed.popleft() for _ in range(self._cut_bunch_count())]
-        converted = yield from par_map(bunches, lambda bn: bn.to_batch_task())
+        converted = yield from par_map(bunches, concat_tree)
         cut = yield from concat_tree(converted)
         return cut
 

@@ -31,8 +31,13 @@ def _cmd_run(args):
     # a run can take minutes; a bad --out should not surface after it
     if not out.parent.is_dir():
         raise _BadInput(f"output directory {out.parent} does not exist")
+    if out.is_dir():
+        raise _BadInput(f"output path {out} is a directory")
     report = run_experiment(spec, args.structure, scheduler=args.scheduler)
-    out.write_text(report.to_json() + "\n")
+    try:
+        out.write_text(report.to_json() + "\n")
+    except OSError as exc:
+        raise _BadInput(f"cannot write report {out}: {exc.strerror}") from None
     failed = report.failed()
     print(f"{args.structure}: {len(report.lines) - len(failed)}/"
           f"{len(report.lines)} lines passed -> {out}")

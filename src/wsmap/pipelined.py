@@ -22,11 +22,10 @@ import math
 
 from .batched import SegmentedMap
 from .runtime import (
-    Acquire, ActivationGate, DS, DS_FINAL, DedicatedLock, Q1, Q2,
+    Acquire, ActivationGate, DS, DS_FINAL, DedicatedLock, Q1, Q2, concat_tree,
 )
 from .segments import (
-    PairedSegment, boundary_move, seg_find_task, seg_insert_block_task,
-    seg_remove_found_task,
+    PairedSegment, boundary_move, seg_insert_block_task, seg_remove_found_task,
 )
 from .tree23 import (
     Tree23, batch_delete_keys_task, batch_insert_task, batch_search_task,
@@ -52,8 +51,6 @@ class _SlabSegment(PairedSegment):
 
 
 class PipelinedWorkingSetMap(SegmentedMap):
-    structure_name = "m2"
-
     def __init__(self, rt, p, m_override=None):
         super().__init__(rt, p)
         self.m = m_override if m_override is not None else first_slab_depth(p)
@@ -82,7 +79,7 @@ class PipelinedWorkingSetMap(SegmentedMap):
         return super()._ready() and len(self.filter) <= self.p2
 
     def _form_cut(self):
-        cut = yield from self.feed.popleft().to_batch_task()
+        cut = yield from concat_tree(self.feed.popleft())
         return cut
 
     def _record(self, deliveries):
@@ -107,8 +104,7 @@ class PipelinedWorkingSetMap(SegmentedMap):
         seg = _SlabSegment(k, self.meter)
         seg.gate = ActivationGate(
             lambda s=seg: s.alive and len(s.buffer) > 0,
-            lambda k=k: self._segment_cycle(k),
-            name=f"s[{k}]")
+            lambda k=k: self._segment_cycle(k))
         self.segments.append(seg)
         self._lock("nl", k)
         self._lock("fl", k - self.m)
@@ -245,7 +241,7 @@ class PipelinedWorkingSetMap(SegmentedMap):
                                                  "front")
         batch = [lf.val for lf in buf_leaves]   # GroupOps in key order
         seg.in_flight = batch
-        leaves = yield from seg_find_task(seg, [g.key for g in batch])
+        leaves = yield from batch_search_task(seg.keys, [g.key for g in batch])
         found = [(g, lf) for g, lf in zip(batch, leaves) if lf is not None]
         yield from seg_remove_found_task(seg, [lf for _g, lf in found])
         # step 4b: deeper segments' front access spans steps 4b-4f

@@ -27,19 +27,20 @@ counted with trace on only; the ready list is in id order either way. A
 task carries the state of its next node (its path counts, the value it
 resumes with, its stall ticks), so the ready set is one list of tasks in id
 order plus a count of its Q1 tasks, kept at staging time, and no node
-allocates an entry of its own. A step that runs every ready node (greedy:
-at most p ready; weak priority: at most p/2 in each queue) takes the whole
-list, which trades places with the staging list; a contended greedy step
-takes the first p tasks, and a contended weak-priority step takes, in one
-pass, the first p/2 of each queue and leaves the rest in order.
+allocates an entry of its own.
 
-With trace on, ``run`` steps one node at a time through ``_run_batch``,
-the reference. With trace off it runs a step's nodes inline (a stall tick
-only charges its node and restages its task) and takes two shortcuts where
-no task code could see the difference:
+One picker, ``_pick``, chooses a step's batch: the first p ready tasks in
+id order with at most a quota from each queue, the quota being p (greedy)
+or p/2 (weak priority). A step that runs every ready node takes the whole
+list, which trades places with the staging list.
+
+One executor, ``_run_batch``, runs a step's batch in id order, recording
+each node in the trace when trace is on. With trace off ``run`` takes two
+shortcuts where no task code could see the difference:
 
 * when a step would run every ready node and each of them is a stall tick,
-  it skips k such steps at once, k being the fewest ticks left;
+  ``_run_batch`` runs k such steps in one pass, k being the fewest ticks
+  left;
 * when the ready set is one task about to run code, it runs that task's code
   nodes back to back, each ``yield c`` charged as c steps, until the task
   yields another effect, finishes, or its code stages a node (a resume,
@@ -307,7 +308,7 @@ class Runtime:
         m = self.metrics
         p = self.p
         half = p // 2
-        greedy = self.scheduler == "greedy"
+        quota = p if self.scheduler == "greedy" else half
         probe = self.filter_probe
         stats = self.step_stats
         traced = self.trace is not None
@@ -322,22 +323,15 @@ class Runtime:
             n = len(ready)
             high_busy = n1 >= half
             filter_full = probe is not None and probe() >= p
-            if (n <= p) if greedy else (n1 <= half and n - n1 <= half):
+            if n <= p and n1 <= quota and n - n1 <= quota:
                 batch, ready, q1_exec = ready, None, n1
-            elif greedy:
-                batch = ready[:p]
-                del ready[:p]
-                q1_exec = sum(1 for task in batch if task.queue == Q1)
             else:
-                batch, ready = _pick_quota(ready, half)
-                q1_exec = min(n1, half)
+                batch, ready, q1_exec = _pick(ready, p, quota)
             if stats is not None:
                 stats.append((n1, n - n1, q1_exec, len(batch) - q1_exec))
             n1 -= q1_exec
             k = 1
-            if traced:
-                self._run_batch(batch)
-            elif n == 1 and not batch[0].ticks:
+            if n == 1 and not traced and not batch[0].ticks:
                 # A lone task about to run code: run its code nodes back to
                 # back while each yields an int c and stages nothing, i.e.
                 # while each is followed by c - 1 steps of its own ticks and
@@ -374,50 +368,13 @@ class Runtime:
                 if path[s] > spans[s]:
                     spans[s] = path[s]
             else:
-                if ready is None:
+                if ready is None and not traced:
                     for task in batch:
                         if not task.ticks:
                             break
                     else:
                         k = min([task.ticks for task in batch])
-                if k > 1:
-                    # every ready node is a stall tick for k steps: no task
-                    # code runs, and each task is restaged k times in order
-                    for task in batch:
-                        s, path = task.axis, task.path
-                        path[s] += k
-                        work[task.owner] = work.get(task.owner, 0) + k
-                        if path[s] > spans[s]:
-                            spans[s] = path[s]
-                        task.ticks -= k
-                    batch, staged = staged, batch
-                    self._staged, self._staged_q1 = staged, q1_exec
-                else:
-                    for slot, task in enumerate(batch):
-                        s, path, owner = task.axis, task.path, task.owner
-                        path[s] += 1
-                        work[owner] = work.get(owner, 0) + 1
-                        if path[s] > spans[s]:
-                            spans[s] = path[s]
-                        if task.ticks:
-                            task.ticks -= 1
-                        else:
-                            self.current_slot = slot
-                            self._cur_task = task
-                            send, task.send = task.send, None
-                            try:
-                                effect = task.gen.send(send)
-                            except StopIteration as stop:
-                                self._finish(task, stop.value)
-                                continue
-                            if type(effect) is not int:
-                                self._dispatch(task, effect)
-                                continue
-                            if effect > 1:
-                                task.ticks = effect - 1
-                        staged.append(task)
-                        if task.queue == Q1:
-                            self._staged_q1 += 1
+                self._run_batch(batch, k)
             if high_busy:
                 busy += k
             if filter_full:
@@ -458,36 +415,41 @@ class Runtime:
         m.ds_span = spans[2]
         return m
 
-    def _run_batch(self, batch):
-        """Execute one step's batch in id order, one node at a time and
-        recorded in the trace: the reference the untraced loop in run must
-        match."""
-        work, spans = self.metrics.work, self._spans
+    def _run_batch(self, batch, k):
+        """Execute one step's batch in id order, recording each node when
+        trace is on. With k > 1 the batch is the whole ready set and every
+        node in it a stall tick with at least k ticks left: run k such steps
+        at once, each task charged k nodes and restaged once, in order."""
+        work, spans, trace = self.metrics.work, self._spans, self.trace
+        if trace is not None:
+            now = self.now
+            trace.extend([(now, t.nid, t.owner, t.queue) for t in batch])
+        staged = self._staged
         for slot, task in enumerate(batch):
-            self.current_slot = slot
-            s, path = task.axis, task.path
-            path[s] += 1
-            self._cur_task = task
-            work[task.owner] = work.get(task.owner, 0) + 1
+            s, path, owner = task.axis, task.path, task.owner
+            path[s] += k
+            work[owner] = work.get(owner, 0) + k
             if path[s] > spans[s]:
                 spans[s] = path[s]
-            self.trace.append((self.now, task.nid, task.owner, task.queue))
             if task.ticks:
-                task.ticks -= 1
-                self._stage(task)
-                continue
-            send, task.send = task.send, None
-            try:
-                effect = task.gen.send(send)
-            except StopIteration as stop:
-                self._finish(task, stop.value)
-                continue
-            if type(effect) is int:
+                task.ticks -= k
+            else:
+                self.current_slot = slot
+                self._cur_task = task
+                send, task.send = task.send, None
+                try:
+                    effect = task.gen.send(send)
+                except StopIteration as stop:
+                    self._finish(task, stop.value)
+                    continue
+                if type(effect) is not int:
+                    self._dispatch(task, effect)
+                    continue
                 if effect > 1:
                     task.ticks = effect - 1
-                self._stage(task)
-            else:
-                self._dispatch(task, effect)
+            staged.append(task)
+            if task.queue == Q1:
+                self._staged_q1 += 1
 
     def _dispatch(self, task, effect):
         """Apply an effect other than an int that task yielded at its
@@ -551,23 +513,19 @@ class Runtime:
         self._stage(parent)
 
 
-def _pick_quota(ready, quota):
-    """Split an id-ordered ready list into the first quota tasks of each
-    queue and the rest, both still in id order."""
+def _pick(ready, p, quota):
+    """Split an id-ordered ready list into the first p tasks with at most
+    quota from each queue and the rest, both still in id order; also return
+    the number of Q1 tasks picked."""
     batch, rest = [], []
-    left1 = left2 = quota
+    left = [0, quota, quota]     # picks left per queue, indexed by Q1, Q2
     for task in ready:
-        if task.queue == Q1:
-            if left1:
-                left1 -= 1
-                batch.append(task)
-                continue
-        elif left2:
-            left2 -= 1
+        if left[task.queue] and len(batch) < p:
+            left[task.queue] -= 1
             batch.append(task)
-            continue
-        rest.append(task)
-    return batch, rest
+        else:
+            rest.append(task)
+    return batch, rest, quota - left[Q1]
 
 
 # -- task-code combinators -----------------------------------------------------
@@ -640,13 +598,12 @@ class ActivationGate:
     true can never be lost.
     """
 
-    __slots__ = ("held", "ready", "process", "name")
+    __slots__ = ("held", "ready", "process")
 
-    def __init__(self, ready, process, name=""):
+    def __init__(self, ready, process):
         self.held = False
         self.ready = ready
         self.process = process
-        self.name = name
 
     def activate(self):
         while True:

@@ -13,7 +13,7 @@ from .runtime import merge_sort_task
 from .seqmap import segment_capacity
 from .tree23 import (
     Tree23, batch_delete_keys_task, batch_delete_pos_task, batch_insert_task,
-    batch_search_task, pop_extreme_task, push_edge_task, reverse_index_task,
+    pop_extreme_task, push_edge_task, reverse_index_task,
 )
 
 
@@ -52,12 +52,6 @@ def preload_segment(seg, pairs):
         rl = twin[kl.key.value]
         kl.twin = rl
         rl.twin = kl
-
-
-def seg_find_task(seg, keys):
-    """Key-tree lookup only; no mutation. Returns leaves aligned with keys."""
-    leaves = yield from batch_search_task(seg.keys, keys)
-    return leaves
 
 
 def seg_remove_found_task(seg, key_leaves):

@@ -20,7 +20,7 @@ keys one by one would charge, since a tree's keys share the probe's counter.
 
 from __future__ import annotations
 
-from .runtime import Par, par_map, concat_tree, merge_sort_task
+from .runtime import Par, par_map, merge_sort_task
 
 
 class TreeUsageError(RuntimeError):
@@ -725,21 +725,3 @@ def pop_extreme_task(tree, count, end):
     yield _charge(meter, start)
     return leaves
 
-
-class Bunch:
-    """O(1)-append container of batches, convertible to one batch with a
-    balanced concatenation tree (O(log total) span)."""
-
-    __slots__ = ("batches", "size")
-
-    def __init__(self):
-        self.batches = []
-        self.size = 0
-
-    def add(self, batch):
-        self.batches.append(batch)
-        self.size += len(batch)
-
-    def to_batch_task(self):
-        out = yield from concat_tree(self.batches)
-        return out

@@ -5,6 +5,7 @@ frozen calibration constants at 1.5x slack (desk scale: p in {4, 8},
 n <= 2^16, modest op counts per seeded workload).
 """
 
+import functools
 import math
 import random
 
@@ -211,6 +212,13 @@ def test_criterion_5_m1_bounds():
               f"work={worst['work']:.2f} span={worst['span']:.2f}")
 
 
+@functools.cache
+def _m2_bounds():
+    """M2's worst calibration ratios over p in {4, 8}, measured once for
+    criteria 6 and 7."""
+    return measure_map_bounds("m2")
+
+
 def test_criterion_6_m2_invariants():
     # audits raise on any violation of balance invariants 1-4, filter size,
     # distinctness, or the rank invariant, at every run boundary
@@ -233,7 +241,7 @@ def test_criterion_6_m2_invariants():
                                           report.failed()]))
         except AssertionError as err:
             violations.append((seed, str(err)))
-    fl_ok = (measure_map_bounds("m2", ps=(8,))["fl"]
+    fl_ok = (_m2_bounds()["fl"]
              <= slack() * frozen_constants()["m2_fl_delay"])
     _announce(6, "m2 invariants (100 seeds) + front access",
               not violations and fl_ok,
@@ -242,7 +250,7 @@ def test_criterion_6_m2_invariants():
 
 def test_criterion_7_m2_bounds():
     frozen = frozen_constants()
-    worst = measure_map_bounds("m2")
+    worst = _m2_bounds()
     work_ok = worst["work"] <= slack() * frozen["m2_work"]
     span_ok = worst["span"] <= slack() * frozen["m2_span"]
     # under plain greedy, equivalence still holds; bound lines are reported

@@ -120,16 +120,16 @@ def test_ingest_slicing_spec_examples():
     rt = Runtime(p=4)
     m = BatchedWorkingSetMap(rt, 2)   # p^2 = 4 for the spec example
     run_task(m._ingest(list(range(5))))
-    assert [b.size for b in m.feed] == [4, 1]
+    assert [sum(map(len, b)) for b in m.feed] == [4, 1]
     # q=3, b=2: one op tops up the last bunch, one opens a new bunch
     m8 = BatchedWorkingSetMap(Runtime(p=4), 2)
     run_task(m8._ingest(list(range(3))))
-    assert [b.size for b in m8.feed] == [3]
+    assert [sum(map(len, b)) for b in m8.feed] == [3]
     run_task(m8._ingest(list(range(3, 5))))
-    assert [b.size for b in m8.feed] == [4, 1]
+    assert [sum(map(len, b)) for b in m8.feed] == [4, 1]
     # b=0 is a no-op
     run_task(m8._ingest([]))
-    assert [b.size for b in m8.feed] == [4, 1]
+    assert [sum(map(len, b)) for b in m8.feed] == [4, 1]
 
 
 def test_cut_bunch_count_formula():

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -102,6 +103,23 @@ def test_cli_run_rejects_missing_workload_and_out_dir_with_status_2(
     err = capsys.readouterr().err
     assert err == (f"wsmap run: output directory {bad_out.parent} "
                    f"does not exist\n")
+    # so is an output path that is an existing directory
+    assert main(argv[:-1] + [str(tmp_path)]) == 2
+    assert runs == []
+    err = capsys.readouterr().err
+    assert err == f"wsmap run: output path {tmp_path} is a directory\n"
+    # and a write that fails after the run is one line, not a traceback
+    late_dir = tmp_path / "late"
+
+    def run_then_block(*a, **k):
+        late_dir.mkdir()
+        return SimpleNamespace(to_json=lambda: "{}")
+
+    monkeypatch.setattr("wsmap.cli.run_experiment", run_then_block)
+    assert main(argv[:-1] + [str(late_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"wsmap run: cannot write report {late_dir}: ")
 
 
 def _report_text(line):

@@ -15,7 +15,7 @@ class _Collector:
         self.rt = rt
         self.batches = []
         self.activations = 0
-        self.gate = ActivationGate(self._ready, self._drain, name="collector")
+        self.gate = ActivationGate(self._ready, self._drain)
         self.buf = ParallelBuffer(rt, p, activate=self.gate.activate)
 
     def _ready(self):

@@ -415,11 +415,11 @@ def test_detach_runs_independently():
 
 # -- untraced shortcuts against the traced reference -----------------------
 #
-# With trace=False, Runtime.run executes a step's nodes inline, skips a run of
+# With trace=False, Runtime.run has _run_batch run, in one pass, a run of k
 # steps in which every ready node runs and is a stall tick of a `yield c`, and
-# runs a lone task's code nodes back to back; with trace=True it steps one node
-# at a time. Both must run every code node at the same step and slot and give
-# the same metrics.
+# runs a lone task's code nodes back to back; with trace=True _run_batch steps
+# one step at a time. Both must run every code node at the same step and slot
+# and give the same metrics.
 
 
 def _logged(rt, log, label, gen):
@@ -709,9 +709,9 @@ def test_scheduler_matches_reference_picker(monkeypatch, scheduler, p):
     staged_before = {}   # (runtime, step) -> ids handed out before the step
     run_batch = Runtime._run_batch
 
-    def recording(rt, batch):
+    def recording(rt, batch, k):
         staged_before[rt, rt.now] = rt._ids
-        run_batch(rt, batch)
+        run_batch(rt, batch, k)
 
     monkeypatch.setattr(Runtime, "_run_batch", recording)
     half = p // 2
@@ -758,7 +758,9 @@ def test_scheduler_matches_reference_picker(monkeypatch, scheduler, p):
 # slab actors deeper than S[m] take the front-lock chain and neighbour locks).
 
 
-def _traced_map_digest(structure, scheduler, m_override):
+def _run_map(structure, scheduler, m_override, trace):
+    """Run a seeded map workload; returns the runtime, its metrics, the map
+    and the results by op id."""
     if structure == "m1":
         ops, width, p = random_ops(300, 64, 41, mix=(0.6, 0.25, 0.1, 0.05)), 8, 8
     elif m_override is None:
@@ -766,7 +768,7 @@ def _traced_map_digest(structure, scheduler, m_override):
         ops, width, p = random_ops(600, 2048, 5, mix=(0.15, 0.75, 0.05, 0.05)), 8, 4
     else:
         ops, width, p = random_ops(400, 160, 3, mix=(0.35, 0.4, 0.2, 0.05)), 16, 4
-    rt = Runtime(p=p, scheduler=scheduler, trace=True)
+    rt = Runtime(p=p, scheduler=scheduler, trace=trace)
     if structure == "m1":
         m = BatchedWorkingSetMap(rt, p)
     else:
@@ -782,11 +784,34 @@ def _traced_map_digest(structure, scheduler, m_override):
         yield from par_map(chunk_chains(ops, width), chain_task)
 
     rt.spawn_root(root())
-    metrics = rt.run()
+    return rt, rt.run(), m, results
+
+
+def _traced_map_digest(structure, scheduler, m_override):
+    rt, metrics, m, results = _run_map(structure, scheduler, m_override, True)
     fingerprint = (rt.trace, rt.step_stats, metrics.to_dict(),
                    sorted(metrics.work.items()), getattr(m, "fl_delays", None),
                    sorted(results.items()))
     return hashlib.sha256(repr(fingerprint).encode()).hexdigest()
+
+
+_MAP_CASES = [("m1", "greedy", None), ("m2", "weak_priority", None),
+              ("m2", "weak_priority", 1), ("m2", "greedy", 1)]
+
+
+@pytest.mark.parametrize("structure, scheduler, m_override", _MAP_CASES)
+def test_untraced_matches_traced_map_runs(structure, scheduler, m_override):
+    # the pinned report digests come from untraced runs: check that the
+    # shortcuts reproduce the traced reference on the pinned map workloads
+    _rt, ref, ref_map, ref_results = _run_map(structure, scheduler,
+                                              m_override, True)
+    _rt, fast, fast_map, fast_results = _run_map(structure, scheduler,
+                                                 m_override, False)
+    assert fast.to_dict() == ref.to_dict()
+    assert fast.work == ref.work
+    assert (getattr(fast_map, "fl_delays", None)
+            == getattr(ref_map, "fl_delays", None))
+    assert fast_results == ref_results
 
 
 @pytest.mark.parametrize("structure, scheduler, m_override, digest", [

@@ -6,8 +6,9 @@ import pytest
 
 from conftest import run_task, tree_dump
 from wsmap.core import CmpCounter, Key
+from wsmap.runtime import concat_tree
 from wsmap.tree23 import (
-    Bunch, Inner, Leaf, StepMeter, Tree23, TreeUsageError,
+    Inner, Leaf, StepMeter, Tree23, TreeUsageError,
     batch_delete_keys_task, batch_delete_pos_task, batch_insert_task,
     batch_op_task, batch_search_task, pop_extreme_task, push_edge_task,
     reverse_index_task,
@@ -237,15 +238,11 @@ def test_batch_work_and_span_scale():
 
 
 def test_bunch():
-    b = Bunch()
-    assert b.size == 0
-    b.add([1, 2, 3, 4])
-    b.add([5, 6, 7, 8])
-    b.add([9, 10, 11, 12])
-    assert b.size == 12
-    out, _m, _rt = run_task(b.to_batch_task())
+    # a bunch is a list of batches; concat_tree joins it into one batch
+    bunch = [[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12]]
+    out, _m, _rt = run_task(concat_tree(bunch))
     assert out == list(range(1, 13))
-    empty, _m, _rt = run_task(Bunch().to_batch_task())
+    empty, _m, _rt = run_task(concat_tree([]))
     assert empty == []
 
 
