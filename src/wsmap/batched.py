@@ -12,9 +12,10 @@ A map built on it sets three policies: how many bunches a cut batch takes
 (`_form_cut`), how finished groups enter the linearization (`_record`), and
 what kind of segment the tail grows (`_grow_segment`). Both maps keep their
 whole segment chain in one list, `segments`. The batched map M1 cuts
-ceil(log n / p) bunches, records its linearization at sort time and grows
-plain paired segments. Setting `audit` checks the map's invariants after
-every cycle (tests and `wsmap run` turn it on).
+ceil(log n / p) bunches, keeps each cut batch's ops in `cut_batches` (the
+batch-preservation check reads them), records its linearization at sort
+time and grows plain paired segments. Setting `audit` checks the map's
+invariants after every cycle (tests and `wsmap run` turn it on).
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ class SegmentedMap:
         self.pbuf = ParallelBuffer(rt, p, activate=self.gate.activate)
         self.n = 0
         self.events = []        # linearization events: one op list each
-        self.cut_batches = []   # op lists per cut batch, arrival order
+        self.cut_batches = []   # M1's op lists per cut batch, arrival order
 
     # -- program-facing API ------------------------------------------------------
 
@@ -125,7 +126,6 @@ class SegmentedMap:
         cut = yield from self._form_cut()
         keys = [op.key for op, _h in cut]
         order = yield from pesort_task(keys)
-        self.cut_batches.append([op for op, _h in cut])
         return group_sorted_ops(cut, order)
 
     def _ingest(self, incoming):
@@ -273,7 +273,6 @@ class BatchedWorkingSetMap(SegmentedMap):
         yield from self._finish_tail(pending)
         if self.audit:
             self.audit_segments()
-        return True
 
     def _cut_bunch_count(self):
         if self.n < 2:
@@ -286,6 +285,7 @@ class BatchedWorkingSetMap(SegmentedMap):
         bunches = [self.feed.popleft() for _ in range(self._cut_bunch_count())]
         converted = yield from par_map(bunches, concat_tree)
         cut = yield from concat_tree(converted)
+        self.cut_batches.append([op for op, _h in cut])
         return cut
 
     def _record(self, deliveries):

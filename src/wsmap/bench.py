@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, fields
 from .batched import BatchedWorkingSetMap
 from .calibration import frozen_constants, slack
 from .core import (
-    CmpCounter, DELETE, INSERT, Key, Operation, OpResult, SEARCH, UPDATE,
+    CmpCounter, DELETE, INSERT, KINDS, Key, Operation, OpResult, SEARCH, UPDATE,
     access_ranks, oracle_replay, validate_batch_preserving, working_set_bound,
 )
 from .pipelined import PipelinedWorkingSetMap
@@ -26,9 +26,6 @@ from .seqmap import SeqWorkingSetMap
 
 GENERATORS = ("uniform", "zipf", "hotset", "coldest")
 STRUCTURES = ("m0", "m1", "m2", "oracle")
-
-_KIND_ORDER = (SEARCH, INSERT, DELETE, UPDATE)
-
 
 @dataclass
 class WorkloadSpec:
@@ -58,10 +55,10 @@ class WorkloadSpec:
                              f"scheduler gives each queue p/2 slots), got {self.p!r}")
         if not isinstance(self.mix, dict):
             raise ValueError(f"op mix must be an object, got {self.mix!r}")
-        unknown = sorted(set(self.mix) - set(_KIND_ORDER))
+        unknown = sorted(set(self.mix) - set(KINDS))
         if unknown:
             raise ValueError(f"unknown op kind(s) in mix: {unknown}; "
-                             f"expected a subset of {list(_KIND_ORDER)}")
+                             f"expected a subset of {list(KINDS)}")
         for kind, weight in self.mix.items():
             if type(weight) not in (int, float) or not weight >= 0:
                 raise ValueError(f"mix weight of {kind!r} must be a number "
@@ -136,8 +133,8 @@ def generate(spec, ctr=None):
     for i in range(spec.n_ops):
         r = rnd.random()
         acc = 0.0
-        kind = _KIND_ORDER[-1]
-        for k in _KIND_ORDER:
+        kind = KINDS[-1]
+        for k in KINDS:
             acc += spec.mix.get(k, 0.0)
             if r < acc:
                 kind = k

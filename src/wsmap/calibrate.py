@@ -159,7 +159,6 @@ def measure_pbuffer_flush_span():
                 for _op, h in batch:
                     rt.resume(h, None)
                 yield 1
-                return True
 
         sink = _Sink()
         buf = ParallelBuffer(rt, p, activate=sink.gate.activate)

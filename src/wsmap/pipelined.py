@@ -103,8 +103,8 @@ class PipelinedWorkingSetMap(SegmentedMap):
             return super()._grow_segment()
         seg = _SlabSegment(k, self.meter)
         seg.gate = ActivationGate(
-            lambda s=seg: s.alive and len(s.buffer) > 0,
-            lambda k=k: self._segment_cycle(k))
+            lambda: seg.alive and len(seg.buffer) > 0,
+            lambda: self._segment_cycle(seg))
         self.segments.append(seg)
         self._lock("nl", k)
         self._lock("fl", k - self.m)
@@ -160,11 +160,7 @@ class PipelinedWorkingSetMap(SegmentedMap):
                 pending = yield from self._segment_pass(self.m - 1, pending)
                 admitted = yield from self._filter_pass(pending)
                 if admitted:
-                    seg = self.segments[self.m]
-                    yield from batch_insert_task(
-                        seg.buffer, [(g.key, g) for g in admitted])
-                    self.rt.detach(seg.gate.activate(),
-                                   owner=DS_FINAL, queue=Q1)
+                    yield from self._hand_off(self.segments[self.m], admitted)
                 yield from self._front_release(self.m, t0)
                 self.rt.release(nl)
         else:
@@ -172,7 +168,6 @@ class PipelinedWorkingSetMap(SegmentedMap):
         if self.audit and self.terminal is None:
             self._audit_full_prefix()
         self._maybe_audit()
-        return True
 
     # -- the filter ----------------------------------------------------------------
 
@@ -202,24 +197,25 @@ class PipelinedWorkingSetMap(SegmentedMap):
 
     # -- final-slab segment actors ----------------------------------------------------
 
-    def _arrow_label(self, j):
-        # alternating arrow numbers: the lock between S[j-1] and S[j]
-        return 1 if (j - self.m) % 2 == 0 else 2
+    def _hand_off(self, seg, groups):
+        """Add key-sorted groups to a final-slab segment's buffer and
+        activate its actor on the high-priority queue."""
+        yield from batch_insert_task(seg.buffer, [(g.key, g) for g in groups])
+        self.rt.detach(seg.gate.activate(), owner=DS_FINAL, queue=Q1)
 
-    def _segment_cycle(self, k):
+    def _segment_cycle(self, seg):
         segs = self.segments
-        seg = segs[k] if k < len(segs) else None
-        if seg is None or not seg.alive:
-            return False
-            yield  # pragma: no cover
+        k = seg.index
         # step 1: neighbour-locks in arrow order (key 2 = right user of nl[k],
-        # key 1 = left user of nl[k+1])
-        plan = [(self._arrow_label(k), self._lock("nl", k), 2)]
+        # key 1 = left user of nl[k+1]); the arrows alternate, so nl[k] comes
+        # first when k - m is even
+        plan = [(self._lock("nl", k), 2)]
         has_right = k + 1 < len(segs)
         if has_right:
-            plan.append((self._arrow_label(k + 1), self._lock("nl", k + 1), 1))
-            plan.sort(key=lambda t: t[0])
-        for _lbl, lock, lock_key in plan:
+            plan.append((self._lock("nl", k + 1), 1))
+            if (k - self.m) % 2:
+                plan.reverse()
+        for lock, lock_key in plan:
             yield Acquire(lock, lock_key)
         seg.running = True
         # step 2: S[m]'s front access spans steps 2-6
@@ -235,7 +231,7 @@ class PipelinedWorkingSetMap(SegmentedMap):
                 if not has_right:
                     nxt_lock = self._lock("nl", k + 1)
                     yield Acquire(nxt_lock, 1)   # fresh lock, uncontended
-                    plan.append((self._arrow_label(k + 1), nxt_lock, 1))
+                    plan.append((nxt_lock, 1))
         # step 4: flush and process the buffer
         buf_leaves = yield from pop_extreme_task(seg.buffer, len(seg.buffer),
                                                  "front")
@@ -283,10 +279,7 @@ class PipelinedWorkingSetMap(SegmentedMap):
         remaining = [g for g in batch if not g.finished]
         seg.in_flight = []
         if self.terminal != k and remaining:
-            nxt = segs[k + 1]
-            yield from batch_insert_task(nxt.buffer,
-                                         [(g.key, g) for g in remaining])
-            self.rt.detach(nxt.gate.activate(), owner=DS_FINAL, queue=Q1)
+            yield from self._hand_off(segs[k + 1], remaining)
         # step 5: an empty terminal segment is removed
         if self.terminal == k and seg.size == 0 and len(seg.buffer) == 0:
             seg.alive = False
@@ -298,10 +291,9 @@ class PipelinedWorkingSetMap(SegmentedMap):
             yield from self._front_release(k, fl_t0)
         # step 7
         seg.running = False
-        for _lbl, lock, _key in reversed(plan):
+        for lock, _key in reversed(plan):
             self.rt.release(lock)
         self._maybe_audit()
-        return seg.alive
 
     # -- audits ---------------------------------------------------------------------
 

@@ -590,12 +590,13 @@ def merge(left, right, key):
 
 class ActivationGate:
     """Non-blocking-lock guard that runs a process iff it is not already
-    running and its readiness predicate holds; honors self-reactivation.
+    running and its readiness predicate holds, and again after each run
+    while the predicate holds (the process's return value is ignored).
 
     `held` is the lock's test-and-set bit, atomic at node granularity. The
     try-lock, the readiness check, and (on a negative check) the unlock all
-    happen inside one node, so an activator that first makes the predicate
-    true can never be lost.
+    happen inside one node, as do a run's unlock and re-check, so an
+    activator that first makes the predicate true can never be lost.
     """
 
     __slots__ = ("held", "ready", "process")
@@ -606,15 +607,10 @@ class ActivationGate:
         self.process = process
 
     def activate(self):
-        while True:
-            if self.held:
-                return
+        while not self.held:
             self.held = True
             if not self.ready():
                 self.held = False
                 return
-            reactivate = yield from self.process()
+            yield from self.process()
             self.held = False
-            if not reactivate:
-                return
-            # retry happens in the same node as the unlock: no lost wakeups

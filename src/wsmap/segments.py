@@ -47,9 +47,15 @@ def preload_segment(seg, pairs):
     by_key = sorted(pairs, key=lambda kv: kv[0].value)
     key_tree, key_leaves = Tree23.build(by_key, seg.keys.meter)
     seg.keys.adopt(key_tree)
-    twin = {kv[0].value: rl for kv, rl in zip(pairs, rec_leaves)}
+    _link_twins(pairs, rec_leaves, key_leaves)
+
+
+def _link_twins(pairs, rec_leaves, key_leaves):
+    """Cross-link each key-tree leaf with the recency-tree leaf built from
+    the same pair; rec_leaves follow pairs' order."""
+    twin = {id(kv[0]): rl for kv, rl in zip(pairs, rec_leaves)}
     for kl in key_leaves:
-        rl = twin[kl.key.value]
+        rl = twin[id(kl.key)]
         kl.twin = rl
         rl.twin = kl
 
@@ -68,37 +74,21 @@ def seg_remove_found_task(seg, key_leaves):
 
 def seg_insert_block_task(seg, pairs, end):
     """Insert new items with the block's order as their recency order at the
-    chosen end; pairs need not be key-sorted."""
-    if not pairs:
-        yield 1
-        return
+    chosen end; pairs is non-empty and need not be key-sorted."""
     rec_leaves = yield from push_edge_task(seg.rec, pairs, end)
     by_key = yield from merge_sort_task(pairs, key=lambda kv: kv[0])
     key_leaves = yield from batch_insert_task(seg.keys, by_key)
-    twin = {id(kv[0]): rl for kv, rl in zip(pairs, rec_leaves)}
-    for kl in key_leaves:
-        rl = twin[id(kl.key)]
-        kl.twin = rl
-        rl.twin = kl
-
-
-def seg_pop_block_task(seg, count, end):
-    """Remove the count most/least recent items; returns (key, val) pairs in
-    recency order (front to back)."""
-    if count == 0:
-        yield 1
-        return []
-    rec_leaves = yield from pop_extreme_task(seg.rec, count, end)
-    pairs = [(lf.key, lf.val) for lf in rec_leaves]
-    by_key = yield from merge_sort_task(pairs, key=lambda kv: kv[0])
-    yield from batch_delete_keys_task(seg.keys, [kv[0] for kv in by_key])
-    return pairs
+    _link_twins(pairs, rec_leaves, key_leaves)
 
 
 def seg_move_block_task(src, dst, count, src_end, dst_end):
-    pairs = yield from seg_pop_block_task(src, count, src_end)
+    """Move src's count (> 0) items at src_end to dst's dst_end, keeping
+    their recency order."""
+    rec_leaves = yield from pop_extreme_task(src.rec, count, src_end)
+    pairs = [(lf.key, lf.val) for lf in rec_leaves]
+    by_key = yield from merge_sort_task(pairs, key=lambda kv: kv[0])
+    yield from batch_delete_keys_task(src.keys, [kv[0] for kv in by_key])
     yield from seg_insert_block_task(dst, pairs, dst_end)
-    return pairs
 
 
 def boundary_move(left, right, surplus, limit=None):

@@ -43,49 +43,56 @@ def esort(keys):
     # per-segment sorted lists, merged smallest-capacity first
     merged = []
     for seg in d.segments:
-        seg_items = seg.keys.items()  # already key-sorted
-        merged = merge(merged, seg_items, key=lambda kv: kv[0])
+        # a segment's key-tree leaves are already key-sorted
+        merged = merge(merged, seg.keys.leaves(), key=lambda lf: lf.key)
     out = []
-    for _key, tag in merged:
-        out.extend(tag)
+    for lf in merged:
+        out.extend(lf.val)
     return out
 
 
 # -- parallel entropy sort -------------------------------------------------------
 
 
-def pesort_task(keys, stats=None):
+def pesort_task(keys):
     """Task: sort by key; returns input positions (stable, duplicates
-    grouped). A stats dict, if given, records the maximum recursion depth."""
-    order = yield from _pesort_rec(keys, list(range(len(keys))), 0, 0, stats)
+    grouped)."""
+    order = yield from _pesort_rec(keys, list(range(len(keys))), 0)
     return order
 
 
-def _pesort_rec(keys, idx, pivot_depth, depth, stats):
-    k = len(idx)
-    if stats is not None:
-        stats["max_depth"] = max(stats.get("max_depth", 0), depth)
-    if k <= 1:
+def _pesort_rec(keys, idx, pivot_depth):
+    if len(idx) <= 1:
         yield 1
         return list(idx)
     pivot = yield from ppivot_task(keys, idx, pivot_depth)
     low, mid, high = yield from _partition_task(keys, idx, pivot)
-    lo_sorted, hi_sorted = yield Par(
-        _pesort_rec(keys, low, pivot_depth, depth + 1, stats),
-        _pesort_rec(keys, high, pivot_depth, depth + 1, stats))
+    lo_sorted, hi_sorted = yield Par(_pesort_rec(keys, low, pivot_depth),
+                                     _pesort_rec(keys, high, pivot_depth))
     yield 1
     return lo_sorted + mid + hi_sorted
 
 
-def _partition_task(keys, idx, pivot, chunk=None):
-    """Three-way partition keeping relative order within each part; the
-    prefix-sum combine is the binary join tree."""
-    if chunk is None:
-        chunk = max(1, math.ceil(math.log2(len(idx) + 1)))
+def _chunked_task(idx, chunk, leaf):
+    """Apply leaf to consecutive runs of at most chunk positions at the
+    leaves of a binary fork tree, and add the tuples it returns elementwise
+    up the join tree (lists concatenate, so order is kept)."""
     if len(idx) <= chunk:
         yield max(1, len(idx))
+        return leaf(idx)
+    half = (len(idx) // (2 * chunk)) * chunk or chunk
+    a, b = yield Par(_chunked_task(idx[:half], chunk, leaf),
+                     _chunked_task(idx[half:], chunk, leaf))
+    yield 1
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _partition_task(keys, idx, pivot):
+    """Three-way partition keeping relative order within each part; the
+    prefix-sum combine is the binary join tree."""
+    def part(run):
         low, mid, high = [], [], []
-        for i in idx:
+        for i in run:
             if keys[i] < pivot:
                 low.append(i)
             elif pivot < keys[i]:
@@ -93,12 +100,9 @@ def _partition_task(keys, idx, pivot, chunk=None):
             else:
                 mid.append(i)
         return low, mid, high
-    half = (len(idx) // (2 * chunk)) * chunk or chunk
-    (l1, m1, h1), (l2, m2, h2) = yield Par(
-        _partition_task(keys, idx[:half], pivot, chunk),
-        _partition_task(keys, idx[half:], pivot, chunk))
-    yield 1
-    return l1 + l2, m1 + m2, h1 + h2
+
+    chunk = max(1, math.ceil(math.log2(len(idx) + 1)))
+    return (yield from _chunked_task(idx, chunk, part))
 
 
 def ppivot_task(keys, idx, pivot_depth=0):
@@ -128,26 +132,13 @@ def ppivot_task(keys, idx, pivot_depth=0):
     if c < 8 or pivot_depth >= 2:
         ordered = yield from merge_sort_task(medians, key=lambda x: x)
     else:
-        perm = yield from _pesort_rec(medians, list(range(c)),
-                                      pivot_depth + 1, 0, None)
+        perm = yield from _pesort_rec(medians, list(range(c)), pivot_depth + 1)
         ordered = [medians[i] for i in perm]
     candidate = ordered[(c - 1) // 2]
-    le, ge = yield from _quartile_count_task(keys, idx, candidate, bsz)
+    le, ge = yield from _chunked_task(idx, bsz, lambda run: (
+        sum(1 for i in run if not candidate < keys[i]),
+        sum(1 for i in run if not keys[i] < candidate)))
     if 4 * le >= k and 4 * ge >= k:
         return candidate
     allv = yield from merge_sort_task([keys[i] for i in idx], key=lambda x: x)
     return allv[(k - 1) // 2]
-
-
-def _quartile_count_task(keys, idx, pivot, chunk):
-    if len(idx) <= chunk:
-        yield max(1, len(idx))
-        le = sum(1 for i in idx if not pivot < keys[i])
-        ge = sum(1 for i in idx if not keys[i] < pivot)
-        return le, ge
-    half = (len(idx) // (2 * chunk)) * chunk or chunk
-    (l1, g1), (l2, g2) = yield Par(
-        _quartile_count_task(keys, idx[:half], pivot, chunk),
-        _quartile_count_task(keys, idx[half:], pivot, chunk))
-    yield 1
-    return l1 + l2, g1 + g2

@@ -87,9 +87,6 @@ class Tree23:
             level = [kid for node in level for kid in node.kids]
         return level
 
-    def items(self):
-        return [(lf.key, lf.val) for lf in self.leaves()]
-
     def _refresh(self, node):
         self.meter.count += 1
         kids = node.kids
@@ -382,11 +379,11 @@ class Tree23:
             self._split_up(node, ra.size, lazy)
         return self
 
-    def _split(self, route):
+    def _split(self, route, goes_left):
         """Generic split; route(node) returns the kid index where the cut
-        descends (kids before it go left, after it go right); the tree is
-        non-empty. Returns the left tree, the right tree and the boundary
-        leaf as a one-leaf tree."""
+        descends (kids before it go left, after it go right) and
+        goes_left(leaf) whether the boundary leaf it reaches goes left; the
+        tree is non-empty. Returns the left and the right tree."""
         meter = self.meter
         left = Tree23(meter)
         right_groups = []   # (kids, height) per level, outermost first
@@ -416,7 +413,11 @@ class Tree23:
         node.parent = None
         boundary = Tree23(meter)
         boundary.root, boundary.height = node, 0
-        return left, right, boundary
+        if goes_left(node):
+            left.join(boundary)
+        else:
+            right.adopt(boundary.join(right))
+        return left, right
 
     def split_lt(self, key):
         """Split into (keys < key, keys >= key)."""
@@ -438,14 +439,9 @@ class Tree23:
             cmps += 1
             return 1 if kv <= (kids[1].kv if leafy else kids[1].hi) else 2
 
-        left, right, boundary = self._split(route)
+        halves = self._split(route, lambda leaf: leaf.kv < kv)
         _count(key, cmps)
-        if boundary.root.kv < kv:
-            left.join(boundary)
-        else:
-            boundary.join(right)
-            right.adopt(boundary)
-        return left, right
+        return halves
 
     def split_pos(self, count):
         """Split into (first count leaves, rest)."""
@@ -467,13 +463,7 @@ class Tree23:
                 skip -= s
             return len(node.kids) - 1
 
-        left, right, boundary = self._split(route)
-        if skip > 0:
-            left.join(boundary)
-        else:
-            boundary.join(right)
-            right.adopt(boundary)
-        return left, right
+        return self._split(route, lambda _leaf: skip > 0)
 
     # -- bulk construction ---------------------------------------------------------
 
@@ -692,12 +682,9 @@ def push_edge_task(tree, pairs, end):
     start = meter.count
     block, leaves = Tree23.build(pairs, meter)
     if end == "front":
-        block.join(Tree23(meter).adopt(tree))
-        tree.adopt(block)
+        tree.adopt(block.join(tree))
     else:
-        rest = Tree23(meter).adopt(tree)
-        rest.join(block)
-        tree.adopt(rest)
+        tree.join(block)
     yield _charge(meter, start)
     return leaves
 
@@ -712,11 +699,9 @@ def pop_extreme_task(tree, count, end):
         yield 1
         return []
     if end == "front":
-        taken, rest = Tree23(meter).adopt(tree).split_pos(count)
+        taken, rest = tree.split_pos(count)
     else:
-        whole = Tree23(meter).adopt(tree)
-        taken_at = len(whole) - count
-        rest, taken = whole.split_pos(taken_at)
+        rest, taken = tree.split_pos(len(tree) - count)
     tree.adopt(rest)
     leaves = taken.leaves()
     for lf in leaves:

@@ -283,6 +283,28 @@ def test_activation_gate_self_reactivation():
     assert runs == [3, 2, 1]
 
 
+@pytest.mark.parametrize("returned", [False, None])
+def test_activation_gate_reruns_while_ready(returned):
+    # the gate re-checks readiness after every run, so whatever the process
+    # returns (None: it returns nothing), a run that leaves the predicate
+    # true is followed by another one
+    rt = Runtime(p=4)
+    runs = []
+    state = {"left": 3}
+
+    def process():
+        runs.append(state["left"])
+        state["left"] -= 1
+        yield 1
+        return returned
+
+    gate = ActivationGate(lambda: state["left"] > 0, process)
+    rt.spawn_root(gate.activate(), owner=DS)
+    rt.run()
+    assert runs == [3, 2, 1]
+    assert not gate.held
+
+
 def test_activation_gate_no_lost_wakeup():
     # an activator that makes the predicate true while the process runs is
     # never lost: the self-reactivation re-checks the predicate

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import run_task
+from wsmap import sortlib
 from wsmap.core import CmpCounter, Key
 from wsmap.sortlib import entropy, esort, pesort_task, ppivot_task
 
@@ -114,15 +115,27 @@ def test_pesort_matches_reference():
         assert order == _reference(values)
 
 
-def test_pesort_recursion_depth_bound():
+def test_pesort_recursion_depth_bound(monkeypatch):
+    # every partition leaves at most 3/4 of its input on either side, so the
+    # recursion depth is at most log_{4/3} n + 1
+    partition = sortlib._partition_task
+    sides = []
+
+    def spy(keys, idx, pivot):
+        low, mid, high = yield from partition(keys, idx, pivot)
+        sides.append((len(idx), len(low), len(high)))
+        return low, mid, high
+
+    monkeypatch.setattr(sortlib, "_partition_task", spy)
     rnd = random.Random(13)
     for n in (64, 512, 2048):
         values = [rnd.randrange(10 ** 9) for _ in range(n)]
         keys, _ = _keys(values)
-        stats = {}
-        order, _m, _rt = run_task(pesort_task(keys, stats=stats))
+        sides.clear()
+        order, _m, _rt = run_task(pesort_task(keys))
         assert order == _reference(values)
-        assert stats["max_depth"] <= math.log(n, 4 / 3) + 1
+        assert max(k for k, _lo, _hi in sides) == n
+        assert all(4 * max(lo, hi) <= 3 * k for k, lo, hi in sides)
 
 
 def test_pesort_work_and_span_scaling():

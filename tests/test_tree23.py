@@ -306,6 +306,54 @@ def test_split_join_meter_and_shapes_pinned():
         "4722340a4a062fb195ca732efbb723705584992122e5799c397a66e68e06a212")
 
 
+def _edge_trail():
+    """A seeded sequence of edge pushes and pops at both ends of one tree on
+    one meter, with pushes onto an empty tree and pops of nothing and of
+    everything; each result is checked against a list. Returns the meter
+    count, the simulated work and span of the tasks, and a digest of every
+    intermediate (meter count, shape)."""
+    rnd = random.Random(20180725)
+    meter = StepMeter()
+    t = Tree23(meter)
+    model, trail = [], []
+    work = span = fresh = 0
+    for _ in range(150):
+        end = rnd.choice(("front", "back"))
+        if not model or rnd.random() < 0.6:
+            block = list(range(fresh, fresh + rnd.randrange(1, 40)))
+            fresh += len(block)
+            got, metrics, _rt = run_task(
+                push_edge_task(t, [(k, None) for k in block], end))
+            assert [lf.key for lf in got] == block
+            model = block + model if end == "front" else model + block
+        else:
+            roll = rnd.random()
+            count = (0 if roll < 0.1 else len(model) if roll < 0.2
+                     else rnd.randrange(1, len(model) + 1))
+            got, metrics, _rt = run_task(pop_extreme_task(t, count, end))
+            cut = count if end == "front" else len(model) - count
+            taken = model[:cut] if end == "front" else model[cut:]
+            model = model[cut:] if end == "front" else model[:cut]
+            assert [lf.key for lf in got] == taken
+            assert not any(lf.alive or lf.parent for lf in got)
+        work += metrics.ds_work
+        span += metrics.ds_span
+        t.audit()
+        assert [lf.key for lf in t.leaves()] == model
+        trail.append((meter.count, tree_dump(t)))
+    digest = hashlib.sha256(repr(trail).encode()).hexdigest()
+    return meter.count, work, span, digest
+
+
+def test_edge_ops_meter_and_shapes_pinned():
+    # the recency trees' edge pushes and pops are charged by the same meter,
+    # so a rewrite of either must leave this trail's count, work, span and
+    # every intermediate shape unchanged
+    assert _edge_trail() == (
+        5838, 5998, 5998,
+        "450d838189c2c8312b06143a49fe2df520e0af72b00c6c4644ec919c9a8f32c4")
+
+
 def _rebalance_kind(leaf):
     """The first rebalancing step delete_leaf(leaf) takes, read off the
     shape before the delete: None, 'merge' or a borrow from one side."""
@@ -515,13 +563,7 @@ def _ref_split_lt(t, key):
                 return i
         return len(kids) - 1
 
-    left, right, boundary = t._split(route)
-    if boundary.root.key < key:
-        left.join(boundary)
-    else:
-        boundary.join(right)
-        right.adopt(boundary)
-    return left, right
+    return t._split(route, lambda leaf: leaf.key < key)
 
 
 def _random_tree(seed, ctr):
