@@ -1,12 +1,13 @@
 """Batched working-set map and the segment engine it shares with M2.
 
-`SegmentedMap` is the activation-gated interface of both parallel maps. One
-cycle flushes the parallel buffer, cuts the input into p^2-sized bunches on
-a feed buffer, forms a cut batch, entropy-sorts it so same-key operations
-combine into group-operations, and sweeps the segment list. Hits return
-immediately and shift to the front of the previous segment, deletions
-travel to the end, capacity prefixes are restored boundary by boundary, and
-trailing insertions are carved into just-enough new segments.
+`SegmentedMap` is the activation-gated interface of both parallel maps; p is
+its runtime's. One cycle flushes the parallel buffer, cuts the input into
+p^2-sized bunches on a feed buffer, forms a cut batch, entropy-sorts it so
+same-key operations combine into group-operations, and sweeps the segment
+list. Hits return immediately and shift to the front of the previous
+segment, deletions travel to the end, capacity prefixes are restored
+boundary by boundary, and trailing insertions are carved into just-enough
+new segments.
 
 A map built on it sets three policies: how many bunches a cut batch takes
 (`_form_cut`), how finished groups enter the linearization (`_record`), and
@@ -49,8 +50,7 @@ class GroupOp:
 
     def resolve(self, found, value):
         """Fold the group left to right against an initial presence; returns
-        (per-op results, net effect) where net is ('keep', v), ('insert', v),
-        ('remove', None) or ('none', None)."""
+        (per-op results, (present, value) after the group)."""
         present, val = found, value
         results = []
         for op, _h in self.entries:
@@ -63,9 +63,7 @@ class GroupOp:
             elif op.kind == DELETE:
                 if present:
                     present, val = False, None
-        if present:
-            return results, (("keep", val) if found else ("insert", val))
-        return results, (("remove", None) if found else ("none", None))
+        return results, (present, val)
 
 
 def group_sorted_ops(cut, order):
@@ -89,15 +87,14 @@ class SegmentedMap:
     terminal = None     # deepest final-slab index; None: no final slab
     audit = False       # check the invariants after every cycle
 
-    def __init__(self, rt, p):
+    def __init__(self, rt):
         self.rt = rt
-        self.p = p
-        self.p2 = p * p
+        self.p2 = rt.p * rt.p
         self.meter = StepMeter()
         self.segments = []            # the segment chain S[0..]
         self.feed = deque()
         self.gate = ActivationGate(self._ready, self._cycle)
-        self.pbuf = ParallelBuffer(rt, p, activate=self.gate.activate)
+        self.pbuf = ParallelBuffer(rt, activate=self.gate.activate)
         self.n = 0
         self.events = []        # linearization events: one op list each
         self.cut_batches = []   # M1's op lists per cut batch, arrival order
@@ -175,9 +172,9 @@ class SegmentedMap:
         keeps = []
         deliveries = []
         for g, lf in found:
-            results, net = g.resolve(True, lf.val)
-            if net[0] == "keep":
-                keeps.append((g.key, net[1]))
+            results, (present, value) = g.resolve(True, lf.val)
+            if present:
+                keeps.append((g.key, value))
                 deliveries.append((g, results))
                 g.finished = True
             else:
@@ -189,14 +186,14 @@ class SegmentedMap:
         """Finish groups whose key no segment holds (any more): each
         resolves against its tagged deletion or absence. Returns
         (inserted (key, value) pairs, deliveries). A tagged group that ends
-        present (M2 traps a later insert into its filter entry) resolves to
-        "keep"; its item already left the map, so it is re-inserted."""
+        present (M2 traps a later insert into its filter entry) is
+        re-inserted, as its item already left the map."""
         inserts = []
         deliveries = []
         for g in groups:
-            results, net = g.resolve(*(g.found_value or (False, None)))
-            if net[0] in ("insert", "keep"):
-                inserts.append((g.key, net[1]))
+            results, (present, value) = g.resolve(*(g.found_value or (False, None)))
+            if present:
+                inserts.append((g.key, value))
             deliveries.append((g, results))
             g.finished = True
         self.n += len(inserts)
@@ -278,7 +275,7 @@ class BatchedWorkingSetMap(SegmentedMap):
         if self.n < 2:
             want = 1
         else:
-            want = max(1, math.ceil(math.log2(self.n) / self.p))
+            want = max(1, math.ceil(math.log2(self.n) / self.rt.p))
         return min(len(self.feed), want)
 
     def _form_cut(self):

@@ -253,9 +253,9 @@ def _run_serial(structure, chains):
 def _run_parallel(structure, chains, p, scheduler, audit):
     rt = Runtime(p=p, scheduler=scheduler)
     if structure == "m1":
-        m = BatchedWorkingSetMap(rt, p)
+        m = BatchedWorkingSetMap(rt)
     else:
-        m = PipelinedWorkingSetMap(rt, p)
+        m = PipelinedWorkingSetMap(rt)
     m.audit = bool(audit)
     results = {}
 

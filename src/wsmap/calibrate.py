@@ -1,7 +1,8 @@
 """Calibration measurements.
 
 Each helper measures one family of constants on fixed, documented seeds;
-measure_constants() assembles the frozen dict committed to calibration.json.
+measure_constants() prints each value and assembles the frozen dict
+committed to calibration.json.
 The acceptance suite re-runs the same helpers and asserts against the
 frozen values at 1.5x slack.
 """
@@ -20,23 +21,23 @@ from .sortlib import entropy, esort, pesort_task
 from .tree23 import Tree23, batch_insert_task
 
 
-def m0_workloads(n_ops=10_000, universe=1024):
+def m0_workloads():
     return [
-        WorkloadSpec(generator="zipf", n_ops=n_ops, universe=universe,
+        WorkloadSpec(generator="zipf", n_ops=10_000, universe=1024,
                      mix={"search": 0.6, "insert": 0.3, "delete": 0.1,
                           "update": 0.0}, width=1, seed=101, p=8),
-        WorkloadSpec(generator="uniform", n_ops=n_ops, universe=universe,
+        WorkloadSpec(generator="uniform", n_ops=10_000, universe=1024,
                      mix={"search": 0.6, "insert": 0.3, "delete": 0.1,
                           "update": 0.0}, width=1, seed=102, p=8),
-        WorkloadSpec(generator="coldest", n_ops=n_ops, universe=universe,
+        WorkloadSpec(generator="coldest", n_ops=10_000, universe=1024,
                      mix={"search": 0.7, "insert": 0.25, "delete": 0.05,
                           "update": 0.0}, width=1, seed=103, p=8),
     ]
 
 
-def measure_m0(n_ops=10_000):
+def measure_m0():
     worst = 0.0
-    for spec in m0_workloads(n_ops):
+    for spec in m0_workloads():
         report = run_experiment(spec, "m0")
         worst = max(worst, report.ratios["steps_per_wl"])
     return worst
@@ -64,10 +65,10 @@ def measure_esort():
     return worst
 
 
-def measure_pesort_span(sizes=(6, 8, 10, 12, 14)):
+def measure_pesort_span():
     worst = 0.0
     spans = {}
-    for logn in sizes:
+    for logn in (6, 8, 10, 12, 14):
         n = 2 ** logn
         rnd = random.Random(300 + logn)
         values = [rnd.randrange(max(n // 8, 4)) for _ in range(n)]
@@ -122,9 +123,9 @@ def map_workloads(p):
     ]
 
 
-def measure_map_bounds(structure, ps=(4, 8)):
+def measure_map_bounds(structure):
     worst = {"work": 0.0, "span": 0.0, "fl": 0.0, "buffer": 0.0}
-    for p in ps:
+    for p in (4, 8):
         for spec in map_workloads(p):
             report = run_experiment(spec, structure, audit=False)
             assert not [l for l in report.lines
@@ -161,7 +162,7 @@ def measure_pbuffer_flush_span():
                 yield 1
 
         sink = _Sink()
-        buf = ParallelBuffer(rt, p, activate=sink.gate.activate)
+        buf = ParallelBuffer(rt, activate=sink.gate.activate)
 
         def chain(ops):
             for op in ops:
@@ -193,9 +194,9 @@ def span_separation_demo(structure, p=4, n=2 ** 16, calls=64, cold_width=2):
                  else "greedy")
     ctr = CmpCounter()
     if structure == "m2":
-        m = PipelinedWorkingSetMap(rt, p)
+        m = PipelinedWorkingSetMap(rt)
     else:
-        m = BatchedWorkingSetMap(rt, p)
+        m = BatchedWorkingSetMap(rt)
     m.preload([(Key(i, ctr), i) for i in range(n)])
     hot_keys = [Key(i, ctr) for i in range(4)]
     hot = [Operation(i, SEARCH, hot_keys[i % 4]) for i in range(calls)]
@@ -225,13 +226,12 @@ def span_separation_demo(structure, p=4, n=2 ** 16, calls=64, cold_width=2):
     return hot_span[0]
 
 
-def measure_constants(verbose=False):
+def measure_constants():
     values = {}
 
     def note(name, value):
         values[name] = round(value, 4)
-        if verbose:
-            print(f"{name}: {value:.4f}")
+        print(f"{name}: {value:.4f}")
 
     note("m0_steps_per_wl", measure_m0())
     note("esort_comps_per_entropy", measure_esort())

@@ -69,7 +69,7 @@ def _cmd_table(args):
 
 def _cmd_calibrate(args):
     from .calibrate import measure_constants
-    values = measure_constants(verbose=True)
+    values = measure_constants()
     text = json.dumps(values, indent=2, sort_keys=True) + "\n"
     if args.write:
         target = Path(__file__).with_name("calibration.json")

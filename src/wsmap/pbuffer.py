@@ -1,4 +1,5 @@
-"""Parallel buffer: per-processor sub-buffers under a static tree of flags.
+"""Parallel buffer: one sub-buffer per processor of the runtime (rt.p) under a
+static tree of flags.
 
 A map call parks its continuation, appends (op, continuation) to the
 submitting processor's sub-buffer, and walks the flag tree upward, stopping
@@ -24,12 +25,11 @@ class _FlagTree:
 
 
 class ParallelBuffer:
-    def __init__(self, rt, p, activate):
+    def __init__(self, rt, activate):
         self.rt = rt
-        self.p = p
         self.activate = activate           # gate-activation task factory
         size = 1
-        while size < p:
+        while size < rt.p:
             size *= 2
         self.tree = _FlagTree(size)
         self.pending = 0
@@ -39,7 +39,7 @@ class ParallelBuffer:
     def submit(self, op):
         """Task code for the calling program thread: park until the result
         for op is delivered; the walk continues as a buffer-owned child."""
-        proc = self.rt.current_slot % self.p
+        proc = self.rt.current_slot
         result = yield Park(
             lambda handle: self.rt.detach(self._walk(op, handle, proc),
                                           owner=BUFFER, queue=Q2))

@@ -12,8 +12,10 @@ key's entry and finishes together with it. Neighbour-locks serialize
 adjacent segment runs (acquired in the alternating arrow order, so no
 cycles form) and front-locks FL[0..] serialize every access to the filter
 and S[m]'s contents; `_front_acquire`/`_front_release` are the one place
-that takes and releases them. All final-slab nodes run on the
-high-priority queue; interface activations stay on the low queue.
+that takes and releases them. Locks are made on first use; the runtime
+learns of one when a task parks on it. All final-slab nodes run on the
+high-priority queue; interface activations stay on the low queue. m comes
+from the runtime's p unless overridden.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ def first_slab_depth(p):
 
 
 class _SlabSegment(PairedSegment):
-    __slots__ = ("buffer", "gate", "running", "in_flight", "alive")
+    __slots__ = ("buffer", "gate", "running", "in_flight")
 
     def __init__(self, index, meter):
         super().__init__(index, meter)
@@ -47,13 +49,12 @@ class _SlabSegment(PairedSegment):
         self.gate = None
         self.running = False
         self.in_flight = []
-        self.alive = True
 
 
 class PipelinedWorkingSetMap(SegmentedMap):
-    def __init__(self, rt, p, m_override=None):
-        super().__init__(rt, p)
-        self.m = m_override if m_override is not None else first_slab_depth(p)
+    def __init__(self, rt, m_override=None):
+        super().__init__(rt)
+        self.m = m_override if m_override is not None else first_slab_depth(rt.p)
         self.filter = Tree23(self.meter)
         rt.filter_probe = self.filter.__len__   # read once per step
         self.locks = {}               # ("nl", k): S[k-1]|S[k]; ("fl", j): FL[j]
@@ -97,26 +98,22 @@ class PipelinedWorkingSetMap(SegmentedMap):
 
     def _grow_segment(self):
         """Append S[k]: a plain first-slab segment below m, else a final-slab
-        segment with its actor gate and locks."""
+        segment with its actor gate."""
         k = len(self.segments)
         if k < self.m:
             return super()._grow_segment()
         seg = _SlabSegment(k, self.meter)
-        seg.gate = ActivationGate(
-            lambda: seg.alive and len(seg.buffer) > 0,
-            lambda: self._segment_cycle(seg))
+        # a popped segment's buffer is empty and no hand-off reaches it
+        seg.gate = ActivationGate(lambda: len(seg.buffer) > 0,
+                                  lambda: self._segment_cycle(seg))
         self.segments.append(seg)
-        self._lock("nl", k)
-        self._lock("fl", k - self.m)
         return seg
 
     def _lock(self, family, j):
-        """Neighbour-lock ("nl", j) or front-lock ("fl", j), registered on
-        first use."""
+        """Neighbour-lock ("nl", j) or front-lock ("fl", j), made on first use."""
         lock = self.locks.get((family, j))
         if lock is None:
-            lock = self.locks[family, j] = self.rt.register_lock(
-                DedicatedLock(2, name=f"{family}[{j}]"))
+            lock = self.locks[family, j] = DedicatedLock(2, f"{family}[{j}]")
         return lock
 
     def _front_acquire(self, k):
@@ -282,7 +279,6 @@ class PipelinedWorkingSetMap(SegmentedMap):
             yield from self._hand_off(segs[k + 1], remaining)
         # step 5: an empty terminal segment is removed
         if self.terminal == k and seg.size == 0 and len(seg.buffer) == 0:
-            seg.alive = False
             segs.pop()
             if self.terminal is None:
                 assert len(self.filter) == 0

@@ -8,11 +8,13 @@ inputs always produce identical traces and metrics.
 A task yields one of:
 
 * an ``int`` c >= 1 -- this code segment costs c unit nodes (c-1 stall ticks),
-* ``Par(a, b)``     -- binary fork; resumes with the pair of branch results
-  through a join node that has both branch-final nodes as parents,
+* ``Par(a, b)``     -- binary fork of two generators on the parent's owner
+  and queue; resumes with the pair of branch results through a join node
+  that has both branch-final nodes as parents,
 * ``Call(g, ...)``  -- run g as a single child task (possibly with a
   different owner/queue) and resume with its result,
-* ``Acquire(lock, key)`` -- blocking acquire of a dedicated lock,
+* ``Acquire(lock, key)`` -- blocking acquire of a dedicated lock; a lock a
+  task parks on is remembered for the deadlock report,
 * ``Park(fn)``      -- suspend this task; ``fn(handle)`` stores the handle
   somewhere; another node later calls ``rt.resume(handle, value)``.
 
@@ -77,8 +79,8 @@ class LockUsageError(RuntimeError):
     pass
 
 
-class Sub:
-    """Child-task spec; owner/queue default to the parent's."""
+class Call:
+    """Run gen as one child task; owner/queue default to the parent's."""
 
     __slots__ = ("gen", "owner", "queue")
 
@@ -88,12 +90,8 @@ class Sub:
         self.queue = queue
 
 
-class Call(Sub):
-    __slots__ = ()
-
-
 class Par:
-    """Binary fork; each branch is a task generator or a ``Sub``."""
+    """Binary fork of two task generators on the parent's owner and queue."""
 
     __slots__ = ("left", "right")
 
@@ -210,8 +208,8 @@ class Runtime:
     """Single-threaded deterministic simulator of a p-processor machine."""
 
     def __init__(self, p, scheduler="greedy", trace=False):
-        if p < 4:
-            raise ValueError("p must be at least 4")
+        if type(p) is not int or p < 4:
+            raise ValueError(f"p must be an integer >= 4, got {p!r}")
         if scheduler not in ("greedy", "weak_priority"):
             raise ValueError(f"unknown scheduler {scheduler!r}")
         if scheduler == "weak_priority" and p % 2:
@@ -224,7 +222,7 @@ class Runtime:
         self.filter_probe = None  # filter size callable, read once per step
         self.now = 0
         self.current_slot = 0
-        self._locks = []
+        self._locks = {}         # every lock a task has parked on, in order
         self._ids = 0            # ids handed out before this step (traced)
         self._staged = []        # tasks staged this step, in node-id order
         self._staged_q1 = 0      # Q1 tasks in _staged
@@ -240,10 +238,6 @@ class Runtime:
         self._stage(task)
         return task
 
-    def register_lock(self, lock):
-        self._locks.append(lock)
-        return lock
-
     @property
     def current_path(self):
         """(program, buffer, ds) node counts along the executing node's
@@ -255,13 +249,10 @@ class Runtime:
         if task.queue == Q1:
             self._staged_q1 += 1
 
-    def _spawn(self, spec, parent, path):
-        """Stage a child of parent for spec, a task generator or a Sub."""
-        if isinstance(spec, Sub):
-            task = _Task(spec.gen, spec.owner or parent.owner,
-                         spec.queue or parent.queue, path)
-        else:
-            task = _Task(spec, parent.owner, parent.queue, path)
+    def _spawn(self, gen, parent, owner=None, queue=None):
+        """Stage a child of parent from its path, on its owner/queue by default."""
+        task = _Task(gen, owner or parent.owner, queue or parent.queue,
+                     parent.path[:])
         self._stage(task)
         return task
 
@@ -299,8 +290,7 @@ class Runtime:
 
     def detach(self, gen, owner=None, queue=None):
         """Spawn a fire-and-forget child of the current node."""
-        cur = self._cur_task
-        self._spawn(Sub(gen, owner, queue), cur, cur.path[:])
+        self._spawn(gen, self._cur_task, owner, queue)
 
     # -- main loop -------------------------------------------------------------
 
@@ -455,15 +445,14 @@ class Runtime:
         """Apply an effect other than an int that task yielded at its
         current node."""
         if isinstance(effect, Par):
-            path = task.path
-            left = self._spawn(effect.left, task, path[:])
-            right = self._spawn(effect.right, task, path[:])
+            left = self._spawn(effect.left, task)
+            right = self._spawn(effect.right, task)
             left.parent = right.parent = task
             left.branch, right.branch = 0, 1
             task.need = 2
             task.send = [None, None]
         elif isinstance(effect, Call):
-            child = self._spawn(effect, task, task.path[:])
+            child = self._spawn(effect.gen, task, effect.owner, effect.queue)
             child.parent = task
             child.branch = None
         elif isinstance(effect, Acquire):
@@ -484,6 +473,7 @@ class Runtime:
             else:
                 lock.slots[key] = ParkHandle(task)
                 self._parked += 1
+                self._locks[lock] = None
         elif isinstance(effect, Park):
             handle = ParkHandle(task)
             self._parked += 1

@@ -257,16 +257,12 @@ class Tree23:
             self.meter.count += 1
             parent = node.parent
             if parent is None:
-                # root with a single child collapses
-                if len(node.kids) == 1:
-                    self.root = node.kids[0]
-                    self.root.parent = None
-                    self.height -= 1
-                    if type(self.root) is Inner:
-                        self._refresh(self.root)
-                else:
-                    self.root = None
-                    self.height = -1
+                # a merge leaves the root (2-3 kids before it) one kid
+                self.root = node.kids[0]
+                self.root.parent = None
+                self.height -= 1
+                if type(self.root) is Inner:
+                    self._refresh(self.root)
                 return
             idx = parent.kids.index(node)
             sib_idx = idx - 1 if idx > 0 else idx + 1
@@ -455,13 +451,13 @@ class Tree23:
         skip = count
 
         def route(node):
+            # 0 < count < n, so skip < node.size at every level
             nonlocal skip
             for i, kid in enumerate(node.kids):
                 s = kid.size
                 if skip < s:
                     return i
                 skip -= s
-            return len(node.kids) - 1
 
         return self._split(route, lambda _leaf: skip > 0)
 

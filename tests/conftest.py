@@ -28,7 +28,7 @@ def run_map_workload(make_map, chains, p=8, scheduler="greedy"):
     """Drive op chains (serial within a chain, chains in parallel) through a
     map structure; returns (results by op_id, map, metrics, rt)."""
     rt = Runtime(p=p, scheduler=scheduler)
-    m = make_map(rt, p)
+    m = make_map(rt)
     results = {}
 
     def chain_task(ops):

@@ -26,7 +26,7 @@ from wsmap.core import (
 )
 from wsmap.pipelined import PipelinedWorkingSetMap
 from wsmap.runtime import (
-    Acquire, Call, DedicatedLock, Par, Q1, Runtime, Sub, par_map,
+    Acquire, Call, DedicatedLock, Par, Q1, Runtime, par_map,
 )
 from wsmap.seqmap import SeqWorkingSetMap
 from wsmap.sortlib import esort, pesort_task, ppivot_task
@@ -48,8 +48,7 @@ def execute_inline(gen):
         if type(effect) is int:
             send = None
         elif isinstance(effect, Par):
-            send = tuple(execute_inline(b.gen if isinstance(b, Sub) else b)
-                         for b in (effect.left, effect.right))
+            send = (execute_inline(effect.left), execute_inline(effect.right))
         elif isinstance(effect, Call):
             send = execute_inline(effect.gen)
         else:
@@ -90,10 +89,10 @@ def test_criterion_1_semantic_equivalence():
 
 def test_criterion_2_m0_working_set_bound():
     bound = slack() * frozen_constants()["m0_steps_per_wl"]
-    worst = measure_m0(n_ops=10_000)
+    worst = measure_m0()
     ok = worst <= bound
     # promotion bound, exact, on every successful access of a zipf run
-    spec = m0_workloads(10_000)[0]
+    spec = m0_workloads()[0]
     chains = generate(spec)
     m = SeqWorkingSetMap()
     promo_ok = True
@@ -306,7 +305,7 @@ def test_criterion_9_locks_and_scheduler_quota():
                     fair_ok = False
     # weak-priority quota, exact at every step of a traced m2 run
     rt = Runtime(p=4, scheduler="weak_priority", trace=True)
-    m = PipelinedWorkingSetMap(rt, 4)
+    m = PipelinedWorkingSetMap(rt)
     ctr = CmpCounter()
     ops = [Operation(i, INSERT, Key(i, ctr), i) for i in range(300)]
     ops += [Operation(300 + i, SEARCH, Key(i % 330, ctr)) for i in range(100)]
@@ -353,7 +352,7 @@ def test_criterion_10_parallel_buffer():
                 return True
 
         sink = _Sink()
-        buf = ParallelBuffer(rt, p, activate=sink.gate.activate)
+        buf = ParallelBuffer(rt, activate=sink.gate.activate)
         n_sent = 0
         chains = []
         for c in range(rnd.randrange(1, 2 * p)):

@@ -12,8 +12,8 @@ from wsmap.runtime import Runtime
 from wsmap.segments import PairedSegment, preload_segment
 
 
-def _make(rt, p):
-    m = BatchedWorkingSetMap(rt, p)
+def _make(rt):
+    m = BatchedWorkingSetMap(rt)
     m.audit = True
     return m
 
@@ -37,17 +37,17 @@ def test_group_op_fold_examples():
 
     # [del, ins v] on a present key: replace-with-v
     results, net = grp([(DELETE, None), (INSERT, 7)]).resolve(True, 1)
-    assert net == ("keep", 7)
+    assert net == (True, 7)
     assert [r.found for r in results] == [True, False]
     # [ins v, del] is ensure-absent
     results, net = grp([(INSERT, 7), (DELETE, None)]).resolve(True, 1)
-    assert net == ("remove", None)
+    assert net == (False, None)
     results, net = grp([(INSERT, 7), (DELETE, None)]).resolve(False, None)
-    assert net == ("none", None)
+    assert net == (False, None)
     assert [r.found for r in results] == [False, True]
     # trailing insert materializes
     results, net = grp([(SEARCH, None), (INSERT, 3)]).resolve(False, None)
-    assert net == ("insert", 3)
+    assert net == (True, 3)
 
 
 def test_serial_inserts_and_searches():
@@ -117,12 +117,13 @@ def test_random_workloads_match_oracle(seed, p):
 
 
 def test_ingest_slicing_spec_examples():
-    rt = Runtime(p=4)
-    m = BatchedWorkingSetMap(rt, 2)   # p^2 = 4 for the spec example
+    m = BatchedWorkingSetMap(Runtime(p=4))
+    m.p2 = 4   # the spec example's bunch size
     run_task(m._ingest(list(range(5))))
     assert [sum(map(len, b)) for b in m.feed] == [4, 1]
     # q=3, b=2: one op tops up the last bunch, one opens a new bunch
-    m8 = BatchedWorkingSetMap(Runtime(p=4), 2)
+    m8 = BatchedWorkingSetMap(Runtime(p=4))
+    m8.p2 = 4
     run_task(m8._ingest(list(range(3))))
     assert [sum(map(len, b)) for b in m8.feed] == [3]
     run_task(m8._ingest(list(range(3, 5))))
@@ -133,8 +134,7 @@ def test_ingest_slicing_spec_examples():
 
 
 def test_cut_bunch_count_formula():
-    rt = Runtime(p=4)
-    m = BatchedWorkingSetMap(rt, 4)
+    m = BatchedWorkingSetMap(Runtime(p=4))
     m.feed.extend([None] * 50)
     m.n = 16
     assert m._cut_bunch_count() == 1
@@ -188,7 +188,7 @@ def test_append_after_deletion_empties_last_segment():
 
 def _preloaded(n):
     """An M1 map warm-started with keys 0..n-1, most recent first."""
-    m = BatchedWorkingSetMap(Runtime(p=4), 4)
+    m = BatchedWorkingSetMap(Runtime(p=4))
     m.preload([(Key(v), v) for v in range(n)])
     return m
 

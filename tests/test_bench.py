@@ -45,10 +45,13 @@ def test_workload_spec_round_trip():
     ({"zipf_s": -400.0}, "zipf_s must be >= 0"),
     ({"zipf_s": 10 ** 400}, "zipf_s must be <= 1000 / log2(universe)"),
     ({"name": 7}, "name must be a string"),
+    ({"seed": 1.5}, "seed must be an integer"),
+    ({"mix": [0.5, 0.5]}, "op mix must be an object"),
 ], ids=["n_ops_0", "width_0", "universe_0", "mix_key_typo", "mix_negative",
         "hot_window_0", "p_3", "zipf_s_string", "zipf_s_nan", "zipf_s_inf",
         "zipf_s_bool", "zipf_s_large_float", "zipf_s_large_int",
-        "zipf_s_negative", "zipf_s_huge_int", "name_number"])
+        "zipf_s_negative", "zipf_s_huge_int", "name_number", "seed_float",
+        "mix_list"])
 def test_workload_spec_rejects_bad_fields(fields, message):
     with pytest.raises(ValueError) as info:
         WorkloadSpec(**fields)
@@ -56,6 +59,11 @@ def test_workload_spec_rejects_bad_fields(fields, message):
     text = json.dumps({**json.loads(WorkloadSpec().to_json()), **fields})
     with pytest.raises(ValueError):
         WorkloadSpec.from_json(text)
+
+
+def test_run_experiment_rejects_an_unknown_structure():
+    with pytest.raises(ValueError, match="unknown structure 'm3'"):
+        run_experiment(WorkloadSpec(n_ops=10), "m3")
 
 
 def test_workload_spec_from_json_rejects_unknown_fields():

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 
 import pytest
@@ -28,6 +29,18 @@ def test_counting_comparator():
     assert ctr.count == 2
     assert b >= a
     assert ctr.count == 3
+    # every operator answers as on the raw values, with one count
+    for op in (operator.lt, operator.le, operator.gt, operator.ge,
+               operator.eq, operator.ne):
+        for x, y in ((1, 2), (2, 1), (1, 1)):
+            before = ctr.count
+            assert op(Key(x, ctr), Key(y, ctr)) == op(x, y)
+            assert ctr.count == before + 1
+
+
+def test_operation_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown op kind 'upsert'"):
+        Operation(0, "upsert", Key(1))
 
 
 def test_access_rank_examples():
@@ -225,6 +238,8 @@ def test_validate_batch_preserving():
     assert validate_batch_preserving(batches, [sa2, ia]) is False
     with pytest.raises(ValueError):
         validate_batch_preserving(batches, [ia])
+    with pytest.raises(ValueError, match="duplicate op_id across batches"):
+        validate_batch_preserving([[ia], [ia]], [ia, ia])
 
 
 def test_batch_preserving_replay_invariance():

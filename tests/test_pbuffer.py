@@ -3,7 +3,7 @@ import random
 
 from wsmap.pbuffer import ParallelBuffer
 from wsmap.runtime import (
-    ActivationGate, BUFFER, Call, DS, Runtime, Sub, par_map,
+    ActivationGate, BUFFER, Call, DS, Runtime, par_map,
 )
 
 
@@ -11,12 +11,12 @@ class _Collector:
     """Minimal structure: on activation, flush and record the batch, then
     echo each op back to its caller."""
 
-    def __init__(self, rt, p):
+    def __init__(self, rt):
         self.rt = rt
         self.batches = []
         self.activations = 0
         self.gate = ActivationGate(self._ready, self._drain)
-        self.buf = ParallelBuffer(rt, p, activate=self.gate.activate)
+        self.buf = ParallelBuffer(rt, activate=self.gate.activate)
 
     def _ready(self):
         return self.buf.pending > 0
@@ -34,7 +34,7 @@ class _Collector:
 def _run(p, submitters, scheduler="greedy"):
     """submitters: list of (delay, [ops]); each is a serial program chain."""
     rt = Runtime(p=p, scheduler=scheduler)
-    coll = _Collector(rt, p)
+    coll = _Collector(rt)
     results = []
 
     def chain(spec):
@@ -101,7 +101,7 @@ def test_flush_span_logarithmic():
 def test_submit_walk_stops_at_set_flag():
     # second submit in a later step stops early: its walk is shorter
     rt = Runtime(p=4, trace=True)
-    coll = _Collector(rt, 4)
+    coll = _Collector(rt)
 
     def chain(delay, op):
         if delay:

@@ -13,8 +13,8 @@ from wsmap.pipelined import PipelinedWorkingSetMap, first_slab_depth
 
 
 def _maker(m_override=None, audit=True):
-    def make(rt, p):
-        m = PipelinedWorkingSetMap(rt, p, m_override=m_override)
+    def make(rt):
+        m = PipelinedWorkingSetMap(rt, m_override=m_override)
         m.audit = audit
         return m
     return make
@@ -142,6 +142,28 @@ def test_deep_final_slab_actors_match_the_oracle(m_override, seed, scheduler):
     results, m, _metrics, _rt = run_map_workload(
         _maker(m_override=m_override, audit=False), chunk_chains(ops, 16),
         p=4, scheduler=scheduler)
+    _check_equivalence(results, m)
+
+
+@pytest.mark.parametrize("scheduler", ["weak_priority", "greedy"])
+def test_final_slab_drains_while_the_interface_waits(scheduler, monkeypatch):
+    # the interface takes nl[m] and the front-locks for a final slab that
+    # its holder then pops; the interface releases them, recording no
+    # front-access delay (t0=None), and finishes the batch in the first slab
+    release = PipelinedWorkingSetMap._front_release
+    untimed = []
+
+    def spy(self, k, t0):
+        if t0 is None:
+            untimed.append(k)
+        return (yield from release(self, k, t0))
+
+    monkeypatch.setattr(PipelinedWorkingSetMap, "_front_release", spy)
+    ops = random_ops(700, 40, 21, mix=(0.35, 0.4, 0.2, 0.05))
+    results, m, _metrics, _rt = run_map_workload(
+        _maker(m_override=2), chunk_chains(ops, 16), p=4,
+        scheduler=scheduler)
+    assert untimed == [2]
     _check_equivalence(results, m)
 
 
@@ -291,6 +313,35 @@ def _duplicate_in_flight_key(m):
     m.segments[m.terminal].in_flight = [ghost, ghost]
 
 
+def _in_flight_key_not_in_filter(m):
+    m.segments[m.terminal].in_flight = [GroupOp(Key(-1), [])]
+
+
+def _filter_key_not_in_flight(m):
+    m.filter.insert(Key(-1), None)
+
+
+def _final_segment_over_3x_capacity(m):
+    seg = m.segments[m.m]
+    seg.cap = seg.size // 3 - 1
+
+
+def _hole_in_first_slab(m):
+    m.segments[0].cap += 1
+
+
+def _hole_in_last_first_slab_segment(m):
+    m.segments[m.m - 1].cap += 1
+
+
+def _prefix_under_capacity(m):
+    # invariant 4 needs a non-terminal final segment; with the interface
+    # mid-cycle, first-slab holes are allowed by invariant 2 but not by it
+    m._grow_segment()
+    m.gate.held = True
+    m.segments[0].cap += 2 * m.p2 + 1
+
+
 def _item_without_event(m):
     _final_slab_leaves(m)[0].key = Key(-1)
 
@@ -299,6 +350,15 @@ def _item_without_event(m):
     (_filter_holds_a_first_slab_key, "audit_distinctness",
      "first-slab key"),
     (_duplicate_in_flight_key, "audit_distinctness", "duplicate keys"),
+    (_in_flight_key_not_in_filter, "audit_distinctness",
+     "missing from the filter"),
+    (_filter_key_not_in_flight, "audit_distinctness",
+     "diverge from in-flight keys"),
+    (_final_segment_over_3x_capacity, "audit_balance", "over 3x capacity"),
+    (_hole_in_first_slab, "audit_balance", "hole in first-slab segment 0"),
+    (_hole_in_last_first_slab_segment, "audit_balance",
+     "has 1 holes > 0 deletions"),
+    (_prefix_under_capacity, "audit_balance", "under capacity"),
     (_item_without_event, "audit_rank_invariant", "has no event"),
 ])
 def test_audits_catch_corrupted_state(corrupt, audit, message):

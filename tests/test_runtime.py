@@ -8,7 +8,7 @@ from wsmap.batched import BatchedWorkingSetMap
 from wsmap.pipelined import PipelinedWorkingSetMap
 from wsmap.runtime import (
     Acquire, ActivationGate, BUFFER, Call, DedicatedLock, LockUsageError,
-    Par, Park, Q1, Q2, Runtime, SimDeadlock, Sub, concat_tree,
+    Par, Park, Q1, Q2, Runtime, SimDeadlock, concat_tree,
     merge_sort_task, par_map, PROGRAM, DS,
 )
 
@@ -109,6 +109,42 @@ def test_p_and_scheduler_validation():
         Runtime(p=5, scheduler="weak_priority")
     with pytest.raises(ValueError):
         Runtime(p=8, scheduler="fifo")
+    # a float p would only fail later, as a list index in the step loop
+    for p in (8.0, "8", True):
+        with pytest.raises(ValueError, match="p must be an integer >= 4"):
+            Runtime(p=p)
+
+
+def _yielding(*effects):
+    yield from effects
+
+
+def _run_yielding(*effects):
+    """Run one task that yields effects in turn."""
+    rt = Runtime(p=4)
+    rt.spawn_root(_yielding(*effects))
+    return rt.run()
+
+
+def test_usage_errors_raise():
+    rt = Runtime(p=4)
+    handles = []
+
+    def resumer():
+        yield 1
+        rt.resume(handles[0], None)
+        rt.resume(handles[0], None)
+
+    rt.spawn_root(_yielding(Park(handles.append)))
+    rt.spawn_root(resumer())
+    with pytest.raises(LockUsageError, match="double resume"):
+        rt.run()
+    with pytest.raises(LockUsageError, match="release of unheld lock L"):
+        Runtime(p=4).release(DedicatedLock(2, name="L"))
+    with pytest.raises(LockUsageError, match="key 3 out of range for lock L"):
+        _run_yielding(Acquire(DedicatedLock(2, name="L"), 3))
+    with pytest.raises(TypeError, match="unsupported effect 'x'"):
+        _run_yielding("x")
 
 
 def _locked(lock, key, log, label):
@@ -231,7 +267,6 @@ def test_acquire_of_the_holders_key_rejected():
 def test_deadlock_detection_reports():
     rt = Runtime(p=4)
     lock = DedicatedLock(2, name="stuck")
-    rt.register_lock(lock)
 
     def holder():
         yield Acquire(lock, 1)
@@ -543,7 +578,7 @@ def test_fast_forward_counts_filter_probe_steps():
 
 def test_fast_forward_lock_waiter_parked_across_long_tick():
     def build(rt, handles, task):
-        lock = rt.register_lock(DedicatedLock(2, name="L"))
+        lock = DedicatedLock(2, name="L")
 
         def holder():
             yield Acquire(lock, 1)
@@ -607,7 +642,7 @@ def _chain_left_by_resume(rt, handles, task):
 
 
 def _chain_left_by_release(rt, handles, task):
-    lock = rt.register_lock(DedicatedLock(2, name="L"))
+    lock = DedicatedLock(2, name="L")
 
     def holder():
         yield Acquire(lock, 1)
@@ -626,12 +661,17 @@ def _chain_left_by_release(rt, handles, task):
     rt.spawn_root(task("waiter", waiter()))
 
 
+def _call(gen, owner, queue):
+    """A Par branch that runs gen on its own owner and queue."""
+    return (yield Call(gen, owner, queue))
+
+
 def _chain_left_by_par(rt, handles, task):
     def main():
         yield 3
         yield 2
         a, b = yield Par(task("l", _costs(2, 2)),
-                         Sub(task("r", _costs(5)), owner=DS, queue=Q1))
+                         _call(task("r", _costs(5)), owner=DS, queue=Q1))
         yield a + b
         yield 1
 
@@ -705,7 +745,7 @@ def _plan_task(rt, lock, plan):
             yield action[2]
             rt.release(lock)
         elif kind == "par":
-            yield Par(*(Sub(_plan_task(rt, lock, sub), owner, queue)
+            yield Par(*(_call(_plan_task(rt, lock, sub), owner, queue)
                         for sub, owner, queue in action[1:]))
         else:
             sub, owner, queue = action[1]
@@ -719,7 +759,7 @@ def _plan_task(rt, lock, plan):
 
 def _run_plans(plans, n_keys, p, scheduler, trace):
     rt = Runtime(p=p, scheduler=scheduler, trace=trace)
-    lock = rt.register_lock(DedicatedLock(max(n_keys, 1), name="L"))
+    lock = DedicatedLock(max(n_keys, 1), name="L")
     for sub, owner, queue in plans:
         rt.spawn_root(_plan_task(rt, lock, sub), owner=owner, queue=queue)
     return rt, rt.run()
@@ -792,9 +832,9 @@ def _run_map(structure, scheduler, m_override, trace):
         ops, width, p = random_ops(400, 160, 3, mix=(0.35, 0.4, 0.2, 0.05)), 16, 4
     rt = Runtime(p=p, scheduler=scheduler, trace=trace)
     if structure == "m1":
-        m = BatchedWorkingSetMap(rt, p)
+        m = BatchedWorkingSetMap(rt)
     else:
-        m = PipelinedWorkingSetMap(rt, p, m_override=m_override)
+        m = PipelinedWorkingSetMap(rt, m_override=m_override)
     m.audit = False
     results = {}
 

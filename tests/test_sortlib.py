@@ -26,6 +26,8 @@ def test_entropy_examples():
         0.75 * math.log(4 / 3) + 0.25 * math.log(4))
     with pytest.raises(ValueError):
         entropy([2, 0], 2)
+    with pytest.raises(ValueError, match="empty frequency profile"):
+        entropy([])
 
 
 def test_esort_examples():

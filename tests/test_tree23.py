@@ -28,6 +28,17 @@ def test_build_and_audit_all_sizes():
         assert [lf.key for lf in t.leaves()] == list(range(n))
 
 
+def test_dead_handle_and_position_errors_raise():
+    t, leaves = _build([1, 2, 3])
+    t.delete_leaf(leaves[0])
+    with pytest.raises(TreeUsageError, match="delete of a dead handle"):
+        t.delete_leaf(leaves[0])
+    with pytest.raises(TreeUsageError, match="position 2 out of range"):
+        t.leaf_at(2)
+    with pytest.raises(TreeUsageError, match="index_of a dead handle"):
+        t.index_of(leaves[0])
+
+
 def test_sequential_ops_fuzz_against_dict():
     rnd = random.Random(11)
     t = Tree23()
@@ -134,6 +145,10 @@ def test_batch_rejects_unsorted_or_duplicate():
     t2, _ = _build(range(8))
     with pytest.raises(TreeUsageError):
         run_task(batch_op_task(t2, [("search", 3, None), ("search", 3, None)]))
+    with pytest.raises(TreeUsageError, match="positions must be sorted"):
+        run_task(batch_delete_pos_task(t2, [1, 0]))
+    with pytest.raises(TreeUsageError, match="unknown batch op kind 'upsert'"):
+        run_task(batch_op_task(t2, [("upsert", 2, None)]))
 
 
 def test_batch_precondition_counts_no_key_comparison():
