@@ -349,7 +349,11 @@ def run_experiment(spec, structure, scheduler=None, audit=True):
     bb = slack() * frozen["pbuffer_cost"]
     lines.append(_line("buffer_cost_bound", buf_ratio <= bb, buf_ratio, bb))
 
+    metrics_dict = metrics.to_dict()
     if structure == "m2":
+        steps = metrics_dict["steps"]
+        steps["filter_full"] = m.filter_full_steps()
+        steps["filter_empty"] = steps["total"] - steps["filter_full"]
         fl_bound = slack() * frozen["m2_fl_delay"]
         worst = 0.0
         for k, delay in m.fl_delays:
@@ -360,7 +364,7 @@ def run_experiment(spec, structure, scheduler=None, audit=True):
         lines.append(_line("trapped_ops", True, m.trapped_ops))
 
     return Report(structure, asdict(spec), scheduler, _bound_dict(rep),
-                  metrics.to_dict(), ratios, lines)
+                  metrics_dict, ratios, lines)
 
 
 def _bound_dict(rep):

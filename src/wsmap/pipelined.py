@@ -56,7 +56,8 @@ class PipelinedWorkingSetMap(SegmentedMap):
         super().__init__(rt)
         self.m = m_override if m_override is not None else first_slab_depth(rt.p)
         self.filter = Tree23(self.meter)
-        rt.filter_probe = self.filter.__len__   # read once per step
+        self.filter_size = 0          # entries, exact between filter batches
+        self._full_steps = 0          # filter-full steps, less t + 1 if full since t
         self.locks = {}               # ("nl", k): S[k-1]|S[k]; ("fl", j): FL[j]
         self._recency = {}            # event keys, least recent event first
         self.trapped_ops = 0          # ops folded into an in-flight entry
@@ -77,11 +78,10 @@ class PipelinedWorkingSetMap(SegmentedMap):
     # -- interface policies ------------------------------------------------------
 
     def _ready(self):
-        return super()._ready() and len(self.filter) <= self.p2
+        return super()._ready() and self.filter_size <= self.p2
 
     def _form_cut(self):
-        cut = yield from concat_tree(self.feed.popleft())
-        return cut
+        return (yield from concat_tree(self.feed.popleft()))
 
     def _record(self, deliveries):
         """Time linearization: one event per finished group, in occurrence
@@ -190,7 +190,19 @@ class PipelinedWorkingSetMap(SegmentedMap):
                 new_entries.append((g.key, g))
         if new_entries:
             yield from batch_insert_task(self.filter, new_entries)
+            self._resize_filter(len(new_entries))
         return admitted
+
+    def _resize_filter(self, delta):
+        """Count a finished filter batch, in effect from the next step."""
+        was_full = self.filter_size >= self.rt.p
+        self.filter_size += delta
+        if was_full != (self.filter_size >= self.rt.p):
+            self._full_steps += (self.rt.now + 1) * (1 if was_full else -1)
+
+    def filter_full_steps(self):
+        """Steps so far that began with at least p filter entries."""
+        return self._full_steps + self.rt.now * (self.filter_size >= self.rt.p)
 
     # -- final-slab segment actors ----------------------------------------------------
 
@@ -258,9 +270,10 @@ class PipelinedWorkingSetMap(SegmentedMap):
             ordered = sorted((g.key for g, _r in delivered),
                              key=lambda kk: kk.value)
             yield from batch_delete_keys_task(self.filter, ordered)
+            self._resize_filter(-len(ordered))
             self._deliver(delivered)
         # step 4e
-        if len(self.filter) <= self.p2:
+        if self.filter_size <= self.p2:
             self.rt.detach(self.gate.activate(), owner=DS, queue=Q2)
         # step 4f
         if k > self.m:
@@ -281,7 +294,7 @@ class PipelinedWorkingSetMap(SegmentedMap):
         if self.terminal == k and seg.size == 0 and len(seg.buffer) == 0:
             segs.pop()
             if self.terminal is None:
-                assert len(self.filter) == 0
+                assert self.filter_size == 0
         # step 6
         if k == self.m:
             yield from self._front_release(k, fl_t0)
@@ -307,7 +320,7 @@ class PipelinedWorkingSetMap(SegmentedMap):
         """Final-slab op keys are pairwise distinct and tracked by the
         filter, which never grows past 2p^2; first-slab items never appear
         in the filter."""
-        assert len(self.filter) <= 2 * self.p2, "filter grew past 2p^2"
+        assert self.filter_size <= 2 * self.p2, "filter grew past 2p^2"
         in_flight = []
         for seg in self.final:
             in_flight.extend(lf.key.value for lf in seg.buffer.leaves())
@@ -321,6 +334,7 @@ class PipelinedWorkingSetMap(SegmentedMap):
         if self._quiescent():
             assert set(in_flight) == filter_keys, \
                 "filter keys diverge from in-flight keys"
+            assert self.filter_size == len(self.filter), "stale filter_size"
         if filter_keys:
             for seg in self.segments[:self.m]:
                 for lf in seg.keys.leaves():
@@ -328,7 +342,6 @@ class PipelinedWorkingSetMap(SegmentedMap):
                         f"first-slab key {lf.key.value} in the filter"
 
     def audit_balance(self):
-        p2 = self.p2
         segs = self.segments
         sm = segs[self.m] if len(segs) > self.m else None
         # invariant 3: final segments stay within 3x capacity
@@ -359,7 +372,7 @@ class PipelinedWorkingSetMap(SegmentedMap):
                 continue
             caps = sum(s.cap for s in segs[:k])
             sizes = sum(s.size for s in segs[:k])
-            assert sizes >= caps - 2 * p2, \
+            assert sizes >= caps - 2 * self.p2, \
                 f"prefix below S[{k}] is {caps - sizes} under capacity"
 
     def audit_rank_invariant(self):

@@ -181,8 +181,6 @@ class ExecutionMetrics:
     ds_span: int = 0
     high_busy_steps: int = 0
     high_idle_steps: int = 0
-    filter_full_steps: int = 0
-    filter_empty_steps: int = 0
 
     def to_dict(self):
         return {
@@ -196,8 +194,6 @@ class ExecutionMetrics:
                 "total": self.steps,
                 "high_busy": self.high_busy_steps,
                 "high_idle": self.high_idle_steps,
-                "filter_full": self.filter_full_steps,
-                "filter_empty": self.filter_empty_steps,
             },
             "p": self.p,
             "scheduler": self.scheduler,
@@ -219,7 +215,6 @@ class Runtime:
         self.metrics = ExecutionMetrics(p=p, scheduler=scheduler)
         self.trace = [] if trace else None
         self.step_stats = [] if trace else None
-        self.filter_probe = None  # filter size callable, read once per step
         self.now = 0
         self.current_slot = 0
         self._locks = {}         # every lock a task has parked on, in order
@@ -299,12 +294,11 @@ class Runtime:
         p = self.p
         half = p // 2
         quota = p if self.scheduler == "greedy" else half
-        probe = self.filter_probe
         stats = self.step_stats
         traced = self.trace is not None
         work, spans = m.work, self._spans
         start = self.now
-        busy = full = 0          # high-busy and filter-full steps
+        busy = 0                 # high-busy steps
         ready, n1 = self._staged, self._staged_q1
         staged = self._staged = []
         self._staged_q1 = 0
@@ -312,7 +306,6 @@ class Runtime:
         while ready:
             n = len(ready)
             high_busy = n1 >= half
-            filter_full = probe is not None and probe() >= p
             if n <= p and n1 <= quota and n - n1 <= quota:
                 batch, ready, q1_exec = ready, None, n1
             else:
@@ -348,12 +341,7 @@ class Runtime:
                         break
                     send = None
                     path[s] += effect - 1
-                    if filter_full:
-                        full += 1
-                    if effect > 1 and probe is not None and probe() >= p:
-                        full += effect - 1
                     self.now += effect
-                    filter_full = probe is not None and probe() >= p
                 work[task.owner] = work.get(task.owner, 0) + path[s] - before
                 if path[s] > spans[s]:
                     spans[s] = path[s]
@@ -367,8 +355,6 @@ class Runtime:
                 self._run_batch(batch, k)
             if high_busy:
                 busy += k
-            if filter_full:
-                full += k
             self.now += k
             if traced:
                 for nid, task in enumerate(staged, self._ids):
@@ -387,9 +373,6 @@ class Runtime:
         m.steps += steps
         m.high_busy_steps += busy
         m.high_idle_steps += steps - busy
-        if probe is not None:
-            m.filter_full_steps += full
-            m.filter_empty_steps += steps - full
         if self._parked:
             blocked = [(lk.name, lk.waiters()) for lk in self._locks if lk.waiters()]
             raise SimDeadlock(

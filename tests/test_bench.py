@@ -13,6 +13,7 @@ from wsmap.bench import (
 )
 from wsmap.cli import main
 from wsmap.core import CmpCounter, INSERT, Key, Operation, SEARCH
+from wsmap.runtime import DS_FINAL
 
 
 def test_workload_spec_round_trip():
@@ -299,7 +300,7 @@ _FINAL_SLAB_OPEN = WorkloadSpec(generator="uniform", n_ops=600, universe=8192,
     ("m1", WorkloadSpec(generator="zipf", n_ops=300, universe=256,
                         mix=_HOT_MIX, width=8, seed=1, p=8,
                         name="hot_zipf_m1"),
-     "4324fe462f98b5531a194435ee26a1144c35898af0bc20f8a1c439920706631a"),
+     "8ddaaa213c8ead5adf86b677b25f081829f24abeef3c7e3bf3ae70a81c974a5c"),
     ("m2", WorkloadSpec(generator="uniform", n_ops=400, universe=8192,
                         mix=_DEEP_MIX, width=8, seed=1, p=8,
                         name="deep_insert_m2"),
@@ -335,42 +336,58 @@ def test_report_digest_pinned(structure, spec, digest, monkeypatch):
 
 
 # The same for the shipped workloads/*.json specs on every map, which CI also
-# runs through `wsmap run`.
+# runs through `wsmap run`, with the work each M2 run charges to its final
+# slab (the same under both schedulers).
 _SHIPPED = Path(__file__).resolve().parent.parent / "workloads"
+_M2_FINAL_SLAB_WORK = {"coldest_serial": 5953, "hotset_mixed": 0,
+                       "uniform_wide": 70220, "zipf_small": 0}
 
 
 @pytest.mark.parametrize("workload, structure, digest", [
     ("coldest_serial", "m0",
      "345ba24ae48b5238ea29b1dc453dcbd764e31d3df375088e74f975f18caf8086"),
     ("coldest_serial", "m1",
-     "4fa5f3cfbdcd9a468f48c766393f4de29b274a848411a7a712edc614b51899b3"),
+     "c4578c1d72eee44aba69b343decaba28289f2851ecea85f667ddb83881373a5d"),
     ("coldest_serial", "m2",
      "4a4a1077e4986eb1c140b3befa34e2caf2f3f8a309148e9c695c7376a26d8eb2"),
     ("hotset_mixed", "m0",
      "2360da27e48bc5ad2d91185146f641c701ac3750c0529ab29ab8154f60ff1754"),
     ("hotset_mixed", "m1",
-     "87bfab5b2485ae26c0a0f2e5de6468921a07061dd1e727be2155015926ba225b"),
+     "a83890fc46d82a1025a7799b2d7c9644a782efd1fa3701fc885f4c0fc4b6f77c"),
     ("hotset_mixed", "m2",
      "0205fdd35401b50ae6c9d0253178734a90e25b16dd7841513d6cffe2fe912fc4"),
     ("uniform_wide", "m0",
      "06339532bb08dcb4b11d52c5bf9dff0c0252d033986fe892286c04334cd26989"),
     ("uniform_wide", "m1",
-     "8ddacec86191e9edc0993fb8a6d6b0636c86476404f0bf33bbdc94cb78db3beb"),
+     "baeeb436fcf35110c120a819d843f6053dfde68d43073d1607bd8226cbf6bda6"),
     ("uniform_wide", "m2",
-     "ae6dbcd6c7d284970c305ab369c105e7219cfb8246bf0676aa746edefa121b8a"),
+     "ffb0b241b23ac964edf55407ad5c524329e56a38e4a038d58d06b4974a510cbf"),
     ("zipf_small", "m0",
      "c0ca13b7c7e8df99f7aaebd617065c039ce73d94b19be5848ab4a0f5337fd573"),
     ("zipf_small", "m1",
-     "e7f4402caef230f9c5f569782647beb64dc3be28c425726009b195c096433c81"),
+     "2eb8c13d78d0c7c29da4d5ad075890bca666f1ddac6bd1118fc88f014b58d8bf"),
     ("zipf_small", "m2",
      "62eeebcfddc08370b1eb5231e43a1c33644b7767d60e787d35d8e1ffbc8bae3a"),
 ], ids=[f"{w}-{s}" for w in ("coldest_serial", "hotset_mixed", "uniform_wide",
                               "zipf_small") for s in ("m0", "m1", "m2")])
-def test_shipped_workload_digest_pinned(workload, structure, digest):
+def test_shipped_workload_digest_pinned(workload, structure, digest,
+                                       monkeypatch):
+    runs = []
+    run_parallel = bench._run_parallel
+
+    def recording(*args):
+        runs.append(run_parallel(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(bench, "_run_parallel", recording)
     spec = WorkloadSpec.from_json((_SHIPPED / f"{workload}.json").read_text())
     report = run_experiment(spec, structure)
     assert not report.failed(), report.failed()
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+    if structure == "m2":
+        # two shipped specs open M2's final slab; losing it would go unseen
+        _m, _results, metrics = runs[0]
+        assert metrics.work.get(DS_FINAL, 0) == _M2_FINAL_SLAB_WORK[workload]
 
 
 @pytest.mark.parametrize("structure, scheduler", [

@@ -2,7 +2,8 @@
 
 No linter ships with the project, so this stdlib-only check stands in for
 one. `__init__.py` is skipped: its imports are the package's re-exports,
-and `__all__` must list exactly those.
+and `__all__` must list exactly those. The simulator is the bottom layer:
+`runtime.py` imports no wsmap module.
 """
 
 import ast
@@ -57,3 +58,20 @@ def test_init_exports_exactly_its_imports():
                     and [t.id for t in node.targets] == ["__all__"])
     assert len(exported) == len(set(exported)), "duplicate names in __all__"
     assert set(exported) == set(imported_names(tree))
+
+
+def wsmap_imports(source):
+    """Lines of source that import a wsmap module, relatively or by name."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or node.module.split(".")[0] == "wsmap")
+        or isinstance(node, ast.Import)
+        and any(a.name.split(".")[0] == "wsmap" for a in node.names))
+
+
+def test_runtime_imports_no_wsmap_module():
+    assert wsmap_imports("from . import core\nimport math, wsmap.tree23\n"
+                         "from wsmap.core import Key\nfrom math import inf\n"
+                         "from __future__ import annotations\n") == [1, 2, 3]
+    assert wsmap_imports((SRC / "runtime.py").read_text()) == []

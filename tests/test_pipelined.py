@@ -1,15 +1,18 @@
 import random
+from functools import partial
 
 import pytest
 
 from conftest import chunk_chains, random_ops, run_map_workload
 from wsmap import bench
 from wsmap.batched import GroupOp
-from wsmap.bench import WorkloadSpec, generate
+from wsmap.bench import WorkloadSpec, generate, run_experiment
 from wsmap.core import (
     CmpCounter, DELETE, INSERT, Key, Operation, SEARCH, oracle_replay,
 )
 from wsmap.pipelined import PipelinedWorkingSetMap, first_slab_depth
+from wsmap.runtime import Runtime
+from wsmap.tree23 import batch_search_task
 
 
 def _maker(m_override=None, audit=True):
@@ -219,13 +222,59 @@ def test_emptied_last_segment_not_refilled_before_a_short_one():
     assert not report.failed(), report.failed()
 
 
-def test_metrics_expose_filter_steps():
-    ops = random_ops(300, 32, 12, mix=(0.3, 0.6, 0.1, 0.0))
-    _results, m, metrics, _rt = run_map_workload(
-        _maker(m_override=2, audit=False), chunk_chains(ops, 8), p=4,
-        scheduler="weak_priority")
-    assert metrics.filter_full_steps + metrics.filter_empty_steps == \
-        metrics.steps
+@pytest.mark.parametrize("scheduler", ["weak_priority", "greedy"])
+def test_filter_full_steps_match_a_per_step_recount(scheduler, monkeypatch):
+    # a traced run executes one step per _run_batch call: sample the map's
+    # filter count there and check the tally against the recount at every
+    # step and in the report
+    maps, samples = [], []
+
+    def make(rt):
+        maps.append(PipelinedWorkingSetMap(rt))
+        return maps[-1]
+
+    run_batch = Runtime._run_batch
+    full = 0
+
+    def sampling(rt, batch, k):
+        nonlocal full
+        m = maps[0]
+        assert k == 1 and m.filter_full_steps() == full
+        samples.append(m.filter_size)
+        full += m.filter_size >= rt.p
+        return run_batch(rt, batch, k)
+
+    monkeypatch.setattr(bench, "Runtime", partial(Runtime, trace=True))
+    monkeypatch.setattr(bench, "PipelinedWorkingSetMap", make)
+    monkeypatch.setattr(Runtime, "_run_batch", sampling)
+    spec = WorkloadSpec(generator="uniform", n_ops=400, universe=8192,
+                        mix={"search": 0.15, "insert": 0.75, "delete": 0.05,
+                             "update": 0.05},
+                        width=16, seed=1, p=4, name="deep_insert_m2")
+    steps = run_experiment(spec, "m2", scheduler=scheduler).metrics["steps"]
+    assert len(samples) == steps["total"]
+    assert steps["filter_full"] == full > 0
+    assert steps["filter_empty"] == steps["total"] - full > 0
+    assert maps[0].filter_size == len(maps[0].filter) == 0
+
+
+def test_interface_waits_while_a_filter_batch_holds_a_full_filter():
+    # a filter batch works on a detached piece, so len(m.filter) reads 0
+    # until it finishes; the interface must still see more than p^2 entries
+    rt = Runtime(p=4)
+    m = PipelinedWorkingSetMap(rt)
+    rt.spawn_root(m._filter_pass([GroupOp(Key(i), [])
+                                  for i in range(m.p2 + 1)]))
+    rt.run()
+    m.feed.append([[(Operation(0, SEARCH, Key(0)), None)]])
+    assert not m._ready()
+    search = batch_search_task(m.filter, [Key(0)])
+    next(search)
+    assert len(m.filter) == 0
+    assert not m._ready()
+    with pytest.raises(StopIteration):
+        search.send(None)
+    assert m.filter_size == len(m.filter) == m.p2 + 1
 
 
 def _deep_insert_m2(n_ops=400, seed=1):
