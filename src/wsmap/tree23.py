@@ -225,17 +225,17 @@ class Tree23:
         if not lazy:
             self._refresh_up(node, delta)
 
-    def _respine(self):
-        """Recompute size/hi along both side spines bottom-up; this is where
-        lazy joins left stale counters."""
-        for side in (0, -1):
-            path = []
-            node = self.root
-            while type(node) is Inner:
-                path.append(node)
-                node = node.kids[side]
-            for n in reversed(path):
-                self._refresh(n)
+    def _respine(self, side):
+        """Recompute size/hi bottom-up along one side spine (0 left, -1
+        right), the root once; this is where lazy joins left stale
+        counters."""
+        path = []
+        node = self.root
+        while type(node) is Inner:
+            path.append(node)
+            node = node.kids[side]
+        for n in reversed(path):
+            self._refresh(n)
 
     def delete_leaf(self, leaf):
         """Unlink a leaf and rebalance; marks the handle dead."""
@@ -381,8 +381,7 @@ class Tree23:
         goes_left(leaf) whether the boundary leaf it reaches goes left; the
         tree is non-empty. Returns the left and the right tree."""
         meter = self.meter
-        left = Tree23(meter)
-        right_groups = []   # (kids, height) per level, outermost first
+        left_groups, right_groups = [], []   # (kids, height), outermost first
         node = self.root
         h = self.height - 1
         self.root = None
@@ -391,28 +390,33 @@ class Tree23:
             meter.count += 1
             idx = route(node)
             kids = node.kids
-            for kid in kids[:idx]:
-                left._append(kid, h, True)
+            if idx:
+                left_groups.append((kids[:idx], h))
             if idx + 1 < len(kids):
                 right_groups.append((kids[idx + 1:], h))
             node.kids = []
             node = kids[idx]
             h -= 1
-        left._respine()
-        right = Tree23(meter)
+        node.parent = None
+        left, right = Tree23(meter), Tree23(meter)
+        # each half grows from the cut outward, the boundary leaf its
+        # innermost piece: the tree a piece joins is at most one level
+        # taller than the piece, so the walks down telescope to O(height),
+        # and only the spine facing the cut goes stale
+        half = left if goes_left(node) else right
+        half.root, half.height = node, 0
+        for kids, h in reversed(left_groups):
+            for kid in reversed(kids):
+                # prepend: a taller piece takes the tree under its right spine
+                kid.parent = None
+                rb, hb = left.root, left.height
+                left.root, left.height = kid, h
+                left._append(rb, hb, True)
+        left._respine(-1)
         for kids, h in reversed(right_groups):
-            # deepest pieces sit closest to the cut, so folding groups
-            # inner-to-outer appends strictly increasing key ranges
             for kid in kids:
                 right._append(kid, h, True)
-        right._respine()
-        node.parent = None
-        boundary = Tree23(meter)
-        boundary.root, boundary.height = node, 0
-        if goes_left(node):
-            left.join(boundary)
-        else:
-            right.adopt(boundary.join(right))
+        right._respine(0)
         return left, right
 
     def split_lt(self, key):

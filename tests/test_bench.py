@@ -300,15 +300,15 @@ _FINAL_SLAB_OPEN = WorkloadSpec(generator="uniform", n_ops=600, universe=8192,
     ("m1", WorkloadSpec(generator="zipf", n_ops=300, universe=256,
                         mix=_HOT_MIX, width=8, seed=1, p=8,
                         name="hot_zipf_m1"),
-     "8ddaaa213c8ead5adf86b677b25f081829f24abeef3c7e3bf3ae70a81c974a5c"),
+     "298af4d0c92efab22ac23161acb9d6c588f745c35d24b9d68e4ee98f4f2dfec1"),
     ("m2", WorkloadSpec(generator="uniform", n_ops=400, universe=8192,
                         mix=_DEEP_MIX, width=8, seed=1, p=8,
                         name="deep_insert_m2"),
-     "2854269cc82db5e98e8c8f601a07d920406c87c80d38bff088c77b95bbdf2100"),
+     "f5b5731f48cc1c0abb8079951a6c12069604417c0a2333af23f3bfaf972c3878"),
     ("m2", _FIRST_SLAB_ONLY,
-     "ed3da97e437ca9db73efe93423d61abc0d7723e1d012f0aed9cf563d3d692e96"),
+     "abb61b16053532a2ba01ce94ae33282a2752c800fc54e9352fc2dd1c6714443a"),
     ("m2", _FINAL_SLAB_OPEN,
-     "97d1d0c3f62c11164ad9cd3f89a5b197193511a1d5682e7df12769dcecaef135"),
+     "17a03103f3ce8ddd1dc282ab269d5f74090477b850fd3bb1f0e62fabf485c265"),
     ("m0", WorkloadSpec(generator="coldest", n_ops=1000, universe=4096,
                         mix={"search": 0.6, "insert": 0.35, "delete": 0.05,
                              "update": 0.0},
@@ -339,35 +339,35 @@ def test_report_digest_pinned(structure, spec, digest, monkeypatch):
 # runs through `wsmap run`, with the work each M2 run charges to its final
 # slab (the same under both schedulers).
 _SHIPPED = Path(__file__).resolve().parent.parent / "workloads"
-_M2_FINAL_SLAB_WORK = {"coldest_serial": 5953, "hotset_mixed": 0,
-                       "uniform_wide": 70220, "zipf_small": 0}
+_M2_FINAL_SLAB_WORK = {"coldest_serial": 4401, "hotset_mixed": 0,
+                       "uniform_wide": 51251, "zipf_small": 0}
 
 
 @pytest.mark.parametrize("workload, structure, digest", [
     ("coldest_serial", "m0",
      "345ba24ae48b5238ea29b1dc453dcbd764e31d3df375088e74f975f18caf8086"),
     ("coldest_serial", "m1",
-     "c4578c1d72eee44aba69b343decaba28289f2851ecea85f667ddb83881373a5d"),
+     "5ba024200169221c0bfd2d1a1f82a0e0d6c9bbed28a9d0e047661683a9fba001"),
     ("coldest_serial", "m2",
-     "4a4a1077e4986eb1c140b3befa34e2caf2f3f8a309148e9c695c7376a26d8eb2"),
+     "2bb999bf8f31185e47e670c8ffcab1b1f36dabd141e3bdc8a6ce8035ef0f6660"),
     ("hotset_mixed", "m0",
      "2360da27e48bc5ad2d91185146f641c701ac3750c0529ab29ab8154f60ff1754"),
     ("hotset_mixed", "m1",
-     "a83890fc46d82a1025a7799b2d7c9644a782efd1fa3701fc885f4c0fc4b6f77c"),
+     "ca13faebf5cd2a33f6198f6e6fbb98f9fc5ec945cf3c66a3f6bb5b56dac92167"),
     ("hotset_mixed", "m2",
-     "0205fdd35401b50ae6c9d0253178734a90e25b16dd7841513d6cffe2fe912fc4"),
+     "0d5773edfab08cf0e033193bd25f68c2b6b978e2fcb9ef89456e19dbd2a1ba47"),
     ("uniform_wide", "m0",
      "06339532bb08dcb4b11d52c5bf9dff0c0252d033986fe892286c04334cd26989"),
     ("uniform_wide", "m1",
-     "baeeb436fcf35110c120a819d843f6053dfde68d43073d1607bd8226cbf6bda6"),
+     "f22b5952a972c1630cf433df5d60e1b3e32e993027c3194ce5b1346721b54d95"),
     ("uniform_wide", "m2",
-     "ffb0b241b23ac964edf55407ad5c524329e56a38e4a038d58d06b4974a510cbf"),
+     "8de161aa3121603fad2949386f1decf76311a7d676e5d1beab72706018d38c3a"),
     ("zipf_small", "m0",
      "c0ca13b7c7e8df99f7aaebd617065c039ce73d94b19be5848ab4a0f5337fd573"),
     ("zipf_small", "m1",
-     "2eb8c13d78d0c7c29da4d5ad075890bca666f1ddac6bd1118fc88f014b58d8bf"),
+     "baed586c5dae18fb06e6d9605b8774e3a7544ca2a632d5ce3ed170bacc89d14a"),
     ("zipf_small", "m2",
-     "62eeebcfddc08370b1eb5231e43a1c33644b7767d60e787d35d8e1ffbc8bae3a"),
+     "db682569fca7efa239e360488dfe5b3e531ccce53c0589b9bd80ec8a56dbd1dc"),
 ], ids=[f"{w}-{s}" for w in ("coldest_serial", "hotset_mixed", "uniform_wide",
                               "zipf_small") for s in ("m0", "m1", "m2")])
 def test_shipped_workload_digest_pinned(workload, structure, digest,

@@ -258,6 +258,24 @@ def test_filter_full_steps_match_a_per_step_recount(scheduler, monkeypatch):
     assert maps[0].filter_size == len(maps[0].filter) == 0
 
 
+def test_a_stale_filter_size_at_the_end_of_a_run_fails_run_experiment(
+        monkeypatch):
+    # in-run audits never find M2 quiescent, so only the audit after the
+    # run compares filter_size with the filter; each delete batch here
+    # leaves one entry uncounted, which no earlier check notices
+    class Miscounts(PipelinedWorkingSetMap):
+        def _resize_filter(self, delta):
+            super()._resize_filter(delta + 1 if delta < 0 else delta)
+
+    monkeypatch.setattr(bench, "PipelinedWorkingSetMap", Miscounts)
+    spec = WorkloadSpec(generator="uniform", n_ops=400, universe=8192,
+                        mix={"search": 0.15, "insert": 0.75, "delete": 0.05,
+                             "update": 0.05},
+                        width=16, seed=1, p=4, name="deep_insert_m2")
+    with pytest.raises(AssertionError, match="stale filter_size"):
+        run_experiment(spec, "m2")
+
+
 def test_interface_waits_while_a_filter_batch_holds_a_full_filter():
     # a filter batch works on a detached piece, so len(m.filter) reads 0
     # until it finishes; the interface must still see more than p^2 entries

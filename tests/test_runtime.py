@@ -866,13 +866,13 @@ def test_untraced_matches_traced_map_runs(structure, scheduler, m_override):
 
 @pytest.mark.parametrize("structure, scheduler, m_override, digest", [
     ("m1", "greedy", None,
-     "c2793e7d6e4230ecc0de45d6f4598694138d654757474fe56c389493b54a4e6c"),
+     "b9e5684b6a67e9f389e0d981869acc1acfe5521e5ae5e74944fc4129161208e5"),
     ("m2", "weak_priority", None,
-     "30d808ff37dcf9448e75e453c60da092de7dea262c3fb8f9e5530996566695ac"),
+     "75abd1bbcc6ac46e2c10b9ffd84c8ca9996a8e7c134c3171f88bca8c86375270"),
     ("m2", "weak_priority", 1,
-     "c39644323dfe07244c015561a46c769b9c5bacc51d21349c8ee46c9ede4f2d0f"),
+     "7de0e13b9cccaa41df92d06da4f629157a6ca4d7986c4063bd7a6c64f14adb85"),
     ("m2", "greedy", 1,
-     "17e4d6f8a71393fcd324bff0dfb40a37b31e486eb1365be1ff703d86e0672c72"),
+     "89c6b4ce97482d4f054468069e2e302605ff921633325c0a5c52c6161cea0922"),
 ], ids=[f"{s}-{sched}-{m}" for s, sched, m in _MAP_CASES])
 def test_traced_runtime_pinned(structure, scheduler, m_override, digest):
     assert _traced_map_digest(structure, scheduler, m_override) == digest
