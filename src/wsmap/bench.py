@@ -9,6 +9,7 @@ against the frozen calibration constants at 1.5x slack.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import random
@@ -111,9 +112,10 @@ def _key_stream(spec, rnd):
         for w in weights:
             acc += w / total
             cumulative.append(acc)
-        import bisect
+        # the float-summed last entry can fall short of a random() draw
+        last = spec.universe - 1
         while True:
-            yield bisect.bisect_left(cumulative, rnd.random())
+            yield min(bisect.bisect_left(cumulative, rnd.random()), last)
     else:   # hotset; coldest generates keys op by op elsewhere
         recent = []
         while True:

@@ -12,7 +12,7 @@ Ops that arrive mid-flush land in either this batch or the next.
 
 from __future__ import annotations
 
-from .runtime import BUFFER, DS, Par, Park, Q2
+from .runtime import BUFFER, DS, Par, Park
 
 
 class _FlagTree:
@@ -40,9 +40,8 @@ class ParallelBuffer:
         """Task code for the calling program thread: park until the result
         for op is delivered; the walk continues as a buffer-owned child."""
         proc = self.rt.current_slot
-        result = yield Park(
-            lambda handle: self.rt.detach(self._walk(op, handle, proc),
-                                          owner=BUFFER, queue=Q2))
+        result = yield Park(lambda handle: self.rt.detach(
+            self._walk(op, handle, proc), owner=BUFFER))
         return result
 
     def _walk(self, op, handle, proc):
@@ -58,7 +57,7 @@ class ParallelBuffer:
             if was_set:
                 return
             node //= 2
-        self.rt.detach(self.activate(), owner=DS, queue=Q2)
+        self.rt.detach(self.activate(), owner=DS)
 
     # -- structure side ----------------------------------------------------------
 

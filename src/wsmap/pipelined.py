@@ -13,9 +13,9 @@ adjacent segment runs (acquired in the alternating arrow order, so no
 cycles form) and front-locks FL[0..] serialize every access to the filter
 and S[m]'s contents; `_front_acquire`/`_front_release` are the one place
 that takes and releases them. Locks are made on first use; the runtime
-learns of one when a task parks on it. All final-slab nodes run on the
-high-priority queue; interface activations stay on the low queue. m comes
-from the runtime's p unless overridden.
+learns of one when a task parks on it. All final-slab nodes are owned by
+DS_FINAL, so they run on the high-priority queue; interface activations
+stay on the low queue. m comes from the runtime's p unless overridden.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import math
 
 from .batched import SegmentedMap
 from .runtime import (
-    Acquire, ActivationGate, DS, DS_FINAL, DedicatedLock, Q1, Q2, concat_tree,
+    Acquire, ActivationGate, DS, DS_FINAL, DedicatedLock, concat_tree,
 )
 from .segments import (
     PairedSegment, boundary_move, seg_insert_block_task, seg_remove_found_task,
@@ -210,7 +210,7 @@ class PipelinedWorkingSetMap(SegmentedMap):
         """Add key-sorted groups to a final-slab segment's buffer and
         activate its actor on the high-priority queue."""
         yield from batch_insert_task(seg.buffer, [(g.key, g) for g in groups])
-        self.rt.detach(seg.gate.activate(), owner=DS_FINAL, queue=Q1)
+        self.rt.detach(seg.gate.activate(), owner=DS_FINAL)
 
     def _segment_cycle(self, seg):
         segs = self.segments
@@ -274,7 +274,7 @@ class PipelinedWorkingSetMap(SegmentedMap):
             self._deliver(delivered)
         # step 4e
         if self.filter_size <= self.p2:
-            self.rt.detach(self.gate.activate(), owner=DS, queue=Q2)
+            self.rt.detach(self.gate.activate(), owner=DS)
         # step 4f
         if k > self.m:
             yield from self._front_release(k, fl_t0)

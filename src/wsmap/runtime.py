@@ -8,11 +8,11 @@ inputs always produce identical traces and metrics.
 A task yields one of:
 
 * an ``int`` c >= 1 -- this code segment costs c unit nodes (c-1 stall ticks),
-* ``Par(a, b)``     -- binary fork of two generators on the parent's owner
-  and queue; resumes with the pair of branch results through a join node
-  that has both branch-final nodes as parents,
+* ``Par(a, b)``     -- binary fork of two generators on the parent's owner;
+  resumes with the pair of branch results through a join node that has
+  both branch-final nodes as parents,
 * ``Call(g, ...)``  -- run g as a single child task (possibly with a
-  different owner/queue) and resume with its result,
+  different owner) and resume with its result,
 * ``Acquire(lock, key)`` -- blocking acquire of a dedicated lock; a lock a
   task parks on is remembered for the deadlock report,
 * ``Park(fn)``      -- suspend this task; ``fn(handle)`` stores the handle
@@ -33,16 +33,18 @@ allocates an entry of its own.
 
 One picker, ``_pick``, chooses a step's batch: the first p ready tasks in
 id order with at most a quota from each queue, the quota being p (greedy)
-or p/2 (weak priority). A step that runs every ready node takes the whole
-list, which trades places with the staging list.
+or p/2 (weak priority); a task's owner fixes its queue, Q1 (high priority)
+for DS_FINAL and Q2 for the rest. A step that runs every ready node takes
+the whole list, which trades places with the staging list.
 
-One executor, ``_run_batch``, runs a step's batch in id order, recording
-each node in the trace when trace is on. With trace off ``run`` takes two
-shortcuts where no task code could see the difference:
+One executor, ``_run_batch``, runs every code node: it runs a step's
+batch in id order, recording each node in the trace when trace is on. With
+trace off it takes two shortcuts where no task code could see the
+difference:
 
 * when a step would run every ready node and each of them is a stall tick,
-  ``_run_batch`` runs k such steps in one pass, k being the fewest ticks
-  left;
+  it runs k such steps in one pass, k being the fewest ticks left (``run``
+  finds k);
 * when the ready set is one task about to run code, it runs that task's code
   nodes back to back, each ``yield c`` charged as c steps, until the task
   yields another effect, finishes, or its code stages a node (a resume,
@@ -64,7 +66,8 @@ BUFFER = "buffer"
 DS = "ds"
 DS_FINAL = "ds_final"
 
-_PATH_SLOT = {PROGRAM: 0, BUFFER: 1, DS: 2, DS_FINAL: 2}
+# owner -> (its slot in a path's (program, buffer, ds) counts, its queue)
+_PLACE = {PROGRAM: (0, Q2), BUFFER: (1, Q2), DS: (2, Q2), DS_FINAL: (2, Q1)}
 
 
 class SimDeadlock(RuntimeError):
@@ -80,18 +83,17 @@ class LockUsageError(RuntimeError):
 
 
 class Call:
-    """Run gen as one child task; owner/queue default to the parent's."""
+    """Run gen as one child task; owner defaults to the parent's."""
 
-    __slots__ = ("gen", "owner", "queue")
+    __slots__ = ("gen", "owner")
 
-    def __init__(self, gen, owner=None, queue=None):
+    def __init__(self, gen, owner=None):
         self.gen = gen
         self.owner = owner
-        self.queue = queue
 
 
 class Par:
-    """Binary fork of two task generators on the parent's owner and queue."""
+    """Binary fork of two task generators on the parent's owner."""
 
     __slots__ = ("left", "right")
 
@@ -118,21 +120,22 @@ class Park:
 class _Task:
     """A task plus the state of its next node: ``path`` holds the (program,
     buffer, ds) node counts along that node's longest incoming path and is
-    updated in place (its nodes count at ``path[axis]``), ``send`` is the value the node resumes the task with,
-    ``ticks`` its stall ticks left. While the task waits on a ``Par``,
-    ``need`` counts the branches still running, ``send`` collects their
-    results and ``path`` is the first finisher's; a child finishing under a
-    ``Par`` or ``Call`` reports to ``parent`` (at ``branch``, None for a
-    ``Call``). ``nid`` is the next node's id, stamped with trace on only."""
+    updated in place (its nodes count at ``path[axis]``), ``send`` is the
+    value the node resumes the task with, ``ticks`` its stall ticks left;
+    ``axis`` and ``queue`` follow from ``owner``. While the task waits on a
+    ``Par``, ``need`` counts the branches still running, ``send`` collects
+    their results and ``path`` is the first finisher's; a child finishing
+    under a ``Par`` or ``Call`` reports to ``parent`` (at ``branch``, None
+    for a ``Call``). ``nid`` is the next node's id, stamped with trace on
+    only."""
 
     __slots__ = ("gen", "owner", "queue", "axis", "path", "send", "ticks",
                  "parent", "branch", "need", "nid")
 
-    def __init__(self, gen, owner, queue, path):
+    def __init__(self, gen, owner, path):
         self.gen = gen
         self.owner = owner
-        self.queue = queue
-        self.axis = _PATH_SLOT[owner]
+        self.axis, self.queue = _PLACE[owner]
         self.path = path
         self.send = None
         self.ticks = 0
@@ -227,8 +230,8 @@ class Runtime:
 
     # -- task creation -------------------------------------------------------
 
-    def spawn_root(self, gen, owner=PROGRAM, queue=Q2):
-        task = _Task(gen, owner, queue, [0, 0, 0])
+    def spawn_root(self, gen, owner=PROGRAM):
+        task = _Task(gen, owner, [0, 0, 0])
         task.nid = self._ids + len(self._staged)
         self._stage(task)
         return task
@@ -244,10 +247,9 @@ class Runtime:
         if task.queue == Q1:
             self._staged_q1 += 1
 
-    def _spawn(self, gen, parent, owner=None, queue=None):
-        """Stage a child of parent from its path, on its owner/queue by default."""
-        task = _Task(gen, owner or parent.owner, queue or parent.queue,
-                     parent.path[:])
+    def _spawn(self, gen, parent, owner=None):
+        """Stage a child of parent from its path, on its owner by default."""
+        task = _Task(gen, owner or parent.owner, parent.path[:])
         self._stage(task)
         return task
 
@@ -283,9 +285,9 @@ class Runtime:
         lock.holder = j
         self.resume(handle, None)
 
-    def detach(self, gen, owner=None, queue=None):
+    def detach(self, gen, owner=None):
         """Spawn a fire-and-forget child of the current node."""
-        self._spawn(gen, self._cur_task, owner, queue)
+        self._spawn(gen, self._cur_task, owner)
 
     # -- main loop -------------------------------------------------------------
 
@@ -314,45 +316,13 @@ class Runtime:
                 stats.append((n1, n - n1, q1_exec, len(batch) - q1_exec))
             n1 -= q1_exec
             k = 1
-            if n == 1 and not traced and not batch[0].ticks:
-                # A lone task about to run code: run its code nodes back to
-                # back while each yields an int c and stages nothing, i.e.
-                # while each is followed by c - 1 steps of its own ticks and
-                # then its next code node, with the ready set one task.
-                task = batch[0]
-                s, path, gen = task.axis, task.path, task.gen
-                self.current_slot = 0
-                self._cur_task = task
-                send, task.send = task.send, None
-                before = path[s]
-                while True:
-                    path[s] += 1
-                    try:
-                        effect = gen.send(send)
-                    except StopIteration as stop:
-                        self._finish(task, stop.value)
+            if ready is None and not traced:
+                for task in batch:
+                    if not task.ticks:
                         break
-                    if type(effect) is not int:
-                        self._dispatch(task, effect)
-                        break
-                    if staged:
-                        task.ticks = effect - 1
-                        self._stage(task)
-                        break
-                    send = None
-                    path[s] += effect - 1
-                    self.now += effect
-                work[task.owner] = work.get(task.owner, 0) + path[s] - before
-                if path[s] > spans[s]:
-                    spans[s] = path[s]
-            else:
-                if ready is None and not traced:
-                    for task in batch:
-                        if not task.ticks:
-                            break
-                    else:
-                        k = min([task.ticks for task in batch])
-                self._run_batch(batch, k)
+                else:
+                    k = min([task.ticks for task in batch])
+            self._run_batch(batch, k)
             if high_busy:
                 busy += k
             self.now += k
@@ -392,11 +362,19 @@ class Runtime:
         """Execute one step's batch in id order, recording each node when
         trace is on. With k > 1 the batch is the whole ready set and every
         node in it a stall tick with at least k ticks left: run k such steps
-        at once, each task charged k nodes and restaged once, in order."""
+        at once, each task charged k nodes and restaged once, in order.
+
+        A batch of one task is the whole ready set: one ``_pick`` builds
+        holds at least 2 tasks (p >= 4, every quota >= 2). With trace off
+        its code nodes run back to back while each yields an int c and
+        stages nothing, each c charged as c steps: its c - 1 ticks and its
+        next code node. ``now`` and the task's path grow at each c, as task
+        code reads them; its work and the span once the chain ends."""
         work, spans, trace = self.metrics.work, self._spans, self.trace
+        now = self.now
         if trace is not None:
-            now = self.now
             trace.extend([(now, t.nid, t.owner, t.queue) for t in batch])
+        lone = trace is None and len(batch) == 1
         staged = self._staged
         for slot, task in enumerate(batch):
             s, path, owner = task.axis, task.path, task.owner
@@ -410,8 +388,15 @@ class Runtime:
                 self.current_slot = slot
                 self._cur_task = task
                 send, task.send = task.send, None
+                gen = task.gen
                 try:
-                    effect = task.gen.send(send)
+                    while True:
+                        effect = gen.send(send)
+                        if not lone or type(effect) is not int or staged:
+                            break
+                        send = None
+                        path[s] += effect
+                        self.now += effect
                 except StopIteration as stop:
                     self._finish(task, stop.value)
                     continue
@@ -423,6 +408,11 @@ class Runtime:
             staged.append(task)
             if task.queue == Q1:
                 self._staged_q1 += 1
+        if lone:
+            # the lone task's chained nodes, charged once
+            work[owner] += self.now - now
+            if path[s] > spans[s]:
+                spans[s] = path[s]
 
     def _dispatch(self, task, effect):
         """Apply an effect other than an int that task yielded at its
@@ -435,7 +425,7 @@ class Runtime:
             task.need = 2
             task.send = [None, None]
         elif isinstance(effect, Call):
-            child = self._spawn(effect.gen, task, effect.owner, effect.queue)
+            child = self._spawn(effect.gen, task, effect.owner)
             child.parent = task
             child.branch = None
         elif isinstance(effect, Acquire):

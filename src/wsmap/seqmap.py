@@ -20,12 +20,9 @@ from collections import OrderedDict
 
 from .tree23 import StepMeter, Tree23
 
-_CAP_LIMIT = 1 << 63
-
 
 def segment_capacity(k):
-    if 2 ** k >= 63:
-        return _CAP_LIMIT
+    """Capacity 2^(2^k) of segment S[k]."""
     return 1 << (1 << k)
 
 

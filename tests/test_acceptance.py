@@ -26,7 +26,7 @@ from wsmap.core import (
 )
 from wsmap.pipelined import PipelinedWorkingSetMap
 from wsmap.runtime import (
-    Acquire, Call, DedicatedLock, Par, Q1, Runtime, par_map,
+    Acquire, Call, DedicatedLock, Par, Runtime, par_map,
 )
 from wsmap.seqmap import SeqWorkingSetMap
 from wsmap.sortlib import esort, pesort_task, ppivot_task

@@ -192,6 +192,16 @@ def test_zipf_histogram_reproducible():
     assert hist[0] > hist.get(40, 0)   # zipf head is heavy
 
 
+@pytest.mark.parametrize("universe, zipf_s", [(512, 3), (128, 1)])
+def test_zipf_keys_stay_below_universe(universe, zipf_s):
+    # the normalized weights sum to just under 1 in floats; a draw above
+    # that sum must still map to the last key, not to key `universe`
+    top = SimpleNamespace(random=lambda: 1 - 2 ** -53)
+    spec = WorkloadSpec(generator="zipf", universe=universe, zipf_s=zipf_s)
+    keys = bench._key_stream(spec, top)
+    assert [next(keys) for _ in range(3)] == [universe - 1] * 3
+
+
 def test_coldest_generator_targets_least_recent():
     spec = WorkloadSpec(generator="coldest", n_ops=60, universe=100, width=1,
                         seed=1, p=4,

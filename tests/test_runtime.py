@@ -9,7 +9,7 @@ from wsmap.pipelined import PipelinedWorkingSetMap
 from wsmap.runtime import (
     Acquire, ActivationGate, BUFFER, Call, DedicatedLock, LockUsageError,
     Par, Park, Q1, Q2, Runtime, SimDeadlock, concat_tree,
-    merge_sort_task, par_map, PROGRAM, DS,
+    merge_sort_task, par_map, PROGRAM, DS, DS_FINAL,
 )
 
 
@@ -78,9 +78,9 @@ def test_weak_priority_quota_per_step():
     # 8 ready Q1 + 8 ready Q2 at p=4: every step runs 2 from each queue
     rt = Runtime(p=4, scheduler="weak_priority", trace=True)
     for _ in range(8):
-        rt.spawn_root(_leaf(), owner=DS, queue=Q1)
+        rt.spawn_root(_leaf(), owner=DS_FINAL)
     for _ in range(8):
-        rt.spawn_root(_leaf(), owner=PROGRAM, queue=Q2)
+        rt.spawn_root(_leaf(), owner=PROGRAM)
     m = rt.run()
     assert m.steps == 4
     counts = {}
@@ -472,11 +472,11 @@ def test_detach_runs_independently():
 
 # -- untraced shortcuts against the traced reference -----------------------
 #
-# With trace=False, Runtime.run has _run_batch run, in one pass, a run of k
-# steps in which every ready node runs and is a stall tick of a `yield c`, and
-# runs a lone task's code nodes back to back; with trace=True _run_batch steps
-# one step at a time. Both must run every code node at the same step and slot
-# and give the same metrics.
+# With trace=False, Runtime._run_batch runs, in one pass, a run of k steps in
+# which every ready node runs and is a stall tick of a `yield c`, and runs a
+# lone task's code nodes back to back; with trace=True it steps one step at a
+# time. Both must run every code node at the same step and slot and give the
+# same metrics.
 
 
 def _logged(rt, log, label, gen):
@@ -544,14 +544,14 @@ def test_fast_forward_waits_while_more_than_p_ready():
 def test_fast_forward_weak_priority_queue_at_quota():
     def build(rt, handles, task):
         # Q1 holds exactly its quota of p/2 = 2, Q2 holds one
-        rt.spawn_root(task("q1a", _costs(10)), owner=DS, queue=Q1)
-        rt.spawn_root(task("q1b", _costs(14)), owner=DS, queue=Q1)
-        rt.spawn_root(task("q2", _costs(8, 3)), owner=PROGRAM, queue=Q2)
+        rt.spawn_root(task("q1a", _costs(10)), owner=DS_FINAL)
+        rt.spawn_root(task("q1b", _costs(14)), owner=DS_FINAL)
+        rt.spawn_root(task("q2", _costs(8, 3)), owner=PROGRAM)
 
     def crowded(rt, handles, task):
         # three Q1 nodes exceed the quota until one chain finishes
         for i in range(3):
-            rt.spawn_root(task(f"q1{i}", _costs(10)), owner=DS, queue=Q1)
+            rt.spawn_root(task(f"q1{i}", _costs(10)), owner=DS_FINAL)
 
     _run_both(build, scheduler="weak_priority")
     _run_both(crowded, scheduler="weak_priority")
@@ -597,7 +597,7 @@ def _chain_left_by_detach(rt, handles, task):
         rt.detach(task("side", _costs(2, 3)), owner=BUFFER)
         yield 1
         yield 9
-        rt.detach(task("inline", _costs(4, 1)), owner=DS, queue=Q1)
+        rt.detach(task("inline", _costs(4, 1)), owner=DS_FINAL)
         yield 3
         yield 1
 
@@ -642,9 +642,9 @@ def _chain_left_by_release(rt, handles, task):
     rt.spawn_root(task("waiter", waiter()))
 
 
-def _call(gen, owner, queue):
-    """A Par branch that runs gen on its own owner and queue."""
-    return (yield Call(gen, owner, queue))
+def _call(gen, owner):
+    """A Par branch that runs gen on its own owner."""
+    return (yield Call(gen, owner))
 
 
 def _chain_left_by_par(rt, handles, task):
@@ -652,7 +652,7 @@ def _chain_left_by_par(rt, handles, task):
         yield 3
         yield 2
         a, b = yield Par(task("l", _costs(2, 2)),
-                         _call(task("r", _costs(5)), owner=DS, queue=Q1))
+                         _call(task("r", _costs(5)), owner=DS_FINAL))
         yield a + b
         yield 1
 
@@ -667,16 +667,53 @@ def _chain_left_by_call_finish(rt, handles, task):
         return 7
 
     def main():
-        value = yield Call(task("child", child()), owner=DS, queue=Q1)
+        value = yield Call(task("child", child()), owner=DS_FINAL)
         yield value
         yield 1
 
     rt.spawn_root(task("main", main()), owner=BUFFER)
 
 
+def _chain_left_by_acquire(rt, handles, task):
+    # the lock is free: the Acquire restages the task at once
+    lock = DedicatedLock(2, name="L")
+
+    def main():
+        yield 2
+        yield 1
+        yield 3
+        yield Acquire(lock, 1)
+        yield 4
+        rt.release(lock)
+        yield 1
+
+    rt.spawn_root(task("main", main()))
+
+
+def _chain_left_by_park(rt, handles, task):
+    # the register detaches the task's own resumer, as ParallelBuffer.submit
+    # does: the resumer's chain ends when its resume stages the parked task
+    def resumer(handle):
+        yield 2
+        yield 3
+        rt.resume(handle, 4)
+        yield 1
+
+    def main():
+        yield 3
+        yield 1
+        value = yield Park(lambda handle: rt.detach(
+            task("resumer", resumer(handle)), owner=BUFFER))
+        yield value
+        yield 2
+
+    rt.spawn_root(task("main", main()))
+
+
 @pytest.mark.parametrize("build", [
     _chain_left_by_detach, _chain_left_by_resume, _chain_left_by_release,
-    _chain_left_by_par, _chain_left_by_call_finish,
+    _chain_left_by_par, _chain_left_by_call_finish, _chain_left_by_acquire,
+    _chain_left_by_park,
 ], ids=lambda build: build.__name__[len("_chain_left_by_"):])
 @pytest.mark.parametrize("scheduler", ["greedy", "weak_priority"])
 def test_lone_task_chain_exits(build, scheduler):
@@ -712,8 +749,8 @@ def _random_plan(rnd, depth, keys):
 
 
 def _random_sub(rnd, depth, keys):
-    return (_random_plan(rnd, depth, keys), rnd.choice((PROGRAM, BUFFER, DS)),
-            rnd.choice((Q1, Q2)))
+    return (_random_plan(rnd, depth, keys),
+            rnd.choice((PROGRAM, BUFFER, DS, DS_FINAL)))
 
 
 def _plan_task(rt, lock, plan):
@@ -726,23 +763,23 @@ def _plan_task(rt, lock, plan):
             yield action[2]
             rt.release(lock)
         elif kind == "par":
-            yield Par(*(_call(_plan_task(rt, lock, sub), owner, queue)
-                        for sub, owner, queue in action[1:]))
+            yield Par(*(_call(_plan_task(rt, lock, sub), owner)
+                        for sub, owner in action[1:]))
         else:
-            sub, owner, queue = action[1]
+            sub, owner = action[1]
             child = _plan_task(rt, lock, sub)
             if kind == "call":
-                yield Call(child, owner, queue)
+                yield Call(child, owner)
             else:
-                rt.detach(child, owner, queue)
+                rt.detach(child, owner)
                 yield 1
 
 
 def _run_plans(plans, n_keys, p, scheduler, trace):
     rt = Runtime(p=p, scheduler=scheduler, trace=trace)
     lock = DedicatedLock(max(n_keys, 1), name="L")
-    for sub, owner, queue in plans:
-        rt.spawn_root(_plan_task(rt, lock, sub), owner=owner, queue=queue)
+    for sub, owner in plans:
+        rt.spawn_root(_plan_task(rt, lock, sub), owner=owner)
     return rt, rt.run()
 
 
@@ -766,6 +803,9 @@ def test_scheduler_matches_reference_picker(monkeypatch, scheduler, p):
         rt, metrics = _run_plans(plans, len(keys), p, scheduler, True)
         queue_of = {nid: queue for _step, nid, _owner, queue in rt.trace}
         assert sorted(queue_of) == list(range(rt._ids))
+        # a node's queue follows from its owner alone
+        assert all(queue == (Q1 if owner == DS_FINAL else Q2)
+                   for _step, _nid, owner, queue in rt.trace)
         by_step = {}
         for step, nid, _owner, _queue in rt.trace:
             by_step.setdefault(step, []).append(nid)
