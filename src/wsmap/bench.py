@@ -26,7 +26,7 @@ from .runtime import Runtime, par_map
 from .seqmap import SeqWorkingSetMap
 
 GENERATORS = ("uniform", "zipf", "hotset", "coldest")
-STRUCTURES = ("m0", "m1", "m2", "oracle")
+STRUCTURES = ("m0", "m1", "m2")
 
 @dataclass
 class WorkloadSpec:
@@ -228,12 +228,9 @@ def _line(name, passed, value, bound=None):
     return entry
 
 
-def _run_serial(structure, chains):
-    """M0 and the oracle execute the chains in program order."""
+def _run_serial(chains):
+    """M0 executes the chains in program order."""
     ops = [op for chain in chains for op in chain]
-    if structure == "oracle":
-        results = oracle_replay(ops)
-        return ops, {op.op_id: r for op, r in zip(ops, results)}, None, None
     m = SeqWorkingSetMap()
     ctr = ops[0].key.ctr if ops else CmpCounter()
     c0 = ctr.count
@@ -249,7 +246,7 @@ def _run_serial(structure, chains):
             found, val = m.delete(op.key)
         out[op.op_id] = OpResult(found, val)
     steps = m.steps + (ctr.count - c0)
-    return ops, out, steps, m
+    return ops, out, steps
 
 
 def _run_parallel(structure, chains, p, scheduler, audit):
@@ -289,23 +286,20 @@ def run_experiment(spec, structure, scheduler=None, audit=True):
     p = spec.p
     logp = math.log2(p)
 
-    if structure in ("m0", "oracle"):
-        lin_ops, results, steps, _m = _run_serial(structure, chains)
+    if structure == "m0":
+        lin_ops, results, steps = _run_serial(chains)
         rep = working_set_bound(lin_ops, p=p)
         expected = oracle_replay(lin_ops)
         equal = all(results[op.op_id] == r
                     for op, r in zip(lin_ops, expected))
         lines.append(_line("equivalence", equal, int(equal)))
-        metrics_dict = {}
-        if structure == "m0":
-            ratio = steps / max(rep.w_l, 1.0)
-            ratios["steps_per_wl"] = ratio
-            bound = slack() * frozen["m0_steps_per_wl"]
-            lines.append(_line("m0_working_set_bound", ratio <= bound,
-                               ratio, bound))
-            metrics_dict = {"instrumented_steps": steps}
+        ratio = steps / max(rep.w_l, 1.0)
+        ratios["steps_per_wl"] = ratio
+        bound = slack() * frozen["m0_steps_per_wl"]
+        lines.append(_line("m0_working_set_bound", ratio <= bound,
+                           ratio, bound))
         return Report(structure, asdict(spec), "serial", _bound_dict(rep),
-                      metrics_dict, ratios, lines)
+                      {"instrumented_steps": steps}, ratios, lines)
 
     scheduler = scheduler or ("weak_priority" if structure == "m2" else "greedy")
     m, results, metrics = _run_parallel(structure, chains, p, scheduler, audit)

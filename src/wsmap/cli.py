@@ -9,7 +9,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .bench import Report, WorkloadSpec, render_table, run_experiment
+from .bench import (
+    STRUCTURES, Report, WorkloadSpec, render_table, run_experiment,
+)
+from .runtime import SCHEDULERS
 
 
 class _BadInput(Exception):
@@ -88,13 +91,13 @@ def main(argv=None):
 
     p_run = sub.add_parser("run", help="run a workload on a structure")
     p_run.add_argument("--structure", required=True,
-                       choices=["m0", "m1", "m2", "oracle"])
+                       choices=STRUCTURES)
     p_run.add_argument("--workload", required=True,
                        help="workload spec JSON file")
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--p", type=int, default=None)
     p_run.add_argument("--scheduler", default=None,
-                       choices=["greedy", "weak_priority"])
+                       choices=SCHEDULERS)
     p_run.add_argument("--out", required=True, help="report JSON output path")
     p_run.set_defaults(fn=_cmd_run)
 

@@ -66,6 +66,8 @@ BUFFER = "buffer"
 DS = "ds"
 DS_FINAL = "ds_final"
 
+SCHEDULERS = ("greedy", "weak_priority")
+
 # owner -> (its slot in a path's (program, buffer, ds) counts, its queue)
 _PLACE = {PROGRAM: (0, Q2), BUFFER: (1, Q2), DS: (2, Q2), DS_FINAL: (2, Q1)}
 
@@ -209,7 +211,7 @@ class Runtime:
     def __init__(self, p, scheduler="greedy", trace=False):
         if type(p) is not int or p < 4:
             raise ValueError(f"p must be an integer >= 4, got {p!r}")
-        if scheduler not in ("greedy", "weak_priority"):
+        if scheduler not in SCHEDULERS:
             raise ValueError(f"unknown scheduler {scheduler!r}")
         if scheduler == "weak_priority" and p % 2:
             raise ValueError("weak_priority requires even p")

@@ -11,11 +11,12 @@ Structural work is charged to a shared StepMeter (one count per node touch);
 batch tasks convert meter deltas into simulator cost, so measured work/span
 reflect what the split/apply/rejoin recursion actually touched.
 
-Descents route on raw key values: a leaf keeps its key's value in ``kv``
-(the key itself when it has no ``value``) and an inner node the raw ``hi``
-of its last leaf. Each call counts the key comparisons it makes and adds the
-total to the probe key's counter once, exactly what comparing the counting
-keys one by one would charge, since a tree's keys share the probe's counter.
+Descents route on raw key values: every node keeps its largest key's raw
+value in ``hi``, a leaf its own key's value (the key itself when it has no
+``value``), just as every node reports a ``size``. Each call counts the key
+comparisons it makes and adds the total to the probe key's counter once,
+exactly what comparing the counting keys one by one would charge, since a
+tree's keys share the probe's counter.
 """
 
 from __future__ import annotations
@@ -35,12 +36,12 @@ class StepMeter:
 
 
 class Leaf:
-    __slots__ = ("key", "kv", "val", "parent", "alive", "twin")
+    __slots__ = ("key", "hi", "val", "parent", "alive", "twin")
     size = 1
 
     def __init__(self, key, val=None):
         self.key = key
-        self.kv = getattr(key, "value", key)
+        self.hi = getattr(key, "value", key)
         self.val = val
         self.parent = None
         self.alive = True
@@ -94,8 +95,7 @@ class Tree23:
         for kid in kids:
             size += kid.size
         node.size = size
-        last = kids[-1]
-        node.hi = last.kv if type(last) is Leaf else last.hi
+        node.hi = kids[-1].hi
 
     def _refresh_up(self, node, delta):
         """Refresh node, whose kids changed, then add its size change
@@ -125,15 +125,14 @@ class Tree23:
 
     # -- sequential key operations ---------------------------------------------
 
-    def _bottom(self, kv):
-        """Descend from an inner root by hi values to the inner node above
-        the leaves, charging one meter step per level passed. Returns that
-        node and the number of key comparisons made."""
+    def _route(self, kv, depth):
+        """Descend depth levels from the root by hi values, charging one
+        meter step per level. Returns the node reached and the number of
+        key comparisons made."""
         node = self.root
-        kids = node.kids
-        levels = cmps = 0
-        while type(kids[0]) is Inner:
-            levels += 1
+        cmps = 0
+        for _ in range(depth):
+            kids = node.kids
             cmps += 1
             if kv <= kids[0].hi:
                 node = kids[0]
@@ -142,32 +141,17 @@ class Tree23:
             else:
                 cmps += 1
                 node = kids[1] if kv <= kids[1].hi else kids[2]
-            kids = node.kids
-        self.meter.count += levels
+        self.meter.count += depth
         return node, cmps
 
     def search(self, key):
-        node = self.root
-        if node is None:
+        if self.root is None:
             return None
         kv = getattr(key, "value", key)
-        cmps = 1   # the equality test at the leaf
-        if type(node) is Inner:
-            node, down = self._bottom(kv)
-            kids = node.kids
-            self.meter.count += 1
-            if kv <= kids[0].kv:
-                node = kids[0]
-                cmps += down + 1
-            elif len(kids) == 2:
-                node = kids[1]
-                cmps += down + 1
-            else:
-                node = kids[1] if kv <= kids[1].kv else kids[2]
-                cmps += down + 2
+        node, cmps = self._route(kv, self.height)
         self.meter.count += 1
-        _count(key, cmps)
-        return node if node.kv == kv else None
+        _count(key, cmps + 1)   # and the equality test at the leaf
+        return node if node.hi == kv else None
 
     def insert(self, key, val=None):
         """Insert an absent key; returns the new leaf."""
@@ -177,25 +161,25 @@ class Tree23:
             self.root = leaf
             self.height = 0
             return leaf
-        kv = leaf.kv
-        if type(self.root) is Leaf:
+        kv = leaf.hi
+        if self.height == 0:
             old = self.root
-            kids = [leaf, old] if kv < old.kv else [old, leaf]
+            kids = [leaf, old] if kv < old.hi else [old, leaf]
             _count(key, 1)
             self.root = Inner(kids)
             self._refresh(self.root)
             self.height = 1
             return leaf
-        node, cmps = self._bottom(kv)
+        node, cmps = self._route(kv, self.height - 1)
         kids = node.kids
-        if kv < kids[0].kv:
+        if kv < kids[0].hi:
             pos = 0
-        elif kv < kids[1].kv:
+        elif kv < kids[1].hi:
             pos = 1
         elif len(kids) == 2:
             pos = 2
         else:
-            pos = 2 if kv < kids[2].kv else 3
+            pos = 2 if kv < kids[2].hi else 3
         # the scan stops at the first larger kid or passes them all
         _count(key, cmps + min(pos + 1, len(kids)))
         kids.insert(pos, leaf)
@@ -430,16 +414,15 @@ class Tree23:
         def route(node):
             nonlocal cmps
             kids = node.kids
-            leafy = type(kids[0]) is Leaf
             cmps += 1
-            if kv <= (kids[0].kv if leafy else kids[0].hi):
+            if kv <= kids[0].hi:
                 return 0
             if len(kids) == 2:
                 return 1
             cmps += 1
-            return 1 if kv <= (kids[1].kv if leafy else kids[1].hi) else 2
+            return 1 if kv <= kids[1].hi else 2
 
-        halves = self._split(route, lambda leaf: leaf.kv < kv)
+        halves = self._split(route, lambda leaf: leaf.hi < kv)
         _count(key, cmps)
         return halves
 
@@ -518,15 +501,13 @@ class Tree23:
                     assert kid.parent is node, "stale parent link"
                     size += kid.size
                 assert node.size == size, "stale size"
-                last = kids[-1]
-                assert node.hi == (last.kv if type(last) is Leaf
-                                   else last.hi), "stale hi"
+                assert node.hi == kids[-1].hi, "stale hi"
                 nxt.extend(kids)
             level = nxt
         for node in level:
             assert type(node) is Leaf, f"inner node at depth {self.height}"
         if sorted_keys:
-            assert all(a.kv < b.kv for a, b in zip(level, level[1:])), \
+            assert all(a.hi < b.hi for a, b in zip(level, level[1:])), \
                 "keys not strictly increasing"
 
 

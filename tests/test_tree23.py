@@ -433,7 +433,7 @@ def _differential_trail(seed):
 
     def check(t, model):
         t.audit(sorted_keys=True)
-        assert [lf.kv for lf in t.leaves()] == model, seed
+        assert [lf.hi for lf in t.leaves()] == model, seed
         trail.append((meter.count, tree_dump(t)))
 
     def churn(t, model, lo, hi, n_ops):
@@ -455,7 +455,7 @@ def _differential_trail(seed):
                     hit.add(_rebalance_kind(leaf))
                     t.delete_leaf(leaf)
                 if leaf is not None:
-                    model.remove(leaf.kv)
+                    model.remove(leaf.hi)
                 if t.height < height:
                     hit.add("root_collapse")
             check(t, model)
@@ -536,7 +536,7 @@ def _depth(t):
 def _order(t):
     # first kids of two bottom nodes: no hi value names either leaf
     a, b = (node.kids[0] for node in _bottom_nodes(t)[:2])
-    a.kv, b.kv = b.kv, a.kv
+    a.hi, b.hi = b.hi, a.hi
 
 
 @pytest.mark.parametrize("corrupt, message", [
@@ -635,14 +635,24 @@ def _random_tree(seed, ctr):
     return t
 
 
+def _small_tree(seed, ctr):
+    """A tree of 1-8 leaves over even key values, grown by inserts in a
+    seeded order, so the short descents (heights 0-2) occur."""
+    rnd = random.Random(seed)
+    t = Tree23()
+    for v in rnd.sample(range(0, 24, 2), 1 + seed % 8):
+        t.insert(Key(v, ctr))
+    return t
+
+
 def _shape(node):
     if type(node) is Leaf:
-        return node.kv
+        return node.hi
     return [_shape(kid) for kid in node.kids]
 
 
 def _probe_values(t, rnd):
-    values = [lf.kv for lf in t.leaves()]
+    values = [lf.hi for lf in t.leaves()]
     top = values[-1] if values else 0
     return (rnd.sample(values, min(6, len(values)))
             + [rnd.randrange(-3, top + 4) for _ in range(6)])
@@ -663,12 +673,15 @@ def _counted(t, ctr, call):
 
 
 def test_raw_value_routing_matches_the_reference_loops(monkeypatch):
-    arities = set()
+    arities, heights = set(), set()
     calls = 0
-    for seed in range(60):
+    trees = ([(_random_tree, seed) for seed in range(60)]
+             + [(_small_tree, seed) for seed in range(60, 100)])
+    for make, seed in trees:
         rnd = random.Random(seed)
         ctr = CmpCounter()
-        t = _random_tree(seed, ctr)
+        t = make(seed, ctr)
+        heights.add(t.height)
         if t.root is not None:
             arities |= _arities(t)
         for v in _probe_values(t, rnd):
@@ -678,7 +691,7 @@ def test_raw_value_routing_matches_the_reference_loops(monkeypatch):
             calls += 1
         for v in _probe_values(t, rnd):
             # each split on a fresh copy: same seed, same tree
-            ref_t, new_t = _random_tree(seed, ctr), _random_tree(seed, ctr)
+            ref_t, new_t = make(seed, ctr), make(seed, ctr)
             if ref_t.root is None:
                 continue
             ref, ref_c, ref_m = _counted(
@@ -721,6 +734,7 @@ def test_raw_value_routing_matches_the_reference_loops(monkeypatch):
             calls += 1
         monkeypatch.undo()
     assert {2, 3} <= arities and calls > 1000
+    assert {0, 1, 2} <= heights
 
 
 def test_insert_into_a_one_leaf_tree_counts_one_comparison():
@@ -729,4 +743,4 @@ def test_insert_into_a_one_leaf_tree_counts_one_comparison():
     t.insert(Key(5, ctr))
     assert ctr.count == 0
     t.insert(Key(3, ctr))
-    assert ctr.count == 1 and [lf.kv for lf in t.leaves()] == [3, 5]
+    assert ctr.count == 1 and [lf.hi for lf in t.leaves()] == [3, 5]
