@@ -132,10 +132,12 @@ def generate(spec, ctr=None):
     rnd = random.Random(spec.seed)
     ctr = ctr or CmpCounter()
     kinds = []
+    # a draw past the float-summed weights takes the last drawable kind
+    last = [k for k in KINDS if spec.mix.get(k, 0.0) > 0][-1]
     for i in range(spec.n_ops):
         r = rnd.random()
         acc = 0.0
-        kind = KINDS[-1]
+        kind = last
         for k in KINDS:
             acc += spec.mix.get(k, 0.0)
             if r < acc:

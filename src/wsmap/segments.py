@@ -4,7 +4,8 @@ Each segment holds its items twice: in a key-ordered 2-3 tree and in a
 recency-ordered 2-3 tree (front = most recent), with cross-handles between
 the paired leaves. Batch finds go through the key tree; recency-edge blocks
 move between segments through reverse-indexing, exactly so every composite
-stays within batched-tree work/span.
+stays within batched-tree work/span. A new block arrives key-sorted; a moved
+block is sorted once for both key trees.
 """
 
 from __future__ import annotations
@@ -73,22 +74,27 @@ def seg_remove_found_task(seg, key_leaves):
 
 
 def seg_insert_block_task(seg, pairs, end):
-    """Insert new items with the block's order as their recency order at the
-    chosen end; pairs is non-empty and need not be key-sorted."""
-    rec_leaves = yield from push_edge_task(seg.rec, pairs, end)
-    by_key = yield from merge_sort_task(pairs, key=lambda kv: kv[0])
-    key_leaves = yield from batch_insert_task(seg.keys, by_key)
-    _link_twins(pairs, rec_leaves, key_leaves)
+    """Insert new items at the chosen end; pairs is non-empty and
+    key-sorted, and its key order is also their recency order."""
+    yield from _insert_block_task(seg, pairs, pairs, end)
 
 
 def seg_move_block_task(src, dst, count, src_end, dst_end):
     """Move src's count (> 0) items at src_end to dst's dst_end, keeping
-    their recency order."""
+    their recency order; one key sort serves both key trees."""
     rec_leaves = yield from pop_extreme_task(src.rec, count, src_end)
     pairs = [(lf.key, lf.val) for lf in rec_leaves]
     by_key = yield from merge_sort_task(pairs, key=lambda kv: kv[0])
     yield from batch_delete_keys_task(src.keys, [kv[0] for kv in by_key])
-    yield from seg_insert_block_task(dst, pairs, dst_end)
+    yield from _insert_block_task(dst, pairs, by_key, dst_end)
+
+
+def _insert_block_task(seg, pairs, by_key, end):
+    """Insert new items: pairs in recency order at the chosen end, by_key
+    the same pairs in key order."""
+    rec_leaves = yield from push_edge_task(seg.rec, pairs, end)
+    key_leaves = yield from batch_insert_task(seg.keys, by_key)
+    _link_twins(pairs, rec_leaves, key_leaves)
 
 
 def boundary_move(left, right, surplus, limit=None):

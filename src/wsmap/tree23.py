@@ -154,7 +154,8 @@ class Tree23:
         return node if node.hi == kv else None
 
     def insert(self, key, val=None):
-        """Insert an absent key; returns the new leaf."""
+        """Insert an absent key; returns the new leaf. A present key raises
+        TreeUsageError; the check compares raw values and charges nothing."""
         leaf = Leaf(key, val)
         self.meter.count += 1
         if self.root is None:
@@ -164,6 +165,8 @@ class Tree23:
         kv = leaf.hi
         if self.height == 0:
             old = self.root
+            if old.hi == kv:
+                raise TreeUsageError(f"insert of a present key {key!r}")
             kids = [leaf, old] if kv < old.hi else [old, leaf]
             _count(key, 1)
             self.root = Inner(kids)
@@ -180,6 +183,8 @@ class Tree23:
             pos = 2
         else:
             pos = 2 if kv < kids[2].hi else 3
+        if pos and kids[pos - 1].hi == kv:
+            raise TreeUsageError(f"insert of a present key {key!r}")
         # the scan stops at the first larger kid or passes them all
         _count(key, cmps + min(pos + 1, len(kids)))
         kids.insert(pos, leaf)
@@ -569,28 +574,9 @@ def _split_join_rec(t, items, split, leaf):
     return lres + rres
 
 
-def _split_by_key(t, ops, mid):
-    return (*t.split_lt(ops[mid][1]), ops[mid:])
-
-
 def _split_by_pos(t, positions, mid):
     cut = positions[mid]
     return (*t.split_pos(cut), [p - cut for p in positions[mid:]])
-
-
-def _apply_one(t, op):
-    kind, key, val = op
-    if kind == "search":
-        return t.search(key)
-    if kind == "insert":
-        leaf = t.search(key)
-        if leaf is not None:
-            leaf.val = val
-            return leaf
-        return t.insert(key, val)
-    if kind == "delete":
-        return t.delete_key(key)
-    raise TreeUsageError(f"unknown batch op kind {kind!r}")
 
 
 def _delete_at(t, pos):
@@ -599,32 +585,33 @@ def _delete_at(t, pos):
     return leaf
 
 
-def batch_op_task(tree, ops):
-    """Apply an item-sorted batch of (kind, key, val) triples with kinds in
-    {'search','insert','delete'}; returns one result per op in batch order:
-    the live leaf handle for search/insert hits and inserts, the dead handle
-    for deletes that removed something, None for misses.
+def key_batch_task(tree, items, key, apply):
+    """Run apply(t, item) on each item of a batch whose keys key(item) are
+    sorted and distinct, as a split/apply/rejoin task DAG (Theta(b log n)-style
+    work, split recursion depth O(log b)); returns the results in batch order."""
+    _check_sorted_distinct([key(item) for item in items])
 
-    Runs as a split/apply/rejoin task DAG: Theta(b log n)-style work, with the
-    split recursion depth O(log b).
-    """
-    _check_sorted_distinct([op[1] for op in ops])
-    return (yield from _split_join_task(tree, ops, _split_by_key, _apply_one))
+    def split(t, part, mid):
+        return (*t.split_lt(key(part[mid])), part[mid:])
+
+    return (yield from _split_join_task(tree, items, split, apply))
 
 
 def batch_search_task(tree, keys):
-    ops = [("search", k, None) for k in keys]
-    return (yield from batch_op_task(tree, ops))
+    """The live leaf of each key, None for a miss."""
+    return (yield from key_batch_task(tree, keys, lambda k: k, Tree23.search))
 
 
 def batch_insert_task(tree, pairs):
-    ops = [("insert", k, v) for k, v in pairs]
-    return (yield from batch_op_task(tree, ops))
+    """Insert (key, val) pairs of absent keys; returns the new leaves."""
+    return (yield from key_batch_task(tree, pairs, lambda kv: kv[0],
+                                      lambda t, kv: t.insert(*kv)))
 
 
 def batch_delete_keys_task(tree, keys):
-    ops = [("delete", k, None) for k in keys]
-    return (yield from batch_op_task(tree, ops))
+    """Delete the keys; returns the dead leaf of each, None for a miss."""
+    return (yield from key_batch_task(tree, keys, lambda k: k,
+                                      Tree23.delete_key))
 
 
 def reverse_index_task(tree, handles):

@@ -1,5 +1,6 @@
 import random
 import sys
+from operator import itemgetter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -8,7 +9,7 @@ from wsmap.core import (
     CmpCounter, DELETE, INSERT, Key, Operation, SEARCH, UPDATE,
 )
 from wsmap.runtime import Runtime, DS, par_map
-from wsmap.tree23 import Leaf
+from wsmap.tree23 import Leaf, TreeUsageError, key_batch_task
 
 
 def run_task(gen, p=8, scheduler="greedy", owner=DS, trace=False):
@@ -22,6 +23,30 @@ def run_task(gen, p=8, scheduler="greedy", owner=DS, trace=False):
     rt.spawn_root(root(), owner=owner)
     metrics = rt.run()
     return out[0], metrics, rt
+
+
+def _apply_op(t, op):
+    kind, key, val = op
+    if kind == "search":
+        return t.search(key)
+    if kind == "insert":
+        leaf = t.search(key)
+        if leaf is not None:
+            leaf.val = val
+            return leaf
+        return t.insert(key, val)
+    if kind == "delete":
+        return t.delete_key(key)
+    raise TreeUsageError(f"unknown batch op kind {kind!r}")
+
+
+def batch_op_task(tree, ops):
+    """Apply a key-sorted batch of (kind, key, val) triples with kinds in
+    {'search','insert','delete'}; an insert of a present key updates its
+    value. Returns one result per op: the live leaf for search/insert hits
+    and inserts, the dead leaf for deletes that removed something, None for
+    misses."""
+    return (yield from key_batch_task(tree, ops, itemgetter(1), _apply_op))
 
 
 def run_map_workload(make_map, chains, p=8, scheduler="greedy"):

@@ -9,10 +9,7 @@ import functools
 import math
 import random
 
-import pytest
-
-from conftest import rank_of, run_task
-from wsmap.batched import BatchedWorkingSetMap
+from conftest import batch_op_task, rank_of
 from wsmap.bench import WorkloadSpec, generate, run_experiment
 from wsmap.calibrate import (
     m0_workloads, measure_esort, measure_m0, measure_map_bounds,
@@ -20,19 +17,14 @@ from wsmap.calibrate import (
     span_separation_demo,
 )
 from wsmap.calibration import frozen_constants, slack
-from wsmap.core import (
-    CmpCounter, DELETE, INSERT, Key, Operation, SEARCH, UPDATE,
-    oracle_replay, validate_batch_preserving, working_set_bound,
-)
+from wsmap.core import CmpCounter, INSERT, Key, Operation, SEARCH, UPDATE
 from wsmap.pipelined import PipelinedWorkingSetMap
 from wsmap.runtime import (
     Acquire, Call, DedicatedLock, Par, Runtime, par_map,
 )
 from wsmap.seqmap import SeqWorkingSetMap
 from wsmap.sortlib import esort, pesort_task, ppivot_task
-from wsmap.tree23 import (
-    Tree23, batch_op_task, reverse_index_task,
-)
+from wsmap.tree23 import Tree23, reverse_index_task
 
 
 def execute_inline(gen):

@@ -8,8 +8,12 @@ from wsmap.core import (
     CmpCounter, DELETE, INSERT, Key, Operation, SEARCH, UPDATE,
     oracle_replay, validate_batch_preserving,
 )
+from wsmap import segments
 from wsmap.runtime import Runtime
-from wsmap.segments import PairedSegment, preload_segment
+from wsmap.segments import (
+    PairedSegment, preload_segment, seg_insert_block_task, seg_move_block_task,
+)
+from wsmap.tree23 import StepMeter
 
 
 def _make(rt):
@@ -232,3 +236,27 @@ def test_audit_segments_catches_corrupted_state(corrupt, message):
     corrupt(m)
     with pytest.raises(AssertionError, match=message):
         m.audit_segments()
+
+
+def test_block_insert_sorts_nothing_and_a_move_sorts_once(monkeypatch):
+    sorts = []
+    merge_sort_task = segments.merge_sort_task
+
+    def spy(items, key):
+        sorts.append(len(items))
+        return merge_sort_task(items, key)
+
+    monkeypatch.setattr(segments, "merge_sort_task", spy)
+    meter, ctr = StepMeter(), CmpCounter()
+    src, dst = PairedSegment(3, meter), PairedSegment(4, meter)
+    for lo in (0, 4):
+        block = [(Key(k, ctr), k) for k in range(lo, lo + 4)]
+        run_task(seg_insert_block_task(src, block, "front"))
+    assert sorts == []
+    # recency order 4..7, 0..3: the moved back block is not key-sorted
+    run_task(seg_move_block_task(src, dst, 6, "back", "front"))
+    assert sorts == [6]
+    assert [lf.key.value for lf in dst.rec.leaves()] == [6, 7, 0, 1, 2, 3]
+    assert [lf.key.value for lf in src.rec.leaves()] == [4, 5]
+    src.audit()
+    dst.audit()

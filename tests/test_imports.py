@@ -1,4 +1,4 @@
-"""Every name a wsmap module imports is used in that module.
+"""Every name a wsmap module or a test file imports is used in that file.
 
 No linter ships with the project, so this stdlib-only check stands in for
 one. `__init__.py` is skipped: its imports are the package's re-exports,
@@ -9,7 +9,8 @@ and `__all__` must list exactly those. The simulator is the bottom layer:
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "wsmap"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "wsmap"
 
 
 def imported_names(tree):
@@ -47,6 +48,13 @@ def test_checker_finds_an_unused_import():
 def test_no_unused_imports_in_src():
     found = [f"{path.name}:{line} {name}"
              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
+             for line, name in unused_imports(path.read_text())]
+    assert not found, f"unused imports: {found}"
+
+
+def test_no_unused_imports_in_tests():
+    found = [f"{path.name}:{line} {name}"
+             for path in sorted(TESTS.glob("*.py"))
              for line, name in unused_imports(path.read_text())]
     assert not found, f"unused imports: {found}"
 

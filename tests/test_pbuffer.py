@@ -2,9 +2,7 @@ import math
 import random
 
 from wsmap.pbuffer import ParallelBuffer
-from wsmap.runtime import (
-    ActivationGate, BUFFER, Call, DS, Runtime, par_map,
-)
+from wsmap.runtime import ActivationGate, BUFFER, Call, Runtime, par_map
 
 
 class _Collector:

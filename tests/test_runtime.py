@@ -906,13 +906,13 @@ def test_untraced_matches_traced_map_runs(structure, scheduler, m_override):
 
 @pytest.mark.parametrize("structure, scheduler, m_override, digest", [
     ("m1", "greedy", None,
-     "b9e5684b6a67e9f389e0d981869acc1acfe5521e5ae5e74944fc4129161208e5"),
+     "3cb47f79c3d1524c578f704f59a3dbb754d46c3e163507adc4ded762e8c81ca9"),
     ("m2", "weak_priority", None,
-     "75abd1bbcc6ac46e2c10b9ffd84c8ca9996a8e7c134c3171f88bca8c86375270"),
+     "81d21bb06eb92ba620240155b610576f1d7272ee256f08f801b354499bea8465"),
     ("m2", "weak_priority", 1,
-     "7de0e13b9cccaa41df92d06da4f629157a6ca4d7986c4063bd7a6c64f14adb85"),
+     "8be798ceaa51385faa2af7c4b45561ffcf2d4bc6259dd57594613677c5d2b7f6"),
     ("m2", "greedy", 1,
-     "89c6b4ce97482d4f054468069e2e302605ff921633325c0a5c52c6161cea0922"),
+     "beba40f7e2496771d70a093908d47731b2ca9814b9de46e7319cb8b74bdfe84a"),
 ], ids=[f"{s}-{sched}-{m}" for s, sched, m in _MAP_CASES])
 def test_traced_runtime_pinned(structure, scheduler, m_override, digest):
     assert _traced_map_digest(structure, scheduler, m_override) == digest

@@ -5,8 +5,7 @@ import pytest
 
 from conftest import random_ops, rank_of, seq_dump
 from wsmap.core import (
-    CmpCounter, DELETE, INSERT, Key, SEARCH, UPDATE, oracle_replay,
-    working_set_bound,
+    CmpCounter, INSERT, Key, SEARCH, UPDATE, oracle_replay, working_set_bound,
 )
 from wsmap.seqmap import SeqWorkingSetMap, segment_capacity
 

@@ -4,14 +4,13 @@ import random
 
 import pytest
 
-from conftest import run_task, tree_dump
+from conftest import batch_op_task, run_task, tree_dump
 from wsmap.core import CmpCounter, Key
 from wsmap.runtime import concat_tree
 from wsmap.tree23 import (
     Inner, Leaf, StepMeter, Tree23, TreeUsageError,
     batch_delete_keys_task, batch_delete_pos_task, batch_insert_task,
-    batch_op_task, batch_search_task, pop_extreme_task, push_edge_task,
-    reverse_index_task,
+    batch_search_task, pop_extreme_task, push_edge_task, reverse_index_task,
 )
 
 
@@ -206,6 +205,42 @@ def test_spec_style_mixed_batch():
     assert results[1] is not None and not results[1].alive
     assert results[2].alive and results[2].val == "nine"
     assert [lf.key for lf in t.leaves()] == [1, 2, 3, 4, 6, 7, 8, 9]
+
+
+def test_batch_insert_makes_no_search(monkeypatch):
+    searched = []
+    search = Tree23.search
+
+    def spy(tree, key):
+        searched.append(key)
+        return search(tree, key)
+
+    monkeypatch.setattr(Tree23, "search", spy)
+    t, _ = _build(range(0, 64, 2))
+    run_task(batch_insert_task(t, [(k, None) for k in range(1, 64, 4)]))
+    assert searched == []
+    t.audit(sorted_keys=True)
+    hits, _m, _rt = run_task(batch_search_task(t, list(range(1, 64, 4))))
+    assert all(hits) and len(searched) == 16
+
+
+@pytest.mark.parametrize("n, height", [(1, 0), (40, 5)])
+def test_insert_rejects_a_present_key(n, height):
+    # the check compares raw values: a rejected insert counts no key
+    # comparison and leaves the tree as it was
+    ctr = CmpCounter()
+    for k in sorted({0, n // 2, n - 1}):
+        t, _ = Tree23.build([(Key(k, ctr), k) for k in range(n)])
+        assert t.height == height
+        before = ctr.count
+        with pytest.raises(TreeUsageError, match="present key"):
+            t.insert(Key(k, ctr))
+        assert ctr.count == before
+        t.audit(sorted_keys=True)
+        assert [lf.key.value for lf in t.leaves()] == list(range(n))
+        with pytest.raises(TreeUsageError, match="present key"):
+            run_task(batch_insert_task(t, [(Key(k, ctr), None)]))
+        assert ctr.count == before
 
 
 def test_handle_stability_across_batches():
