@@ -16,7 +16,7 @@ import random
 from dataclasses import asdict, dataclass, field, fields
 
 from .batched import BatchedWorkingSetMap
-from .calibration import frozen_constants, slack
+from .calibration import SLACK, frozen_constants
 from .core import (
     CmpCounter, DELETE, INSERT, KINDS, Key, Operation, OpResult, SEARCH, UPDATE,
     access_ranks, oracle_replay, validate_batch_preserving, working_set_bound,
@@ -297,7 +297,7 @@ def run_experiment(spec, structure, scheduler=None, audit=True):
         lines.append(_line("equivalence", equal, int(equal)))
         ratio = steps / max(rep.w_l, 1.0)
         ratios["steps_per_wl"] = ratio
-        bound = slack() * frozen["m0_steps_per_wl"]
+        bound = SLACK * frozen["m0_steps_per_wl"]
         lines.append(_line("m0_working_set_bound", ratio <= bound,
                            ratio, bound))
         return Report(structure, asdict(spec), "serial", _bound_dict(rep),
@@ -334,8 +334,8 @@ def run_experiment(spec, structure, scheduler=None, audit=True):
     ratios["span_per_bound"] = span_ratio
 
     assert_bounds = structure == "m1" or scheduler == "weak_priority"
-    wb = slack() * frozen[key_work]
-    sb = slack() * frozen[key_span]
+    wb = SLACK * frozen[key_work]
+    sb = SLACK * frozen[key_span]
     lines.append(_line("effective_work_bound",
                        (work_ratio <= wb) or not assert_bounds,
                        work_ratio, wb))
@@ -347,7 +347,7 @@ def run_experiment(spec, structure, scheduler=None, audit=True):
     buf_bound = (metrics.t1 + metrics.ds_work) / p + d * max(logp, 1.0)
     buf_ratio = buf_cost / max(buf_bound, 1.0)
     ratios["buffer_cost_per_bound"] = buf_ratio
-    bb = slack() * frozen["pbuffer_cost"]
+    bb = SLACK * frozen["pbuffer_cost"]
     lines.append(_line("buffer_cost_bound", buf_ratio <= bb, buf_ratio, bb))
 
     metrics_dict = metrics.to_dict()
@@ -355,7 +355,7 @@ def run_experiment(spec, structure, scheduler=None, audit=True):
         steps = metrics_dict["steps"]
         steps["filter_full"] = m.filter_full_steps()
         steps["filter_empty"] = steps["total"] - steps["filter_full"]
-        fl_bound = slack() * frozen["m2_fl_delay"]
+        fl_bound = SLACK * frozen["m2_fl_delay"]
         worst = 0.0
         for k, delay in m.fl_delays:
             worst = max(worst, delay / 2 ** k)

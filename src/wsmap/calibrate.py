@@ -2,7 +2,8 @@
 
 Each helper measures one family of constants on fixed, documented seeds;
 measure_constants() prints each value and assembles the frozen dict
-committed to calibration.json.
+committed to calibration.json. pesort's comparison and span constants
+are measured on the sort the maps run, through one runner.
 The acceptance suite re-runs the same helpers and asserts against the
 frozen values at 1.5x slack.
 """
@@ -17,7 +18,7 @@ from .batched import BatchedWorkingSetMap
 from .core import CmpCounter, Key, SEARCH, Operation
 from .pipelined import PipelinedWorkingSetMap
 from .runtime import Runtime, par_map
-from .sortlib import entropy, esort, pesort_task
+from .sortlib import entropy, pesort_task
 from .tree23 import Tree23, batch_insert_task
 
 
@@ -43,7 +44,14 @@ def measure_m0():
     return worst
 
 
-def measure_esort():
+def _run_pesort(keys):
+    """Sort keys with pesort_task on a Runtime(p=8); returns its metrics."""
+    rt = Runtime(p=8)
+    rt.spawn_root(pesort_task(keys), owner="ds")
+    return rt.run()
+
+
+def measure_pesort_comps():
     worst = 0.0
     for seed, n, u, s in ((201, 4096, 32, 1.0), (202, 4096, 512, 0.0),
                           (203, 2048, 8, 1.0)):
@@ -58,10 +66,8 @@ def measure_esort():
             counts[v] = counts.get(v, 0) + 1
         h = entropy(counts.values(), n)
         ctr = CmpCounter()
-        keys = [Key(v, ctr) for v in values]
-        before = ctr.count
-        esort(keys)
-        worst = max(worst, (ctr.count - before) / (n * h + n))
+        _run_pesort([Key(v, ctr) for v in values])
+        worst = max(worst, ctr.count / (n * h + n))
     return worst
 
 
@@ -72,15 +78,7 @@ def measure_pesort_span():
         n = 2 ** logn
         rnd = random.Random(300 + logn)
         values = [rnd.randrange(max(n // 8, 4)) for _ in range(n)]
-        keys = [Key(v) for v in values]
-        rt = Runtime(p=8)
-        out = []
-
-        def root():
-            out.append((yield from pesort_task(keys)))
-
-        rt.spawn_root(root(), owner="ds")
-        metrics = rt.run()
+        metrics = _run_pesort([Key(v) for v in values])
         spans[logn] = metrics.ds_span
         worst = max(worst, metrics.ds_span / logn ** 2)
     return worst, spans
@@ -234,7 +232,7 @@ def measure_constants():
         print(f"{name}: {value:.4f}")
 
     note("m0_steps_per_wl", measure_m0())
-    note("esort_comps_per_entropy", measure_esort())
+    note("pesort_comps_per_entropy", measure_pesort_comps())
     pes_worst, _spans = measure_pesort_span()
     note("pesort_span_per_log2n_sq", pes_worst)
     slope, _spans = measure_tree_span_slope()

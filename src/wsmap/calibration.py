@@ -1,8 +1,8 @@
 """Frozen calibration constants.
 
 Every asymptotic bound is checked as measured/bound <= SLACK * frozen,
-where the frozen constant was measured once by the calibration suite
-(documented seeds, see tools in cli.calibrate) and committed to
+where the frozen constant was measured once on documented seeds by
+wsmap.calibrate (`wsmap calibrate --write`) and committed to
 calibration.json. The 1.5x slack absorbs scheduler admissibility and
 workload variation.
 """
@@ -24,6 +24,3 @@ def frozen_constants():
         _cache = json.loads(_CAL_PATH.read_text())
     return _cache
 
-
-def slack():
-    return SLACK

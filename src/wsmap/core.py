@@ -180,20 +180,11 @@ def oracle_replay(ops):
     for op in ops:
         k = op.key.value
         found = k in store
-        prior = store.get(k)
-        if op.kind == SEARCH:
-            results.append(OpResult(found, prior))
-        elif op.kind == INSERT:
-            results.append(OpResult(found, prior))
+        results.append(OpResult(found, store.get(k)))
+        if op.kind == INSERT or (op.kind == UPDATE and found):
             store[k] = op.payload
-        elif op.kind == UPDATE:
-            results.append(OpResult(found, prior))
-            if found:
-                store[k] = op.payload
-        else:
-            results.append(OpResult(found, prior))
-            if found:
-                del store[k]
+        elif op.kind == DELETE and found:
+            del store[k]
     return results
 
 

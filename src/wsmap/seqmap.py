@@ -90,15 +90,6 @@ class SeqWorkingSetMap:
         self._append_new(key, val)
         return False, None
 
-    def access_or_insert(self, key, make_val):
-        """Single-pass hit-promote-or-insert; returns the item's value."""
-        leaf = self._access(key)
-        if leaf is not None:
-            return leaf.val
-        val = make_val()
-        self._append_new(key, val)
-        return val
-
     def delete(self, key):
         k, leaf = self._scan(key)
         if leaf is None:

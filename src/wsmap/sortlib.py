@@ -1,18 +1,17 @@
 """Entropy-sensitive sorting.
 
-esort runs sequentially over a working-set dictionary, so its comparison
-count tracks the insert working-set bound of the input (duplicate-heavy
-inputs sort in far fewer than n log n comparisons). pesort is the parallel
-quicksort variant built on guaranteed-middle-quartile pivots; it runs as a
-task DAG on the runtime.
+pesort is the parallel quicksort that M1 and M2 run on every cut batch:
+guaranteed-middle-quartile pivots and a three-way partition that groups
+equal keys, so duplicate-heavy inputs sort in O(nH + n) comparisons (H the
+entropy of the key frequencies) rather than n log n. It runs as a task DAG
+on the runtime.
 """
 
 from __future__ import annotations
 
 import math
 
-from .runtime import Par, merge, merge_sort_task, par_map
-from .seqmap import SeqWorkingSetMap
+from .runtime import Par, merge_sort_task, par_map
 
 
 def entropy(counts, n=None):
@@ -29,29 +28,6 @@ def entropy(counts, n=None):
         q = c / n
         h += q * math.log(1.0 / q)
     return h
-
-
-def esort(keys):
-    """Stable entropy sort; returns input positions in non-decreasing key
-    order with duplicate groups in input order."""
-    if not keys:
-        return []
-    d = SeqWorkingSetMap()
-    for pos, key in enumerate(keys):
-        tag = d.access_or_insert(key, list)
-        tag.append(pos)
-    # per-segment sorted lists, merged smallest-capacity first
-    merged = []
-    for seg in d.segments:
-        # a segment's key-tree leaves are already key-sorted
-        merged = merge(merged, seg.keys.leaves(), key=lambda lf: lf.key)
-    out = []
-    for lf in merged:
-        out.extend(lf.val)
-    return out
-
-
-# -- parallel entropy sort -------------------------------------------------------
 
 
 def pesort_task(keys):

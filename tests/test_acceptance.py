@@ -12,18 +12,18 @@ import random
 from conftest import batch_op_task, rank_of
 from wsmap.bench import WorkloadSpec, generate, run_experiment
 from wsmap.calibrate import (
-    m0_workloads, measure_esort, measure_m0, measure_map_bounds,
-    measure_pbuffer_flush_span, measure_pesort_span, measure_tree_span_slope,
+    m0_workloads, measure_m0, measure_map_bounds, measure_pbuffer_flush_span,
+    measure_pesort_comps, measure_pesort_span, measure_tree_span_slope,
     span_separation_demo,
 )
-from wsmap.calibration import frozen_constants, slack
+from wsmap.calibration import SLACK, frozen_constants
 from wsmap.core import CmpCounter, INSERT, Key, Operation, SEARCH, UPDATE
 from wsmap.pipelined import PipelinedWorkingSetMap
 from wsmap.runtime import (
     Acquire, Call, DedicatedLock, Par, Runtime, par_map,
 )
 from wsmap.seqmap import SeqWorkingSetMap
-from wsmap.sortlib import esort, pesort_task, ppivot_task
+from wsmap.sortlib import pesort_task, ppivot_task
 from wsmap.tree23 import Tree23, reverse_index_task
 
 
@@ -80,7 +80,7 @@ def test_criterion_1_semantic_equivalence():
 
 
 def test_criterion_2_m0_working_set_bound():
-    bound = slack() * frozen_constants()["m0_steps_per_wl"]
+    bound = SLACK * frozen_constants()["m0_steps_per_wl"]
     worst = measure_m0()
     ok = worst <= bound
     # promotion bound, exact, on every successful access of a zipf run
@@ -122,25 +122,21 @@ def test_criterion_3_entropy_sort():
         ctr = CmpCounter()
         keys = [Key(v, ctr) for v in values]
         ref = [i for i, _ in sorted(enumerate(values), key=lambda t: t[1])]
-        if esort(keys) != ref:
-            sort_ok = False
-            break
         if execute_inline(pesort_task(keys)) != ref:
             sort_ok = False
             break
     # comparison bounds
-    comps_ratio = measure_esort()
-    comps_ok = comps_ratio <= slack() * frozen["esort_comps_per_entropy"]
+    comps_ratio = measure_pesort_comps()
+    comps_ok = comps_ratio <= SLACK * frozen["pesort_comps_per_entropy"]
     values = list(range(500))
     rnd.shuffle(values)
     ctr = CmpCounter()
     keys = [Key(v, ctr) for v in values]
-    before = ctr.count
-    esort(keys)
-    floor_ok = ctr.count - before >= len(values) - 1
+    execute_inline(pesort_task(keys))
+    floor_ok = ctr.count >= len(values) - 1
     # pesort span scaling
     span_ratio, _spans = measure_pesort_span()
-    span_ok = span_ratio <= slack() * frozen["pesort_span_per_log2n_sq"]
+    span_ok = span_ratio <= SLACK * frozen["pesort_span_per_log2n_sq"]
     # ppivot rank property, 10^4 random lists at k=64
     pivot_ok = True
     for trial in range(10_000):
@@ -182,7 +178,7 @@ def test_criterion_4_batched_tree():
             audit_ok = False
             break
     slope, spans = measure_tree_span_slope()
-    slope_ok = 0 < slope <= slack() * frozen_constants()["tree_span_slope"]
+    slope_ok = 0 < slope <= SLACK * frozen_constants()["tree_span_slope"]
     # reverse_index returns the pointed-to items sorted
     t2, leaves = Tree23.build([(k, None) for k in range(64)])
     sample = rnd.sample(leaves, 17)
@@ -196,8 +192,8 @@ def test_criterion_4_batched_tree():
 def test_criterion_5_m1_bounds():
     frozen = frozen_constants()
     worst = measure_map_bounds("m1")
-    work_ok = worst["work"] <= slack() * frozen["m1_work"]
-    span_ok = worst["span"] <= slack() * frozen["m1_span"]
+    work_ok = worst["work"] <= SLACK * frozen["m1_work"]
+    span_ok = worst["span"] <= SLACK * frozen["m1_span"]
     _announce(5, "m1 effective work/span bounds",
               work_ok and span_ok,
               f"work={worst['work']:.2f} span={worst['span']:.2f}")
@@ -233,7 +229,7 @@ def test_criterion_6_m2_invariants():
         except AssertionError as err:
             violations.append((seed, str(err)))
     fl_ok = (_m2_bounds()["fl"]
-             <= slack() * frozen_constants()["m2_fl_delay"])
+             <= SLACK * frozen_constants()["m2_fl_delay"])
     _announce(6, "m2 invariants (100 seeds) + front access",
               not violations and fl_ok,
               f"violations={violations[:3]} fl_ok={fl_ok}")
@@ -242,8 +238,8 @@ def test_criterion_6_m2_invariants():
 def test_criterion_7_m2_bounds():
     frozen = frozen_constants()
     worst = _m2_bounds()
-    work_ok = worst["work"] <= slack() * frozen["m2_work"]
-    span_ok = worst["span"] <= slack() * frozen["m2_span"]
+    work_ok = worst["work"] <= SLACK * frozen["m2_work"]
+    span_ok = worst["span"] <= SLACK * frozen["m2_span"]
     # under plain greedy, equivalence still holds; bound lines are reported
     # but not asserted
     spec = WorkloadSpec(generator="zipf", n_ops=400, universe=256,
@@ -369,7 +365,7 @@ def test_criterion_10_parallel_buffer():
             lost_ok = False
             break
     flush_ratio = measure_pbuffer_flush_span()
-    span_ok = flush_ratio <= slack() * frozen_constants()["pbuffer_flush_span"]
+    span_ok = flush_ratio <= SLACK * frozen_constants()["pbuffer_flush_span"]
     _announce(10, "parallel buffer",
               lost_ok and span_ok,
               f"lost={not lost_ok} flush_span={flush_ratio:.2f}")

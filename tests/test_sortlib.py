@@ -6,7 +6,7 @@ import pytest
 from conftest import run_task
 from wsmap import sortlib
 from wsmap.core import CmpCounter, Key
-from wsmap.sortlib import entropy, esort, pesort_task, ppivot_task
+from wsmap.sortlib import entropy, pesort_task, ppivot_task
 
 
 def _keys(values, ctr=None):
@@ -28,56 +28,6 @@ def test_entropy_examples():
         entropy([2, 0], 2)
     with pytest.raises(ValueError, match="empty frequency profile"):
         entropy([])
-
-
-def test_esort_examples():
-    keys, _ = _keys([3, 1, 3, 2])
-    assert esort(keys) == [1, 3, 0, 2]
-    assert esort([]) == []
-
-
-def test_esort_all_equal_linear_comparisons():
-    keys, ctr = _keys([5] * 512)
-    before = ctr.count
-    assert esort(keys) == list(range(512))
-    assert ctr.count - before <= 20 * 512
-
-
-def test_esort_matches_reference_and_is_stable():
-    for seed, u in ((1, 4), (2, 64), (3, 1000)):
-        rnd = random.Random(seed)
-        values = [rnd.randrange(u) for _ in range(800)]
-        keys, _ = _keys(values)
-        got = esort(keys)
-        assert got == _reference(values)
-
-
-def test_esort_comparison_floor_on_distinct():
-    rnd = random.Random(5)
-    values = list(range(300))
-    rnd.shuffle(values)
-    keys, ctr = _keys(values)
-    before = ctr.count
-    esort(keys)
-    assert ctr.count - before >= len(values) - 1
-
-
-def test_esort_entropy_bound():
-    # comparisons track n*H + n for skewed inputs
-    rnd = random.Random(11)
-    n, u = 4096, 32
-    weights = [1 / (i + 1) for i in range(u)]   # zipf(1)
-    total = sum(weights)
-    values = rnd.choices(range(u), weights=weights, k=n)
-    counts = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    h = entropy(counts.values(), n)
-    keys, ctr = _keys(values)
-    before = ctr.count
-    assert esort(keys) == _reference(values)
-    comps = ctr.count - before
-    assert comps <= 12 * (n * h + n), f"{comps} vs nH+n={n * h + n:.0f}"
 
 
 def test_ppivot_examples():
@@ -106,6 +56,16 @@ def test_pesort_single_distinct_value():
     keys, _ = _keys([5, 5, 5, 5])
     order, m, _rt = run_task(pesort_task(keys))
     assert order == [0, 1, 2, 3]
+
+
+def test_pesort_all_equal_linear_comparisons():
+    # the three-way partition puts every key equal to the pivot in the
+    # middle part, so one level sorts an all-equal input; a partition that
+    # does not group duplicates recurses on them
+    keys, ctr = _keys([5] * 512)
+    order, _m, _rt = run_task(pesort_task(keys))
+    assert order == list(range(512))
+    assert ctr.count <= 20 * 512
 
 
 def test_pesort_matches_reference():
