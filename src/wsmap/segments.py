@@ -5,12 +5,14 @@ recency-ordered 2-3 tree (front = most recent), with cross-handles between
 the paired leaves. Batch finds go through the key tree; recency-edge blocks
 move between segments through reverse-indexing, exactly so every composite
 stays within batched-tree work/span. A new block arrives key-sorted; a moved
-block is sorted once for both key trees.
+block is sorted once for both key trees. The two trees share no node, so a
+block insert and a found-removal update them as the two branches of one
+fork, and the twins are linked after the join.
 """
 
 from __future__ import annotations
 
-from .runtime import merge_sort_task
+from .runtime import Par, merge_sort_task
 from .seqmap import segment_capacity
 from .tree23 import (
     Tree23, batch_delete_keys_task, batch_delete_pos_task, batch_insert_task,
@@ -62,15 +64,18 @@ def _link_twins(pairs, rec_leaves, key_leaves):
 
 
 def seg_remove_found_task(seg, key_leaves):
-    """Remove the given (live, key-tree) leaves from both trees."""
+    """Remove the given (live, key-tree) leaves from both trees, the recency
+    tree and the key tree in parallel."""
     if not key_leaves:
         yield 1
         return
-    located = yield from reverse_index_task(seg.rec,
-                                            [lf.twin for lf in key_leaves])
-    positions = [pos for pos, _lf in located]
-    yield from batch_delete_pos_task(seg.rec, positions)
-    yield from batch_delete_keys_task(seg.keys, [lf.key for lf in key_leaves])
+    yield Par(_delete_handles_task(seg.rec, [lf.twin for lf in key_leaves]),
+              batch_delete_keys_task(seg.keys, [lf.key for lf in key_leaves]))
+
+
+def _delete_handles_task(tree, leaves):
+    located = yield from reverse_index_task(tree, leaves)
+    yield from batch_delete_pos_task(tree, [pos for pos, _lf in located])
 
 
 def seg_insert_block_task(seg, pairs, end):
@@ -91,9 +96,9 @@ def seg_move_block_task(src, dst, count, src_end, dst_end):
 
 def _insert_block_task(seg, pairs, by_key, end):
     """Insert new items: pairs in recency order at the chosen end, by_key
-    the same pairs in key order."""
-    rec_leaves = yield from push_edge_task(seg.rec, pairs, end)
-    key_leaves = yield from batch_insert_task(seg.keys, by_key)
+    the same pairs in key order; the two trees update in parallel."""
+    rec_leaves, key_leaves = yield Par(push_edge_task(seg.rec, pairs, end),
+                                       batch_insert_task(seg.keys, by_key))
     _link_twins(pairs, rec_leaves, key_leaves)
 
 

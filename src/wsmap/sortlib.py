@@ -4,7 +4,10 @@ pesort is the parallel quicksort that M1 and M2 run on every cut batch:
 guaranteed-middle-quartile pivots and a three-way partition that groups
 equal keys, so duplicate-heavy inputs sort in O(nH + n) comparisons (H the
 entropy of the key frequencies) rather than n log n. It runs as a task DAG
-on the runtime.
+on the runtime. Runs of at most g = ceil(log2(n + 1)) positions, the chunk
+of the top-level partition, are sorted sequentially in one node, which
+charges s * ceil(log2(s + 1)) steps for s positions (at least the
+comparisons it makes).
 """
 
 from __future__ import annotations
@@ -33,18 +36,29 @@ def entropy(counts, n=None):
 def pesort_task(keys):
     """Task: sort by key; returns input positions (stable, duplicates
     grouped)."""
-    order = yield from _pesort_rec(keys, list(range(len(keys))), 0)
+    order = yield from _pesort_rec(keys, list(range(len(keys))), 0,
+                                   _log_chunk(len(keys)))
     return order
 
 
-def _pesort_rec(keys, idx, pivot_depth):
-    if len(idx) <= 1:
-        yield 1
-        return list(idx)
-    pivot = yield from ppivot_task(keys, idx, pivot_depth)
+def _log_chunk(n):
+    """ceil(log2(n + 1)): pesort's grain, and the partition's chunk, for n
+    positions."""
+    return math.ceil(math.log2(n + 1))
+
+
+def _pesort_rec(keys, idx, pivot_depth, grain):
+    s = len(idx)
+    if s <= grain:
+        # Python's stable sort makes at most s * ceil(log2(s + 1))
+        # comparisons (a natural run, then binary insertion)
+        yield max(1, s * _log_chunk(s))
+        return sorted(idx, key=keys.__getitem__)
+    pivot = yield from _pivot_task(keys, idx, pivot_depth, grain)
     low, mid, high = yield from _partition_task(keys, idx, pivot)
-    lo_sorted, hi_sorted = yield Par(_pesort_rec(keys, low, pivot_depth),
-                                     _pesort_rec(keys, high, pivot_depth))
+    lo_sorted, hi_sorted = yield Par(
+        _pesort_rec(keys, low, pivot_depth, grain),
+        _pesort_rec(keys, high, pivot_depth, grain))
     yield 1
     return lo_sorted + mid + hi_sorted
 
@@ -77,19 +91,23 @@ def _partition_task(keys, idx, pivot):
                 mid.append(i)
         return low, mid, high
 
-    chunk = max(1, math.ceil(math.log2(len(idx) + 1)))
-    return (yield from _chunked_task(idx, chunk, part))
+    return (yield from _chunked_task(idx, _log_chunk(len(idx)), part))
 
 
-def ppivot_task(keys, idx, pivot_depth=0):
-    """Task: pick a pivot guaranteed to lie in the two middle quartiles.
+def ppivot_task(keys, idx):
+    """Task: pick a pivot guaranteed to lie in the two middle quartiles of
+    the keys at positions idx, as pesort would for a run of that size."""
+    return (yield from _pivot_task(keys, idx, 0, _log_chunk(len(idx))))
 
-    Blocks of ceil(log2 k) take their lower median sequentially; the medians
-    are sorted (recursively via the entropy sort, or a plain merge-sort DAG
-    for few blocks or deep pivot recursions) and the lower median of medians
-    is the candidate. Ragged last blocks can push the candidate just outside
-    the middle quartiles for adversarial sizes, so a counting pass verifies
-    it and falls back to the exact lower median when needed.
+
+def _pivot_task(keys, idx, pivot_depth, grain):
+    """Blocks of ceil(log2 k) take their lower median sequentially; the
+    medians are sorted (recursively via the entropy sort, with the grain of
+    the sort the pivot serves, or a plain merge-sort DAG for few blocks or
+    deep pivot recursions) and the lower median of medians is the
+    candidate. Ragged last blocks can push the candidate just outside the
+    middle quartiles for adversarial sizes, so a counting pass verifies it
+    and falls back to the exact lower median when needed.
     """
     k = len(idx)
     if k == 1:
@@ -108,7 +126,8 @@ def ppivot_task(keys, idx, pivot_depth=0):
     if c < 8 or pivot_depth >= 2:
         ordered = yield from merge_sort_task(medians, key=lambda x: x)
     else:
-        perm = yield from _pesort_rec(medians, list(range(c)), pivot_depth + 1)
+        perm = yield from _pesort_rec(medians, list(range(c)), pivot_depth + 1,
+                                      grain)
         ordered = [medians[i] for i in perm]
     candidate = ordered[(c - 1) // 2]
     le, ge = yield from _chunked_task(idx, bsz, lambda run: (

@@ -12,8 +12,9 @@ from wsmap import segments
 from wsmap.runtime import Runtime
 from wsmap.segments import (
     PairedSegment, preload_segment, seg_insert_block_task, seg_move_block_task,
+    seg_remove_found_task,
 )
-from wsmap.tree23 import StepMeter
+from wsmap.tree23 import StepMeter, batch_insert_task, push_edge_task
 
 
 def _make(rt):
@@ -260,3 +261,54 @@ def test_block_insert_sorts_nothing_and_a_move_sorts_once(monkeypatch):
     assert [lf.key.value for lf in src.rec.leaves()] == [4, 5]
     src.audit()
     dst.audit()
+
+
+def _preloaded_segment(n, meter, ctr):
+    # recency order: odd keys descending, so key and recency orders differ
+    seg = PairedSegment(5, meter)
+    preload_segment(seg, [(Key(k, ctr), k) for k in range(2 * n - 1, 0, -2)])
+    return seg
+
+
+def _audit_both_ways(seg):
+    seg.audit()
+    for rl in seg.rec.leaves():
+        assert rl.twin.twin is rl and rl.twin.key is rl.key
+
+
+def test_paired_segment_fork_keeps_both_trees_and_twins():
+    meter, ctr = StepMeter(), CmpCounter()
+    seg = _preloaded_segment(40, meter, ctr)
+    block = [(Key(k, ctr), k) for k in (0, 10, 20, 30, 84)]
+    run_task(seg_insert_block_task(seg, block, "front"))
+    _audit_both_ways(seg)
+    assert [lf.key.value for lf in seg.rec.leaves()][:6] == [0, 10, 20, 30,
+                                                            84, 79]
+    found = [seg.keys.search(Key(k, ctr)) for k in (0, 7, 30, 79, 84)]
+    run_task(seg_remove_found_task(seg, found))
+    _audit_both_ways(seg)
+    assert seg.size == 40
+    assert [lf.key.value for lf in seg.rec.leaves()][:4] == [10, 20, 77, 75]
+    assert [lf.key.value for lf in seg.keys.leaves()][:4] == [1, 3, 5, 9]
+
+
+def test_block_insert_span_below_its_two_tree_updates_in_sequence():
+    # the recency push and the key-tree insert run as the two branches of
+    # one fork, so the block insert's span is below the sum of theirs
+    def block(ctr):
+        return [(Key(k, ctr), k) for k in range(0, 64, 4)]
+
+    meter, ctr = StepMeter(), CmpCounter()
+    alone = _preloaded_segment(200, meter, ctr)
+    _, push, _rt = run_task(push_edge_task(alone.rec, block(ctr), "front"))
+    _, insert, _rt = run_task(batch_insert_task(alone.keys, block(ctr)))
+    meter, ctr = StepMeter(), CmpCounter()
+    seg = _preloaded_segment(200, meter, ctr)
+    _, both, _rt = run_task(seg_insert_block_task(seg, block(ctr), "front"))
+    seg.audit()
+    # each run_task adds one root node to the span it reports
+    push_span, insert_span, both_span = (
+        m.ds_span - 1 for m in (push, insert, both))
+    assert both_span < push_span + insert_span
+    # at most the longer branch plus the fork and join nodes
+    assert both_span <= max(push_span, insert_span) + 2

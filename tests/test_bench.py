@@ -321,15 +321,15 @@ _FINAL_SLAB_OPEN = WorkloadSpec(generator="uniform", n_ops=600, universe=8192,
     ("m1", WorkloadSpec(generator="zipf", n_ops=300, universe=256,
                         mix=_HOT_MIX, width=8, seed=1, p=8,
                         name="hot_zipf_m1"),
-     "89ca98a812e4b5c4d8231f910ebab36fbd5235765f5e6f2e2a735e690119a3f3"),
+     "281199cc3b16e1bd5ae3f3419f9e21ae4dae6dd5ae699b71364e837cc72dfad7"),
     ("m2", WorkloadSpec(generator="uniform", n_ops=400, universe=8192,
                         mix=_DEEP_MIX, width=8, seed=1, p=8,
                         name="deep_insert_m2"),
-     "320117721753128043b792bcabdbe79a35416fbb191ffe179ed6b8e96ad4415d"),
+     "244450441bae60d337648347d4d870a609cd4957f9743cfa5701a9f2cd9e9113"),
     ("m2", _FIRST_SLAB_ONLY,
-     "1598f14e9fa07350f35128191f3d71ea50b67941552a8d3f7ae04590b9182c6b"),
+     "47a0b0468fb2ebf63921f52d7aae85d8e0e4dd9578f7e173b20d277986d2a0a0"),
     ("m2", _FINAL_SLAB_OPEN,
-     "cf83b0027223158b03bf0512fde257f4f34f658e9ca6a4aaa4dc774c39d0e09f"),
+     "848dde2ba26e11276fa077afda2bb335f86bae3eff4c5ef8e83a29c2ccf34f82"),
     ("m0", WorkloadSpec(generator="coldest", n_ops=1000, universe=4096,
                         mix={"search": 0.6, "insert": 0.35, "delete": 0.05,
                              "update": 0.0},
@@ -360,35 +360,35 @@ def test_report_digest_pinned(structure, spec, digest, monkeypatch):
 # runs through `wsmap run`, with the work each M2 run charges to its final
 # slab (the same under both schedulers).
 _SHIPPED = Path(__file__).resolve().parent.parent / "workloads"
-_M2_FINAL_SLAB_WORK = {"coldest_serial": 3904, "hotset_mixed": 0,
-                       "uniform_wide": 47254, "zipf_small": 0}
+_M2_FINAL_SLAB_WORK = {"coldest_serial": 4111, "hotset_mixed": 0,
+                       "uniform_wide": 47809, "zipf_small": 0}
 
 
 @pytest.mark.parametrize("workload, structure, digest", [
     ("coldest_serial", "m0",
      "345ba24ae48b5238ea29b1dc453dcbd764e31d3df375088e74f975f18caf8086"),
     ("coldest_serial", "m1",
-     "0f6767bf45bd110b9a453d137c98c3315bf1ee9d4d92afc8b66113d354b1a9a6"),
+     "063ae9e866a56002e1c0239770ef4c6cd2d3c9f30feb2c33ab7e6a3bc6575bc9"),
     ("coldest_serial", "m2",
-     "9281fc60366ff4945c90803ca34235f0f2266e875a9e65855f35e72e4e7dc22e"),
+     "91edb014122bc7ac191055ff9778fe4403d44eba330534ae11bcc4403588489c"),
     ("hotset_mixed", "m0",
      "2360da27e48bc5ad2d91185146f641c701ac3750c0529ab29ab8154f60ff1754"),
     ("hotset_mixed", "m1",
-     "cc289d3be533769295fbdc430ffa681e231b9ce2907e4ed81fd46bf014034622"),
+     "0f07085e744b413e7b74544c052c489335f4dc661b6bf53c9022d73fc2bb1f4e"),
     ("hotset_mixed", "m2",
-     "09a8455909cd3849cd2fa8138f1af6f0e34fbbe372862d6bd851759de92d5eb8"),
+     "e105dd8336e9665cd66f90180f11d98ea330f011a45b827db5e5e794f2c011ec"),
     ("uniform_wide", "m0",
      "06339532bb08dcb4b11d52c5bf9dff0c0252d033986fe892286c04334cd26989"),
     ("uniform_wide", "m1",
-     "a629094bb0bf4e46786d48a69c4ec6ab003ec9562f86e2b2460cbe24c19f8a45"),
+     "26574ba61e20476471b6ef1803bce0a339ca3b03c46fa749455e78b8476b173f"),
     ("uniform_wide", "m2",
-     "2e5f818e3966eda999c8cbcfff7244a9c7d21adf1bb0f09d915e1a4613b88520"),
+     "f795720958afec53b012f4bda21f06656401451b4fd9716db41e6014086eb8c3"),
     ("zipf_small", "m0",
      "c0ca13b7c7e8df99f7aaebd617065c039ce73d94b19be5848ab4a0f5337fd573"),
     ("zipf_small", "m1",
-     "37775cf6b71ac77daf3bdc6611a629289ffa11b3dfe822556fc89eaee70854ab"),
+     "053535b4ea33237e4c18398f0c5f0f9954c2c0e075b58529bdc2408f41220bfc"),
     ("zipf_small", "m2",
-     "9c25a8b9199840f2101bb9627940ba5c01898e2f938d88527f8cac83324aa050"),
+     "7c2fa061d64da45b92f9bbe2a1089ae37971570a1a547a348ed6bd18d984dc67"),
 ], ids=[f"{w}-{s}" for w in ("coldest_serial", "hotset_mixed", "uniform_wide",
                               "zipf_small") for s in ("m0", "m1", "m2")])
 def test_shipped_workload_digest_pinned(workload, structure, digest,

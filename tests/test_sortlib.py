@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -112,3 +113,37 @@ def test_pesort_work_and_span_scaling():
         _order, metrics, _rt = run_task(pesort_task(keys))
         assert metrics.ds_work <= 60 * (n * h + n)
         assert metrics.ds_span <= 40 * (math.log2(n) ** 2)
+
+
+def test_pesort_short_inputs_match_the_stable_reference():
+    # sizes around the sequential grain ceil(log2(n + 1)), with many equal
+    # keys, so base-case runs and partitions both group duplicates stably
+    rnd = random.Random(5)
+    for n in range(41):
+        for u in (1, 2, 3, 5):
+            values = [rnd.randrange(u) for _ in range(n)]
+            keys, _ = _keys(values)
+            order, _m, _rt = run_task(pesort_task(keys))
+            assert order == _reference(values), (n, values)
+
+
+def test_pesort_base_case_charges_at_least_its_comparisons():
+    # one run of s positions sorted in one node: its ds work must cover the
+    # comparisons Python's stable sort makes on it, whatever the input order
+    rnd = random.Random(8)
+    inputs = [list(perm) for s in range(7)
+              for perm in itertools.permutations(range(s))]
+    for s in range(7, 41):
+        inputs += [list(range(s)), list(range(s, 0, -1)),
+                   [min(i, s - i) for i in range(s)],
+                   [rnd.randrange(s) for _ in range(s)],
+                   rnd.sample(range(s), s)]
+    for values in inputs:
+        s = len(values)
+        keys, ctr = _keys(values)
+        idx = list(range(s))
+        order, metrics, _rt = run_task(sortlib._pesort_rec(keys, idx, 0, s))
+        assert order == _reference(values)
+        assert metrics.ds_work >= ctr.count, (values, ctr.count)
+        # the one node's charge, plus run_task's root node
+        assert metrics.ds_work == max(1, s * math.ceil(math.log2(s + 1))) + 1
