@@ -42,9 +42,9 @@ def pesort_task(keys):
 
 
 def _log_chunk(n):
-    """ceil(log2(n + 1)): pesort's grain, and the partition's chunk, for n
-    positions."""
-    return math.ceil(math.log2(n + 1))
+    """ceil(log2(n + 1)), exactly, as n.bit_length(): pesort's grain, and
+    the partition's chunk, for n positions."""
+    return n.bit_length()
 
 
 def _pesort_rec(keys, idx, pivot_depth, grain):

@@ -539,34 +539,38 @@ def _check_sorted_distinct(keys):
             raise TreeUsageError("batch keys must be sorted and distinct")
 
 
-def _split_join_task(tree, items, split, leaf):
+def _split_join_task(tree, items, split, leaf, grain):
     """Split the tree at the middle item, recurse on both halves in
     parallel, and join them back (Blelloch, Ferizovic & Sun's join-based
-    batch pattern). split(t, items, mid) returns (left tree, right tree,
-    the items from mid on re-addressed to the right tree); leaf(t, item)
-    applies one item. Returns the per-item results in item order."""
+    batch pattern), down to runs of at most grain items. split(t, items,
+    mid) returns (left tree, right tree, the items from mid on re-addressed
+    to the right tree); leaf(t, item) applies one item. A run is applied in
+    one node, charged the meter steps it takes, last item first, so that a
+    position earlier in the run still addresses its leaf. Returns the
+    per-item results in item order."""
     if not items:
         yield 1
         return []
     piece = Tree23(tree.meter).adopt(tree)
-    results = yield from _split_join_rec(piece, items, split, leaf)
+    results = yield from _split_join_rec(piece, items, split, leaf, grain)
     tree.adopt(piece)
     return results
 
 
-def _split_join_rec(t, items, split, leaf):
+def _split_join_rec(t, items, split, leaf, grain):
     meter = t.meter
-    if len(items) == 1:
+    if len(items) <= grain:
         start = meter.count
-        res = leaf(t, items[0])
+        res = [leaf(t, item) for item in reversed(items)]
         yield _charge(meter, start)
-        return [res]
+        return res[::-1]
     mid = len(items) // 2
     start = meter.count
     left_t, right_t, right_items = split(t, items, mid)
     yield _charge(meter, start)
-    lres, rres = yield Par(_split_join_rec(left_t, items[:mid], split, leaf),
-                           _split_join_rec(right_t, right_items, split, leaf))
+    lres, rres = yield Par(
+        _split_join_rec(left_t, items[:mid], split, leaf, grain),
+        _split_join_rec(right_t, right_items, split, leaf, grain))
     start = meter.count
     left_t.join(right_t)
     t.adopt(left_t)
@@ -585,33 +589,40 @@ def _delete_at(t, pos):
     return leaf
 
 
-def key_batch_task(tree, items, key, apply):
+def key_batch_task(tree, items, key, apply, grain):
     """Run apply(t, item) on each item of a batch whose keys key(item) are
-    sorted and distinct, as a split/apply/rejoin task DAG (Theta(b log n)-style
-    work, split recursion depth O(log b)); returns the results in batch order."""
+    sorted and distinct, as a split/apply/rejoin task DAG that applies runs
+    of at most grain items in one node (the keys are distinct, so in any
+    order); returns the results in batch order. An update batch of b items
+    takes grain b.bit_length() = ceil(log2(b + 1)): the recursion is
+    O(log b) deep and a run costs at most grain descents, so the span stays
+    O(log b log n) while each item saves a split and a join."""
     _check_sorted_distinct([key(item) for item in items])
 
     def split(t, part, mid):
         return (*t.split_lt(key(part[mid])), part[mid:])
 
-    return (yield from _split_join_task(tree, items, split, apply))
+    return (yield from _split_join_task(tree, items, split, apply, grain))
 
 
 def batch_search_task(tree, keys):
-    """The live leaf of each key, None for a miss."""
-    return (yield from key_batch_task(tree, keys, lambda k: k, Tree23.search))
+    """The live leaf of each key, None for a miss; one key per node."""
+    return (yield from key_batch_task(tree, keys, lambda k: k, Tree23.search,
+                                      1))
 
 
 def batch_insert_task(tree, pairs):
     """Insert (key, val) pairs of absent keys; returns the new leaves."""
     return (yield from key_batch_task(tree, pairs, lambda kv: kv[0],
-                                      lambda t, kv: t.insert(*kv)))
+                                      lambda t, kv: t.insert(*kv),
+                                      len(pairs).bit_length()))
 
 
 def batch_delete_keys_task(tree, keys):
     """Delete the keys; returns the dead leaf of each, None for a miss."""
     return (yield from key_batch_task(tree, keys, lambda k: k,
-                                      Tree23.delete_key))
+                                      Tree23.delete_key,
+                                      len(keys).bit_length()))
 
 
 def reverse_index_task(tree, handles):
@@ -640,7 +651,8 @@ def batch_delete_pos_task(tree, positions):
         if not a < b:
             raise TreeUsageError("positions must be sorted and distinct")
     return (yield from _split_join_task(tree, list(positions), _split_by_pos,
-                                        _delete_at))
+                                        _delete_at,
+                                        len(positions).bit_length()))
 
 
 def push_edge_task(tree, pairs, end):

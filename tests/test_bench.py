@@ -321,15 +321,15 @@ _FINAL_SLAB_OPEN = WorkloadSpec(generator="uniform", n_ops=600, universe=8192,
     ("m1", WorkloadSpec(generator="zipf", n_ops=300, universe=256,
                         mix=_HOT_MIX, width=8, seed=1, p=8,
                         name="hot_zipf_m1"),
-     "281199cc3b16e1bd5ae3f3419f9e21ae4dae6dd5ae699b71364e837cc72dfad7"),
+     "fd962fac1c5598a439381e66a390619b420e2682fc1e81d1f75d84547df10662"),
     ("m2", WorkloadSpec(generator="uniform", n_ops=400, universe=8192,
                         mix=_DEEP_MIX, width=8, seed=1, p=8,
                         name="deep_insert_m2"),
-     "244450441bae60d337648347d4d870a609cd4957f9743cfa5701a9f2cd9e9113"),
+     "bd879b676eab93fe9a760728d009b93dd01c7e510c0d6d5065175dba4bb5b0d2"),
     ("m2", _FIRST_SLAB_ONLY,
-     "47a0b0468fb2ebf63921f52d7aae85d8e0e4dd9578f7e173b20d277986d2a0a0"),
+     "6c2876b12aabf22642487cb3cf9762600314c3215c3ec6056f9e5183697b48a3"),
     ("m2", _FINAL_SLAB_OPEN,
-     "848dde2ba26e11276fa077afda2bb335f86bae3eff4c5ef8e83a29c2ccf34f82"),
+     "861369d920894b2512e89dad445aebbf0b3bde60e986520982b2999b795c5647"),
     ("m0", WorkloadSpec(generator="coldest", n_ops=1000, universe=4096,
                         mix={"search": 0.6, "insert": 0.35, "delete": 0.05,
                              "update": 0.0},
@@ -361,34 +361,34 @@ def test_report_digest_pinned(structure, spec, digest, monkeypatch):
 # slab (the same under both schedulers).
 _SHIPPED = Path(__file__).resolve().parent.parent / "workloads"
 _M2_FINAL_SLAB_WORK = {"coldest_serial": 4111, "hotset_mixed": 0,
-                       "uniform_wide": 47809, "zipf_small": 0}
+                       "uniform_wide": 37804, "zipf_small": 0}
 
 
 @pytest.mark.parametrize("workload, structure, digest", [
     ("coldest_serial", "m0",
      "345ba24ae48b5238ea29b1dc453dcbd764e31d3df375088e74f975f18caf8086"),
     ("coldest_serial", "m1",
-     "063ae9e866a56002e1c0239770ef4c6cd2d3c9f30feb2c33ab7e6a3bc6575bc9"),
+     "de586a9ef323f4989b4b612d36ae5d5ea117c2a23c396fd2c0884dbf3259a99c"),
     ("coldest_serial", "m2",
-     "91edb014122bc7ac191055ff9778fe4403d44eba330534ae11bcc4403588489c"),
+     "518b764043a926049f4ef0a48c86cf1a41afe6c32555624302f88d180f0950b9"),
     ("hotset_mixed", "m0",
      "2360da27e48bc5ad2d91185146f641c701ac3750c0529ab29ab8154f60ff1754"),
     ("hotset_mixed", "m1",
-     "0f07085e744b413e7b74544c052c489335f4dc661b6bf53c9022d73fc2bb1f4e"),
+     "0b0cb19d7768da8b38be1fef79c42cc6c816bd14254ec6db73e74c28ff4b1b04"),
     ("hotset_mixed", "m2",
-     "e105dd8336e9665cd66f90180f11d98ea330f011a45b827db5e5e794f2c011ec"),
+     "9fc58a2edd55371e8faa8e1a214b38b647b0371c36d183ae3996824ecca99e70"),
     ("uniform_wide", "m0",
      "06339532bb08dcb4b11d52c5bf9dff0c0252d033986fe892286c04334cd26989"),
     ("uniform_wide", "m1",
-     "26574ba61e20476471b6ef1803bce0a339ca3b03c46fa749455e78b8476b173f"),
+     "289d7174f9ba34cbabfa8356cf9e06dc0102e41681c867190308f5bbb963f928"),
     ("uniform_wide", "m2",
-     "f795720958afec53b012f4bda21f06656401451b4fd9716db41e6014086eb8c3"),
+     "ea2e877242981e9823e8d6453eab3a836f263bc5d6a57d5edb61990355553368"),
     ("zipf_small", "m0",
      "c0ca13b7c7e8df99f7aaebd617065c039ce73d94b19be5848ab4a0f5337fd573"),
     ("zipf_small", "m1",
-     "053535b4ea33237e4c18398f0c5f0f9954c2c0e075b58529bdc2408f41220bfc"),
+     "91df33af0cedb6fec5f29312f9b550ba9f4e65c757c8416f6d9d03e439e20432"),
     ("zipf_small", "m2",
-     "7c2fa061d64da45b92f9bbe2a1089ae37971570a1a547a348ed6bd18d984dc67"),
+     "8042185506b83c11d6e3d242996998f7e97e904467383e7ae9aa1f99917858ac"),
 ], ids=[f"{w}-{s}" for w in ("coldest_serial", "hotset_mixed", "uniform_wide",
                               "zipf_small") for s in ("m0", "m1", "m2")])
 def test_shipped_workload_digest_pinned(workload, structure, digest,

@@ -3,7 +3,8 @@
 No linter ships with the project, so this stdlib-only check stands in for
 one. `__init__.py` is skipped: its imports are the package's re-exports,
 and `__all__` must list exactly those. The simulator is the bottom layer:
-`runtime.py` imports no wsmap module.
+`runtime.py` imports no wsmap module. The batch tasks derive their grains
+from their input, so none of them takes a defaulted parameter.
 """
 
 import ast
@@ -83,3 +84,38 @@ def test_runtime_imports_no_wsmap_module():
                          "from wsmap.core import Key\nfrom math import inf\n"
                          "from __future__ import annotations\n") == [1, 2, 3]
     assert wsmap_imports((SRC / "runtime.py").read_text()) == []
+
+
+def defaulted_parameters(source, names):
+    """(function, parameter) of each parameter with a default value in the
+    functions of source named in names."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name in names:
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            found += [(node.name, a.arg) for a in positional[first:]]
+            found += [(node.name, a.arg) for a, d in
+                      zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return found
+
+
+def test_checker_finds_a_defaulted_parameter():
+    source = ("def f(a, b=1, *, c, d=2):\n    pass\n"
+              "def g(a=0):\n    pass\n")
+    assert defaulted_parameters(source, {"f"}) == [("f", "b"), ("f", "d")]
+
+
+def test_batch_tasks_take_no_tuning_parameter():
+    # a grain turned into a knob would be a setting someone has to tune
+    tasks = {"tree23.py": {"key_batch_task", "batch_search_task",
+                           "batch_insert_task", "batch_delete_keys_task",
+                           "batch_delete_pos_task"},
+             "sortlib.py": {"pesort_task", "ppivot_task"}}
+    for module, names in tasks.items():
+        source = (SRC / module).read_text()
+        defined = {node.name for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.FunctionDef)}
+        assert names <= defined, (module, names - defined)
+        assert defaulted_parameters(source, names) == []

@@ -911,13 +911,13 @@ def test_untraced_matches_traced_map_runs(structure, scheduler, m_override):
 
 @pytest.mark.parametrize("structure, scheduler, m_override, digest", [
     ("m1", "greedy", None,
-     "22f16578da6e1c54c63281c2c2c864c787438752c26f3a9590404d60ee5c78d0"),
+     "744919a2f27d58eb80adaf4781c4c2e0825571ec265cc340ce01a86745d294e7"),
     ("m2", "weak_priority", None,
-     "c910e7953fcfd45fe6fa5204d38fc02e1122e2dd936ed8bae9255a3f991dfa5b"),
+     "f78f3da9c4b2607ab2caac778c60fd51069993650d5bb9e9f6ce8cf4a6e90c37"),
     ("m2", "weak_priority", 1,
-     "b6f553f5657b8e1b880bff869a0b4430000d381c28acabb64f1d9da1b8fae3c3"),
+     "832d9a94244af73f859c02785f31cc1620d38326b0c976a1b4116b89b0ad93fe"),
     ("m2", "greedy", 1,
-     "8db470166014fddacf9ed008f58a031659584f4e4bb15deb6aac8dd7685e8473"),
+     "b79f7c3b65602c742a4c5fbca4027faef92f4f30d74711ba6e885485c0fa9cab"),
 ], ids=[f"{s}-{sched}-{m}" for s, sched, m in _MAP_CASES])
 def test_traced_runtime_pinned(structure, scheduler, m_override, digest):
     assert _traced_map_digest(structure, scheduler, m_override) == digest
