@@ -5,9 +5,11 @@ recency-ordered 2-3 tree (front = most recent), with cross-handles between
 the paired leaves. Batch finds go through the key tree; recency-edge blocks
 move between segments through reverse-indexing, exactly so every composite
 stays within batched-tree work/span. A new block arrives key-sorted; a moved
-block is sorted once for both key trees. The two trees share no node, so a
-block insert and a found-removal update them as the two branches of one
-fork, and the twins are linked after the join.
+block is sorted once for both key trees. Key-tree leaves already in hand are
+deleted by handle, with no search. Trees that share no node update as the
+two branches of one fork (a segment's two trees in a block insert and a
+found-removal, the source key tree and the destination segment in a block
+move), and twins are linked after the join.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from .runtime import Par, merge_sort_task
 from .seqmap import segment_capacity
 from .tree23 import (
-    Tree23, batch_delete_keys_task, batch_delete_pos_task, batch_insert_task,
+    Tree23, batch_delete_leaves_task, batch_delete_pos_task, batch_insert_task,
     pop_extreme_task, push_edge_task, reverse_index_task,
 )
 
@@ -70,7 +72,7 @@ def seg_remove_found_task(seg, key_leaves):
         yield 1
         return
     yield Par(_delete_handles_task(seg.rec, [lf.twin for lf in key_leaves]),
-              batch_delete_keys_task(seg.keys, [lf.key for lf in key_leaves]))
+              batch_delete_leaves_task(seg.keys, key_leaves))
 
 
 def _delete_handles_task(tree, leaves):
@@ -86,12 +88,13 @@ def seg_insert_block_task(seg, pairs, end):
 
 def seg_move_block_task(src, dst, count, src_end, dst_end):
     """Move src's count (> 0) items at src_end to dst's dst_end, keeping
-    their recency order; one key sort serves both key trees."""
+    their recency order; one key sort serves both key trees, whose updates
+    run in parallel."""
     rec_leaves = yield from pop_extreme_task(src.rec, count, src_end)
-    pairs = [(lf.key, lf.val) for lf in rec_leaves]
-    by_key = yield from merge_sort_task(pairs, key=lambda kv: kv[0])
-    yield from batch_delete_keys_task(src.keys, [kv[0] for kv in by_key])
-    yield from _insert_block_task(dst, pairs, by_key, dst_end)
+    by_key = yield from merge_sort_task(rec_leaves, key=lambda lf: lf.key)
+    yield Par(batch_delete_leaves_task(src.keys, [lf.twin for lf in by_key]),
+              _insert_block_task(dst, [(lf.key, lf.val) for lf in rec_leaves],
+                                 [(lf.key, lf.val) for lf in by_key], dst_end))
 
 
 def _insert_block_task(seg, pairs, by_key, end):

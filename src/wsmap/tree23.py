@@ -625,6 +625,14 @@ def batch_delete_keys_task(tree, keys):
                                       len(keys).bit_length()))
 
 
+def batch_delete_leaves_task(tree, leaves):
+    """Delete live leaves of tree, key-sorted, by handle: a leaf survives
+    the batch's key splits, so no item descends."""
+    return (yield from key_batch_task(tree, leaves, lambda lf: lf.key,
+                                      Tree23.delete_leaf,
+                                      len(leaves).bit_length()))
+
+
 def reverse_index_task(tree, handles):
     """From live leaf handles to the position-sorted (position, leaf) list;
     the tree is not modified."""

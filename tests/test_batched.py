@@ -14,7 +14,10 @@ from wsmap.segments import (
     PairedSegment, preload_segment, seg_insert_block_task, seg_move_block_task,
     seg_remove_found_task,
 )
-from wsmap.tree23 import StepMeter, batch_insert_task, push_edge_task
+from wsmap.tree23 import (
+    StepMeter, batch_delete_leaves_task, batch_insert_task, pop_extreme_task,
+    push_edge_task,
+)
 
 
 def _make(rt):
@@ -312,3 +315,37 @@ def test_block_insert_span_below_its_two_tree_updates_in_sequence():
     assert both_span < push_span + insert_span
     # at most the longer branch plus the fork and join nodes
     assert both_span <= max(push_span, insert_span) + 2
+
+
+def test_block_move_span_below_its_two_tree_updates_in_sequence():
+    # a move's source key-tree delete and its destination block insert touch
+    # different segments' trees, so they run as the two branches of one fork
+    def segments_pair():
+        meter, ctr = StepMeter(), CmpCounter()
+        dst = PairedSegment(6, meter)
+        preload_segment(dst, [(Key(k, ctr), k) for k in range(400, 800, 2)])
+        return _preloaded_segment(200, meter, ctr), dst
+
+    src, dst = segments_pair()
+    rec_leaves, pop, _rt = run_task(pop_extreme_task(src.rec, 16, "back"))
+    by_key, sort, _rt = run_task(
+        segments.merge_sort_task(rec_leaves, key=lambda lf: lf.key))
+    _, delete, _rt = run_task(
+        batch_delete_leaves_task(src.keys, [lf.twin for lf in by_key]))
+    _, insert, _rt = run_task(segments._insert_block_task(
+        dst, [(lf.key, lf.val) for lf in rec_leaves],
+        [(lf.key, lf.val) for lf in by_key], "front"))
+    src, dst = segments_pair()
+    _, move, _rt = run_task(seg_move_block_task(src, dst, 16, "back", "front"))
+    _audit_both_ways(src)
+    _audit_both_ways(dst)
+    assert src.size == 184 and dst.size == 216
+    assert [lf.key.value for lf in dst.rec.leaves()][:17] == \
+        list(range(31, 0, -2)) + [400]
+    # each run_task adds one root node to the span it reports
+    pop_span, sort_span, delete_span, insert_span, move_span = (
+        m.ds_span - 1 for m in (pop, sort, delete, insert, move))
+    assert move_span < pop_span + sort_span + delete_span + insert_span
+    # at most the pop, the sort, the longer branch and the fork and join
+    assert move_span <= pop_span + sort_span + max(delete_span,
+                                                   insert_span) + 2

@@ -321,15 +321,15 @@ _FINAL_SLAB_OPEN = WorkloadSpec(generator="uniform", n_ops=600, universe=8192,
     ("m1", WorkloadSpec(generator="zipf", n_ops=300, universe=256,
                         mix=_HOT_MIX, width=8, seed=1, p=8,
                         name="hot_zipf_m1"),
-     "fd962fac1c5598a439381e66a390619b420e2682fc1e81d1f75d84547df10662"),
+     "178b95606910db74c3835c4a76b320293571fe831524efdf1d856fb90b58555a"),
     ("m2", WorkloadSpec(generator="uniform", n_ops=400, universe=8192,
                         mix=_DEEP_MIX, width=8, seed=1, p=8,
                         name="deep_insert_m2"),
-     "bd879b676eab93fe9a760728d009b93dd01c7e510c0d6d5065175dba4bb5b0d2"),
+     "63d557cccbd1a6c14bf5b2cca1abe28e5a62932135e37c0445b13f132ce50d2a"),
     ("m2", _FIRST_SLAB_ONLY,
-     "6c2876b12aabf22642487cb3cf9762600314c3215c3ec6056f9e5183697b48a3"),
+     "7fa0fb93990bd91374ad5384271b54856919b267f7832dea7d162d2998ac4c30"),
     ("m2", _FINAL_SLAB_OPEN,
-     "861369d920894b2512e89dad445aebbf0b3bde60e986520982b2999b795c5647"),
+     "190ff86c85e2e922e44b000ac34a53995e48497596b19d354e28e429133a5e64"),
     ("m0", WorkloadSpec(generator="coldest", n_ops=1000, universe=4096,
                         mix={"search": 0.6, "insert": 0.35, "delete": 0.05,
                              "update": 0.0},
@@ -360,35 +360,35 @@ def test_report_digest_pinned(structure, spec, digest, monkeypatch):
 # runs through `wsmap run`, with the work each M2 run charges to its final
 # slab (the same under both schedulers).
 _SHIPPED = Path(__file__).resolve().parent.parent / "workloads"
-_M2_FINAL_SLAB_WORK = {"coldest_serial": 4111, "hotset_mixed": 0,
-                       "uniform_wide": 37804, "zipf_small": 0}
+_M2_FINAL_SLAB_WORK = {"coldest_serial": 3953, "hotset_mixed": 0,
+                       "uniform_wide": 36413, "zipf_small": 0}
 
 
 @pytest.mark.parametrize("workload, structure, digest", [
     ("coldest_serial", "m0",
      "345ba24ae48b5238ea29b1dc453dcbd764e31d3df375088e74f975f18caf8086"),
     ("coldest_serial", "m1",
-     "de586a9ef323f4989b4b612d36ae5d5ea117c2a23c396fd2c0884dbf3259a99c"),
+     "2e2f7aa8ceb48288b6a4d655d4b4b7236767256d07529350439c1247b110649e"),
     ("coldest_serial", "m2",
-     "518b764043a926049f4ef0a48c86cf1a41afe6c32555624302f88d180f0950b9"),
+     "dfe7ce897220a498eaa1d06234dc112c97599f593cc84ac502a8b7b397956d61"),
     ("hotset_mixed", "m0",
      "2360da27e48bc5ad2d91185146f641c701ac3750c0529ab29ab8154f60ff1754"),
     ("hotset_mixed", "m1",
-     "0b0cb19d7768da8b38be1fef79c42cc6c816bd14254ec6db73e74c28ff4b1b04"),
+     "8e7cc8841b70970088fa7c762f944f11f46d1ec93d60509583a10a291cb737cb"),
     ("hotset_mixed", "m2",
-     "9fc58a2edd55371e8faa8e1a214b38b647b0371c36d183ae3996824ecca99e70"),
+     "336a551605ff9d822fb01b4549f03c4dfa734adbf47ae71fac719772e1af8df4"),
     ("uniform_wide", "m0",
      "06339532bb08dcb4b11d52c5bf9dff0c0252d033986fe892286c04334cd26989"),
     ("uniform_wide", "m1",
-     "289d7174f9ba34cbabfa8356cf9e06dc0102e41681c867190308f5bbb963f928"),
+     "851ea0bc4a3b990cf98f404f06c5954c1c35279d82347ea4198ec9de13646ae6"),
     ("uniform_wide", "m2",
-     "ea2e877242981e9823e8d6453eab3a836f263bc5d6a57d5edb61990355553368"),
+     "a800e173982b7c2a971dd4e1ac1c9c8447fe0681e600efee566b485fdf8e8124"),
     ("zipf_small", "m0",
      "c0ca13b7c7e8df99f7aaebd617065c039ce73d94b19be5848ab4a0f5337fd573"),
     ("zipf_small", "m1",
-     "91df33af0cedb6fec5f29312f9b550ba9f4e65c757c8416f6d9d03e439e20432"),
+     "7860bc3c48b99246e945608b5d0d334d3a2110c22cb5142ba820433925078a63"),
     ("zipf_small", "m2",
-     "8042185506b83c11d6e3d242996998f7e97e904467383e7ae9aa1f99917858ac"),
+     "7e5a8fd0bc70f9d82505f67b211ed63c81f9cd99cd150c2bedb26c3952379600"),
 ], ids=[f"{w}-{s}" for w in ("coldest_serial", "hotset_mixed", "uniform_wide",
                               "zipf_small") for s in ("m0", "m1", "m2")])
 def test_shipped_workload_digest_pinned(workload, structure, digest,

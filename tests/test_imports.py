@@ -111,7 +111,7 @@ def test_batch_tasks_take_no_tuning_parameter():
     # a grain turned into a knob would be a setting someone has to tune
     tasks = {"tree23.py": {"key_batch_task", "batch_search_task",
                            "batch_insert_task", "batch_delete_keys_task",
-                           "batch_delete_pos_task"},
+                           "batch_delete_leaves_task", "batch_delete_pos_task"},
              "sortlib.py": {"pesort_task", "ppivot_task"}}
     for module, names in tasks.items():
         source = (SRC / module).read_text()

@@ -436,6 +436,37 @@ def test_audits_catch_corrupted_state(corrupt, audit, message):
         getattr(m, audit)()
 
 
+def test_distinctness_audit_checks_an_attached_filter_mid_cycle():
+    # with the interface mid-cycle the map is not quiescent, but the filter
+    # is attached, so an in-flight key it lacks is still caught
+    m, _metrics = _deep_insert_m2()
+    _in_flight_key_not_in_filter(m)
+    m.gate.held = True
+    with pytest.raises(AssertionError, match="missing from the filter"):
+        m.audit_distinctness()
+
+
+def test_distinctness_audit_skips_a_filter_a_batch_holds_detached():
+    # a filter batch works on a detached piece, so the filter reads empty
+    # until it rejoins; the in-flight check then waits for the rejoin
+    m, _metrics = _deep_insert_m2()
+    key = Key(-1)
+    m.segments[m.terminal].in_flight = [GroupOp(key, [])]
+    m.filter.insert(key, None)
+    m.filter_size += 1
+    m.gate.held = True
+    m.audit_distinctness()
+    search = batch_search_task(m.filter, [key])
+    next(search)
+    assert len(m.filter) == 0 and m.filter_size == 1
+    m.audit_distinctness()
+    with pytest.raises(StopIteration):
+        search.send(None)
+    m.audit_distinctness()
+    m.gate.held = False
+    m.audit_distinctness()
+
+
 def test_rank_audit_catches_an_item_swapped_past_its_budget(monkeypatch):
     # when this run ends no final-slab budget is below F, so no swap can
     # break one; swap at the first run boundary where a budget is below F,

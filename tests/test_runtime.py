@@ -911,13 +911,13 @@ def test_untraced_matches_traced_map_runs(structure, scheduler, m_override):
 
 @pytest.mark.parametrize("structure, scheduler, m_override, digest", [
     ("m1", "greedy", None,
-     "744919a2f27d58eb80adaf4781c4c2e0825571ec265cc340ce01a86745d294e7"),
+     "a0fba9dd7cd321f84170118fc7e2be6ec8bbfe78b59ce389c741594779d33432"),
     ("m2", "weak_priority", None,
-     "f78f3da9c4b2607ab2caac778c60fd51069993650d5bb9e9f6ce8cf4a6e90c37"),
+     "bb4735b9da5533c57dfc6f4e9aa9243c5dde026242af15e4f9dd32934be4f724"),
     ("m2", "weak_priority", 1,
-     "832d9a94244af73f859c02785f31cc1620d38326b0c976a1b4116b89b0ad93fe"),
+     "87eae2c38e0b7c90b885ff1099d1ac53daed73f792bd6a8bd4a3b4ab5b5f392f"),
     ("m2", "greedy", 1,
-     "b79f7c3b65602c742a4c5fbca4027faef92f4f30d74711ba6e885485c0fa9cab"),
+     "0ce2921e1ff9b9fd4b225d5f9f5ad19d428041f87c84c744eca86a1fe6ca0ce8"),
 ], ids=[f"{s}-{sched}-{m}" for s, sched, m in _MAP_CASES])
 def test_traced_runtime_pinned(structure, scheduler, m_override, digest):
     assert _traced_map_digest(structure, scheduler, m_override) == digest

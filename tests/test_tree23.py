@@ -9,8 +9,9 @@ from wsmap.core import CmpCounter, Key
 from wsmap.runtime import concat_tree
 from wsmap.tree23 import (
     Inner, Leaf, StepMeter, Tree23, TreeUsageError,
-    batch_delete_keys_task, batch_delete_pos_task, batch_insert_task,
-    batch_search_task, pop_extreme_task, push_edge_task, reverse_index_task,
+    batch_delete_keys_task, batch_delete_leaves_task, batch_delete_pos_task,
+    batch_insert_task, batch_search_task, key_batch_task, pop_extreme_task,
+    push_edge_task, reverse_index_task,
 )
 
 
@@ -465,6 +466,76 @@ def test_update_batches_of_every_length_match_a_sorted_list(n):
             t.audit(sorted_keys=True)
             assert [lf.key for lf in t.leaves()] == \
                 [k for i, k in enumerate(keys) if i not in set(positions)]
+
+
+def _counted_tree(n, seed, ctr):
+    """A tree of keys 0, 2, ..., 2n - 2 counting on ctr, with a fresh meter;
+    trees made from one seed have the same shape."""
+    t = _joined([Key(k, ctr) for k in range(0, 2 * n, 2)], random.Random(seed))
+    t.meter = StepMeter()
+    return t
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 200])
+def test_leaf_delete_batch_matches_the_key_delete_batch(n):
+    # a leaf keeps its identity through the batch's key splits, so deleting
+    # by handle removes what deleting by key removes and joins the pieces
+    # into the same shape
+    rnd = random.Random(n)
+    for b in range(min(n, 40) + 1):
+        gone = sorted(rnd.sample(range(n), b))
+        ctr = CmpCounter()
+        by_key, by_leaf = _counted_tree(n, b, ctr), _counted_tree(n, b, ctr)
+        leaves = by_leaf.leaves()
+        run_task(batch_delete_keys_task(by_key, [Key(2 * i, ctr)
+                                                 for i in gone]))
+        run_task(batch_delete_leaves_task(by_leaf, [leaves[i] for i in gone]))
+        by_leaf.audit(sorted_keys=True)
+        assert tree_dump(by_leaf) == tree_dump(by_key)
+        assert not any(leaves[i].alive for i in gone)
+        assert [lf.key.value for lf in by_leaf.leaves()] == \
+            [2 * i for i in range(n) if i not in set(gone)]
+
+
+def test_leaf_delete_batch_searches_nothing():
+    # the key batch's splits are the only key comparisons a leaf batch makes:
+    # a batch whose apply does nothing splits the same pieces, since every
+    # split precedes the deletes in its piece
+    gone = list(range(3, 400, 7))
+
+    def run(kind):
+        ctr = CmpCounter()
+        t = _counted_tree(400, 0, ctr)
+        leaves = t.leaves()
+        held = [leaves[i] for i in gone]
+        if kind == "keys":
+            task = batch_delete_keys_task(t, [Key(2 * i, ctr) for i in gone])
+        elif kind == "leaves":
+            task = batch_delete_leaves_task(t, held)
+        else:
+            task = key_batch_task(t, held, lambda lf: lf.key,
+                                  lambda _t, _lf: None, len(held).bit_length())
+        _res, metrics, _rt = run_task(task)
+        return ctr.count, t.meter.count, metrics.ds_work
+
+    by_key, by_leaf, splits = (run(kind) for kind in
+                               ("keys", "leaves", "splits"))
+    assert by_leaf[0] == splits[0]
+    assert by_leaf[0] < by_key[0]
+    assert by_leaf[1] < by_key[1]
+    assert by_leaf[2] < by_key[2]
+
+
+def test_leaf_delete_batch_rejects_dead_or_unsorted_leaves():
+    t, leaves = _build(range(8))
+    t.delete_leaf(leaves[3])
+    with pytest.raises(TreeUsageError, match="dead handle"):
+        run_task(batch_delete_leaves_task(t, [leaves[1], leaves[3]]))
+    t, leaves = _build(range(8))
+    with pytest.raises(TreeUsageError, match="sorted and distinct"):
+        run_task(batch_delete_leaves_task(t, [leaves[4], leaves[2]]))
+    with pytest.raises(TreeUsageError, match="sorted and distinct"):
+        run_task(batch_delete_leaves_task(t, [leaves[2], leaves[2]]))
 
 
 def test_insert_batch_span_grows_by_one_split_and_join_per_doubling():
