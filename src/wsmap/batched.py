@@ -40,13 +40,14 @@ class GroupOp:
     equivalent operation; each original still gets its individually correct
     result when the group resolves against the item's actual state."""
 
-    __slots__ = ("key", "entries", "finished", "found_value")
+    __slots__ = ("key", "entries", "finished", "found_value", "filter_leaf")
 
     def __init__(self, key, entries):
         self.key = key
         self.entries = entries            # [(Operation, park handle)]
         self.finished = False
         self.found_value = None           # (True, v) once a tagged deletion
+        self.filter_leaf = None           # M2's filter entry while in flight
 
     def resolve(self, found, value):
         """Fold the group left to right against an initial presence; returns

@@ -30,7 +30,7 @@ from .segments import (
     PairedSegment, boundary_move, seg_insert_block_task, seg_remove_found_task,
 )
 from .tree23 import (
-    Tree23, batch_delete_keys_task, batch_insert_task, batch_search_task,
+    Tree23, batch_delete_leaves_task, batch_insert_task, batch_search_task,
     pop_extreme_task,
 )
 
@@ -170,14 +170,14 @@ class PipelinedWorkingSetMap(SegmentedMap):
 
     def _filter_pass(self, groups):
         """Trap operations on in-flight keys into their filter entries;
-        admit the rest as new entries. Returns the admitted groups."""
+        admit the rest as new entries, each group holding its entry's leaf.
+        Returns the admitted groups."""
         if not groups:
             yield 1
             return []
         hits = yield from batch_search_task(self.filter,
                                             [g.key for g in groups])
         admitted = []
-        new_entries = []
         for g, leaf in zip(groups, hits):
             if leaf is not None:
                 entry = leaf.val
@@ -187,10 +187,12 @@ class PipelinedWorkingSetMap(SegmentedMap):
                 self.trapped_ops += len(g.entries)
             else:
                 admitted.append(g)
-                new_entries.append((g.key, g))
-        if new_entries:
-            yield from batch_insert_task(self.filter, new_entries)
-            self._resize_filter(len(new_entries))
+        if admitted:
+            leaves = yield from batch_insert_task(
+                self.filter, [(g.key, g) for g in admitted])
+            for g, lf in zip(admitted, leaves):
+                g.filter_leaf = lf
+            self._resize_filter(len(admitted))
         return admitted
 
     def _resize_filter(self, delta):
@@ -267,9 +269,9 @@ class PipelinedWorkingSetMap(SegmentedMap):
             block = sorted(keeps + inserts, key=lambda kv: kv[0].value)
             yield from seg_insert_block_task(dst, block, "front")
         if delivered:
-            ordered = sorted((g.key for g, _r in delivered),
-                             key=lambda kk: kk.value)
-            yield from batch_delete_keys_task(self.filter, ordered)
+            ordered = sorted((g.filter_leaf for g, _r in delivered),
+                             key=lambda lf: lf.hi)
+            yield from batch_delete_leaves_task(self.filter, ordered)
             self._resize_filter(-len(ordered))
             self._deliver(delivered)
         # step 4e

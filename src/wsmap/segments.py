@@ -5,9 +5,9 @@ recency-ordered 2-3 tree (front = most recent), with cross-handles between
 the paired leaves. Batch finds go through the key tree; recency-edge blocks
 move between segments through reverse-indexing, exactly so every composite
 stays within batched-tree work/span. A new block arrives key-sorted; a moved
-block is sorted once for both key trees. Key-tree leaves already in hand are
-deleted by handle, with no search. Trees that share no node update as the
-two branches of one fork (a segment's two trees in a block insert and a
+block is sorted once for both key trees. Leaves already in hand are deleted
+by handle in every tree, with no search. Trees that share no node update as
+the two branches of one fork (a segment's two trees in a block insert and a
 found-removal, the source key tree and the destination segment in a block
 move), and twins are linked after the join.
 """
@@ -77,7 +77,7 @@ def seg_remove_found_task(seg, key_leaves):
 
 def _delete_handles_task(tree, leaves):
     located = yield from reverse_index_task(tree, leaves)
-    yield from batch_delete_pos_task(tree, [pos for pos, _lf in located])
+    yield from batch_delete_pos_task(tree, located)
 
 
 def seg_insert_block_task(seg, pairs, end):

@@ -94,12 +94,6 @@ def _partition_task(keys, idx, pivot):
     return (yield from _chunked_task(idx, _log_chunk(len(idx)), part))
 
 
-def ppivot_task(keys, idx):
-    """Task: pick a pivot guaranteed to lie in the two middle quartiles of
-    the keys at positions idx, as pesort would for a run of that size."""
-    return (yield from _pivot_task(keys, idx, 0, _log_chunk(len(idx))))
-
-
 def _pivot_task(keys, idx, pivot_depth, grain):
     """Blocks of ceil(log2 k) take their lower median sequentially; the
     medians are sorted (recursively via the entropy sort, with the grain of

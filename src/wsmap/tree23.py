@@ -5,7 +5,8 @@ One tree class serves both roles the maps need: key-sorted dictionaries
 (route by max-key) and recency sequences (route by position). Leaves survive
 every restructuring, so a handle obtained from a batch stays valid until its
 item is deleted; cross-handles between a key tree and its paired recency
-tree live in ``Leaf.twin``.
+tree live in ``Leaf.twin``. A leaf is removed only through its handle
+(``delete_leaf``), which its holder already has, so no delete descends.
 
 Structural work is charged to a shared StepMeter (one count per node touch);
 batch tasks convert meter deltas into simulator cost, so measured work/span
@@ -227,7 +228,8 @@ class Tree23:
             self._refresh(n)
 
     def delete_leaf(self, leaf):
-        """Unlink a leaf and rebalance; marks the handle dead."""
+        """Unlink a leaf and rebalance; marks the handle dead and returns
+        it."""
         if not leaf.alive:
             raise TreeUsageError("delete of a dead handle")
         leaf.alive = False
@@ -236,10 +238,11 @@ class Tree23:
         if parent is None:
             self.root = None
             self.height = -1
-            return
+            return leaf
         parent.kids.remove(leaf)
         leaf.parent = None
         self._fix_underflow(parent)
+        return leaf
 
     def _fix_underflow(self, node):
         while len(node.kids) < 2:
@@ -281,28 +284,7 @@ class Tree23:
             node = parent
         self._refresh_up(node, -1)
 
-    def delete_key(self, key):
-        leaf = self.search(key)
-        if leaf is None:
-            return None
-        self.delete_leaf(leaf)
-        return leaf
-
     # -- positional operations ---------------------------------------------------
-
-    def leaf_at(self, pos):
-        if not 0 <= pos < len(self):
-            raise TreeUsageError(f"position {pos} out of range")
-        node = self.root
-        while type(node) is Inner:
-            self.meter.count += 1
-            for kid in node.kids:
-                s = kid.size
-                if pos < s:
-                    node = kid
-                    break
-                pos -= s
-        return node
 
     def index_of(self, leaf):
         if not leaf.alive:
@@ -545,9 +527,8 @@ def _split_join_task(tree, items, split, leaf, grain):
     batch pattern), down to runs of at most grain items. split(t, items,
     mid) returns (left tree, right tree, the items from mid on re-addressed
     to the right tree); leaf(t, item) applies one item. A run is applied in
-    one node, charged the meter steps it takes, last item first, so that a
-    position earlier in the run still addresses its leaf. Returns the
-    per-item results in item order."""
+    one node, charged the meter steps it takes, last item first. Returns
+    the per-item results in item order."""
     if not items:
         yield 1
         return []
@@ -578,15 +559,9 @@ def _split_join_rec(t, items, split, leaf, grain):
     return lres + rres
 
 
-def _split_by_pos(t, positions, mid):
-    cut = positions[mid]
-    return (*t.split_pos(cut), [p - cut for p in positions[mid:]])
-
-
-def _delete_at(t, pos):
-    leaf = t.leaf_at(pos)
-    t.delete_leaf(leaf)
-    return leaf
+def _split_by_pos(t, located, mid):
+    cut = located[mid][0]
+    return (*t.split_pos(cut), [(p - cut, lf) for p, lf in located[mid:]])
 
 
 def key_batch_task(tree, items, key, apply, grain):
@@ -618,13 +593,6 @@ def batch_insert_task(tree, pairs):
                                       len(pairs).bit_length()))
 
 
-def batch_delete_keys_task(tree, keys):
-    """Delete the keys; returns the dead leaf of each, None for a miss."""
-    return (yield from key_batch_task(tree, keys, lambda k: k,
-                                      Tree23.delete_key,
-                                      len(keys).bit_length()))
-
-
 def batch_delete_leaves_task(tree, leaves):
     """Delete live leaves of tree, key-sorted, by handle: a leaf survives
     the batch's key splits, so no item descends."""
@@ -652,15 +620,17 @@ def reverse_index_task(tree, handles):
     return ordered
 
 
-def batch_delete_pos_task(tree, positions):
-    """Delete the leaves at the given sorted positions; returns them in
-    tree order."""
-    for a, b in zip(positions, positions[1:]):
+def batch_delete_pos_task(tree, located):
+    """Delete live leaves by handle, given as the position-sorted (position,
+    leaf) list reverse_index_task returns: the positions only address the
+    splits, and a leaf survives them, so no item descends; returns the
+    leaves in tree order."""
+    for (a, _), (b, _) in zip(located, located[1:]):
         if not a < b:
             raise TreeUsageError("positions must be sorted and distinct")
-    return (yield from _split_join_task(tree, list(positions), _split_by_pos,
-                                        _delete_at,
-                                        len(positions).bit_length()))
+    return (yield from _split_join_task(tree, list(located), _split_by_pos,
+                                        lambda t, pl: t.delete_leaf(pl[1]),
+                                        len(located).bit_length()))
 
 
 def push_edge_task(tree, pairs, end):

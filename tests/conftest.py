@@ -8,6 +8,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from wsmap.core import (
     CmpCounter, DELETE, INSERT, Key, Operation, SEARCH, UPDATE,
 )
+from wsmap import sortlib
 from wsmap.runtime import Runtime, DS, par_map
 from wsmap.tree23 import Leaf, TreeUsageError, key_batch_task
 
@@ -25,6 +26,20 @@ def run_task(gen, p=8, scheduler="greedy", owner=DS, trace=False):
     return out[0], metrics, rt
 
 
+def delete_key(t, key):
+    """Delete key from t by a search and a handle delete, charged as such;
+    returns the dead leaf, or None for a miss."""
+    leaf = t.search(key)
+    return None if leaf is None else t.delete_leaf(leaf)
+
+
+def ppivot_task(keys, idx):
+    """Task: pick a pivot guaranteed to lie in the two middle quartiles of
+    the keys at positions idx, as pesort would for a run of that size."""
+    return (yield from sortlib._pivot_task(keys, idx, 0,
+                                           len(idx).bit_length()))
+
+
 def _apply_op(t, op):
     kind, key, val = op
     if kind == "search":
@@ -36,7 +51,7 @@ def _apply_op(t, op):
             return leaf
         return t.insert(key, val)
     if kind == "delete":
-        return t.delete_key(key)
+        return delete_key(t, key)
     raise TreeUsageError(f"unknown batch op kind {kind!r}")
 
 

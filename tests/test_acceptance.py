@@ -9,7 +9,7 @@ import functools
 import math
 import random
 
-from conftest import batch_op_task, rank_of
+from conftest import batch_op_task, ppivot_task, rank_of
 from wsmap.bench import WorkloadSpec, generate, run_experiment
 from wsmap.calibrate import (
     m0_workloads, measure_m0, measure_map_bounds, measure_pbuffer_flush_span,
@@ -23,7 +23,7 @@ from wsmap.runtime import (
     Acquire, Call, DedicatedLock, Par, Runtime, par_map,
 )
 from wsmap.seqmap import SeqWorkingSetMap
-from wsmap.sortlib import pesort_task, ppivot_task
+from wsmap.sortlib import pesort_task
 from wsmap.tree23 import Tree23, reverse_index_task
 
 

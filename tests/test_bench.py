@@ -321,15 +321,15 @@ _FINAL_SLAB_OPEN = WorkloadSpec(generator="uniform", n_ops=600, universe=8192,
     ("m1", WorkloadSpec(generator="zipf", n_ops=300, universe=256,
                         mix=_HOT_MIX, width=8, seed=1, p=8,
                         name="hot_zipf_m1"),
-     "178b95606910db74c3835c4a76b320293571fe831524efdf1d856fb90b58555a"),
+     "ddd6c01299b52d039bf48a76d1103b0348ebc250164057f20e8faebe61c5451e"),
     ("m2", WorkloadSpec(generator="uniform", n_ops=400, universe=8192,
                         mix=_DEEP_MIX, width=8, seed=1, p=8,
                         name="deep_insert_m2"),
-     "63d557cccbd1a6c14bf5b2cca1abe28e5a62932135e37c0445b13f132ce50d2a"),
+     "895f8edde4265c02cbcad5ff9cbeeee3822a1efd6cad878ed26561407b05a950"),
     ("m2", _FIRST_SLAB_ONLY,
-     "7fa0fb93990bd91374ad5384271b54856919b267f7832dea7d162d2998ac4c30"),
+     "4fead614efccec93aca233b3b66f9ff9eb27024b42460e735a25cbaecd3b5af9"),
     ("m2", _FINAL_SLAB_OPEN,
-     "190ff86c85e2e922e44b000ac34a53995e48497596b19d354e28e429133a5e64"),
+     "41d56fbc8543827b5a34e89a3ccbfcbd0dece6dc5c04b827d5e32a98fc756215"),
     ("m0", WorkloadSpec(generator="coldest", n_ops=1000, universe=4096,
                         mix={"search": 0.6, "insert": 0.35, "delete": 0.05,
                              "update": 0.0},
@@ -360,35 +360,35 @@ def test_report_digest_pinned(structure, spec, digest, monkeypatch):
 # runs through `wsmap run`, with the work each M2 run charges to its final
 # slab (the same under both schedulers).
 _SHIPPED = Path(__file__).resolve().parent.parent / "workloads"
-_M2_FINAL_SLAB_WORK = {"coldest_serial": 3953, "hotset_mixed": 0,
-                       "uniform_wide": 36413, "zipf_small": 0}
+_M2_FINAL_SLAB_WORK = {"coldest_serial": 3913, "hotset_mixed": 0,
+                       "uniform_wide": 35264, "zipf_small": 0}
 
 
 @pytest.mark.parametrize("workload, structure, digest", [
     ("coldest_serial", "m0",
      "345ba24ae48b5238ea29b1dc453dcbd764e31d3df375088e74f975f18caf8086"),
     ("coldest_serial", "m1",
-     "2e2f7aa8ceb48288b6a4d655d4b4b7236767256d07529350439c1247b110649e"),
+     "0e1a11f185ecca6cf56581827d4344b5177482498a70c273811687c9e32fda2f"),
     ("coldest_serial", "m2",
-     "dfe7ce897220a498eaa1d06234dc112c97599f593cc84ac502a8b7b397956d61"),
+     "a760fddb9a9214435977d0d7774d19d82791313f0209d59c80253d7b6d6545fd"),
     ("hotset_mixed", "m0",
      "2360da27e48bc5ad2d91185146f641c701ac3750c0529ab29ab8154f60ff1754"),
     ("hotset_mixed", "m1",
-     "8e7cc8841b70970088fa7c762f944f11f46d1ec93d60509583a10a291cb737cb"),
+     "eba4290bf3d8ca3938ef4f7b54c145b58a502a397b3bddf66f4dd0dbc97b459e"),
     ("hotset_mixed", "m2",
-     "336a551605ff9d822fb01b4549f03c4dfa734adbf47ae71fac719772e1af8df4"),
+     "a45028b9d21ee2a66128a3398e7a4ebd950bd9ef867a688091b797923da53e51"),
     ("uniform_wide", "m0",
      "06339532bb08dcb4b11d52c5bf9dff0c0252d033986fe892286c04334cd26989"),
     ("uniform_wide", "m1",
-     "851ea0bc4a3b990cf98f404f06c5954c1c35279d82347ea4198ec9de13646ae6"),
+     "95de1e4cdbf5b7e0d911c0227a2bb5d134060894944f64ea5abba6085bb32bbe"),
     ("uniform_wide", "m2",
-     "a800e173982b7c2a971dd4e1ac1c9c8447fe0681e600efee566b485fdf8e8124"),
+     "a9b226acaac4f9198eb227e31704ddb3cb4e5ab83a0b9028f870b725ba077c77"),
     ("zipf_small", "m0",
      "c0ca13b7c7e8df99f7aaebd617065c039ce73d94b19be5848ab4a0f5337fd573"),
     ("zipf_small", "m1",
-     "7860bc3c48b99246e945608b5d0d334d3a2110c22cb5142ba820433925078a63"),
+     "ef41c8e2e5a5cc76ebcc3478dc5b08eeccc85fca016a541b20a3f5151b0d00d7"),
     ("zipf_small", "m2",
-     "7e5a8fd0bc70f9d82505f67b211ed63c81f9cd99cd150c2bedb26c3952379600"),
+     "1ed32468e09c9df56df9ba57269cbb2fc32ea4cdfd7fc112958308f3d9a258dd"),
 ], ids=[f"{w}-{s}" for w in ("coldest_serial", "hotset_mixed", "uniform_wide",
                               "zipf_small") for s in ("m0", "m1", "m2")])
 def test_shipped_workload_digest_pinned(workload, structure, digest,

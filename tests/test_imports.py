@@ -4,10 +4,13 @@ No linter ships with the project, so this stdlib-only check stands in for
 one. `__init__.py` is skipped: its imports are the package's re-exports,
 and `__all__` must list exactly those. The simulator is the bottom layer:
 `runtime.py` imports no wsmap module. The batch tasks derive their grains
-from their input, so none of them takes a defaulted parameter.
+from their input, so none of them takes a defaulted parameter. Every
+function, class and method in `src/wsmap` is named somewhere in src besides
+its own definition, or exported.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -110,12 +113,73 @@ def test_checker_finds_a_defaulted_parameter():
 def test_batch_tasks_take_no_tuning_parameter():
     # a grain turned into a knob would be a setting someone has to tune
     tasks = {"tree23.py": {"key_batch_task", "batch_search_task",
-                           "batch_insert_task", "batch_delete_keys_task",
-                           "batch_delete_leaves_task", "batch_delete_pos_task"},
-             "sortlib.py": {"pesort_task", "ppivot_task"}}
+                           "batch_insert_task", "batch_delete_leaves_task",
+                           "batch_delete_pos_task"},
+             "sortlib.py": {"pesort_task"}}
     for module, names in tasks.items():
         source = (SRC / module).read_text()
         defined = {node.name for node in ast.walk(ast.parse(source))
                    if isinstance(node, ast.FunctionDef)}
         assert names <= defined, (module, names - defined)
         assert defaulted_parameters(source, names) == []
+
+
+def _read_names(node):
+    """How often each identifier is read as a name or an attribute in an
+    ast subtree."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def unnamed_definitions(sources):
+    """(file, name) of each module-level function or class, and each method,
+    of sources ({file: source}) whose name nothing reads outside its own
+    definition; dunder methods are called by the language and skipped."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = sum((_read_names(tree) for tree in trees.values()), Counter())
+    found = []
+    for name, tree in trees.items():
+        defs = []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append(node)
+            if isinstance(node, ast.ClassDef):
+                defs += [sub for sub in node.body
+                         if isinstance(sub, ast.FunctionDef)]
+        found += [(name, node.name) for node in defs
+                  if not (node.name.startswith("__")
+                          and node.name.endswith("__"))
+                  and read[node.name] == _read_names(node)[node.name]]
+    return sorted(found)
+
+
+def test_checker_finds_an_unnamed_definition():
+    sources = {"a.py": ("def used():\n    return 1\n"
+                        "def rec(n):\n    return rec(n - 1)\n"
+                        "class C:\n    def __len__(self):\n        return 0\n"
+                        "    def m(self):\n        return self.n\n"
+                        "    def n(self):\n        return used()\n"),
+               "b.py": "from a import C\nC().m()\n"}
+    assert unnamed_definitions(sources) == [("a.py", "rec")]
+
+
+# a definition kept with no reader, and why
+UNNAMED_ALLOWED = {
+    # ROADMAP item 12 decides whether the demo is wired in or deleted
+    ("calibrate.py", "span_separation_demo"),
+}
+
+
+def test_every_definition_in_src_is_named_elsewhere():
+    # shared machinery exists once: a function, class or method that no
+    # src code names is dead there, unless the package exports it
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    exported = next(ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and [t.id for t in node.targets] == ["__all__"])
+    found = unnamed_definitions({path.name: path.read_text()
+                                 for path in sorted(SRC.glob("*.py"))})
+    assert [(f, n) for f, n in found if n not in exported
+            and (f, n) not in UNNAMED_ALLOWED] == []
+    assert UNNAMED_ALLOWED <= set(found), "a stale allowlist entry"

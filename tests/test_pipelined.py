@@ -12,7 +12,7 @@ from wsmap.core import (
 )
 from wsmap.pipelined import PipelinedWorkingSetMap, first_slab_depth
 from wsmap.runtime import Runtime
-from wsmap.tree23 import batch_search_task
+from wsmap.tree23 import TreeUsageError, batch_search_task
 
 
 def _maker(m_override=None, audit=True):
@@ -306,6 +306,43 @@ def _deep_insert_m2(n_ops=400, seed=1):
         "m2", generate(spec), spec.p, "weak_priority", True)
     assert m.terminal is not None and metrics.work.get("ds_final", 0) > 0
     return m, metrics
+
+
+def test_filter_leaf_lives_while_its_group_is_in_flight(monkeypatch):
+    # an admitted group holds its filter entry's leaf, which the filter
+    # delete removes by handle: at every front-locked release (the filter
+    # is attached) each visible in-flight group's leaf is alive in the
+    # filter, and a delivered group's leaf is dead
+    front_release = PipelinedWorkingSetMap._front_release
+    deliver = PipelinedWorkingSetMap._deliver
+    checked, delivered = [], []
+
+    def releasing(m, k, t0):
+        live = {id(lf) for lf in m.filter.leaves()}
+        for seg in m.final:
+            groups = [lf.val for lf in seg.buffer.leaves()]
+            groups += [g for g in seg.in_flight if not g.finished]
+            for g in groups:
+                assert g.filter_leaf.alive and g.filter_leaf.val is g
+                assert id(g.filter_leaf) in live
+            checked.extend(groups)
+        return (yield from front_release(m, k, t0))
+
+    def delivering(m, deliveries):
+        for g, _results in deliveries:
+            if g.filter_leaf is not None:
+                assert not g.filter_leaf.alive
+                delivered.append(g)
+        return deliver(m, deliveries)
+
+    monkeypatch.setattr(PipelinedWorkingSetMap, "_front_release", releasing)
+    monkeypatch.setattr(PipelinedWorkingSetMap, "_deliver", delivering)
+    m, _metrics = _deep_insert_m2()
+    assert checked and delivered
+    assert m.filter_size == len(m.filter) == 0
+    assert not any(g.filter_leaf.alive for g in delivered)
+    with pytest.raises(TreeUsageError, match="delete of a dead handle"):
+        m.filter.delete_leaf(delivered[0].filter_leaf)
 
 
 def _reference_budgets(m):

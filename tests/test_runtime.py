@@ -911,13 +911,13 @@ def test_untraced_matches_traced_map_runs(structure, scheduler, m_override):
 
 @pytest.mark.parametrize("structure, scheduler, m_override, digest", [
     ("m1", "greedy", None,
-     "a0fba9dd7cd321f84170118fc7e2be6ec8bbfe78b59ce389c741594779d33432"),
+     "37f7df3cffec99f94fbfa898478ac23d66c0beb5b84bd753e5ab2d9ad82687dc"),
     ("m2", "weak_priority", None,
-     "bb4735b9da5533c57dfc6f4e9aa9243c5dde026242af15e4f9dd32934be4f724"),
+     "1b47a61b7a0fa0814eb86a140a3243db3aa0f373bdcfef0dc027f5ea80a77fd4"),
     ("m2", "weak_priority", 1,
-     "87eae2c38e0b7c90b885ff1099d1ac53daed73f792bd6a8bd4a3b4ab5b5f392f"),
+     "e62dfdf21802ee6dfa5747cc9d2a5d3dc844e5dbab8f1afbcf72b970700b04c4"),
     ("m2", "greedy", 1,
-     "0ce2921e1ff9b9fd4b225d5f9f5ad19d428041f87c84c744eca86a1fe6ca0ce8"),
+     "1bd5cb6bf275df59d5a7e3b2ab4456a56b3323ee8f29ae53158f923c1f7f4865"),
 ], ids=[f"{s}-{sched}-{m}" for s, sched, m in _MAP_CASES])
 def test_traced_runtime_pinned(structure, scheduler, m_override, digest):
     assert _traced_map_digest(structure, scheduler, m_override) == digest

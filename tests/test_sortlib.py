@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from conftest import run_task
+from conftest import ppivot_task, run_task
 from wsmap import sortlib
 from wsmap.core import CmpCounter, Key
-from wsmap.sortlib import entropy, pesort_task, ppivot_task
+from wsmap.sortlib import entropy, pesort_task
 
 
 def _keys(values, ctr=None):
