@@ -257,6 +257,12 @@ class SegmentedMap:
             idx += take
         self.n = len(pairs)
 
+    def audit_segments(self):
+        """Each segment's two trees and twin links, and the map's n."""
+        for seg in self.segments:
+            seg.audit()
+        assert sum(seg.size for seg in self.segments) == self.n, "wrong n"
+
     def _audit_full_prefix(self):
         for i, seg in enumerate(self.segments[:-1]):
             assert seg.size == seg.cap, \
@@ -290,8 +296,7 @@ class BatchedWorkingSetMap(SegmentedMap):
         """Events are recorded in sorted group order at cut time."""
 
     def audit_segments(self):
+        super().audit_segments()
         for seg in self.segments:
-            seg.audit()
             assert seg.size <= seg.cap, f"segment {seg.index} over capacity"
         self._audit_full_prefix()
-        assert sum(seg.size for seg in self.segments) == self.n, "wrong n"

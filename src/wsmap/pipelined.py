@@ -313,6 +313,8 @@ class PipelinedWorkingSetMap(SegmentedMap):
             self.audit_distinctness()
             self.audit_balance()
             self.audit_rank_invariant()
+            if self._quiescent():
+                self.audit_segments()
 
     def _quiescent(self):
         return not self.gate.held and \
@@ -355,7 +357,8 @@ class PipelinedWorkingSetMap(SegmentedMap):
         # invariant 1: S[m-1] within capacity unless S[m] is running
         if len(segs) >= self.m and (sm is None or not sm.running):
             last = segs[self.m - 1]
-            assert last.size <= last.cap
+            assert last.size <= last.cap, \
+                f"S[m-1] over capacity: {last.size}/{last.cap}"
         # invariant 2: with the interface idle, S[0..m-2] has no holes and
         # S[m-1] has at most d holes (d = successful deletions in S[m])
         if not self.gate.held and sm is not None:

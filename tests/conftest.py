@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 from operator import itemgetter
@@ -9,8 +10,17 @@ from wsmap.core import (
     CmpCounter, DELETE, INSERT, Key, Operation, SEARCH, UPDATE,
 )
 from wsmap import sortlib
+from wsmap.bench import WorkloadSpec
 from wsmap.runtime import Runtime, DS, par_map
 from wsmap.tree23 import Leaf, TreeUsageError, key_batch_task
+
+from regen_golden import GOLDEN
+
+
+def golden_spec(name, **changes):
+    """The spec of the golden report tests/golden/<name>.json, changed."""
+    spec = json.loads((GOLDEN / f"{name}.json").read_text())["spec"]
+    return WorkloadSpec(**{**spec, **changes})
 
 
 def run_task(gen, p=8, scheduler="greedy", owner=DS, trace=False):

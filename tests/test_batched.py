@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from conftest import chunk_chains, random_ops, run_map_workload, run_task
+from conftest import (
+    chunk_chains, golden_spec, random_ops, run_map_workload, run_task,
+)
 from wsmap.batched import BatchedWorkingSetMap, GroupOp
 from wsmap.core import (
     CmpCounter, DELETE, INSERT, Key, Operation, SEARCH, UPDATE,
@@ -185,11 +187,8 @@ def test_append_after_deletion_empties_last_segment():
     # hot_zipf_m1 shape: a deletion empties the last segment while the one
     # before it is one short; the next inserts must top that one up first
     # rather than refill the empty segment
-    from wsmap.bench import WorkloadSpec, run_experiment
-    spec = WorkloadSpec(generator="zipf", n_ops=500, universe=256,
-                        mix={"search": 0.7, "insert": 0.15, "delete": 0.1,
-                             "update": 0.05},
-                        width=8, seed=2, p=8, name="hot_zipf_m1")
+    from wsmap.bench import run_experiment
+    spec = golden_spec("m1-hot_zipf_m1", n_ops=500, seed=2)
     report = run_experiment(spec, "m1", audit=True)
     assert not report.failed(), report.failed()
 

@@ -1,4 +1,3 @@
-import hashlib
 import json
 import math
 from pathlib import Path
@@ -6,6 +5,8 @@ from types import SimpleNamespace
 
 import pytest
 
+from conftest import golden_spec
+from regen_golden import GOLDEN, rerun
 from wsmap import bench
 from wsmap.bench import (
     Report, WorkloadSpec, chain_weighted_span, generate, render_table,
@@ -294,121 +295,54 @@ def test_run_experiment_all_lines_pass(structure):
         assert math.isfinite(ratio)
 
 
-# Golden report digests. The simulator is deterministic, so a change that
-# only speeds it up must leave every report byte-identical; a drift of the
-# cost model shows here. The m1 spec is the hot_zipf_m1 benchmark shape and
-# the m2 spec the deep_insert_m2 shape at 400 ops, the smallest size at
-# which that seed opens M2's final slab, filter and front-locks. The third
-# case runs M2 on a 256-key universe, which fits in the 278-item first slab:
-# it pins M2's first-slab-only path through the shared segment engine. The
-# fourth is the deep_insert_m2 shape at 600 ops, which ends with the final
-# slab open, so its rank-audited run boundaries and final-slab segments are
-# pinned too. The m0 case is the coldest_m0 shape at 1,000 ops: its
-# steps_per_wl includes every key comparison the 2-3 trees charge.
-# Each case is named by its map and spec rather than by its digest, so a
-# re-pinned digest keeps the test's name.
-_HOT_MIX = {"search": 0.7, "insert": 0.15, "delete": 0.1, "update": 0.05}
-_DEEP_MIX = {"search": 0.15, "insert": 0.75, "delete": 0.05, "update": 0.05}
-_FIRST_SLAB_ONLY = WorkloadSpec(generator="zipf", n_ops=300, universe=256,
-                                mix=_HOT_MIX, width=8, seed=1, p=8,
-                                name="first_slab_m2")
-_FINAL_SLAB_OPEN = WorkloadSpec(generator="uniform", n_ops=600, universe=8192,
-                                mix=_DEEP_MIX, width=8, seed=3, p=8,
-                                name="deep_insert_m2")
-
-
-@pytest.mark.parametrize("structure, spec, digest", [
-    ("m1", WorkloadSpec(generator="zipf", n_ops=300, universe=256,
-                        mix=_HOT_MIX, width=8, seed=1, p=8,
-                        name="hot_zipf_m1"),
-     "ddd6c01299b52d039bf48a76d1103b0348ebc250164057f20e8faebe61c5451e"),
-    ("m2", WorkloadSpec(generator="uniform", n_ops=400, universe=8192,
-                        mix=_DEEP_MIX, width=8, seed=1, p=8,
-                        name="deep_insert_m2"),
-     "895f8edde4265c02cbcad5ff9cbeeee3822a1efd6cad878ed26561407b05a950"),
-    ("m2", _FIRST_SLAB_ONLY,
-     "4fead614efccec93aca233b3b66f9ff9eb27024b42460e735a25cbaecd3b5af9"),
-    ("m2", _FINAL_SLAB_OPEN,
-     "41d56fbc8543827b5a34e89a3ccbfcbd0dece6dc5c04b827d5e32a98fc756215"),
-    ("m0", WorkloadSpec(generator="coldest", n_ops=1000, universe=4096,
-                        mix={"search": 0.6, "insert": 0.35, "delete": 0.05,
-                             "update": 0.0},
-                        width=1, seed=1, p=4, name="coldest_m0"),
-     "47359b1b6489b5deb624ada642d96b6e4e708b78f8fde480dee578d6ffababd7"),
-], ids=["m1-hot_zipf_m1", "m2-deep_insert_m2-400", "m2-first_slab_m2",
-        "m2-deep_insert_m2-600", "m0-coldest_m0"])
-def test_report_digest_pinned(structure, spec, digest, monkeypatch):
-    runs = []
-    run_parallel = bench._run_parallel
-
-    def recording(*args):
-        runs.append(run_parallel(*args))
-        return runs[-1]
-
-    monkeypatch.setattr(bench, "_run_parallel", recording)
-    report = run_experiment(spec, structure)
-    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
-    if spec is _FIRST_SLAB_ONLY:
-        m = runs[0][0]
-        assert m.terminal is None and not m.final
-    if spec is _FINAL_SLAB_OPEN:
-        m = runs[0][0]
-        assert m.terminal is not None and m.final
-
-
-# The same for the shipped workloads/*.json specs on every map, which CI also
-# runs through `wsmap run`, with the work each M2 run charges to its final
-# slab (the same under both schedulers).
+# Golden reports: the simulator is deterministic, so each report pinned in
+# tests/golden must reproduce byte for byte until the cost model changes on
+# purpose (then tests/regen_golden.py rewrites the moved files for review).
+# Besides `<workload>-<map>` for each shipped workload, they pin the
+# hot_zipf_m1 and coldest_m0 benchmark shapes, M2 on keys that fit its first
+# slab, and deep_insert_m2 at 400 ops (the smallest size at which that seed
+# opens M2's final slab, filter and front-locks) and at 600 (it ends open).
 _SHIPPED = Path(__file__).resolve().parent.parent / "workloads"
-_M2_FINAL_SLAB_WORK = {"coldest_serial": 3913, "hotset_mixed": 0,
-                       "uniform_wide": 35264, "zipf_small": 0}
+_GOLDEN_FILES = sorted(GOLDEN.glob("*.json"))
+# M2 runs whose final slab ends closed or open, and the work each shipped
+# M2 run charges to it under either scheduler (two open it)
+_FINAL_SLAB_OPEN = {"m2-first_slab_m2": False, "m2-deep_insert_m2-600": True}
+_M2_FINAL_SLAB_WORK = {"coldest_serial-m2": 3913, "hotset_mixed-m2": 0,
+                       "uniform_wide-m2": 35264, "zipf_small-m2": 0}
 
 
-@pytest.mark.parametrize("workload, structure, digest", [
-    ("coldest_serial", "m0",
-     "345ba24ae48b5238ea29b1dc453dcbd764e31d3df375088e74f975f18caf8086"),
-    ("coldest_serial", "m1",
-     "0e1a11f185ecca6cf56581827d4344b5177482498a70c273811687c9e32fda2f"),
-    ("coldest_serial", "m2",
-     "a760fddb9a9214435977d0d7774d19d82791313f0209d59c80253d7b6d6545fd"),
-    ("hotset_mixed", "m0",
-     "2360da27e48bc5ad2d91185146f641c701ac3750c0529ab29ab8154f60ff1754"),
-    ("hotset_mixed", "m1",
-     "eba4290bf3d8ca3938ef4f7b54c145b58a502a397b3bddf66f4dd0dbc97b459e"),
-    ("hotset_mixed", "m2",
-     "a45028b9d21ee2a66128a3398e7a4ebd950bd9ef867a688091b797923da53e51"),
-    ("uniform_wide", "m0",
-     "06339532bb08dcb4b11d52c5bf9dff0c0252d033986fe892286c04334cd26989"),
-    ("uniform_wide", "m1",
-     "95de1e4cdbf5b7e0d911c0227a2bb5d134060894944f64ea5abba6085bb32bbe"),
-    ("uniform_wide", "m2",
-     "a9b226acaac4f9198eb227e31704ddb3cb4e5ab83a0b9028f870b725ba077c77"),
-    ("zipf_small", "m0",
-     "c0ca13b7c7e8df99f7aaebd617065c039ce73d94b19be5848ab4a0f5337fd573"),
-    ("zipf_small", "m1",
-     "ef41c8e2e5a5cc76ebcc3478dc5b08eeccc85fca016a541b20a3f5151b0d00d7"),
-    ("zipf_small", "m2",
-     "1ed32468e09c9df56df9ba57269cbb2fc32ea4cdfd7fc112958308f3d9a258dd"),
-], ids=[f"{w}-{s}" for w in ("coldest_serial", "hotset_mixed", "uniform_wide",
-                              "zipf_small") for s in ("m0", "m1", "m2")])
-def test_shipped_workload_digest_pinned(workload, structure, digest,
-                                       monkeypatch):
+def _moved(old, new, path=""):
+    """'path: old -> new' for each JSON path whose value differs."""
+    if type(old) is type(new) is dict:
+        for key in sorted(old.keys() | new.keys()):
+            yield from _moved(old.get(key), new.get(key), f"{path}.{key}")
+    elif type(old) is type(new) is list and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from _moved(a, b, f"{path}[{i}]")
+    elif old != new:
+        yield f"{path[1:]}: {old!r} -> {new!r}"
+
+
+@pytest.mark.parametrize("path", _GOLDEN_FILES, ids=lambda path: path.stem)
+def test_golden_report_reproduces(path, monkeypatch):
     runs = []
     run_parallel = bench._run_parallel
-
-    def recording(*args):
-        runs.append(run_parallel(*args))
-        return runs[-1]
-
-    monkeypatch.setattr(bench, "_run_parallel", recording)
-    spec = WorkloadSpec.from_json((_SHIPPED / f"{workload}.json").read_text())
-    report = run_experiment(spec, structure)
-    assert not report.failed(), report.failed()
-    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
-    if structure == "m2":
-        # two shipped specs open M2's final slab; losing it would go unseen
-        _m, _results, metrics = runs[0]
-        assert metrics.work.get(DS_FINAL, 0) == _M2_FINAL_SLAB_WORK[workload]
+    monkeypatch.setattr(bench, "_run_parallel",
+                        lambda *a: runs.append(run_parallel(*a)) or runs[-1])
+    text = path.read_text()
+    shipped = _SHIPPED / f"{path.stem.split('-')[0]}.json"
+    if shipped.exists():
+        old = Report.from_json(text)
+        assert WorkloadSpec(**old.spec) == \
+            WorkloadSpec.from_json(shipped.read_text())
+        assert not old.failed(), old.failed()
+    new = rerun(path)
+    assert new == text, "\n".join(_moved(json.loads(text), json.loads(new)))
+    if path.stem in _FINAL_SLAB_OPEN:
+        assert (runs[0][0].terminal is not None) == _FINAL_SLAB_OPEN[path.stem]
+    if path.stem in _M2_FINAL_SLAB_WORK:
+        work = runs[0][2].work.get(DS_FINAL, 0)
+        assert work == _M2_FINAL_SLAB_WORK[path.stem]
 
 
 @pytest.mark.parametrize("structure, scheduler", [
@@ -416,9 +350,7 @@ def test_shipped_workload_digest_pinned(workload, structure, digest,
 def test_audits_leave_the_comparison_counter_alone(structure, scheduler):
     # the audits are not part of the measured cost: with them on, the
     # shared key-comparison counter must read exactly as with them off
-    spec = WorkloadSpec(generator="zipf", n_ops=300, universe=256,
-                        mix=_HOT_MIX, width=8, seed=1, p=8,
-                        name="hot_zipf_m1")
+    spec = golden_spec("m1-hot_zipf_m1")
     counts = []
     for audit in (True, False):
         ctr = CmpCounter()
@@ -437,14 +369,15 @@ def test_m2_greedy_reports_but_does_not_assert_bounds():
     assert "work_per_bound" in report.ratios
 
 
-def test_report_json_round_trip_and_table(tmp_path):
-    spec = WorkloadSpec(generator="uniform", n_ops=120, universe=32, width=4,
-                        seed=2, p=4)
-    report = run_experiment(spec, "m1")
-    back = Report.from_json(report.to_json())
-    assert back.lines == report.lines
-    table = render_table(back)
-    assert "equivalence" in table and "ok" in table
+def test_report_json_round_trip_and_table():
+    for path in _GOLDEN_FILES:
+        text = path.read_text()
+        report = Report.from_json(text)
+        assert report.to_json() + "\n" == text, path.name
+        table = render_table(report)
+        assert all(line["name"] in table for line in report.lines), path.name
+    assert {*_FINAL_SLAB_OPEN, *_M2_FINAL_SLAB_WORK} <= \
+        {path.stem for path in _GOLDEN_FILES}, "a stale final-slab pin"
 
 
 def test_cli_run_check_table(tmp_path, capsys):

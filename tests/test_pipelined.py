@@ -3,10 +3,10 @@ from functools import partial
 
 import pytest
 
-from conftest import chunk_chains, random_ops, run_map_workload
+from conftest import chunk_chains, golden_spec, random_ops, run_map_workload
 from wsmap import bench
 from wsmap.batched import GroupOp
-from wsmap.bench import WorkloadSpec, generate, run_experiment
+from wsmap.bench import generate, run_experiment
 from wsmap.core import (
     CmpCounter, DELETE, INSERT, Key, Operation, SEARCH, oracle_replay,
 )
@@ -213,11 +213,7 @@ def test_emptied_last_segment_not_refilled_before_a_short_one():
     # segment while the one before it is short; the next inserts must top
     # that one up first (the interface audits that every first-slab segment
     # but the last is exactly full while no final slab exists)
-    from wsmap.bench import WorkloadSpec, run_experiment
-    spec = WorkloadSpec(generator="zipf", n_ops=500, universe=256,
-                        mix={"search": 0.7, "insert": 0.15, "delete": 0.1,
-                             "update": 0.05},
-                        width=8, seed=2, p=8, name="hot_zipf_m1")
+    spec = golden_spec("m1-hot_zipf_m1", n_ops=500, seed=2)
     report = run_experiment(spec, "m2", audit=True)
     assert not report.failed(), report.failed()
 
@@ -247,10 +243,7 @@ def test_filter_full_steps_match_a_per_step_recount(scheduler, monkeypatch):
     monkeypatch.setattr(bench, "Runtime", partial(Runtime, trace=True))
     monkeypatch.setattr(bench, "PipelinedWorkingSetMap", make)
     monkeypatch.setattr(Runtime, "_run_batch", sampling)
-    spec = WorkloadSpec(generator="uniform", n_ops=400, universe=8192,
-                        mix={"search": 0.15, "insert": 0.75, "delete": 0.05,
-                             "update": 0.05},
-                        width=16, seed=1, p=4, name="deep_insert_m2")
+    spec = golden_spec("m2-deep_insert_m2-400", width=16, p=4)
     steps = run_experiment(spec, "m2", scheduler=scheduler).metrics["steps"]
     assert len(samples) == steps["total"]
     assert steps["filter_full"] == full > 0
@@ -268,10 +261,7 @@ def test_a_stale_filter_size_at_the_end_of_a_run_fails_run_experiment(
             super()._resize_filter(delta + 1 if delta < 0 else delta)
 
     monkeypatch.setattr(bench, "PipelinedWorkingSetMap", Miscounts)
-    spec = WorkloadSpec(generator="uniform", n_ops=400, universe=8192,
-                        mix={"search": 0.15, "insert": 0.75, "delete": 0.05,
-                             "update": 0.05},
-                        width=16, seed=1, p=4, name="deep_insert_m2")
+    spec = golden_spec("m2-deep_insert_m2-400", width=16, p=4)
     with pytest.raises(AssertionError, match="stale filter_size"):
         run_experiment(spec, "m2")
 
@@ -298,10 +288,7 @@ def test_interface_waits_while_a_filter_batch_holds_a_full_filter():
 def _deep_insert_m2(n_ops=400, seed=1):
     """Run the deep_insert_m2 benchmark shape with every audit on, long
     enough to open the final slab; returns (map, metrics)."""
-    spec = WorkloadSpec(generator="uniform", n_ops=n_ops, universe=8192,
-                        mix={"search": 0.15, "insert": 0.75, "delete": 0.05,
-                             "update": 0.05},
-                        width=8, seed=seed, p=8, name="deep_insert_m2")
+    spec = golden_spec("m2-deep_insert_m2-400", n_ops=n_ops, seed=seed)
     m, _results, metrics = bench._run_parallel(
         "m2", generate(spec), spec.p, "weak_priority", True)
     assert m.terminal is not None and metrics.work.get("ds_final", 0) > 0
@@ -450,6 +437,19 @@ def _item_without_event(m):
     _final_slab_leaves(m)[0].key = Key(-1)
 
 
+def _last_first_slab_segment_over_capacity(m):
+    seg = m.segments[m.m - 1]
+    seg.cap = seg.size - 1
+
+
+def _break_a_final_slab_twin(m):
+    _final_slab_leaves(m)[0].twin = None
+
+
+def _miscount_n(m):
+    m.n += 1
+
+
 @pytest.mark.parametrize("corrupt, audit, message", [
     (_filter_holds_a_first_slab_key, "audit_distinctness",
      "first-slab key"),
@@ -464,6 +464,10 @@ def _item_without_event(m):
      "has 1 holes > 0 deletions"),
     (_prefix_under_capacity, "audit_balance", "under capacity"),
     (_item_without_event, "audit_rank_invariant", "has no event"),
+    (_last_first_slab_segment_over_capacity, "audit_balance",
+     r"S\[m-1\] over capacity: \d+/\d+"),
+    (_break_a_final_slab_twin, "_maybe_audit", "broken twin"),
+    (_miscount_n, "_maybe_audit", "wrong n"),
 ])
 def test_audits_catch_corrupted_state(corrupt, audit, message):
     m, _metrics = _deep_insert_m2()
