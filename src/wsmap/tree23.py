@@ -521,42 +521,49 @@ def _check_sorted_distinct(keys):
             raise TreeUsageError("batch keys must be sorted and distinct")
 
 
-def _split_join_task(tree, items, split, leaf, grain):
+def _split_join_task(tree, items, split, leaf, grain, merge):
     """Split the tree at the middle item, recurse on both halves in
     parallel, and join them back (Blelloch, Ferizovic & Sun's join-based
     batch pattern), down to runs of at most grain items. split(t, items,
     mid) returns (left tree, right tree, the items from mid on re-addressed
     to the right tree); leaf(t, item) applies one item. A run is applied in
-    one node, charged the meter steps it takes, last item first. Returns
-    the per-item results in item order."""
+    one node, charged the meter steps it takes, last item first. Given a
+    merge(t, part), a piece of at most 2 * len(items).bit_length() leaves
+    plus items is finished by it in one node instead. Returns the per-item
+    results in item order."""
     if not items:
         yield 1
         return []
+    cap = 2 * len(items).bit_length() if merge else 0
     piece = Tree23(tree.meter).adopt(tree)
-    results = yield from _split_join_rec(piece, items, split, leaf, grain)
+    results = yield from _split_join_rec(piece, items, split, leaf, grain,
+                                         merge, cap)
     tree.adopt(piece)
     return results
 
 
-def _split_join_rec(t, items, split, leaf, grain):
+def _split_join_rec(t, items, split, leaf, grain, merge, cap):
     meter = t.meter
+    start = meter.count
     if len(items) <= grain:
-        start = meter.count
-        res = [leaf(t, item) for item in reversed(items)]
+        res = [leaf(t, item) for item in reversed(items)][::-1]
+    elif len(t) + len(items) <= cap:
+        res = merge(t, items)
+    else:
+        mid = len(items) // 2
+        left_t, right_t, right_items = split(t, items, mid)
         yield _charge(meter, start)
-        return res[::-1]
-    mid = len(items) // 2
-    start = meter.count
-    left_t, right_t, right_items = split(t, items, mid)
+        lres, rres = yield Par(
+            _split_join_rec(left_t, items[:mid], split, leaf, grain, merge,
+                            cap),
+            _split_join_rec(right_t, right_items, split, leaf, grain, merge,
+                            cap))
+        start = meter.count
+        left_t.join(right_t)
+        t.adopt(left_t)
+        res = lres + rres
     yield _charge(meter, start)
-    lres, rres = yield Par(
-        _split_join_rec(left_t, items[:mid], split, leaf, grain),
-        _split_join_rec(right_t, right_items, split, leaf, grain))
-    start = meter.count
-    left_t.join(right_t)
-    t.adopt(left_t)
-    yield _charge(meter, start)
-    return lres + rres
+    return res
 
 
 def _split_by_pos(t, located, mid):
@@ -564,33 +571,65 @@ def _split_by_pos(t, located, mid):
     return (*t.split_pos(cut), [(p - cut, lf) for p, lf in located[mid:]])
 
 
-def key_batch_task(tree, items, key, apply, grain):
+def key_batch_task(tree, items, key, apply, grain, merge):
     """Run apply(t, item) on each item of a batch whose keys key(item) are
     sorted and distinct, as a split/apply/rejoin task DAG that applies runs
     of at most grain items in one node (the keys are distinct, so in any
-    order); returns the results in batch order. An update batch of b items
-    takes grain b.bit_length() = ceil(log2(b + 1)): the recursion is
-    O(log b) deep and a run costs at most grain descents, so the span stays
-    O(log b log n) while each item saves a split and a join."""
+    order) and, given a merge, finishes small pieces with it (see
+    _split_join_task); returns the results in batch order. An update batch
+    of b items takes grain b.bit_length() = ceil(log2(b + 1)): the
+    recursion is O(log b) deep and a run costs at most grain descents, so
+    the span stays O(log b log n) while each item saves a split and a
+    join."""
     _check_sorted_distinct([key(item) for item in items])
 
     def split(t, part, mid):
         return (*t.split_lt(key(part[mid])), part[mid:])
 
-    return (yield from _split_join_task(tree, items, split, apply, grain))
+    return (yield from _split_join_task(tree, items, split, apply, grain,
+                                        merge))
+
+
+def _merge_search(t, keys):
+    """The live leaf of each of the sorted keys, None for a miss: walk the
+    piece level by level, as leaves() does, and match the keys against its
+    leaves in one merge pass. One meter step per node touched and one per
+    key; each key's comparisons go to its counter, as in search."""
+    level = [] if t.root is None else [t.root]
+    nodes = len(level)
+    for _ in range(t.height):
+        level = [kid for node in level for kid in node.kids]
+        nodes += len(level)
+    t.meter.count += nodes + len(keys)
+    res = []
+    i, n = 0, len(level)
+    for key in keys:
+        kv = getattr(key, "value", key)
+        passed = i
+        while i < n and level[i].hi < kv:
+            i += 1
+        hit = level[i] if i < n and level[i].hi == kv else None
+        # one comparison per leaf passed, then the stopping and equality tests
+        _count(key, i - passed + (2 if i < n else 0))
+        res.append(hit)
+    return res
 
 
 def batch_search_task(tree, keys):
-    """The live leaf of each key, None for a miss; one key per node."""
+    """The live leaf of each key, None for a miss. A piece of at most
+    2 * len(keys).bit_length() leaves plus keys is merged in one node
+    (_merge_search), so it costs O(log K) for a batch of K keys, and a
+    lone key descends with search; larger pieces split down to one key
+    per node, so a search in a large segment pays no merge walk."""
     return (yield from key_batch_task(tree, keys, lambda k: k, Tree23.search,
-                                      1))
+                                      1, _merge_search))
 
 
 def batch_insert_task(tree, pairs):
     """Insert (key, val) pairs of absent keys; returns the new leaves."""
     return (yield from key_batch_task(tree, pairs, lambda kv: kv[0],
                                       lambda t, kv: t.insert(*kv),
-                                      len(pairs).bit_length()))
+                                      len(pairs).bit_length(), None))
 
 
 def batch_delete_leaves_task(tree, leaves):
@@ -598,7 +637,7 @@ def batch_delete_leaves_task(tree, leaves):
     the batch's key splits, so no item descends."""
     return (yield from key_batch_task(tree, leaves, lambda lf: lf.key,
                                       Tree23.delete_leaf,
-                                      len(leaves).bit_length()))
+                                      len(leaves).bit_length(), None))
 
 
 def reverse_index_task(tree, handles):
@@ -630,7 +669,7 @@ def batch_delete_pos_task(tree, located):
             raise TreeUsageError("positions must be sorted and distinct")
     return (yield from _split_join_task(tree, list(located), _split_by_pos,
                                         lambda t, pl: t.delete_leaf(pl[1]),
-                                        len(located).bit_length()))
+                                        len(located).bit_length(), None))
 
 
 def push_edge_task(tree, pairs, end):

@@ -72,7 +72,7 @@ def batch_op_task(tree, ops):
     and inserts, the dead leaf for deletes that removed something, None for
     misses."""
     return (yield from key_batch_task(tree, ops, itemgetter(1), _apply_op,
-                                      len(ops).bit_length()))
+                                      len(ops).bit_length(), None))
 
 
 def run_map_workload(make_map, chains, p=8, scheduler="greedy"):

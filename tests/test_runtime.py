@@ -911,13 +911,13 @@ def test_untraced_matches_traced_map_runs(structure, scheduler, m_override):
 
 @pytest.mark.parametrize("structure, scheduler, m_override, digest", [
     ("m1", "greedy", None,
-     "37f7df3cffec99f94fbfa898478ac23d66c0beb5b84bd753e5ab2d9ad82687dc"),
+     "9c4f09d25be351d7e0643244148a1c8329b7d3683622f602bb1780892ad120a5"),
     ("m2", "weak_priority", None,
-     "1b47a61b7a0fa0814eb86a140a3243db3aa0f373bdcfef0dc027f5ea80a77fd4"),
+     "c3d7e8d06ce70f6439fd86bf51fa25f57c55c299b3b1a7eb8ab69565c8ca6afd"),
     ("m2", "weak_priority", 1,
-     "e62dfdf21802ee6dfa5747cc9d2a5d3dc844e5dbab8f1afbcf72b970700b04c4"),
+     "6286e662e604c4800e5af422d2ca9cb93eab0814b86caa5c93c80d9c77c821e6"),
     ("m2", "greedy", 1,
-     "1bd5cb6bf275df59d5a7e3b2ab4456a56b3323ee8f29ae53158f923c1f7f4865"),
+     "095540436ff557527996985d39c9ba916cc160e6915aa235d150f7e5f69d7da9"),
 ], ids=[f"{s}-{sched}-{m}" for s, sched, m in _MAP_CASES])
 def test_traced_runtime_pinned(structure, scheduler, m_override, digest):
     assert _traced_map_digest(structure, scheduler, m_override) == digest

@@ -228,8 +228,9 @@ def test_batch_insert_makes_no_search(monkeypatch):
     run_task(batch_insert_task(t, [(k, None) for k in range(1, 64, 4)]))
     assert searched == []
     t.audit(sorted_keys=True)
+    # a search batch over pieces this small merges them and calls no search
     hits, _m, _rt = run_task(batch_search_task(t, list(range(1, 64, 4))))
-    assert all(hits) and len(searched) == 16
+    assert [h.key for h in hits] == list(range(1, 64, 4))
 
 
 @pytest.mark.parametrize("n, height", [(1, 0), (40, 5)])
@@ -437,12 +438,52 @@ def _search_trail():
 
 
 def test_search_batches_meter_and_shapes_pinned():
-    # search batches split down to one key per node: coarsening them as the
-    # update batches are would change this pin and M1's span against M2's
-    # (criterion 8), so that change has to be made and re-pinned on purpose
+    # a piece of at most 2 * K.bit_length() leaves plus keys merges in one
+    # node, while larger pieces split down to one key per node: giving those
+    # the update batches' grain would cut M1's span in large segments far
+    # more than M2's (criterion 8), so that change has to be made and
+    # re-pinned on purpose
     assert _search_trail() == (
-        12077, 18368, 3034,
-        "bd20d62a1bdfe032bd84e6bf527a89587966868c60db1e7b5889e0f9a2b182c6")
+        11998, 13488, 2778,
+        "d1982d1a02220f43529662ead3220b335452152e6f397ad3c36f23d123aed6e6")
+
+
+def _node_count(node):
+    return 1 if type(node) is Leaf else 1 + sum(map(_node_count, node.kids))
+
+
+def test_search_batches_of_every_size_match_a_sorted_list():
+    # every tree size s and batch size k up to 40 crosses the merge cutoff
+    # s + k = 2 * k.bit_length() on both sides, from the empty tree and
+    # single keys up to pieces that split before they merge
+    rnd = random.Random(27)
+    for s in range(41):
+        keys = list(range(0, 2 * s, 2))
+        for k in range(41):
+            t = _joined(keys, rnd)
+            leaves, shape = t.leaves(), tree_dump(t)
+            batch = sorted(rnd.sample(range(-k - 1, 2 * s + k + 1), k))
+            start = t.meter.count
+            hits, _m, _rt = run_task(batch_search_task(t, batch))
+            steps = t.meter.count - start
+            for v, hit in zip(batch, hits, strict=True):
+                i = bisect.bisect_left(keys, v)
+                want = leaves[i] if i < s and keys[i] == v else None
+                assert hit is want, (s, k, v)
+            t.audit(sorted_keys=True)
+            assert all(a is b for a, b in zip(t.leaves(), leaves, strict=True))
+            if k <= 1 or s + k <= 2 * k.bit_length():
+                # no split: the shape stays, and a merge of the whole tree
+                # charges one step per node and one per key
+                assert tree_dump(t) == shape, (s, k)
+                nodes = 0 if t.root is None else _node_count(t.root)
+                assert k <= 1 or steps == nodes + k, (s, k)
+        for bad in ([1, 0], [2, 2], [0, 4, 4]):
+            t = _joined(keys, rnd)
+            shape = tree_dump(t)
+            with pytest.raises(TreeUsageError, match="sorted and distinct"):
+                run_task(batch_search_task(t, bad))
+            assert tree_dump(t) == shape
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 200])
@@ -528,7 +569,8 @@ def test_leaf_delete_batch_searches_nothing():
             task = batch_delete_leaves_task(t, held)
         else:
             task = key_batch_task(t, held, lambda lf: lf.key,
-                                  lambda _t, _lf: None, len(held).bit_length())
+                                  lambda _t, _lf: None, len(held).bit_length(),
+                                  None)
         _res, metrics, _rt = run_task(task)
         return ctr.count, t.meter.count, metrics.ds_work
 
