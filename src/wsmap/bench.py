@@ -27,6 +27,20 @@ from .seqmap import SeqWorkingSetMap
 
 GENERATORS = ("uniform", "zipf", "hotset", "coldest")
 STRUCTURES = ("m0", "m1", "m2")
+# each parallel structure's map class and default scheduler
+PARALLEL_MAPS = {"m1": (BatchedWorkingSetMap, "greedy"),
+                 "m2": (PipelinedWorkingSetMap, "weak_priority")}
+# (structure, bounded report line) -> the frozen constant that bounds it
+LINE_CONSTANTS = {
+    ("m0", "m0_working_set_bound"): "m0_steps_per_wl",
+    ("m1", "effective_work_bound"): "m1_work",
+    ("m1", "effective_span_bound"): "m1_span",
+    ("m1", "buffer_cost_bound"): "pbuffer_cost",
+    ("m2", "effective_work_bound"): "m2_work",
+    ("m2", "effective_span_bound"): "m2_span",
+    ("m2", "buffer_cost_bound"): "pbuffer_cost",
+    ("m2", "front_access_bound"): "m2_fl_delay",
+}
 
 @dataclass
 class WorkloadSpec:
@@ -253,10 +267,7 @@ def _run_serial(chains):
 
 def _run_parallel(structure, chains, p, scheduler, audit):
     rt = Runtime(p=p, scheduler=scheduler)
-    if structure == "m1":
-        m = BatchedWorkingSetMap(rt)
-    else:
-        m = PipelinedWorkingSetMap(rt)
+    m = PARALLEL_MAPS[structure][0](rt)
     m.audit = bool(audit)
     results = {}
 
@@ -280,6 +291,8 @@ def run_experiment(spec, structure, scheduler=None, audit=True):
     """Execute the workload on a structure and report every bound line."""
     if structure not in STRUCTURES:
         raise ValueError(f"unknown structure {structure!r}")
+    if structure not in PARALLEL_MAPS and scheduler is not None:
+        raise ValueError(f"{structure} runs serially and takes no scheduler")
     ctr = CmpCounter()
     chains = generate(spec, ctr)
     frozen = frozen_constants()
@@ -288,88 +301,65 @@ def run_experiment(spec, structure, scheduler=None, audit=True):
     p = spec.p
     logp = math.log2(p)
 
-    if structure == "m0":
-        lin_ops, results, steps = _run_serial(chains)
-        rep = working_set_bound(lin_ops, p=p)
-        expected = oracle_replay(lin_ops)
-        equal = all(results[op.op_id] == r
-                    for op, r in zip(lin_ops, expected))
-        lines.append(_line("equivalence", equal, int(equal)))
-        ratio = steps / max(rep.w_l, 1.0)
-        ratios["steps_per_wl"] = ratio
-        bound = SLACK * frozen["m0_steps_per_wl"]
-        lines.append(_line("m0_working_set_bound", ratio <= bound,
-                           ratio, bound))
-        return Report(structure, asdict(spec), "serial", _bound_dict(rep),
-                      {"instrumented_steps": steps}, ratios, lines)
+    def bounded(name, ratio_key, value, normaliser, asserted):
+        ratio = value / max(normaliser, 1.0)
+        ratios[ratio_key] = ratio
+        bound = SLACK * frozen[LINE_CONSTANTS[structure, name]]
+        lines.append(_line(name, ratio <= bound or not asserted, ratio, bound))
 
-    scheduler = scheduler or ("weak_priority" if structure == "m2" else "greedy")
-    m, results, metrics = _run_parallel(structure, chains, p, scheduler, audit)
-    lin_ops = m.extract_linearization()
+    if structure == "m0":
+        scheduler = "serial"
+        lin_ops, results, steps = _run_serial(chains)
+    else:
+        scheduler = scheduler or PARALLEL_MAPS[structure][1]
+        m, results, metrics = _run_parallel(structure, chains, p, scheduler,
+                                            audit)
+        lin_ops = m.extract_linearization()
     ranks = access_ranks(lin_ops)
     rep = working_set_bound(lin_ops, p=p, ranks=ranks)
     expected = oracle_replay(lin_ops)
     equal = len(lin_ops) == spec.n_ops and all(
         results[op.op_id] == r for op, r in zip(lin_ops, expected))
     lines.append(_line("equivalence", equal, int(equal)))
-    if structure == "m1":
-        lines.append(_line(
-            "batch_preserving",
-            validate_batch_preserving(m.cut_batches, lin_ops), 1))
 
-    work_bound = rep.w_l + rep.e_l * logp
-    work_ratio = metrics.ds_work / max(work_bound, 1.0)
-    ratios["work_per_bound"] = work_ratio
-    d = spec.depth
-    if structure == "m1":
-        span_bound = spec.n_ops / p + d * (logp ** 2 + math.log2(rep.n_max + 1))
-        key_work, key_span = "m1_work", "m1_span"
+    if structure == "m0":
+        bounded("m0_working_set_bound", "steps_per_wl", steps, rep.w_l, True)
+        metrics_dict = {"instrumented_steps": steps}
     else:
-        rank_by_id = {op.op_id: r for op, r in zip(lin_ops, ranks)}
-        s_l = chain_weighted_span(chains, rank_by_id)
-        span_bound = rep.w_l / p + d * logp ** 2 + s_l
-        ratios["s_l"] = s_l
-        key_work, key_span = "m2_work", "m2_span"
-    span_ratio = metrics.ds_span / max(span_bound, 1.0)
-    ratios["span_per_bound"] = span_ratio
+        if structure == "m1":
+            lines.append(_line(
+                "batch_preserving",
+                validate_batch_preserving(m.cut_batches, lin_ops), 1))
+        assert_bounds = structure == "m1" or scheduler == "weak_priority"
+        bounded("effective_work_bound", "work_per_bound", metrics.ds_work,
+                rep.w_l + rep.e_l * logp, assert_bounds)
+        d = spec.depth
+        if structure == "m1":
+            span_bound = spec.n_ops / p + d * (logp ** 2
+                                               + math.log2(rep.n_max + 1))
+        else:
+            rank_by_id = {op.op_id: r for op, r in zip(lin_ops, ranks)}
+            s_l = chain_weighted_span(chains, rank_by_id)
+            span_bound = rep.w_l / p + d * logp ** 2 + s_l
+            ratios["s_l"] = s_l
+        bounded("effective_span_bound", "span_per_bound", metrics.ds_span,
+                span_bound, assert_bounds)
+        bounded("buffer_cost_bound", "buffer_cost_per_bound",
+                metrics.buffer_work / p + metrics.buffer_span,
+                (metrics.t1 + metrics.ds_work) / p + d * max(logp, 1.0), True)
+        metrics_dict = metrics.to_dict()
 
-    assert_bounds = structure == "m1" or scheduler == "weak_priority"
-    wb = SLACK * frozen[key_work]
-    sb = SLACK * frozen[key_span]
-    lines.append(_line("effective_work_bound",
-                       (work_ratio <= wb) or not assert_bounds,
-                       work_ratio, wb))
-    lines.append(_line("effective_span_bound",
-                       (span_ratio <= sb) or not assert_bounds,
-                       span_ratio, sb))
-
-    buf_cost = metrics.buffer_work / p + metrics.buffer_span
-    buf_bound = (metrics.t1 + metrics.ds_work) / p + d * max(logp, 1.0)
-    buf_ratio = buf_cost / max(buf_bound, 1.0)
-    ratios["buffer_cost_per_bound"] = buf_ratio
-    bb = SLACK * frozen["pbuffer_cost"]
-    lines.append(_line("buffer_cost_bound", buf_ratio <= bb, buf_ratio, bb))
-
-    metrics_dict = metrics.to_dict()
     if structure == "m2":
         steps = metrics_dict["steps"]
         steps["filter_full"] = m.filter_full_steps()
         steps["filter_empty"] = steps["total"] - steps["filter_full"]
-        fl_bound = SLACK * frozen["m2_fl_delay"]
-        worst = 0.0
-        for k, delay in m.fl_delays:
-            worst = max(worst, delay / 2 ** k)
-        ratios["front_access_per_2k"] = worst
-        lines.append(_line("front_access_bound", worst <= fl_bound,
-                           worst, fl_bound))
+        worst = max((delay / 2 ** k for k, delay in m.fl_delays), default=0.0)
+        bounded("front_access_bound", "front_access_per_2k", worst, 1, True)
         lines.append(_line("trapped_ops", True, m.trapped_ops))
 
-    return Report(structure, asdict(spec), scheduler, _bound_dict(rep),
+    bound_report = {"W_L": rep.w_l, "e_L": rep.e_l, "N": rep.n_ops}
+    return Report(structure, asdict(spec), scheduler, bound_report,
                   metrics_dict, ratios, lines)
-
-
-def _bound_dict(rep):
-    return {"W_L": rep.w_l, "e_L": rep.e_l, "N": rep.n_ops}
 
 
 def render_table(report):

@@ -1,9 +1,11 @@
 """Calibration measurements.
 
 Each helper measures one family of constants on fixed, documented seeds;
-measure_constants() prints each value and assembles the frozen dict
-committed to calibration.json. pesort's comparison and span constants
-are measured on the sort the maps run, through one runner.
+measure_constants() notes each value on stderr and assembles the frozen
+dict committed to calibration.json. The constants of the report's bounded
+lines are the worst line values over each structure's calibration
+workloads, keyed by bench.LINE_CONSTANTS; the others are measured on the
+sort and tree tasks the maps run, through one runner.
 The acceptance suite re-runs the same helpers and asserts against the
 frozen values at 1.5x slack.
 """
@@ -12,11 +14,12 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 
-from .bench import WorkloadSpec, run_experiment
-from .batched import BatchedWorkingSetMap
+from .bench import (
+    LINE_CONSTANTS, PARALLEL_MAPS, STRUCTURES, WorkloadSpec, run_experiment,
+)
 from .core import CmpCounter, Key, SEARCH, Operation
-from .pipelined import PipelinedWorkingSetMap
 from .runtime import Runtime, par_map
 from .sortlib import entropy, pesort_task
 from .tree23 import Tree23, batch_insert_task
@@ -36,18 +39,10 @@ def m0_workloads():
     ]
 
 
-def measure_m0():
-    worst = 0.0
-    for spec in m0_workloads():
-        report = run_experiment(spec, "m0")
-        worst = max(worst, report.ratios["steps_per_wl"])
-    return worst
-
-
-def _run_pesort(keys):
-    """Sort keys with pesort_task on a Runtime(p=8); returns its metrics."""
+def _run_ds(task):
+    """Run a data-structure task on a Runtime(p=8); returns its metrics."""
     rt = Runtime(p=8)
-    rt.spawn_root(pesort_task(keys), owner="ds")
+    rt.spawn_root(task, owner="ds")
     return rt.run()
 
 
@@ -66,7 +61,7 @@ def measure_pesort_comps():
             counts[v] = counts.get(v, 0) + 1
         h = entropy(counts.values(), n)
         ctr = CmpCounter()
-        _run_pesort([Key(v, ctr) for v in values])
+        _run_ds(pesort_task([Key(v, ctr) for v in values]))
         worst = max(worst, ctr.count / (n * h + n))
     return worst
 
@@ -78,7 +73,7 @@ def measure_pesort_span():
         n = 2 ** logn
         rnd = random.Random(300 + logn)
         values = [rnd.randrange(max(n // 8, 4)) for _ in range(n)]
-        metrics = _run_pesort([Key(v) for v in values])
+        metrics = _run_ds(pesort_task([Key(v) for v in values]))
         spans[logn] = metrics.ds_span
         worst = max(worst, metrics.ds_span / logn ** 2)
     return worst, spans
@@ -90,13 +85,7 @@ def measure_tree_span_slope():
         n = 2 ** logn
         t, _ = Tree23.build([(k, None) for k in range(0, 2 * n, 2)])
         keys = sorted(random.Random(400).sample(range(1, 2 * n, 2), 16))
-        rt = Runtime(p=8)
-
-        def root():
-            yield from batch_insert_task(t, [(k, None) for k in keys])
-
-        rt.spawn_root(root(), owner="ds")
-        metrics = rt.run()
+        metrics = _run_ds(batch_insert_task(t, [(k, None) for k in keys]))
         spans[logn] = metrics.ds_span
     slope = (spans[16] - spans[6]) / 10.0
     return slope, spans
@@ -121,20 +110,20 @@ def map_workloads(p):
     ]
 
 
-def measure_map_bounds(structure):
-    worst = {"work": 0.0, "span": 0.0, "fl": 0.0, "buffer": 0.0}
-    for p in (4, 8):
-        for spec in map_workloads(p):
-            report = run_experiment(spec, structure, audit=False)
-            assert not [l for l in report.lines
-                        if l["name"] == "equivalence" and not l["passed"]]
-            worst["work"] = max(worst["work"], report.ratios["work_per_bound"])
-            worst["span"] = max(worst["span"], report.ratios["span_per_bound"])
-            worst["buffer"] = max(worst["buffer"],
-                                  report.ratios["buffer_cost_per_bound"])
-            if structure == "m2":
-                worst["fl"] = max(worst["fl"],
-                                  report.ratios["front_access_per_2k"])
+def measure_line_constants(structure):
+    """Run the structure's calibration workloads; returns, for each constant
+    LINE_CONSTANTS names for the structure, the worst value of the lines it
+    bounds."""
+    specs = (m0_workloads() if structure == "m0"
+             else [spec for p in (4, 8) for spec in map_workloads(p)])
+    worst = {}
+    for spec in specs:
+        report = run_experiment(spec, structure, audit=False)
+        for line in report.lines:
+            assert line["passed"] or line["name"] != "equivalence"
+            name = LINE_CONSTANTS.get((structure, line["name"]))
+            if name is not None:
+                worst[name] = max(worst.get(name, 0.0), line["value"])
     return worst
 
 
@@ -188,13 +177,10 @@ def span_separation_demo(structure, p=4, n=2 ** 16, calls=64, cold_width=2):
     carries a log n term per call; the pipelined map hands the deep work to
     the final slab and the hot path stays at first-slab depth.
     """
-    rt = Runtime(p=p, scheduler="weak_priority" if structure == "m2"
-                 else "greedy")
+    map_cls, scheduler = PARALLEL_MAPS[structure]
+    rt = Runtime(p=p, scheduler=scheduler)
     ctr = CmpCounter()
-    if structure == "m2":
-        m = PipelinedWorkingSetMap(rt)
-    else:
-        m = BatchedWorkingSetMap(rt)
+    m = map_cls(rt)
     m.preload([(Key(i, ctr), i) for i in range(n)])
     hot_keys = [Key(i, ctr) for i in range(4)]
     hot = [Operation(i, SEARCH, hot_keys[i % 4]) for i in range(calls)]
@@ -225,25 +211,16 @@ def span_separation_demo(structure, p=4, n=2 ** 16, calls=64, cold_width=2):
 
 
 def measure_constants():
+    """Every frozen constant, rounded as calibration.json holds it; each is
+    noted on stderr."""
     values = {}
-
-    def note(name, value):
-        values[name] = round(value, 4)
-        print(f"{name}: {value:.4f}")
-
-    note("m0_steps_per_wl", measure_m0())
-    note("pesort_comps_per_entropy", measure_pesort_comps())
-    pes_worst, _spans = measure_pesort_span()
-    note("pesort_span_per_log2n_sq", pes_worst)
-    slope, _spans = measure_tree_span_slope()
-    note("tree_span_slope", slope)
-    m1 = measure_map_bounds("m1")
-    note("m1_work", m1["work"])
-    note("m1_span", m1["span"])
-    m2 = measure_map_bounds("m2")
-    note("m2_work", m2["work"])
-    note("m2_span", m2["span"])
-    note("m2_fl_delay", m2["fl"])
-    note("pbuffer_cost", max(m1["buffer"], m2["buffer"]))
-    note("pbuffer_flush_span", measure_pbuffer_flush_span())
-    return values
+    for structure in STRUCTURES:
+        for name, value in measure_line_constants(structure).items():
+            values[name] = max(values.get(name, 0.0), value)
+    values["pesort_comps_per_entropy"] = measure_pesort_comps()
+    values["pesort_span_per_log2n_sq"], _spans = measure_pesort_span()
+    values["tree_span_slope"], _spans = measure_tree_span_slope()
+    values["pbuffer_flush_span"] = measure_pbuffer_flush_span()
+    for name, value in values.items():
+        print(f"{name}: {value:.4f}", file=sys.stderr)
+    return {name: round(value, 4) for name, value in values.items()}

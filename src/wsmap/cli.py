@@ -10,7 +10,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from .bench import (
-    STRUCTURES, Report, WorkloadSpec, render_table, run_experiment,
+    PARALLEL_MAPS, STRUCTURES, Report, WorkloadSpec, render_table,
+    run_experiment,
 )
 from .runtime import SCHEDULERS
 
@@ -20,6 +21,9 @@ class _BadInput(Exception):
 
 
 def _cmd_run(args):
+    if args.structure not in PARALLEL_MAPS and args.scheduler is not None:
+        raise _BadInput(f"{args.structure} runs serially and takes no "
+                        f"--scheduler")
     overrides = {name: value for name, value in
                  (("seed", args.seed), ("p", args.p)) if value is not None}
     try:
@@ -79,7 +83,7 @@ def _cmd_calibrate(args):
         target.write_text(text)
         print(f"wrote {target}")
     else:
-        print(text)
+        sys.stdout.write(text)
     return 0
 
 

@@ -83,12 +83,10 @@ class SeqWorkingSetMap:
 
     def insert(self, key, val):
         """Returns (found, prior value); a hit acts as update plus promotion."""
-        leaf = self._access(key)
-        if leaf is not None:
-            prior, leaf.val = leaf.val, val
-            return True, prior
-        self._append_new(key, val)
-        return False, None
+        found, prior = self.update(key, val)
+        if not found:
+            self._append_new(key, val)
+        return found, prior
 
     def delete(self, key):
         k, leaf = self._scan(key)

@@ -521,43 +521,43 @@ def _check_sorted_distinct(keys):
             raise TreeUsageError("batch keys must be sorted and distinct")
 
 
-def _split_join_task(tree, items, split, leaf, grain, merge):
+def _split_join_task(tree, items, split, leaf, merge):
     """Split the tree at the middle item, recurse on both halves in
     parallel, and join them back (Blelloch, Ferizovic & Sun's join-based
-    batch pattern), down to runs of at most grain items. split(t, items,
-    mid) returns (left tree, right tree, the items from mid on re-addressed
-    to the right tree); leaf(t, item) applies one item. A run is applied in
-    one node, charged the meter steps it takes, last item first. Given a
-    merge(t, part), a piece of at most 2 * len(items).bit_length() leaves
-    plus items is finished by it in one node instead. Returns the per-item
-    results in item order."""
+    batch pattern). split(t, items, mid) returns (left tree, right tree,
+    the items from mid on re-addressed to the right tree); leaf(t, item)
+    applies one item. For a batch of b items let g = b.bit_length() =
+    ceil(log2(b + 1)). Without a merge, runs of at most g items are applied
+    in one node, charged the meter steps it takes, last item first: the
+    recursion is O(log b) deep and a run costs at most g descents, so the
+    span stays O(log b log n) while each item saves a split and a join.
+    Given a merge(t, part), the batch splits down to single items, and a
+    piece of at most 2g leaves plus items is finished by merge in one node
+    instead. Returns the per-item results in item order."""
     if not items:
         yield 1
         return []
-    cap = 2 * len(items).bit_length() if merge else 0
     piece = Tree23(tree.meter).adopt(tree)
-    results = yield from _split_join_rec(piece, items, split, leaf, grain,
-                                         merge, cap)
+    results = yield from _split_join_rec(piece, items, split, leaf, merge,
+                                         len(items).bit_length())
     tree.adopt(piece)
     return results
 
 
-def _split_join_rec(t, items, split, leaf, grain, merge, cap):
+def _split_join_rec(t, items, split, leaf, merge, g):
     meter = t.meter
     start = meter.count
-    if len(items) <= grain:
+    if len(items) <= (1 if merge else g):
         res = [leaf(t, item) for item in reversed(items)][::-1]
-    elif len(t) + len(items) <= cap:
+    elif merge and len(t) + len(items) <= 2 * g:
         res = merge(t, items)
     else:
         mid = len(items) // 2
         left_t, right_t, right_items = split(t, items, mid)
         yield _charge(meter, start)
         lres, rres = yield Par(
-            _split_join_rec(left_t, items[:mid], split, leaf, grain, merge,
-                            cap),
-            _split_join_rec(right_t, right_items, split, leaf, grain, merge,
-                            cap))
+            _split_join_rec(left_t, items[:mid], split, leaf, merge, g),
+            _split_join_rec(right_t, right_items, split, leaf, merge, g))
         start = meter.count
         left_t.join(right_t)
         t.adopt(left_t)
@@ -571,23 +571,18 @@ def _split_by_pos(t, located, mid):
     return (*t.split_pos(cut), [(p - cut, lf) for p, lf in located[mid:]])
 
 
-def key_batch_task(tree, items, key, apply, grain, merge):
+def key_batch_task(tree, items, key, apply, merge):
     """Run apply(t, item) on each item of a batch whose keys key(item) are
     sorted and distinct, as a split/apply/rejoin task DAG that applies runs
-    of at most grain items in one node (the keys are distinct, so in any
-    order) and, given a merge, finishes small pieces with it (see
-    _split_join_task); returns the results in batch order. An update batch
-    of b items takes grain b.bit_length() = ceil(log2(b + 1)): the
-    recursion is O(log b) deep and a run costs at most grain descents, so
-    the span stays O(log b log n) while each item saves a split and a
-    join."""
+    of items in one node (the keys are distinct, so in any order) and,
+    given a merge, finishes small pieces with it (see _split_join_task);
+    returns the results in batch order."""
     _check_sorted_distinct([key(item) for item in items])
 
     def split(t, part, mid):
         return (*t.split_lt(key(part[mid])), part[mid:])
 
-    return (yield from _split_join_task(tree, items, split, apply, grain,
-                                        merge))
+    return (yield from _split_join_task(tree, items, split, apply, merge))
 
 
 def _merge_search(t, keys):
@@ -622,22 +617,20 @@ def batch_search_task(tree, keys):
     lone key descends with search; larger pieces split down to one key
     per node, so a search in a large segment pays no merge walk."""
     return (yield from key_batch_task(tree, keys, lambda k: k, Tree23.search,
-                                      1, _merge_search))
+                                      _merge_search))
 
 
 def batch_insert_task(tree, pairs):
     """Insert (key, val) pairs of absent keys; returns the new leaves."""
     return (yield from key_batch_task(tree, pairs, lambda kv: kv[0],
-                                      lambda t, kv: t.insert(*kv),
-                                      len(pairs).bit_length(), None))
+                                      lambda t, kv: t.insert(*kv), None))
 
 
 def batch_delete_leaves_task(tree, leaves):
     """Delete live leaves of tree, key-sorted, by handle: a leaf survives
     the batch's key splits, so no item descends."""
     return (yield from key_batch_task(tree, leaves, lambda lf: lf.key,
-                                      Tree23.delete_leaf,
-                                      len(leaves).bit_length(), None))
+                                      Tree23.delete_leaf, None))
 
 
 def reverse_index_task(tree, handles):
@@ -669,7 +662,7 @@ def batch_delete_pos_task(tree, located):
             raise TreeUsageError("positions must be sorted and distinct")
     return (yield from _split_join_task(tree, list(located), _split_by_pos,
                                         lambda t, pl: t.delete_leaf(pl[1]),
-                                        len(located).bit_length(), None))
+                                        None))
 
 
 def push_edge_task(tree, pairs, end):

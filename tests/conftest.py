@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 import sys
@@ -11,6 +12,7 @@ from wsmap.core import (
 )
 from wsmap import sortlib
 from wsmap.bench import WorkloadSpec
+from wsmap.calibrate import measure_line_constants
 from wsmap.runtime import Runtime, DS, par_map
 from wsmap.tree23 import Leaf, TreeUsageError, key_batch_task
 
@@ -21,6 +23,13 @@ def golden_spec(name, **changes):
     """The spec of the golden report tests/golden/<name>.json, changed."""
     spec = json.loads((GOLDEN / f"{name}.json").read_text())["spec"]
     return WorkloadSpec(**{**spec, **changes})
+
+
+@functools.cache
+def line_constants(structure):
+    """measure_line_constants(structure), measured once per test session
+    for the acceptance criteria and the line-table test."""
+    return measure_line_constants(structure)
 
 
 def run_task(gen, p=8, scheduler="greedy", owner=DS, trace=False):
@@ -72,7 +81,7 @@ def batch_op_task(tree, ops):
     and inserts, the dead leaf for deletes that removed something, None for
     misses."""
     return (yield from key_batch_task(tree, ops, itemgetter(1), _apply_op,
-                                      len(ops).bit_length(), None))
+                                      None))
 
 
 def run_map_workload(make_map, chains, p=8, scheduler="greedy"):

@@ -5,16 +5,14 @@ frozen calibration constants at 1.5x slack (desk scale: p in {4, 8},
 n <= 2^16, modest op counts per seeded workload).
 """
 
-import functools
 import math
 import random
 
-from conftest import batch_op_task, ppivot_task, rank_of
+from conftest import batch_op_task, line_constants, ppivot_task, rank_of
 from wsmap.bench import WorkloadSpec, generate, run_experiment
 from wsmap.calibrate import (
-    m0_workloads, measure_m0, measure_map_bounds, measure_pbuffer_flush_span,
-    measure_pesort_comps, measure_pesort_span, measure_tree_span_slope,
-    span_separation_demo,
+    m0_workloads, measure_pbuffer_flush_span, measure_pesort_comps,
+    measure_pesort_span, measure_tree_span_slope, span_separation_demo,
 )
 from wsmap.calibration import SLACK, frozen_constants
 from wsmap.core import CmpCounter, INSERT, Key, Operation, SEARCH, UPDATE
@@ -81,7 +79,7 @@ def test_criterion_1_semantic_equivalence():
 
 def test_criterion_2_m0_working_set_bound():
     bound = SLACK * frozen_constants()["m0_steps_per_wl"]
-    worst = measure_m0()
+    worst = line_constants("m0")["m0_steps_per_wl"]
     ok = worst <= bound
     # promotion bound, exact, on every successful access of a zipf run
     spec = m0_workloads()[0]
@@ -191,19 +189,12 @@ def test_criterion_4_batched_tree():
 
 def test_criterion_5_m1_bounds():
     frozen = frozen_constants()
-    worst = measure_map_bounds("m1")
-    work_ok = worst["work"] <= SLACK * frozen["m1_work"]
-    span_ok = worst["span"] <= SLACK * frozen["m1_span"]
+    worst = line_constants("m1")
+    work_ok = worst["m1_work"] <= SLACK * frozen["m1_work"]
+    span_ok = worst["m1_span"] <= SLACK * frozen["m1_span"]
     _announce(5, "m1 effective work/span bounds",
               work_ok and span_ok,
-              f"work={worst['work']:.2f} span={worst['span']:.2f}")
-
-
-@functools.cache
-def _m2_bounds():
-    """M2's worst calibration ratios over p in {4, 8}, measured once for
-    criteria 6 and 7."""
-    return measure_map_bounds("m2")
+              f"work={worst['m1_work']:.2f} span={worst['m1_span']:.2f}")
 
 
 def test_criterion_6_m2_invariants():
@@ -228,7 +219,7 @@ def test_criterion_6_m2_invariants():
                                           report.failed()]))
         except AssertionError as err:
             violations.append((seed, str(err)))
-    fl_ok = (_m2_bounds()["fl"]
+    fl_ok = (line_constants("m2")["m2_fl_delay"]
              <= SLACK * frozen_constants()["m2_fl_delay"])
     _announce(6, "m2 invariants (100 seeds) + front access",
               not violations and fl_ok,
@@ -237,9 +228,9 @@ def test_criterion_6_m2_invariants():
 
 def test_criterion_7_m2_bounds():
     frozen = frozen_constants()
-    worst = _m2_bounds()
-    work_ok = worst["work"] <= SLACK * frozen["m2_work"]
-    span_ok = worst["span"] <= SLACK * frozen["m2_span"]
+    worst = line_constants("m2")
+    work_ok = worst["m2_work"] <= SLACK * frozen["m2_work"]
+    span_ok = worst["m2_span"] <= SLACK * frozen["m2_span"]
     # under plain greedy, equivalence still holds; bound lines are reported
     # but not asserted
     spec = WorkloadSpec(generator="zipf", n_ops=400, universe=256,
@@ -250,7 +241,7 @@ def test_criterion_7_m2_bounds():
     greedy_ok = not report.failed() and "work_per_bound" in report.ratios
     _announce(7, "m2 effective work/span bounds + greedy equivalence",
               work_ok and span_ok and greedy_ok,
-              f"work={worst['work']:.2f} span={worst['span']:.2f} "
+              f"work={worst['m2_work']:.2f} span={worst['m2_span']:.2f} "
               f"greedy={greedy_ok}")
 
 

@@ -68,6 +68,11 @@ def test_run_experiment_rejects_an_unknown_structure():
         run_experiment(WorkloadSpec(n_ops=10), "m3")
 
 
+def test_run_experiment_rejects_a_scheduler_for_m0():
+    with pytest.raises(ValueError, match="m0 runs serially"):
+        run_experiment(WorkloadSpec(n_ops=10), "m0", scheduler="greedy")
+
+
 def test_workload_spec_from_json_rejects_unknown_fields():
     with pytest.raises(ValueError, match=r"unknown workload spec field\(s\): \['nops'\]"):
         WorkloadSpec.from_json('{"nops": 10}')
@@ -90,6 +95,23 @@ def test_cli_run_rejects_bad_spec_with_status_2(tmp_path, capsys, structure):
     assert main(argv + ["--p", "3"]) == 2
     assert "p must be an even integer >= 4" in capsys.readouterr().err
     assert not out_path.exists()
+
+
+def test_cli_run_rejects_a_scheduler_for_m0_with_status_2(
+        tmp_path, capsys, monkeypatch):
+    # M0 runs serially; a --scheduler it would ignore is refused before
+    # the run starts
+    spec_path = tmp_path / "w.json"
+    spec_path.write_text(WorkloadSpec(n_ops=20, p=4).to_json())
+    out_path = tmp_path / "report.json"
+    runs = []
+    monkeypatch.setattr("wsmap.cli.run_experiment",
+                        lambda *a, **k: runs.append(a))
+    assert main(["run", "--structure", "m0", "--scheduler", "greedy",
+                 "--workload", str(spec_path), "--out", str(out_path)]) == 2
+    assert runs == [] and not out_path.exists()
+    err = capsys.readouterr().err
+    assert err == "wsmap run: m0 runs serially and takes no --scheduler\n"
 
 
 def test_cli_run_rejects_missing_workload_and_out_dir_with_status_2(

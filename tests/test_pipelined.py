@@ -241,7 +241,8 @@ def test_filter_full_steps_match_a_per_step_recount(scheduler, monkeypatch):
         return run_batch(rt, batch, k)
 
     monkeypatch.setattr(bench, "Runtime", partial(Runtime, trace=True))
-    monkeypatch.setattr(bench, "PipelinedWorkingSetMap", make)
+    monkeypatch.setitem(bench.PARALLEL_MAPS, "m2",
+                        (make, bench.PARALLEL_MAPS["m2"][1]))
     monkeypatch.setattr(Runtime, "_run_batch", sampling)
     spec = golden_spec("m2-deep_insert_m2-400", width=16, p=4)
     steps = run_experiment(spec, "m2", scheduler=scheduler).metrics["steps"]
@@ -260,7 +261,8 @@ def test_a_stale_filter_size_at_the_end_of_a_run_fails_run_experiment(
         def _resize_filter(self, delta):
             super()._resize_filter(delta + 1 if delta < 0 else delta)
 
-    monkeypatch.setattr(bench, "PipelinedWorkingSetMap", Miscounts)
+    monkeypatch.setitem(bench.PARALLEL_MAPS, "m2",
+                        (Miscounts, bench.PARALLEL_MAPS["m2"][1]))
     spec = golden_spec("m2-deep_insert_m2-400", width=16, p=4)
     with pytest.raises(AssertionError, match="stale filter_size"):
         run_experiment(spec, "m2")

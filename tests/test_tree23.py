@@ -569,8 +569,7 @@ def test_leaf_delete_batch_searches_nothing():
             task = batch_delete_leaves_task(t, held)
         else:
             task = key_batch_task(t, held, lambda lf: lf.key,
-                                  lambda _t, _lf: None, len(held).bit_length(),
-                                  None)
+                                  lambda _t, _lf: None, None)
         _res, metrics, _rt = run_task(task)
         return ctr.count, t.meter.count, metrics.ds_work
 
