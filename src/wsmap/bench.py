@@ -245,7 +245,8 @@ def _line(name, passed, value, bound=None):
 
 
 def _run_serial(chains):
-    """M0 executes the chains in program order."""
+    """M0 executes the chains in program order; returns (map, ops in order,
+    results by op id, instrumented steps)."""
     ops = [op for chain in chains for op in chain]
     m = SeqWorkingSetMap()
     ctr = ops[0].key.ctr if ops else CmpCounter()
@@ -262,29 +263,21 @@ def _run_serial(chains):
             found, val = m.delete(op.key)
         out[op.op_id] = OpResult(found, val)
     steps = m.steps + (ctr.count - c0)
-    return ops, out, steps
+    return m, ops, out, steps
 
 
-def _run_parallel(structure, chains, p, scheduler, audit):
-    rt = Runtime(p=p, scheduler=scheduler)
-    m = PARALLEL_MAPS[structure][0](rt)
-    m.audit = bool(audit)
+def _run_parallel(m, chains):
+    """Drive the chains through a parallel map on its runtime, serial within
+    a chain and the chains in parallel; returns (results by op id,
+    metrics)."""
     results = {}
 
     def chain_task(ops):
         for op in ops:
-            res = yield from m.call(op)
-            results[op.op_id] = res
+            results[op.op_id] = yield from m.call(op)
 
-    def root():
-        yield from par_map(chains, chain_task)
-
-    rt.spawn_root(root())
-    metrics = rt.run()
-    if structure == "m2":
-        # in-run audits never find M2 quiescent; the end of the run is
-        m._maybe_audit()
-    return m, results, metrics
+    m.rt.spawn_root(par_map(chains, chain_task))
+    return results, m.rt.run()
 
 
 def run_experiment(spec, structure, scheduler=None, audit=True):
@@ -309,11 +302,18 @@ def run_experiment(spec, structure, scheduler=None, audit=True):
 
     if structure == "m0":
         scheduler = "serial"
-        lin_ops, results, steps = _run_serial(chains)
+        m, lin_ops, results, steps = _run_serial(chains)
+        if audit:
+            m.audit()
     else:
-        scheduler = scheduler or PARALLEL_MAPS[structure][1]
-        m, results, metrics = _run_parallel(structure, chains, p, scheduler,
-                                            audit)
+        map_cls, default = PARALLEL_MAPS[structure]
+        scheduler = scheduler or default
+        m = map_cls(Runtime(p=p, scheduler=scheduler))
+        m.audit = bool(audit)
+        results, metrics = _run_parallel(m, chains)
+        if structure == "m2":
+            # in-run audits never find M2 quiescent; the end of the run is
+            m._maybe_audit()
         lin_ops = m.extract_linearization()
     ranks = access_ranks(lin_ops)
     rep = working_set_bound(lin_ops, p=p, ranks=ranks)

@@ -68,15 +68,13 @@ def measure_pesort_comps():
 
 def measure_pesort_span():
     worst = 0.0
-    spans = {}
     for logn in (6, 8, 10, 12, 14):
         n = 2 ** logn
         rnd = random.Random(300 + logn)
         values = [rnd.randrange(max(n // 8, 4)) for _ in range(n)]
         metrics = _run_ds(pesort_task([Key(v) for v in values]))
-        spans[logn] = metrics.ds_span
         worst = max(worst, metrics.ds_span / logn ** 2)
-    return worst, spans
+    return worst
 
 
 def measure_tree_span_slope():
@@ -218,7 +216,7 @@ def measure_constants():
         for name, value in measure_line_constants(structure).items():
             values[name] = max(values.get(name, 0.0), value)
     values["pesort_comps_per_entropy"] = measure_pesort_comps()
-    values["pesort_span_per_log2n_sq"], _spans = measure_pesort_span()
+    values["pesort_span_per_log2n_sq"] = measure_pesort_span()
     values["tree_span_slope"], _spans = measure_tree_span_slope()
     values["pbuffer_flush_span"] = measure_pbuffer_flush_span()
     for name, value in values.items():

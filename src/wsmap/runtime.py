@@ -37,21 +37,14 @@ or p/2 (weak priority); a task's owner fixes its queue, Q1 (high priority)
 for DS_FINAL and Q2 for the rest. A step that runs every ready node takes
 the whole list, which trades places with the staging list.
 
-One executor, ``_run_batch``, runs every code node: it runs a step's
-batch in id order, recording each node in the trace when trace is on. With
-trace off it takes two shortcuts where no task code could see the
-difference:
-
-* when a step would run every ready node and each of them is a stall tick,
-  it runs k such steps in one pass, k being the fewest ticks left (``run``
-  finds k);
-* when the ready set is one task about to run code, it runs that task's code
-  nodes back to back, each ``yield c`` charged as c steps, until the task
-  yields another effect, finishes, or its code stages a node (a resume,
-  release or detach).
-
-Work, spans and step counters come out as if every step had run one by one,
-and ``now`` and ``current_slot`` are exact whenever task code runs.
+One executor, ``_run_batch``, runs every node: it runs a step's batch in
+id order, resuming each task at most once and recording each node in the
+trace when trace is on. With trace off, when a step would run every ready
+node and each of them is a stall tick, it runs k such steps in one pass, k
+being the fewest ticks left (``run`` finds k), as no task code could see
+the difference. Work, spans and step counters come out as if every step had
+run one by one, and ``now`` and ``current_slot`` are exact whenever task
+code runs.
 """
 
 from __future__ import annotations
@@ -364,19 +357,11 @@ class Runtime:
         """Execute one step's batch in id order, recording each node when
         trace is on. With k > 1 the batch is the whole ready set and every
         node in it a stall tick with at least k ticks left: run k such steps
-        at once, each task charged k nodes and restaged once, in order.
-
-        A batch of one task is the whole ready set: one ``_pick`` builds
-        holds at least 2 tasks (p >= 4, every quota >= 2). With trace off
-        its code nodes run back to back while each yields an int c and
-        stages nothing, each c charged as c steps: its c - 1 ticks and its
-        next code node. ``now`` and the task's path grow at each c, as task
-        code reads them; its work and the span once the chain ends."""
+        at once, each task charged k nodes and restaged once, in order."""
         work, spans, trace = self.metrics.work, self._spans, self.trace
-        now = self.now
         if trace is not None:
+            now = self.now
             trace.extend([(now, t.nid, t.owner, t.queue) for t in batch])
-        lone = trace is None and len(batch) == 1
         staged = self._staged
         for slot, task in enumerate(batch):
             s, path, owner = task.axis, task.path, task.owner
@@ -390,15 +375,8 @@ class Runtime:
                 self.current_slot = slot
                 self._cur_task = task
                 send, task.send = task.send, None
-                gen = task.gen
                 try:
-                    while True:
-                        effect = gen.send(send)
-                        if not lone or type(effect) is not int or staged:
-                            break
-                        send = None
-                        path[s] += effect
-                        self.now += effect
+                    effect = task.gen.send(send)
                 except StopIteration as stop:
                     self._finish(task, stop.value)
                     continue
@@ -410,11 +388,6 @@ class Runtime:
             staged.append(task)
             if task.queue == Q1:
                 self._staged_q1 += 1
-        if lone:
-            # the lone task's chained nodes, charged once
-            work[owner] += self.now - now
-            if path[s] > spans[s]:
-                spans[s] = path[s]
 
     def _dispatch(self, task, effect):
         """Apply an effect other than an int that task yielded at its

@@ -10,10 +10,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from wsmap.core import (
     CmpCounter, DELETE, INSERT, Key, Operation, SEARCH, UPDATE,
 )
-from wsmap import sortlib
+from wsmap import bench, sortlib
 from wsmap.bench import WorkloadSpec
 from wsmap.calibrate import measure_line_constants
-from wsmap.runtime import Runtime, DS, par_map
+from wsmap.runtime import Runtime, DS
 from wsmap.tree23 import Leaf, TreeUsageError, key_batch_task
 
 from regen_golden import GOLDEN
@@ -85,22 +85,12 @@ def batch_op_task(tree, ops):
 
 
 def run_map_workload(make_map, chains, p=8, scheduler="greedy"):
-    """Drive op chains (serial within a chain, chains in parallel) through a
-    map structure; returns (results by op_id, map, metrics, rt)."""
+    """Drive op chains (serial within a chain, chains in parallel) through
+    the map make_map(rt) builds, as run_experiment does; returns (results
+    by op_id, map, metrics, rt)."""
     rt = Runtime(p=p, scheduler=scheduler)
     m = make_map(rt)
-    results = {}
-
-    def chain_task(ops):
-        for op in ops:
-            res = yield from m.call(op)
-            results[op.op_id] = res
-
-    def root():
-        yield from par_map(chains, chain_task)
-
-    rt.spawn_root(root())
-    metrics = rt.run()
+    results, metrics = bench._run_parallel(m, chains)
     return results, m, metrics, rt
 
 

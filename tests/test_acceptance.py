@@ -9,7 +9,9 @@ import math
 import random
 
 from conftest import batch_op_task, line_constants, ppivot_task, rank_of
-from wsmap.bench import WorkloadSpec, generate, run_experiment
+from wsmap.bench import (
+    WorkloadSpec, _run_parallel, generate, run_experiment,
+)
 from wsmap.calibrate import (
     m0_workloads, measure_pbuffer_flush_span, measure_pesort_comps,
     measure_pesort_span, measure_tree_span_slope, span_separation_demo,
@@ -133,7 +135,7 @@ def test_criterion_3_entropy_sort():
     execute_inline(pesort_task(keys))
     floor_ok = ctr.count >= len(values) - 1
     # pesort span scaling
-    span_ratio, _spans = measure_pesort_span()
+    span_ratio = measure_pesort_span()
     span_ok = span_ratio <= SLACK * frozen["pesort_span_per_log2n_sq"]
     # ppivot rank property, 10^4 random lists at k=64
     pivot_ok = True
@@ -288,17 +290,7 @@ def test_criterion_9_locks_and_scheduler_quota():
     ctr = CmpCounter()
     ops = [Operation(i, INSERT, Key(i, ctr), i) for i in range(300)]
     ops += [Operation(300 + i, SEARCH, Key(i % 330, ctr)) for i in range(100)]
-    chains = [ops[i::4] for i in range(4)]
-
-    def chain_task(chain):
-        for op in chain:
-            yield from m.call(op)
-
-    def root():
-        yield from par_map(chains, chain_task)
-
-    rt.spawn_root(root())
-    rt.run()
+    _run_parallel(m, [ops[i::4] for i in range(4)])
     quota_ok = all(q1_exec == min(q1_ready, 2)
                    for q1_ready, _q2r, q1_exec, _q2e in rt.step_stats)
     _announce(9, "lock fairness + weak-priority quota",

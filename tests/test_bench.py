@@ -15,6 +15,7 @@ from wsmap.bench import (
 from wsmap.cli import main
 from wsmap.core import CmpCounter, INSERT, Key, Operation, SEARCH
 from wsmap.runtime import DS_FINAL
+from wsmap.seqmap import SeqWorkingSetMap
 
 
 def test_workload_spec_round_trip():
@@ -347,10 +348,15 @@ def _moved(old, new, path=""):
 
 @pytest.mark.parametrize("path", _GOLDEN_FILES, ids=lambda path: path.stem)
 def test_golden_report_reproduces(path, monkeypatch):
-    runs = []
+    runs = []   # (map, metrics) of each parallel run
     run_parallel = bench._run_parallel
-    monkeypatch.setattr(bench, "_run_parallel",
-                        lambda *a: runs.append(run_parallel(*a)) or runs[-1])
+
+    def recording(m, chains):
+        results, metrics = run_parallel(m, chains)
+        runs.append((m, metrics))
+        return results, metrics
+
+    monkeypatch.setattr(bench, "_run_parallel", recording)
     text = path.read_text()
     shipped = _SHIPPED / f"{path.stem.split('-')[0]}.json"
     if shipped.exists():
@@ -363,23 +369,45 @@ def test_golden_report_reproduces(path, monkeypatch):
     if path.stem in _FINAL_SLAB_OPEN:
         assert (runs[0][0].terminal is not None) == _FINAL_SLAB_OPEN[path.stem]
     if path.stem in _M2_FINAL_SLAB_WORK:
-        work = runs[0][2].work.get(DS_FINAL, 0)
+        work = runs[0][1].work.get(DS_FINAL, 0)
         assert work == _M2_FINAL_SLAB_WORK[path.stem]
 
 
 @pytest.mark.parametrize("structure, scheduler", [
-    ("m1", "greedy"), ("m2", "weak_priority")])
-def test_audits_leave_the_comparison_counter_alone(structure, scheduler):
+    ("m0", None), ("m1", "greedy"), ("m2", "weak_priority")],
+    ids=["m0", "m1-greedy", "m2-weak_priority"])
+def test_audits_leave_the_comparison_counter_alone(structure, scheduler,
+                                                   monkeypatch):
     # the audits are not part of the measured cost: with them on, the
     # shared key-comparison counter must read exactly as with them off
     spec = golden_spec("m1-hot_zipf_m1")
-    counts = []
-    for audit in (True, False):
-        ctr = CmpCounter()
-        chains = generate(spec, ctr)
-        bench._run_parallel(structure, chains, spec.p, scheduler, audit)
-        counts.append(ctr.count)
-    assert counts[0] == counts[1] > 0
+    ctrs = []
+
+    def generating(spec, ctr):
+        ctrs.append(ctr)
+        return generate(spec, ctr)
+
+    monkeypatch.setattr(bench, "generate", generating)
+    reports = [run_experiment(spec, structure, scheduler, audit)
+               for audit in (True, False)]
+    assert ctrs[0].count == ctrs[1].count > 0
+    assert reports[0] == reports[1]
+
+
+def test_run_experiment_audits_m0_at_the_end_of_the_run(monkeypatch):
+    calls = []
+
+    def failing(m):
+        calls.append(m)
+        raise AssertionError("segment 0 not full")
+
+    monkeypatch.setattr(SeqWorkingSetMap, "audit", failing)
+    spec = golden_spec("m0-coldest_m0", n_ops=200)
+    with pytest.raises(AssertionError, match="segment 0 not full"):
+        run_experiment(spec, "m0")
+    assert len(calls) == 1
+    run_experiment(spec, "m0", audit=False)
+    assert len(calls) == 1
 
 
 def test_m2_greedy_reports_but_does_not_assert_bounds():

@@ -3,10 +3,11 @@
 No linter ships with the project, so this stdlib-only check stands in for
 one. `__init__.py` is skipped: its imports are the package's re-exports,
 and `__all__` must list exactly those. The simulator is the bottom layer:
-`runtime.py` imports no wsmap module. The batch tasks derive their grains
-from their input, so none of them takes a defaulted parameter. Every
-function, class and method in `src/wsmap` is named somewhere in src besides
-its own definition, or exported.
+`runtime.py` imports no wsmap module, resumes task generators at one call
+site and moves its clock in `run` alone. The batch tasks derive their
+grains from their input, so none of them takes a defaulted parameter.
+Every function, class and method in `src/wsmap` is named somewhere in src
+besides its own definition, or exported.
 """
 
 import ast
@@ -87,6 +88,42 @@ def test_runtime_imports_no_wsmap_module():
                          "from wsmap.core import Key\nfrom math import inf\n"
                          "from __future__ import annotations\n") == [1, 2, 3]
     assert wsmap_imports((SRC / "runtime.py").read_text()) == []
+
+
+def send_calls(source):
+    """Lines of source that call a `.send` method, as resuming a generator
+    does."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "send")
+
+
+def clock_writers(source):
+    """Names of the functions of source that assign `self.now`."""
+    return sorted({
+        func.name for func in ast.walk(ast.parse(source))
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Assign, ast.AugAssign))
+        for target in (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+        if isinstance(target, ast.Attribute) and target.attr == "now"
+        and isinstance(target.value, ast.Name) and target.value.id == "self"})
+
+
+def test_runtime_runs_code_nodes_one_way():
+    # one executor runs every code node and the step loop alone moves the
+    # clock: a second path would resume task generators somewhere else
+    assert send_calls("gen.send(None)\nsend = 1\nx = task.gen.send\n"
+                      "f(a.send(b.send(2)))\n") == [1, 4, 4]
+    assert clock_writers("def a(self):\n    self.now = 0\n"
+                         "def b(self, rt):\n    rt.now += 1\n    now = 2\n"
+                         "def c(self):\n    self.now += 1\n"
+                         "    self.now = x = 3\n") == ["a", "c"]
+    source = (SRC / "runtime.py").read_text()
+    assert len(send_calls(source)) == 1
+    assert clock_writers(source) == ["__init__", "run"]
 
 
 def defaulted_parameters(source, names):

@@ -291,8 +291,9 @@ def _deep_insert_m2(n_ops=400, seed=1):
     """Run the deep_insert_m2 benchmark shape with every audit on, long
     enough to open the final slab; returns (map, metrics)."""
     spec = golden_spec("m2-deep_insert_m2-400", n_ops=n_ops, seed=seed)
-    m, _results, metrics = bench._run_parallel(
-        "m2", generate(spec), spec.p, "weak_priority", True)
+    _results, m, metrics, _rt = run_map_workload(
+        _maker(), generate(spec), p=spec.p, scheduler="weak_priority")
+    m._maybe_audit()
     assert m.terminal is not None and metrics.work.get("ds_final", 0) > 0
     return m, metrics
 

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import chunk_chains, random_ops
 from wsmap.batched import BatchedWorkingSetMap
+from wsmap.bench import _run_parallel
 from wsmap.pipelined import PipelinedWorkingSetMap
 from wsmap.runtime import (
     Acquire, ActivationGate, BUFFER, Call, DedicatedLock, LockUsageError,
@@ -475,13 +476,12 @@ def test_detach_runs_independently():
     assert sorted(hits) == ["main", "side"]
 
 
-# -- untraced shortcuts against the traced reference -----------------------
+# -- the untraced fast-forward against the traced reference -----------------
 #
 # With trace=False, Runtime._run_batch runs, in one pass, a run of k steps in
-# which every ready node runs and is a stall tick of a `yield c`, and runs a
-# lone task's code nodes back to back; with trace=True it steps one step at a
-# time. Both must run every code node at the same step and slot and give the
-# same metrics.
+# which every ready node runs and is a stall tick of a `yield c`; with
+# trace=True it steps one step at a time. Both must run every code node at
+# the same step and slot and give the same metrics.
 
 
 def _logged(rt, log, label, gen):
@@ -722,6 +722,9 @@ def _chain_left_by_park(rt, handles, task):
 ], ids=lambda build: build.__name__[len("_chain_left_by_"):])
 @pytest.mark.parametrize("scheduler", ["greedy", "weak_priority"])
 def test_lone_task_chain_exits(build, scheduler):
+    # each builder runs one task's code nodes, often alone in the ready set,
+    # until an effect of one kind stages another node: traced and untraced
+    # runs must agree across the fast-forward on either side of it
     _run_both(build, scheduler=scheduler)
 
 
@@ -864,17 +867,8 @@ def _run_map(structure, scheduler, m_override, trace):
     else:
         m = PipelinedWorkingSetMap(rt, m_override=m_override)
     m.audit = False
-    results = {}
-
-    def chain_task(chain):
-        for op in chain:
-            results[op.op_id] = (yield from m.call(op)).tuple
-
-    def root():
-        yield from par_map(chunk_chains(ops, width), chain_task)
-
-    rt.spawn_root(root())
-    return rt, rt.run(), m, results
+    results, metrics = _run_parallel(m, chunk_chains(ops, width))
+    return rt, metrics, m, {op_id: r.tuple for op_id, r in results.items()}
 
 
 def _traced_map_digest(structure, scheduler, m_override):
@@ -901,8 +895,8 @@ def test_untraced_matches_traced_map_runs(structure, scheduler, m_override):
     assert fast.work == ref.work
     assert (getattr(fast_map, "fl_delays", None)
             == getattr(ref_map, "fl_delays", None))
-    # the lone-task chain reads no filter: the map's tally, which reads
-    # rt.now, checks that the clock is exact inside it
+    # the map's filter-full tally reads rt.now at each filter change, so it
+    # checks that the clock is exact under the tick fast-forward
     if structure == "m2":
         assert (fast_map.filter_size, fast_map.filter_full_steps()) == \
             (ref_map.filter_size, ref_map.filter_full_steps())
