@@ -29,7 +29,7 @@ from .pbuffer import ParallelBuffer
 from .runtime import ActivationGate, BUFFER, Call, concat_tree, par_map
 from .segments import (
     PairedSegment, preload_segment, restore_prefix_task, seg_insert_block_task,
-    seg_remove_found_task,
+    seg_remove_found_task, seg_shift_task,
 )
 from .sortlib import pesort_task
 from .tree23 import StepMeter, batch_search_task
@@ -151,18 +151,27 @@ class SegmentedMap:
 
     def _segment_pass(self, k, pending):
         """One pass over segment k; returns the unfinished groups (deletions
-        stay, tagged)."""
+        stay, tagged). The found items leave S[k], the kept ones enter
+        S[k-1]'s front (S[0]'s own at k = 0), and the capacity prefixes are
+        restored boundary by boundary from k inward. For k >= 1, when the
+        boundary-k surplus, counted with the keeps, lies in (0, |S[k-1]|],
+        the removal, the insert and that boundary's move are one
+        seg_shift_task."""
         seg = self.segments[k]
         leaves = yield from batch_search_task(seg.keys, [g.key for g in pending])
         found = [(g, lf) for g, lf in zip(pending, leaves) if lf is not None]
-        if found:
-            keeps, deliveries = self._resolve_found(found)
-            yield from seg_remove_found_task(seg, [lf for _g, lf in found])
+        found_leaves = [lf for _g, lf in found]
+        keeps, deliveries = self._resolve_found(found)
+        left = self.segments[k - 1] if k > 0 else seg
+        surplus = len(keeps) + sum(s.size - s.cap for s in self.segments[:k])
+        if k > 0 and 0 < surplus <= left.size:
+            yield from seg_shift_task(left, seg, found_leaves, keeps, surplus)
+        elif found:
+            yield from seg_remove_found_task(seg, found_leaves)
             if keeps:
-                dst = self.segments[k - 1] if k > 0 else seg
-                yield from seg_insert_block_task(dst, keeps, "front")
-            if deliveries:
-                self._deliver(deliveries)
+                yield from seg_insert_block_task(left, keeps, "front")
+        if deliveries:
+            self._deliver(deliveries)
         yield from restore_prefix_task(self.segments, k)
         return [g for g in pending if not g.finished]
 

@@ -24,10 +24,11 @@ import math
 
 from .batched import SegmentedMap
 from .runtime import (
-    Acquire, ActivationGate, DS, DS_FINAL, DedicatedLock, concat_tree,
+    Acquire, ActivationGate, DS, DS_FINAL, DedicatedLock, Par, concat_tree,
 )
 from .segments import (
     PairedSegment, boundary_move, seg_insert_block_task, seg_remove_found_task,
+    seg_shift_task,
 )
 from .tree23 import (
     Tree23, batch_delete_leaves_task, batch_insert_task, batch_search_task,
@@ -243,36 +244,57 @@ class PipelinedWorkingSetMap(SegmentedMap):
                     nxt_lock = self._lock("nl", k + 1)
                     yield Acquire(nxt_lock, 1)   # fresh lock, uncontended
                     plan.append((nxt_lock, 1))
-        # step 4: flush and process the buffer
+        # step 4: flush the buffer and find its keys R in S[k]; a k > m actor
+        # removes R here, the S[m] actor in step 4d
         buf_leaves = yield from pop_extreme_task(seg.buffer, len(seg.buffer),
                                                  "front")
         batch = [lf.val for lf in buf_leaves]   # GroupOps in key order
         seg.in_flight = batch
         leaves = yield from batch_search_task(seg.keys, [g.key for g in batch])
         found = [(g, lf) for g, lf in zip(batch, leaves) if lf is not None]
-        yield from seg_remove_found_task(seg, [lf for _g, lf in found])
-        # step 4b: deeper segments' front access spans steps 4b-4f
+        found_leaves = [lf for _g, lf in found]
         if k > self.m:
+            yield from seg_remove_found_task(seg, found_leaves)
+            # step 4b: deeper segments' front access spans steps 4b-4f
             fl_t0 = yield from self._front_acquire(k)
         # step 4c: consult the filter to split R into kept items R' and
-        # successful deletions
+        # successful deletions (this reads only R's values, so at S[m] it
+        # runs before R leaves S[m])
         keeps, delivered = self._resolve_found(found)
         # step 4d: return results for R', insert R' at the front of S[m'],
-        # and at the terminal segment finish everything else too
+        # and at the terminal segment finish everything else too; the
+        # delivered groups' filter entries are deleted by handle, and the
+        # filter count and the deliveries change after the segment update
         dst = segs[min(k - 1, self.m)]
         inserts = []
         if self.terminal == k:
             inserts, rest = self._resolve_rest(
                 [g for g in batch if not g.finished])
             delivered += rest
-        if keeps or inserts:
-            block = sorted(keeps + inserts, key=lambda kv: kv[0].value)
-            yield from seg_insert_block_task(dst, block, "front")
+        block = sorted(keeps + inserts, key=lambda kv: kv[0].value)
+        drop = None
         if delivered:
-            ordered = sorted((g.filter_leaf for g, _r in delivered),
-                             key=lambda lf: lf.hi)
-            yield from batch_delete_leaves_task(self.filter, ordered)
-            self._resize_filter(-len(ordered))
+            drop = batch_delete_leaves_task(self.filter, sorted(
+                (g.filter_leaf for g, _r in delivered), key=lambda lf: lf.hi))
+        surplus = dst.size - dst.cap + len(block)
+        if k == self.m and 0 < surplus <= dst.size:
+            # at S[m], when S[m-1]'s surplus with the block fits in S[m-1],
+            # one shift also removes R from S[m] and makes steps 4g/4h's
+            # move, and the filter delete forks beside it
+            shift = seg_shift_task(dst, seg, found_leaves, block, surplus)
+            if drop is None:
+                yield from shift
+            else:
+                yield Par(shift, drop)
+        else:
+            if k == self.m:
+                yield from seg_remove_found_task(seg, found_leaves)
+            if block:
+                yield from seg_insert_block_task(dst, block, "front")
+            if drop is not None:
+                yield from drop
+        if delivered:
+            self._resize_filter(-len(delivered))
             self._deliver(delivered)
         # step 4e
         if self.filter_size <= self.p2:
@@ -281,7 +303,8 @@ class PipelinedWorkingSetMap(SegmentedMap):
         if k > self.m:
             yield from self._front_release(k, fl_t0)
         # steps 4g/4h: rebalance against the previous segment, pulling at
-        # most as many items as this batch deleted
+        # most as many items as this batch deleted (after a shift at S[m],
+        # S[m-1] is exactly full and nothing moves)
         left = segs[k - 1]
         dels = sum(1 for g in batch if g.found_value is not None)
         move = boundary_move(left, seg, left.size - left.cap, dels)

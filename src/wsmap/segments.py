@@ -7,9 +7,10 @@ move between segments through reverse-indexing, exactly so every composite
 stays within batched-tree work/span. A new block arrives key-sorted; a moved
 block is sorted once for both key trees. Leaves already in hand are deleted
 by handle in every tree, with no search. Trees that share no node update as
-the two branches of one fork (a segment's two trees in a block insert and a
+the branches of one fork (a segment's two trees in a block insert and a
 found-removal, the source key tree and the destination segment in a block
-move), and twins are linked after the join.
+move, all four trees of two neighbouring segments in a hit pass's shift),
+and twins are linked after the join.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from .runtime import Par, merge_sort_task
 from .seqmap import segment_capacity
 from .tree23 import (
-    Tree23, batch_delete_leaves_task, batch_delete_pos_task, batch_insert_task,
+    Tree23, batch_delete_leaves_task, batch_delete_pos_task, batch_update_task,
     pop_extreme_task, push_edge_task, reverse_index_task,
 )
 
@@ -83,7 +84,7 @@ def _delete_handles_task(tree, leaves):
 def seg_insert_block_task(seg, pairs, end):
     """Insert new items at the chosen end; pairs is non-empty and
     key-sorted, and its key order is also their recency order."""
-    yield from _insert_block_task(seg, pairs, pairs, end)
+    yield from _update_block_task(seg, [], [], pairs, pairs, end)
 
 
 def seg_move_block_task(src, dst, count, src_end, dst_end):
@@ -93,16 +94,44 @@ def seg_move_block_task(src, dst, count, src_end, dst_end):
     rec_leaves = yield from pop_extreme_task(src.rec, count, src_end)
     by_key = yield from merge_sort_task(rec_leaves, key=lambda lf: lf.key)
     yield Par(batch_delete_leaves_task(src.keys, [lf.twin for lf in by_key]),
-              _insert_block_task(dst, [(lf.key, lf.val) for lf in rec_leaves],
+              _update_block_task(dst, [], [],
+                                 [(lf.key, lf.val) for lf in rec_leaves],
                                  [(lf.key, lf.val) for lf in by_key], dst_end))
 
 
-def _insert_block_task(seg, pairs, by_key, end):
-    """Insert new items: pairs in recency order at the chosen end, by_key
-    the same pairs in key order; the two trees update in parallel."""
-    rec_leaves, key_leaves = yield Par(push_edge_task(seg.rec, pairs, end),
-                                       batch_insert_task(seg.keys, by_key))
+def seg_shift_task(left, right, found_leaves, block, surplus):
+    """One hit pass's update across the boundary left|right: remove the
+    found (key-tree) leaves from right, insert the new key-sorted block at
+    left's front and move left's surplus (0 < surplus <= |left|) least
+    recent items, taken before the insert, to right's front. The moved
+    items are sorted once; then each of the four trees runs one batch, all
+    four in one fork."""
+    moved = yield from pop_extreme_task(left.rec, surplus, "back")
+    by_key = yield from merge_sort_task(moved, key=lambda lf: lf.key)
+    yield Par(_update_block_task(left, [], [lf.twin for lf in by_key],
+                                 block, block, "front"),
+              _update_block_task(right, [lf.twin for lf in found_leaves],
+                                 found_leaves,
+                                 [(lf.key, lf.val) for lf in moved],
+                                 [(lf.key, lf.val) for lf in by_key], "front"))
+
+
+def _update_block_task(seg, rec_dead, key_dead, pairs, by_key, end):
+    """Delete held leaves by handle, rec_dead from the recency tree and the
+    key-sorted key_dead from the key tree, and insert new items: pairs in
+    recency order at the chosen end, by_key the same pairs in key order.
+    The two trees update in parallel, and twins are linked after the
+    join."""
+    rec_leaves, key_leaves = yield Par(
+        _delete_push_task(seg.rec, rec_dead, pairs, end),
+        batch_update_task(seg.keys, key_dead, by_key))
     _link_twins(pairs, rec_leaves, key_leaves)
+
+
+def _delete_push_task(rec, dead, pairs, end):
+    if dead:
+        yield from _delete_handles_task(rec, dead)
+    return (yield from push_edge_task(rec, pairs, end))
 
 
 def boundary_move(left, right, surplus, limit=None):

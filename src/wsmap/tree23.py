@@ -22,6 +22,8 @@ tree's keys share the probe's counter.
 
 from __future__ import annotations
 
+import heapq
+
 from .runtime import Par, par_map, merge_sort_task
 
 
@@ -620,17 +622,33 @@ def batch_search_task(tree, keys):
                                       _merge_search))
 
 
+def batch_update_task(tree, leaves, pairs):
+    """One key batch that deletes the key-sorted live leaves of tree by
+    handle (a leaf survives the batch's key splits, so no deletion descends)
+    and inserts the key-sorted (key, val) pairs of absent keys; no key is in
+    both, and the two lists merge on raw values, which counts no comparison
+    and leaves an unsorted list for key_batch_task's check to reject.
+    Returns the new leaves in pairs' order."""
+    items = leaves or pairs
+    if leaves and pairs:
+        items = list(heapq.merge(
+            leaves, pairs, key=lambda it: it.hi if type(it) is Leaf
+            else getattr(it[0], "value", it[0])))
+    done = yield from key_batch_task(
+        tree, items, lambda it: it.key if type(it) is Leaf else it[0],
+        lambda t, it: t.delete_leaf(it) if type(it) is Leaf else t.insert(*it),
+        None)
+    return [lf for it, lf in zip(items, done) if type(it) is not Leaf]
+
+
 def batch_insert_task(tree, pairs):
     """Insert (key, val) pairs of absent keys; returns the new leaves."""
-    return (yield from key_batch_task(tree, pairs, lambda kv: kv[0],
-                                      lambda t, kv: t.insert(*kv), None))
+    return (yield from batch_update_task(tree, [], pairs))
 
 
 def batch_delete_leaves_task(tree, leaves):
-    """Delete live leaves of tree, key-sorted, by handle: a leaf survives
-    the batch's key splits, so no item descends."""
-    return (yield from key_batch_task(tree, leaves, lambda lf: lf.key,
-                                      Tree23.delete_leaf, None))
+    """Delete live leaves of tree, key-sorted, by handle."""
+    return (yield from batch_update_task(tree, leaves, []))
 
 
 def reverse_index_task(tree, handles):

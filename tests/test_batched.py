@@ -331,8 +331,8 @@ def test_block_move_span_below_its_two_tree_updates_in_sequence():
         segments.merge_sort_task(rec_leaves, key=lambda lf: lf.key))
     _, delete, _rt = run_task(
         batch_delete_leaves_task(src.keys, [lf.twin for lf in by_key]))
-    _, insert, _rt = run_task(segments._insert_block_task(
-        dst, [(lf.key, lf.val) for lf in rec_leaves],
+    _, insert, _rt = run_task(segments._update_block_task(
+        dst, [], [], [(lf.key, lf.val) for lf in rec_leaves],
         [(lf.key, lf.val) for lf in by_key], "front"))
     src, dst = segments_pair()
     _, move, _rt = run_task(seg_move_block_task(src, dst, 16, "back", "front"))

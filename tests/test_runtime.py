@@ -905,13 +905,13 @@ def test_untraced_matches_traced_map_runs(structure, scheduler, m_override):
 
 @pytest.mark.parametrize("structure, scheduler, m_override, digest", [
     ("m1", "greedy", None,
-     "9c4f09d25be351d7e0643244148a1c8329b7d3683622f602bb1780892ad120a5"),
+     "c8e4325a3297ae1d748d4fc769e0c277718fe2aaa61052875c2b7ec43021d6f0"),
     ("m2", "weak_priority", None,
-     "c3d7e8d06ce70f6439fd86bf51fa25f57c55c299b3b1a7eb8ab69565c8ca6afd"),
+     "ad5a12ba4e66f07a906ea52fabc77142bda9cfeba9dbeceef5c25166fa445439"),
     ("m2", "weak_priority", 1,
-     "6286e662e604c4800e5af422d2ca9cb93eab0814b86caa5c93c80d9c77c821e6"),
+     "b51a6f7202882e4abdaf2eaf01c2da68a61482e25a29d9c66776a8e04c1993b4"),
     ("m2", "greedy", 1,
-     "095540436ff557527996985d39c9ba916cc160e6915aa235d150f7e5f69d7da9"),
+     "3cddc4abb40e7f1656ef52c1d9fe003e0ceedfc0106655a6ab28db16f5e85ce2"),
 ], ids=[f"{s}-{sched}-{m}" for s, sched, m in _MAP_CASES])
 def test_traced_runtime_pinned(structure, scheduler, m_override, digest):
     assert _traced_map_digest(structure, scheduler, m_override) == digest

@@ -1,0 +1,158 @@
+"""The segment shift: one hit pass's removal, keep insert and boundary move
+as one fork of four tree batches, checked against the three phases it
+replaces, and where the maps take it."""
+
+import random
+
+import pytest
+
+from conftest import golden_spec, run_task
+from wsmap import batched, pipelined
+from wsmap.batched import BatchedWorkingSetMap, GroupOp
+from wsmap.bench import run_experiment
+from wsmap.core import DELETE, SEARCH, CmpCounter, Key, Operation
+from wsmap.runtime import Runtime
+from wsmap.segments import (
+    PairedSegment, boundary_move, preload_segment, seg_insert_block_task,
+    seg_remove_found_task, seg_shift_task,
+)
+from wsmap.tree23 import StepMeter
+
+
+def _pair(left_items, right_items):
+    """A fresh S[1]|S[2] pair preloaded with (key, value) items, most recent
+    first; every run gets its own keys, so no state is shared."""
+    meter, ctr = StepMeter(), CmpCounter()
+    segs = []
+    for index, items in ((1, left_items), (2, right_items)):
+        seg = PairedSegment(index, meter)
+        preload_segment(seg, [(Key(k, ctr), v) for k, v in items])
+        segs.append(seg)
+    return segs, ctr
+
+
+def _state(seg):
+    """Both orders with values, and each recency leaf's twin."""
+    seg.audit()
+    for rl in seg.rec.leaves():
+        assert rl.twin.twin is rl and rl.twin.key is rl.key
+        assert rl.twin.val == rl.val
+    return ([(lf.key.value, lf.val) for lf in seg.keys.leaves()],
+            [(lf.key.value, lf.val) for lf in seg.rec.leaves()])
+
+
+def _run_both(left_items, right_items, found_idx, block_items, surplus):
+    """(shift, three-phase) end states of one random case: found_idx picks
+    right's key-order positions, block_items are key-sorted (key, value)."""
+    states = []
+    for shift in (True, False):
+        (left, right), ctr = _pair(left_items, right_items)
+        found = [right.keys.leaves()[i] for i in found_idx]
+        block = [(Key(k, ctr), v) for k, v in block_items]
+        if shift:
+            run_task(seg_shift_task(left, right, found, block, surplus))
+        else:
+            run_task(seg_remove_found_task(right, found))
+            if block:
+                run_task(seg_insert_block_task(left, block, "front"))
+            run_task(boundary_move(left, right, surplus))
+        states.append((_state(left), _state(right)))
+    return states
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_shift_equals_remove_insert_move(seed):
+    rnd = random.Random(seed)
+    for _ in range(40):
+        # sizes up to three caps of S[1] (4) and S[2] (16)
+        n_left, n_right = rnd.randint(1, 12), rnd.randint(0, 48)
+        keys = rnd.sample(range(1000), n_left + n_right + 8)
+        left_items = [(k, -k) for k in keys[:n_left]]
+        right_items = [(k, -k) for k in keys[n_left:n_left + n_right]]
+        by_key = sorted(k for k, _v in right_items)
+        found_idx = sorted(rnd.sample(range(n_right),
+                                      rnd.randint(0, n_right)))
+        # kept found items carry new values; some blocks add new keys
+        kept = [by_key[i] for i in found_idx if rnd.random() < 0.6]
+        fresh = keys[n_left + n_right:][:rnd.choice((0, 0, 3, 8))]
+        block_items = sorted([(k, k) for k in kept + fresh])
+        surplus = rnd.randint(1, n_left)
+        shifted, phased = _run_both(left_items, right_items, found_idx,
+                                    block_items, surplus)
+        assert shifted == phased, (seed, n_left, n_right, surplus)
+
+
+def _map_with_pass_spies(monkeypatch, sizes):
+    """An M1 map preloaded to exact capacity, its segment sizes checked,
+    with deliveries dropped and its shift calls counted."""
+    rt = Runtime(p=4, scheduler="greedy")
+    m = BatchedWorkingSetMap(rt)
+    ctr = CmpCounter()
+    m.preload([(Key(k, ctr), k) for k in range(sum(sizes))])
+    assert [seg.size for seg in m.segments] == sizes
+    m._deliver = lambda deliveries: None
+    calls = []
+    shift_task = batched.seg_shift_task
+
+    def spy(left, right, found, block, surplus):
+        calls.append(surplus)
+        return shift_task(left, right, found, block, surplus)
+
+    monkeypatch.setattr(batched, "seg_shift_task", spy)
+    return m, ctr, calls
+
+
+def _groups(ctr, kind, keys):
+    return [GroupOp(Key(k, ctr), [(Operation(i, kind, Key(k, ctr), None),
+                                   None)])
+            for i, k in enumerate(keys)]
+
+
+@pytest.mark.parametrize("k, kind, keys, shifted", [
+    (0, SEARCH, [0], []),            # k = 0 keeps its hits in S[0]
+    (1, DELETE, [3], []),            # surplus 0: nothing kept
+    (1, SEARCH, [2, 3, 4], []),      # surplus 3 > |S[0]| = 2
+    (1, SEARCH, [3], [1]),           # surplus 1 fits
+    (1, SEARCH, [2, 5], [2]),        # surplus 2 = |S[0]|
+], ids=["k0", "surplus0", "over_left", "one", "all_of_left"])
+def test_pass_takes_the_shift_only_for_a_surplus_left_holds(
+        monkeypatch, k, kind, keys, shifted):
+    m, ctr, calls = _map_with_pass_spies(monkeypatch, [2, 4, 10])
+    before = [[lf.key.value for lf in seg.rec.leaves()] for seg in m.segments]
+    pending = _groups(ctr, kind, keys)
+    run_task(m._segment_pass(k, pending))
+    assert calls == shifted
+    # trees, twins and n; a deletion's hole stays for the next pass to fill
+    batched.SegmentedMap.audit_segments(m)
+    after = [[lf.key.value for lf in seg.rec.leaves()] for seg in m.segments]
+    if kind == SEARCH:
+        # the hits lead the map in key order, and S[0..k-1] is exactly full
+        assert sum(after, [])[:len(keys)] == keys
+        assert [len(a) for a in after] == [len(b) for b in before]
+    gone = set(keys) if kind == DELETE else set()
+    assert sorted(sum(after, [])) == sorted(set(sum(before, [])) - gone)
+
+
+@pytest.mark.parametrize("name, structure, actor", [
+    ("m1-hot_zipf_m1", "m1", False),
+    ("m2-deep_insert_m2-600", "m2", True),
+])
+def test_golden_specs_take_the_shift(monkeypatch, name, structure, actor):
+    # the interface's passes and the S[m] actor each shift at least once
+    calls = {"interface": 0, "actor": 0}
+
+    def counting(module, who):
+        shift_task = module.seg_shift_task
+
+        def spy(*args):
+            calls[who] += 1
+            return shift_task(*args)
+
+        monkeypatch.setattr(module, "seg_shift_task", spy)
+
+    counting(batched, "interface")
+    counting(pipelined, "actor")
+    report = run_experiment(golden_spec(name), structure)
+    assert not report.failed()
+    assert calls["interface"] > 0
+    assert (calls["actor"] > 0) == actor

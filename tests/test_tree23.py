@@ -10,7 +10,8 @@ from wsmap.runtime import concat_tree
 from wsmap.tree23 import (
     Inner, Leaf, StepMeter, Tree23, TreeUsageError, batch_delete_leaves_task,
     batch_delete_pos_task, batch_insert_task, batch_search_task,
-    key_batch_task, pop_extreme_task, push_edge_task, reverse_index_task,
+    batch_update_task, key_batch_task, pop_extreme_task, push_edge_task,
+    reverse_index_task,
 )
 
 
@@ -591,6 +592,26 @@ def test_leaf_delete_batch_rejects_dead_or_unsorted_leaves():
         run_task(batch_delete_leaves_task(t, [leaves[4], leaves[2]]))
     with pytest.raises(TreeUsageError, match="sorted and distinct"):
         run_task(batch_delete_leaves_task(t, [leaves[2], leaves[2]]))
+
+
+def test_mixed_update_batch_deletes_and_inserts_in_one_pass():
+    # held leaves and new pairs merge into one key batch; each list must be
+    # key-sorted on its own, so the merge cannot hide a disorder
+    t, leaves = _build(range(0, 20, 2))
+    new, _m, _rt = run_task(batch_update_task(
+        t, [leaves[1], leaves[3]], [(1, "a"), (5, "b"), (19, "c")]))
+    assert [(lf.key, lf.val) for lf in new] == [(1, "a"), (5, "b"), (19, "c")]
+    assert not leaves[1].alive and not leaves[3].alive
+    t.audit(sorted_keys=True)
+    assert [lf.key for lf in t.leaves()] == [0, 1, 4, 5, 8, 10, 12, 14, 16,
+                                             18, 19]
+    t, leaves = _build(range(0, 20, 2))
+    shape = tree_dump(t)
+    with pytest.raises(TreeUsageError, match="sorted and distinct"):
+        run_task(batch_update_task(t, [leaves[4], leaves[2]], [(5, None)]))
+    with pytest.raises(TreeUsageError, match="sorted and distinct"):
+        run_task(batch_update_task(t, [leaves[2]], [(9, None), (7, None)]))
+    assert tree_dump(t) == shape
 
 
 def test_insert_batch_span_grows_by_one_split_and_join_per_doubling():
