@@ -5,9 +5,10 @@ its runtime's. One cycle flushes the parallel buffer, cuts the input into
 p^2-sized bunches on a feed buffer, forms a cut batch, entropy-sorts it so
 same-key operations combine into group-operations, and sweeps the segment
 list. Hits return immediately and shift to the front of the previous
-segment, deletions travel to the end, capacity prefixes are restored
-boundary by boundary, and trailing insertions are carved into just-enough
-new segments.
+segment, in one boundary move with as much of that segment's surplus as it
+holds (`segments.seg_move_task`), deletions travel to the end, capacity
+prefixes are restored boundary by boundary, and trailing insertions are
+carved into just-enough new segments.
 
 A map built on it sets three policies: how many bunches a cut batch takes
 (`_form_cut`), how finished groups enter the linearization (`_record`), and
@@ -28,8 +29,8 @@ from .core import DELETE, INSERT, UPDATE, OpResult
 from .pbuffer import ParallelBuffer
 from .runtime import ActivationGate, BUFFER, Call, concat_tree, par_map
 from .segments import (
-    PairedSegment, preload_segment, restore_prefix_task, seg_insert_block_task,
-    seg_remove_found_task, seg_shift_task,
+    PairedSegment, preload_segment, restore_prefix_task, seg_move_task,
+    seg_update_task,
 )
 from .sortlib import pesort_task
 from .tree23 import StepMeter, batch_search_task
@@ -153,23 +154,25 @@ class SegmentedMap:
         """One pass over segment k; returns the unfinished groups (deletions
         stay, tagged). The found items leave S[k], the kept ones enter
         S[k-1]'s front (S[0]'s own at k = 0), and the capacity prefixes are
-        restored boundary by boundary from k inward. For k >= 1, when the
-        boundary-k surplus, counted with the keeps, lies in (0, |S[k-1]|],
-        the removal, the insert and that boundary's move are one
-        seg_shift_task."""
+        restored boundary by boundary from k inward. For k >= 1 the removal,
+        the insert and as much of boundary k's surplus, counted with the
+        keeps, as S[k-1] holds are one seg_move_task."""
         seg = self.segments[k]
         leaves = yield from batch_search_task(seg.keys, [g.key for g in pending])
         found = [(g, lf) for g, lf in zip(pending, leaves) if lf is not None]
         found_leaves = [lf for _g, lf in found]
         keeps, deliveries = self._resolve_found(found)
-        left = self.segments[k - 1] if k > 0 else seg
-        surplus = len(keeps) + sum(s.size - s.cap for s in self.segments[:k])
-        if k > 0 and 0 < surplus <= left.size:
-            yield from seg_shift_task(left, seg, found_leaves, keeps, surplus)
+        if found and k > 0:
+            left = self.segments[k - 1]
+            surplus = len(keeps) + sum(s.size - s.cap
+                                       for s in self.segments[:k])
+            yield from seg_move_task(left, seg, min(max(surplus, 0), left.size),
+                                     "back", "front", found_leaves, keeps)
         elif found:
-            yield from seg_remove_found_task(seg, found_leaves)
+            yield from seg_update_task(seg, [lf.twin for lf in found_leaves],
+                                       found_leaves, [], [], "front")
             if keeps:
-                yield from seg_insert_block_task(left, keeps, "front")
+                yield from seg_update_task(seg, [], [], keeps, keeps, "front")
         if deliveries:
             self._deliver(deliveries)
         yield from restore_prefix_task(self.segments, k)
@@ -223,8 +226,8 @@ class SegmentedMap:
             if seg is None or seg.size >= seg.cap:
                 seg = self._grow_segment()
             take = min(seg.cap - seg.size, len(inserts) - idx)
-            yield from seg_insert_block_task(seg, inserts[idx:idx + take],
-                                             "back")
+            block = inserts[idx:idx + take]
+            yield from seg_update_task(seg, [], [], block, block, "back")
             idx += take
         if deliveries:
             self._deliver(deliveries)

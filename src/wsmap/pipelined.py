@@ -12,7 +12,8 @@ key's entry and finishes together with it. Neighbour-locks serialize
 adjacent segment runs (acquired in the alternating arrow order, so no
 cycles form) and front-locks FL[0..] serialize every access to the filter
 and S[m]'s contents; `_front_acquire`/`_front_release` are the one place
-that takes and releases them. Locks are made on first use; the runtime
+that takes and releases them. An actor's step-4d segment update forks beside
+its filter delete; at S[m] it is one `seg_move_task` across S[m-1]|S[m]. Locks are made on first use; the runtime
 learns of one when a task parks on it. All final-slab nodes are owned by
 DS_FINAL, so they run on the high-priority queue; interface activations
 stay on the low queue. m comes from the runtime's p unless overridden.
@@ -27,8 +28,7 @@ from .runtime import (
     Acquire, ActivationGate, DS, DS_FINAL, DedicatedLock, Par, concat_tree,
 )
 from .segments import (
-    PairedSegment, boundary_move, seg_insert_block_task, seg_remove_found_task,
-    seg_shift_task,
+    PairedSegment, boundary_move, seg_move_task, seg_update_task,
 )
 from .tree23 import (
     Tree23, batch_delete_leaves_task, batch_insert_task, batch_search_task,
@@ -254,7 +254,8 @@ class PipelinedWorkingSetMap(SegmentedMap):
         found = [(g, lf) for g, lf in zip(batch, leaves) if lf is not None]
         found_leaves = [lf for _g, lf in found]
         if k > self.m:
-            yield from seg_remove_found_task(seg, found_leaves)
+            yield from seg_update_task(seg, [lf.twin for lf in found_leaves],
+                                       found_leaves, [], [], "front")
             # step 4b: deeper segments' front access spans steps 4b-4f
             fl_t0 = yield from self._front_acquire(k)
         # step 4c: consult the filter to split R into kept items R' and
@@ -263,8 +264,9 @@ class PipelinedWorkingSetMap(SegmentedMap):
         keeps, delivered = self._resolve_found(found)
         # step 4d: return results for R', insert R' at the front of S[m'],
         # and at the terminal segment finish everything else too; the
-        # delivered groups' filter entries are deleted by handle, and the
-        # filter count and the deliveries change after the segment update
+        # segment update forks beside the delete of the delivered groups'
+        # filter entries, and the filter count and the deliveries change
+        # after the join
         dst = segs[min(k - 1, self.m)]
         inserts = []
         if self.terminal == k:
@@ -272,27 +274,22 @@ class PipelinedWorkingSetMap(SegmentedMap):
                 [g for g in batch if not g.finished])
             delivered += rest
         block = sorted(keeps + inserts, key=lambda kv: kv[0].value)
-        drop = None
+        update = drop = None
+        if k == self.m:
+            # the S[m] actor also removes R from S[m] and moves as much of
+            # S[m-1]'s surplus, counted with the block, as S[m-1] holds
+            surplus = dst.size - dst.cap + len(block)
+            update = seg_move_task(dst, seg, min(max(surplus, 0), dst.size),
+                                   "back", "front", found_leaves, block)
+        elif block:
+            update = seg_update_task(dst, [], [], block, block, "front")
         if delivered:
             drop = batch_delete_leaves_task(self.filter, sorted(
                 (g.filter_leaf for g, _r in delivered), key=lambda lf: lf.hi))
-        surplus = dst.size - dst.cap + len(block)
-        if k == self.m and 0 < surplus <= dst.size:
-            # at S[m], when S[m-1]'s surplus with the block fits in S[m-1],
-            # one shift also removes R from S[m] and makes steps 4g/4h's
-            # move, and the filter delete forks beside it
-            shift = seg_shift_task(dst, seg, found_leaves, block, surplus)
-            if drop is None:
-                yield from shift
-            else:
-                yield Par(shift, drop)
-        else:
-            if k == self.m:
-                yield from seg_remove_found_task(seg, found_leaves)
-            if block:
-                yield from seg_insert_block_task(dst, block, "front")
-            if drop is not None:
-                yield from drop
+        if update and drop:
+            yield Par(update, drop)
+        elif update or drop:
+            yield from update or drop
         if delivered:
             self._resize_filter(-len(delivered))
             self._deliver(delivered)
@@ -303,8 +300,8 @@ class PipelinedWorkingSetMap(SegmentedMap):
         if k > self.m:
             yield from self._front_release(k, fl_t0)
         # steps 4g/4h: rebalance against the previous segment, pulling at
-        # most as many items as this batch deleted (after a shift at S[m],
-        # S[m-1] is exactly full and nothing moves)
+        # most as many items as this batch deleted (at S[m], step 4d already
+        # moved S[m-1]'s surplus up to |S[m-1]|, and this moves the rest)
         left = segs[k - 1]
         dels = sum(1 for g in batch if g.found_value is not None)
         move = boundary_move(left, seg, left.size - left.cap, dels)

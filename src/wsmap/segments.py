@@ -6,11 +6,12 @@ the paired leaves. Batch finds go through the key tree; recency-edge blocks
 move between segments through reverse-indexing, exactly so every composite
 stays within batched-tree work/span. A new block arrives key-sorted; a moved
 block is sorted once for both key trees. Leaves already in hand are deleted
-by handle in every tree, with no search. Trees that share no node update as
-the branches of one fork (a segment's two trees in a block insert and a
-found-removal, the source key tree and the destination segment in a block
-move, all four trees of two neighbouring segments in a hit pass's shift),
-and twins are linked after the join.
+by handle in every tree, with no search. Two tasks change segments:
+`seg_update_task` updates one segment, its two trees as the branches of one
+fork, and `seg_move_task` makes every change across one boundary (a hit
+pass's found-removal, keep insert and restoring move, or a plain block move)
+as the source's update forked beside the destination's. Twins are linked
+after each join.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from __future__ import annotations
 from .runtime import Par, merge_sort_task
 from .seqmap import segment_capacity
 from .tree23 import (
-    Tree23, batch_delete_leaves_task, batch_delete_pos_task, batch_update_task,
-    pop_extreme_task, push_edge_task, reverse_index_task,
+    Tree23, batch_delete_pos_task, batch_update_task, pop_extreme_task,
+    push_edge_task, reverse_index_task,
 )
 
 
@@ -66,62 +67,15 @@ def _link_twins(pairs, rec_leaves, key_leaves):
         rl.twin = kl
 
 
-def seg_remove_found_task(seg, key_leaves):
-    """Remove the given (live, key-tree) leaves from both trees, the recency
-    tree and the key tree in parallel."""
-    if not key_leaves:
-        yield 1
-        return
-    yield Par(_delete_handles_task(seg.rec, [lf.twin for lf in key_leaves]),
-              batch_delete_leaves_task(seg.keys, key_leaves))
-
-
-def _delete_handles_task(tree, leaves):
-    located = yield from reverse_index_task(tree, leaves)
-    yield from batch_delete_pos_task(tree, located)
-
-
-def seg_insert_block_task(seg, pairs, end):
-    """Insert new items at the chosen end; pairs is non-empty and
-    key-sorted, and its key order is also their recency order."""
-    yield from _update_block_task(seg, [], [], pairs, pairs, end)
-
-
-def seg_move_block_task(src, dst, count, src_end, dst_end):
-    """Move src's count (> 0) items at src_end to dst's dst_end, keeping
-    their recency order; one key sort serves both key trees, whose updates
-    run in parallel."""
-    rec_leaves = yield from pop_extreme_task(src.rec, count, src_end)
-    by_key = yield from merge_sort_task(rec_leaves, key=lambda lf: lf.key)
-    yield Par(batch_delete_leaves_task(src.keys, [lf.twin for lf in by_key]),
-              _update_block_task(dst, [], [],
-                                 [(lf.key, lf.val) for lf in rec_leaves],
-                                 [(lf.key, lf.val) for lf in by_key], dst_end))
-
-
-def seg_shift_task(left, right, found_leaves, block, surplus):
-    """One hit pass's update across the boundary left|right: remove the
-    found (key-tree) leaves from right, insert the new key-sorted block at
-    left's front and move left's surplus (0 < surplus <= |left|) least
-    recent items, taken before the insert, to right's front. The moved
-    items are sorted once; then each of the four trees runs one batch, all
-    four in one fork."""
-    moved = yield from pop_extreme_task(left.rec, surplus, "back")
-    by_key = yield from merge_sort_task(moved, key=lambda lf: lf.key)
-    yield Par(_update_block_task(left, [], [lf.twin for lf in by_key],
-                                 block, block, "front"),
-              _update_block_task(right, [lf.twin for lf in found_leaves],
-                                 found_leaves,
-                                 [(lf.key, lf.val) for lf in moved],
-                                 [(lf.key, lf.val) for lf in by_key], "front"))
-
-
-def _update_block_task(seg, rec_dead, key_dead, pairs, by_key, end):
+def seg_update_task(seg, rec_dead, key_dead, pairs, by_key, end):
     """Delete held leaves by handle, rec_dead from the recency tree and the
     key-sorted key_dead from the key tree, and insert new items: pairs in
     recency order at the chosen end, by_key the same pairs in key order.
-    The two trees update in parallel, and twins are linked after the
-    join."""
+    The two trees update in parallel, and twins are linked after the join;
+    when nothing touches the recency tree, only the key batch runs."""
+    if not (rec_dead or pairs):
+        yield from batch_update_task(seg.keys, key_dead, by_key)
+        return
     rec_leaves, key_leaves = yield Par(
         _delete_push_task(seg.rec, rec_dead, pairs, end),
         batch_update_task(seg.keys, key_dead, by_key))
@@ -130,8 +84,30 @@ def _update_block_task(seg, rec_dead, key_dead, pairs, by_key, end):
 
 def _delete_push_task(rec, dead, pairs, end):
     if dead:
-        yield from _delete_handles_task(rec, dead)
-    return (yield from push_edge_task(rec, pairs, end))
+        located = yield from reverse_index_task(rec, dead)
+        yield from batch_delete_pos_task(rec, located)
+    return (yield from push_edge_task(rec, pairs, end)) if pairs else []
+
+
+def seg_move_task(src, dst, count, src_end, dst_end, found=(), block=()):
+    """Every update across one segment boundary: move src's count (>= 0)
+    items at src_end to dst's dst_end, keeping their recency order, while
+    the new key-sorted block enters src's front and dst's found (key-tree)
+    leaves leave it. The moved items are popped and sorted by key once;
+    then src's update forks beside dst's. With neither a move nor a block,
+    only dst updates."""
+    moved = by_key = ()
+    if count:
+        moved = yield from pop_extreme_task(src.rec, count, src_end)
+        by_key = yield from merge_sort_task(moved, key=lambda lf: lf.key)
+    dst_update = seg_update_task(dst, [lf.twin for lf in found], found,
+                                 [(lf.key, lf.val) for lf in moved],
+                                 [(lf.key, lf.val) for lf in by_key], dst_end)
+    if count or block:
+        yield Par(seg_update_task(src, [], [lf.twin for lf in by_key],
+                                  block, block, "front"), dst_update)
+    else:
+        yield from dst_update
 
 
 def boundary_move(left, right, surplus, limit=None):
@@ -141,12 +117,12 @@ def boundary_move(left, right, surplus, limit=None):
     most right's size and limit. Returns the move task, or None (no
     generator built) when nothing moves."""
     if surplus > 0:
-        return seg_move_block_task(left, right, surplus, "back", "front")
+        return seg_move_task(left, right, surplus, "back", "front")
     pull = min(-surplus, right.size)
     if limit is not None and limit < pull:
         pull = limit
     if pull > 0:
-        return seg_move_block_task(right, left, pull, "front", "back")
+        return seg_move_task(right, left, pull, "front", "back")
     return None
 
 

@@ -13,8 +13,7 @@ from wsmap.core import (
 from wsmap import segments
 from wsmap.runtime import Runtime
 from wsmap.segments import (
-    PairedSegment, preload_segment, seg_insert_block_task, seg_move_block_task,
-    seg_remove_found_task,
+    PairedSegment, preload_segment, seg_move_task, seg_update_task,
 )
 from wsmap.tree23 import (
     StepMeter, batch_delete_leaves_task, batch_insert_task, pop_extreme_task,
@@ -254,10 +253,10 @@ def test_block_insert_sorts_nothing_and_a_move_sorts_once(monkeypatch):
     src, dst = PairedSegment(3, meter), PairedSegment(4, meter)
     for lo in (0, 4):
         block = [(Key(k, ctr), k) for k in range(lo, lo + 4)]
-        run_task(seg_insert_block_task(src, block, "front"))
+        run_task(seg_update_task(src, [], [], block, block, "front"))
     assert sorts == []
     # recency order 4..7, 0..3: the moved back block is not key-sorted
-    run_task(seg_move_block_task(src, dst, 6, "back", "front"))
+    run_task(seg_move_task(src, dst, 6, "back", "front"))
     assert sorts == [6]
     assert [lf.key.value for lf in dst.rec.leaves()] == [6, 7, 0, 1, 2, 3]
     assert [lf.key.value for lf in src.rec.leaves()] == [4, 5]
@@ -282,12 +281,13 @@ def test_paired_segment_fork_keeps_both_trees_and_twins():
     meter, ctr = StepMeter(), CmpCounter()
     seg = _preloaded_segment(40, meter, ctr)
     block = [(Key(k, ctr), k) for k in (0, 10, 20, 30, 84)]
-    run_task(seg_insert_block_task(seg, block, "front"))
+    run_task(seg_update_task(seg, [], [], block, block, "front"))
     _audit_both_ways(seg)
     assert [lf.key.value for lf in seg.rec.leaves()][:6] == [0, 10, 20, 30,
                                                             84, 79]
     found = [seg.keys.search(Key(k, ctr)) for k in (0, 7, 30, 79, 84)]
-    run_task(seg_remove_found_task(seg, found))
+    run_task(seg_update_task(seg, [lf.twin for lf in found], found, [], [],
+                             "front"))
     _audit_both_ways(seg)
     assert seg.size == 40
     assert [lf.key.value for lf in seg.rec.leaves()][:4] == [10, 20, 77, 75]
@@ -306,7 +306,9 @@ def test_block_insert_span_below_its_two_tree_updates_in_sequence():
     _, insert, _rt = run_task(batch_insert_task(alone.keys, block(ctr)))
     meter, ctr = StepMeter(), CmpCounter()
     seg = _preloaded_segment(200, meter, ctr)
-    _, both, _rt = run_task(seg_insert_block_task(seg, block(ctr), "front"))
+    pairs = block(ctr)
+    _, both, _rt = run_task(seg_update_task(seg, [], [], pairs, pairs,
+                                            "front"))
     seg.audit()
     # each run_task adds one root node to the span it reports
     push_span, insert_span, both_span = (
@@ -331,11 +333,11 @@ def test_block_move_span_below_its_two_tree_updates_in_sequence():
         segments.merge_sort_task(rec_leaves, key=lambda lf: lf.key))
     _, delete, _rt = run_task(
         batch_delete_leaves_task(src.keys, [lf.twin for lf in by_key]))
-    _, insert, _rt = run_task(segments._update_block_task(
+    _, insert, _rt = run_task(seg_update_task(
         dst, [], [], [(lf.key, lf.val) for lf in rec_leaves],
         [(lf.key, lf.val) for lf in by_key], "front"))
     src, dst = segments_pair()
-    _, move, _rt = run_task(seg_move_block_task(src, dst, 16, "back", "front"))
+    _, move, _rt = run_task(seg_move_task(src, dst, 16, "back", "front"))
     _audit_both_ways(src)
     _audit_both_ways(dst)
     assert src.size == 184 and dst.size == 216

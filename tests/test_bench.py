@@ -332,8 +332,8 @@ _GOLDEN_FILES = sorted(GOLDEN.glob("*.json"))
 # M2 runs whose final slab ends closed or open, and the work each shipped
 # M2 run charges to it under either scheduler (two open it)
 _FINAL_SLAB_OPEN = {"m2-first_slab_m2": False, "m2-deep_insert_m2-600": True}
-_M2_FINAL_SLAB_WORK = {"coldest_serial-m2": 3971, "hotset_mixed-m2": 0,
-                       "uniform_wide-m2": 35104, "zipf_small-m2": 0}
+_M2_FINAL_SLAB_WORK = {"coldest_serial-m2": 4004, "hotset_mixed-m2": 0,
+                       "uniform_wide-m2": 35146, "zipf_small-m2": 0}
 
 
 def _moved(old, new, path=""):

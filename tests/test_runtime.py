@@ -905,13 +905,13 @@ def test_untraced_matches_traced_map_runs(structure, scheduler, m_override):
 
 @pytest.mark.parametrize("structure, scheduler, m_override, digest", [
     ("m1", "greedy", None,
-     "c8e4325a3297ae1d748d4fc769e0c277718fe2aaa61052875c2b7ec43021d6f0"),
+     "6de81dd4efa06798eab69ebff911bef3ffa246d77f04d0287234eef862e727d1"),
     ("m2", "weak_priority", None,
-     "ad5a12ba4e66f07a906ea52fabc77142bda9cfeba9dbeceef5c25166fa445439"),
+     "21a168285ae304ac0d9c646f8e23c359088bf2f44566ba245e4e214569e4e3a8"),
     ("m2", "weak_priority", 1,
-     "b51a6f7202882e4abdaf2eaf01c2da68a61482e25a29d9c66776a8e04c1993b4"),
+     "73bbcc7b0e9408c13f30dff876b9c20861a221586616bb4c59162e2cb6f44740"),
     ("m2", "greedy", 1,
-     "3cddc4abb40e7f1656ef52c1d9fe003e0ceedfc0106655a6ab28db16f5e85ce2"),
+     "efc1f893d57884b3c41bddb91f2c6426bdc673a045ab4577507b021df99144bd"),
 ], ids=[f"{s}-{sched}-{m}" for s, sched, m in _MAP_CASES])
 def test_traced_runtime_pinned(structure, scheduler, m_override, digest):
     assert _traced_map_digest(structure, scheduler, m_override) == digest

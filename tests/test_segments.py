@@ -1,6 +1,6 @@
 """The segment shift: one hit pass's removal, keep insert and boundary move
-as one fork of four tree batches, checked against the three phases it
-replaces, and where the maps take it."""
+as one seg_move_task, checked against the three phases it replaces, and
+where the maps take it."""
 
 import random
 
@@ -13,8 +13,8 @@ from wsmap.bench import run_experiment
 from wsmap.core import DELETE, SEARCH, CmpCounter, Key, Operation
 from wsmap.runtime import Runtime
 from wsmap.segments import (
-    PairedSegment, boundary_move, preload_segment, seg_insert_block_task,
-    seg_remove_found_task, seg_shift_task,
+    PairedSegment, boundary_move, preload_segment, seg_move_task,
+    seg_update_task,
 )
 from wsmap.tree23 import StepMeter
 
@@ -43,19 +43,27 @@ def _state(seg):
 
 def _run_both(left_items, right_items, found_idx, block_items, surplus):
     """(shift, three-phase) end states of one random case: found_idx picks
-    right's key-order positions, block_items are key-sorted (key, value)."""
+    right's key-order positions, block_items are key-sorted (key, value).
+    The shift moves at most |left| items, as the maps clamp it, and a
+    boundary move takes the rest."""
     states = []
     for shift in (True, False):
         (left, right), ctr = _pair(left_items, right_items)
         found = [right.keys.leaves()[i] for i in found_idx]
         block = [(Key(k, ctr), v) for k, v in block_items]
         if shift:
-            run_task(seg_shift_task(left, right, found, block, surplus))
+            count = min(surplus, left.size)
+            run_task(seg_move_task(left, right, count, "back", "front",
+                                   found, block))
+            rest = boundary_move(left, right, surplus - count)
         else:
-            run_task(seg_remove_found_task(right, found))
+            run_task(seg_update_task(right, [lf.twin for lf in found], found,
+                                     [], [], "front"))
             if block:
-                run_task(seg_insert_block_task(left, block, "front"))
-            run_task(boundary_move(left, right, surplus))
+                run_task(seg_update_task(left, [], [], block, block, "front"))
+            rest = boundary_move(left, right, surplus)
+        if rest is not None:
+            run_task(rest)
         states.append((_state(left), _state(right)))
     return states
 
@@ -76,7 +84,7 @@ def test_shift_equals_remove_insert_move(seed):
         kept = [by_key[i] for i in found_idx if rnd.random() < 0.6]
         fresh = keys[n_left + n_right:][:rnd.choice((0, 0, 3, 8))]
         block_items = sorted([(k, k) for k in kept + fresh])
-        surplus = rnd.randint(1, n_left)
+        surplus = rnd.randint(0, n_left + len(block_items))
         shifted, phased = _run_both(left_items, right_items, found_idx,
                                     block_items, surplus)
         assert shifted == phased, (seed, n_left, n_right, surplus)
@@ -84,7 +92,8 @@ def test_shift_equals_remove_insert_move(seed):
 
 def _map_with_pass_spies(monkeypatch, sizes):
     """An M1 map preloaded to exact capacity, its segment sizes checked,
-    with deliveries dropped and its shift calls counted."""
+    with deliveries dropped and the counts of its passes' boundary moves
+    recorded."""
     rt = Runtime(p=4, scheduler="greedy")
     m = BatchedWorkingSetMap(rt)
     ctr = CmpCounter()
@@ -92,13 +101,13 @@ def _map_with_pass_spies(monkeypatch, sizes):
     assert [seg.size for seg in m.segments] == sizes
     m._deliver = lambda deliveries: None
     calls = []
-    shift_task = batched.seg_shift_task
+    move_task = batched.seg_move_task
 
-    def spy(left, right, found, block, surplus):
-        calls.append(surplus)
-        return shift_task(left, right, found, block, surplus)
+    def spy(src, dst, count, *args):
+        calls.append(count)
+        return move_task(src, dst, count, *args)
 
-    monkeypatch.setattr(batched, "seg_shift_task", spy)
+    monkeypatch.setattr(batched, "seg_move_task", spy)
     return m, ctr, calls
 
 
@@ -110,13 +119,17 @@ def _groups(ctr, kind, keys):
 
 @pytest.mark.parametrize("k, kind, keys, shifted", [
     (0, SEARCH, [0], []),            # k = 0 keeps its hits in S[0]
-    (1, DELETE, [3], []),            # surplus 0: nothing kept
-    (1, SEARCH, [2, 3, 4], []),      # surplus 3 > |S[0]| = 2
+    (1, DELETE, [3], [0]),           # surplus 0: nothing kept
+    (1, SEARCH, [2, 3, 4], [2]),     # surplus 3, clamped to |S[0]| = 2
     (1, SEARCH, [3], [1]),           # surplus 1 fits
     (1, SEARCH, [2, 5], [2]),        # surplus 2 = |S[0]|
-], ids=["k0", "surplus0", "over_left", "one", "all_of_left"])
+    (1, DELETE, [99], []),           # nothing found
+], ids=["k0", "surplus0", "over_left", "one", "all_of_left", "miss"])
 def test_pass_takes_the_shift_only_for_a_surplus_left_holds(
         monkeypatch, k, kind, keys, shifted):
+    # every k >= 1 pass that finds an item makes one seg_move_task, its
+    # count the boundary surplus clamped to [0, |S[k-1]|]; restoring the
+    # prefix moves the rest
     m, ctr, calls = _map_with_pass_spies(monkeypatch, [2, 4, 10])
     before = [[lf.key.value for lf in seg.rec.leaves()] for seg in m.segments]
     pending = _groups(ctr, kind, keys)
@@ -142,13 +155,13 @@ def test_golden_specs_take_the_shift(monkeypatch, name, structure, actor):
     calls = {"interface": 0, "actor": 0}
 
     def counting(module, who):
-        shift_task = module.seg_shift_task
+        move_task = module.seg_move_task
 
-        def spy(*args):
-            calls[who] += 1
-            return shift_task(*args)
+        def spy(src, dst, count, *args):
+            calls[who] += count > 0
+            return move_task(src, dst, count, *args)
 
-        monkeypatch.setattr(module, "seg_shift_task", spy)
+        monkeypatch.setattr(module, "seg_move_task", spy)
 
     counting(batched, "interface")
     counting(pipelined, "actor")
