@@ -342,9 +342,9 @@ class PipelinedWorkingSetMap(SegmentedMap):
 
     def audit_distinctness(self):
         """Final-slab op keys are pairwise distinct and tracked by the
-        filter whenever it is attached (a filter batch holds it detached,
-        reading empty, until it rejoins), which never grows past 2p^2;
-        first-slab items never appear in the filter."""
+        filter whenever it is attached (a filter update batch holds it
+        detached, reading empty, until it rejoins), which never grows past
+        2p^2; first-slab items never appear in the filter."""
         assert self.filter_size <= 2 * self.p2, "filter grew past 2p^2"
         in_flight = []
         for seg in self.final:

@@ -10,7 +10,10 @@ tree live in ``Leaf.twin``. A leaf is removed only through its handle
 
 Structural work is charged to a shared StepMeter (one count per node touch);
 batch tasks convert meter deltas into simulator cost, so measured work/span
-reflect what the split/apply/rejoin recursion actually touched.
+reflect what an update batch's split/apply/rejoin recursion, or a search
+batch's read-only descent, actually touched. A search batch also charges, at
+each inner node, the comparisons of the binary searches that partition its
+keys among the kids.
 
 Descents route on raw key values: every node keeps its largest key's raw
 value in ``hi``, a leaf its own key's value (the key itself when it has no
@@ -516,50 +519,47 @@ def _charge(meter, start):
 
 def _check_sorted_distinct(keys):
     """A usage check, not map work: raw key values are compared, so the
-    comparison count is left alone."""
+    comparison count is left alone. Returns the raw values."""
     vals = [getattr(k, "value", k) for k in keys]
     for a, b in zip(vals, vals[1:]):
         if not a < b:
             raise TreeUsageError("batch keys must be sorted and distinct")
+    return vals
 
 
-def _split_join_task(tree, items, split, leaf, merge):
+def _split_join_task(tree, items, split, leaf):
     """Split the tree at the middle item, recurse on both halves in
     parallel, and join them back (Blelloch, Ferizovic & Sun's join-based
     batch pattern). split(t, items, mid) returns (left tree, right tree,
     the items from mid on re-addressed to the right tree); leaf(t, item)
     applies one item. For a batch of b items let g = b.bit_length() =
-    ceil(log2(b + 1)). Without a merge, runs of at most g items are applied
-    in one node, charged the meter steps it takes, last item first: the
-    recursion is O(log b) deep and a run costs at most g descents, so the
-    span stays O(log b log n) while each item saves a split and a join.
-    Given a merge(t, part), the batch splits down to single items, and a
-    piece of at most 2g leaves plus items is finished by merge in one node
-    instead. Returns the per-item results in item order."""
+    ceil(log2(b + 1)). Runs of at most g items are applied in one node,
+    charged the meter steps it takes, last item first: the recursion is
+    O(log b) deep and a run costs at most g descents, so the span stays
+    O(log b log n) while each item saves a split and a join. Returns the
+    per-item results in item order."""
     if not items:
         yield 1
         return []
     piece = Tree23(tree.meter).adopt(tree)
-    results = yield from _split_join_rec(piece, items, split, leaf, merge,
+    results = yield from _split_join_rec(piece, items, split, leaf,
                                          len(items).bit_length())
     tree.adopt(piece)
     return results
 
 
-def _split_join_rec(t, items, split, leaf, merge, g):
+def _split_join_rec(t, items, split, leaf, g):
     meter = t.meter
     start = meter.count
-    if len(items) <= (1 if merge else g):
+    if len(items) <= g:
         res = [leaf(t, item) for item in reversed(items)][::-1]
-    elif merge and len(t) + len(items) <= 2 * g:
-        res = merge(t, items)
     else:
         mid = len(items) // 2
         left_t, right_t, right_items = split(t, items, mid)
         yield _charge(meter, start)
         lres, rres = yield Par(
-            _split_join_rec(left_t, items[:mid], split, leaf, merge, g),
-            _split_join_rec(right_t, right_items, split, leaf, merge, g))
+            _split_join_rec(left_t, items[:mid], split, leaf, g),
+            _split_join_rec(right_t, right_items, split, leaf, g))
         start = meter.count
         left_t.join(right_t)
         t.adopt(left_t)
@@ -573,53 +573,123 @@ def _split_by_pos(t, located, mid):
     return (*t.split_pos(cut), [(p - cut, lf) for p, lf in located[mid:]])
 
 
-def key_batch_task(tree, items, key, apply, merge):
+def key_batch_task(tree, items, key, apply):
     """Run apply(t, item) on each item of a batch whose keys key(item) are
     sorted and distinct, as a split/apply/rejoin task DAG that applies runs
-    of items in one node (the keys are distinct, so in any order) and,
-    given a merge, finishes small pieces with it (see _split_join_task);
-    returns the results in batch order."""
+    of items in one node (the keys are distinct, so in any order; see
+    _split_join_task); returns the results in batch order."""
     _check_sorted_distinct([key(item) for item in items])
 
     def split(t, part, mid):
         return (*t.split_lt(key(part[mid])), part[mid:])
 
-    return (yield from _split_join_task(tree, items, split, apply, merge))
+    return (yield from _split_join_task(tree, items, split, apply))
 
 
-def _merge_search(t, keys):
-    """The live leaf of each of the sorted keys, None for a miss: walk the
-    piece level by level, as leaves() does, and match the keys against its
-    leaves in one merge pass. One meter step per node touched and one per
-    key; each key's comparisons go to its counter, as in search."""
-    level = [] if t.root is None else [t.root]
-    nodes = len(level)
-    for _ in range(t.height):
-        level = [kid for node in level for kid in node.kids]
-        nodes += len(level)
-    t.meter.count += nodes + len(keys)
-    res = []
-    i, n = 0, len(level)
-    for key in keys:
-        kv = getattr(key, "value", key)
-        passed = i
-        while i < n and level[i].hi < kv:
-            i += 1
-        hit = level[i] if i < n and level[i].hi == kv else None
-        # one comparison per leaf passed, then the stopping and equality tests
-        _count(key, i - passed + (2 if i < n else 0))
-        res.append(hit)
-    return res
+def _cut(vals, kv, lo, hi):
+    """The first index in [lo, hi) whose value exceeds kv (hi if none), by
+    binary search; also returns the comparisons it made, at most
+    ceil(log2(hi - lo + 1))."""
+    cmps = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        cmps += 1
+        if kv < vals[mid]:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo, cmps
 
 
 def batch_search_task(tree, keys):
-    """The live leaf of each key, None for a miss. A piece of at most
-    2 * len(keys).bit_length() leaves plus keys is merged in one node
-    (_merge_search), so it costs O(log K) for a batch of K keys, and a
-    lone key descends with search; larger pieces split down to one key
-    per node, so a search in a large segment pays no merge walk."""
-    return (yield from key_batch_task(tree, keys, lambda k: k, Tree23.search,
-                                      _merge_search))
+    """The live leaf of each of the sorted, distinct keys, None for a miss,
+    by one read-only descent (Paul, Vishkin & Wagener's multi-search on 2-3
+    trees) that never splits, joins or detaches the tree. A task holds a
+    node and an index range of the key list and writes results by index
+    into one list. For a batch of K keys and g = K.bit_length(), a lone key
+    descends with search (its subtree taken as a tree); a subtree of at
+    most 2g leaves plus keys is finished in one node by a merge, charged
+    one meter step per node and one per key, each key counting one
+    comparison per leaf passed plus the stopping and equality tests; a leaf
+    reached by more keys tests the last key not above its own after one
+    binary search; an inner node cuts its range at its kids' hi values with
+    at most two binary searches, charged one step plus their comparisons
+    (at most ceil(log2(k + 1)) each for k keys), and forks over the kids
+    that receive keys, or continues into the one kid that does. Every node
+    is O(log K), so the span stays O(log K · log n). An empty tree charges
+    one step per key. Searching in place is safe because no tree is
+    searched while another task updates it: M2's filter is used only under
+    fl[0], S[m-1] only under nl[m] and the front-locks, a final-slab
+    segment only under a neighbour-lock its searching actor holds (S[m]
+    also under the front-locks), and the rest of the first slab, like every
+    segment of M1, only by the interface."""
+    vals = _check_sorted_distinct(keys)
+    res = [None] * len(keys)
+    meter = tree.meter
+    cutoff = 2 * len(keys).bit_length()
+
+    def merge(node, h, lo, hi):
+        level = [node]
+        nodes = 1
+        for _ in range(h):
+            level = [kid for n in level for kid in n.kids]
+            nodes += len(level)
+        meter.count += nodes + hi - lo
+        i, n = 0, len(level)
+        for j in range(lo, hi):
+            kv = vals[j]
+            passed = i
+            while i < n and level[i].hi < kv:
+                i += 1
+            if i < n and level[i].hi == kv:
+                res[j] = level[i]
+            # one comparison per leaf passed, then the stopping and
+            # equality tests
+            _count(keys[j], i - passed + (2 if i < n else 0))
+
+    def descend(node, h, lo, hi):
+        start = meter.count
+        while h and hi - lo > 1 and node.size + hi - lo > cutoff:
+            kids = node.kids
+            bounds, cmps = [lo], 0
+            for kid in kids[:-1]:
+                cut, more = _cut(vals, kid.hi, bounds[-1], hi)
+                bounds.append(cut)
+                cmps += more
+            bounds.append(hi)
+            meter.count += 1 + cmps
+            _count(keys[lo], cmps)
+            parts = [(kid, h - 1, a, b)
+                     for kid, a, b in zip(kids, bounds, bounds[1:]) if a < b]
+            if len(parts) > 1:
+                yield _charge(meter, start)
+                yield from par_map(parts, lambda part: descend(*part))
+                return
+            node, h, lo, hi = parts[0]
+        if hi - lo == 1:
+            sub = Tree23(meter)
+            sub.root, sub.height = node, h
+            res[lo] = sub.search(keys[lo])
+        elif node.size + hi - lo <= cutoff:
+            merge(node, h, lo, hi)
+        else:
+            cut, cmps = _cut(vals, node.hi, lo, hi)
+            if cut > lo:
+                cmps += 1
+                if vals[cut - 1] == node.hi:
+                    res[cut - 1] = node
+            meter.count += 1 + cmps
+            _count(keys[lo], cmps)
+        yield _charge(meter, start)
+
+    if not keys:
+        yield 1
+    elif tree.root is None:
+        meter.count += len(keys)
+        yield len(keys)
+    else:
+        yield from descend(tree.root, tree.height, 0, len(keys))
+    return res
 
 
 def batch_update_task(tree, leaves, pairs):
@@ -636,8 +706,7 @@ def batch_update_task(tree, leaves, pairs):
             else getattr(it[0], "value", it[0])))
     done = yield from key_batch_task(
         tree, items, lambda it: it.key if type(it) is Leaf else it[0],
-        lambda t, it: t.delete_leaf(it) if type(it) is Leaf else t.insert(*it),
-        None)
+        lambda t, it: t.delete_leaf(it) if type(it) is Leaf else t.insert(*it))
     return [lf for it, lf in zip(items, done) if type(it) is not Leaf]
 
 
@@ -679,8 +748,7 @@ def batch_delete_pos_task(tree, located):
         if not a < b:
             raise TreeUsageError("positions must be sorted and distinct")
     return (yield from _split_join_task(tree, list(located), _split_by_pos,
-                                        lambda t, pl: t.delete_leaf(pl[1]),
-                                        None))
+                                        lambda t, pl: t.delete_leaf(pl[1])))
 
 
 def push_edge_task(tree, pairs, end):

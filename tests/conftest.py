@@ -80,8 +80,7 @@ def batch_op_task(tree, ops):
     value. Returns one result per op: the live leaf for search/insert hits
     and inserts, the dead leaf for deletes that removed something, None for
     misses."""
-    return (yield from key_batch_task(tree, ops, itemgetter(1), _apply_op,
-                                      None))
+    return (yield from key_batch_task(tree, ops, itemgetter(1), _apply_op))
 
 
 def run_map_workload(make_map, chains, p=8, scheduler="greedy"):

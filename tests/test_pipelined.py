@@ -12,7 +12,9 @@ from wsmap.core import (
 )
 from wsmap.pipelined import PipelinedWorkingSetMap, first_slab_depth
 from wsmap.runtime import Runtime
-from wsmap.tree23 import TreeUsageError, batch_search_task
+from wsmap.tree23 import (
+    TreeUsageError, batch_delete_leaves_task, batch_insert_task,
+)
 
 
 def _maker(m_override=None, audit=True):
@@ -269,8 +271,9 @@ def test_a_stale_filter_size_at_the_end_of_a_run_fails_run_experiment(
 
 
 def test_interface_waits_while_a_filter_batch_holds_a_full_filter():
-    # a filter batch works on a detached piece, so len(m.filter) reads 0
-    # until it finishes; the interface must still see more than p^2 entries
+    # a filter update batch works on a detached piece, so len(m.filter)
+    # reads 0 until it finishes; the interface must still see more than p^2
+    # entries
     rt = Runtime(p=4)
     m = PipelinedWorkingSetMap(rt)
     rt.spawn_root(m._filter_pass([GroupOp(Key(i), [])
@@ -278,13 +281,14 @@ def test_interface_waits_while_a_filter_batch_holds_a_full_filter():
     rt.run()
     m.feed.append([[(Operation(0, SEARCH, Key(0)), None)]])
     assert not m._ready()
-    search = batch_search_task(m.filter, [Key(0)])
-    next(search)
+    insert = batch_insert_task(m.filter, [(Key(m.p2 + 1), None)])
+    next(insert)
     assert len(m.filter) == 0
     assert not m._ready()
     with pytest.raises(StopIteration):
-        search.send(None)
-    assert m.filter_size == len(m.filter) == m.p2 + 1
+        insert.send(None)
+    m._resize_filter(1)
+    assert m.filter_size == len(m.filter) == m.p2 + 2
 
 
 def _deep_insert_m2(n_ops=400, seed=1):
@@ -491,21 +495,23 @@ def test_distinctness_audit_checks_an_attached_filter_mid_cycle():
 
 
 def test_distinctness_audit_skips_a_filter_a_batch_holds_detached():
-    # a filter batch works on a detached piece, so the filter reads empty
-    # until it rejoins; the in-flight check then waits for the rejoin
+    # a filter update batch works on a detached piece, so the filter reads
+    # empty until it rejoins; the in-flight check then waits for the rejoin
     m, _metrics = _deep_insert_m2()
     key = Key(-1)
     m.segments[m.terminal].in_flight = [GroupOp(key, [])]
     m.filter.insert(key, None)
-    m.filter_size += 1
+    delivered = m.filter.insert(Key(-2), None)
+    m.filter_size += 2
     m.gate.held = True
     m.audit_distinctness()
-    search = batch_search_task(m.filter, [key])
-    next(search)
-    assert len(m.filter) == 0 and m.filter_size == 1
+    drop = batch_delete_leaves_task(m.filter, [delivered])
+    next(drop)
+    assert len(m.filter) == 0 and m.filter_size == 2
     m.audit_distinctness()
     with pytest.raises(StopIteration):
-        search.send(None)
+        drop.send(None)
+    m._resize_filter(-1)
     m.audit_distinctness()
     m.gate.held = False
     m.audit_distinctness()

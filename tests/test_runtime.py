@@ -905,13 +905,13 @@ def test_untraced_matches_traced_map_runs(structure, scheduler, m_override):
 
 @pytest.mark.parametrize("structure, scheduler, m_override, digest", [
     ("m1", "greedy", None,
-     "6de81dd4efa06798eab69ebff911bef3ffa246d77f04d0287234eef862e727d1"),
+     "faa606496b1da4fd6bece1cc2cd2b7cd8773382c84d4c89ddf31616b9fdaf749"),
     ("m2", "weak_priority", None,
-     "21a168285ae304ac0d9c646f8e23c359088bf2f44566ba245e4e214569e4e3a8"),
+     "c80d3d72c4f2cff68e878ba6b2d2f97f0a0c8fbec692dce08b7c4c421a73066c"),
     ("m2", "weak_priority", 1,
-     "73bbcc7b0e9408c13f30dff876b9c20861a221586616bb4c59162e2cb6f44740"),
+     "3b035338481e8a9b463454c92aeb53226a70de30a9c677238de8fb57de8a7c33"),
     ("m2", "greedy", 1,
-     "efc1f893d57884b3c41bddb91f2c6426bdc673a045ab4577507b021df99144bd"),
+     "6059d809c729da0a961ca0ad6ce41780942a51263feea26fdd08aa69cce79210"),
 ], ids=[f"{s}-{sched}-{m}" for s, sched, m in _MAP_CASES])
 def test_traced_runtime_pinned(structure, scheduler, m_override, digest):
     assert _traced_map_digest(structure, scheduler, m_override) == digest

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import batch_op_task, delete_key, run_task, tree_dump
 from wsmap.core import CmpCounter, Key
-from wsmap.runtime import concat_tree
+from wsmap.runtime import Runtime, concat_tree
 from wsmap.tree23 import (
     Inner, Leaf, StepMeter, Tree23, TreeUsageError, batch_delete_leaves_task,
     batch_delete_pos_task, batch_insert_task, batch_search_task,
@@ -229,7 +229,7 @@ def test_batch_insert_makes_no_search(monkeypatch):
     run_task(batch_insert_task(t, [(k, None) for k in range(1, 64, 4)]))
     assert searched == []
     t.audit(sorted_keys=True)
-    # a search batch over pieces this small merges them and calls no search
+    # a search batch still finds every key the insert batch added
     hits, _m, _rt = run_task(batch_search_task(t, list(range(1, 64, 4))))
     assert [h.key for h in hits] == list(range(1, 64, 4))
 
@@ -439,52 +439,86 @@ def _search_trail():
 
 
 def test_search_batches_meter_and_shapes_pinned():
-    # a piece of at most 2 * K.bit_length() leaves plus keys merges in one
-    # node, while larger pieces split down to one key per node: giving those
-    # the update batches' grain would cut M1's span in large segments far
-    # more than M2's (criterion 8), so that change has to be made and
-    # re-pinned on purpose
+    # an inner node is charged one step plus the comparisons of the binary
+    # searches that cut its key range, O(log K) for a batch of K keys:
+    # criterion 8's span separation rests on that charge (at one step per
+    # node M1's hot-path span falls far more than M2's), so a change to it
+    # has to be made and re-pinned on purpose
     assert _search_trail() == (
-        11998, 13488, 2778,
-        "d1982d1a02220f43529662ead3220b335452152e6f397ad3c36f23d123aed6e6")
+        4064, 4964, 1160,
+        "7195b4f01ffc850dca65f33af6727a7af45b6ea893479b207148152469390728")
 
 
 def _node_count(node):
     return 1 if type(node) is Leaf else 1 + sum(map(_node_count, node.kids))
 
 
-def test_search_batches_of_every_size_match_a_sorted_list():
+def _checked(gen, check):
+    """The task gen, with check() run before each of its nodes and after its
+    last one."""
+    send = None
+    while True:
+        check()
+        try:
+            effect = gen.send(send)
+        except StopIteration as stop:
+            check()
+            return stop.value
+        send = yield effect
+
+
+def test_search_batches_of_every_size_match_a_sorted_list(monkeypatch):
     # every tree size s and batch size k up to 40 crosses the merge cutoff
     # s + k = 2 * k.bit_length() on both sides, from the empty tree and
-    # single keys up to pieces that split before they merge
+    # single keys up to batches that fork at several levels; a search batch
+    # only reads: it never splits or joins, and every node of its task sees
+    # the whole tree attached
     rnd = random.Random(27)
+    spawn = Runtime._spawn
+    forks = []
+
+    def check():
+        assert len(t) == s and t.root is root, (s, k)
+
+    def checked_spawn(rt, gen, parent, owner=None):
+        forks.append((s, k))
+        return spawn(rt, _checked(gen, check), parent, owner)
+
+    def forbidden(*_args):
+        raise AssertionError("a search batch split or joined a tree")
+
     for s in range(41):
         keys = list(range(0, 2 * s, 2))
         for k in range(41):
             t = _joined(keys, rnd)
-            leaves, shape = t.leaves(), tree_dump(t)
+            root, leaves, shape = t.root, t.leaves(), tree_dump(t)
             batch = sorted(rnd.sample(range(-k - 1, 2 * s + k + 1), k))
             start = t.meter.count
-            hits, _m, _rt = run_task(batch_search_task(t, batch))
+            with monkeypatch.context() as patch:
+                patch.setattr(Runtime, "_spawn", checked_spawn)
+                patch.setattr(Tree23, "_split", forbidden)
+                patch.setattr(Tree23, "_append", forbidden)
+                hits, _m, _rt = run_task(_checked(batch_search_task(t, batch),
+                                                  check))
             steps = t.meter.count - start
             for v, hit in zip(batch, hits, strict=True):
                 i = bisect.bisect_left(keys, v)
                 want = leaves[i] if i < s and keys[i] == v else None
                 assert hit is want, (s, k, v)
             t.audit(sorted_keys=True)
+            assert tree_dump(t) == shape, (s, k)
             assert all(a is b for a, b in zip(t.leaves(), leaves, strict=True))
-            if k <= 1 or s + k <= 2 * k.bit_length():
-                # no split: the shape stays, and a merge of the whole tree
-                # charges one step per node and one per key
-                assert tree_dump(t) == shape, (s, k)
-                nodes = 0 if t.root is None else _node_count(t.root)
-                assert k <= 1 or steps == nodes + k, (s, k)
+            if 1 < k and s + k <= 2 * k.bit_length():
+                # a merge of the whole tree charges one step per node and
+                # one per key
+                assert steps == (s and _node_count(t.root)) + k, (s, k)
         for bad in ([1, 0], [2, 2], [0, 4, 4]):
             t = _joined(keys, rnd)
             shape = tree_dump(t)
             with pytest.raises(TreeUsageError, match="sorted and distinct"):
                 run_task(batch_search_task(t, bad))
             assert tree_dump(t) == shape
+    assert len(set(forks)) > 500
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 200])
@@ -570,7 +604,7 @@ def test_leaf_delete_batch_searches_nothing():
             task = batch_delete_leaves_task(t, held)
         else:
             task = key_batch_task(t, held, lambda lf: lf.key,
-                                  lambda _t, _lf: None, None)
+                                  lambda _t, _lf: None)
         _res, metrics, _rt = run_task(task)
         return ctr.count, t.meter.count, metrics.ds_work
 
