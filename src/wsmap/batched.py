@@ -167,12 +167,11 @@ class SegmentedMap:
             surplus = len(keeps) + sum(s.size - s.cap
                                        for s in self.segments[:k])
             yield from seg_move_task(left, seg, min(max(surplus, 0), left.size),
-                                     "back", "front", found_leaves, keeps)
+                                     found_leaves, keeps)
         elif found:
-            yield from seg_update_task(seg, [lf.twin for lf in found_leaves],
-                                       found_leaves, [], [], "front")
+            yield from seg_update_task(seg, found_leaves, [], [], "front")
             if keeps:
-                yield from seg_update_task(seg, [], [], keeps, keeps, "front")
+                yield from seg_update_task(seg, [], keeps, keeps, "front")
         if deliveries:
             self._deliver(deliveries)
         yield from restore_prefix_task(self.segments, k)
@@ -227,7 +226,7 @@ class SegmentedMap:
                 seg = self._grow_segment()
             take = min(seg.cap - seg.size, len(inserts) - idx)
             block = inserts[idx:idx + take]
-            yield from seg_update_task(seg, [], [], block, block, "back")
+            yield from seg_update_task(seg, [], block, block, "back")
             idx += take
         if deliveries:
             self._deliver(deliveries)

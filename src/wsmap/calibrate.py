@@ -22,7 +22,7 @@ from .bench import (
 from .core import CmpCounter, Key, SEARCH, Operation
 from .runtime import Runtime, par_map
 from .sortlib import entropy, pesort_task
-from .tree23 import Tree23, batch_insert_task
+from .tree23 import Tree23, batch_update_task
 
 
 def m0_workloads():
@@ -83,7 +83,7 @@ def measure_tree_span_slope():
         n = 2 ** logn
         t, _ = Tree23.build([(k, None) for k in range(0, 2 * n, 2)])
         keys = sorted(random.Random(400).sample(range(1, 2 * n, 2), 16))
-        metrics = _run_ds(batch_insert_task(t, [(k, None) for k in keys]))
+        metrics = _run_ds(batch_update_task(t, [], [(k, None) for k in keys]))
         spans[logn] = metrics.ds_span
     slope = (spans[16] - spans[6]) / 10.0
     return slope, spans

@@ -13,10 +13,11 @@ adjacent segment runs (acquired in the alternating arrow order, so no
 cycles form) and front-locks FL[0..] serialize every access to the filter
 and S[m]'s contents; `_front_acquire`/`_front_release` are the one place
 that takes and releases them. An actor's step-4d segment update forks beside
-its filter delete; at S[m] it is one `seg_move_task` across S[m-1]|S[m]. Locks are made on first use; the runtime
-learns of one when a task parks on it. All final-slab nodes are owned by
-DS_FINAL, so they run on the high-priority queue; interface activations
-stay on the low queue. m comes from the runtime's p unless overridden.
+its filter delete; at S[m] it is one `seg_move_task` across S[m-1]|S[m].
+Locks are made on first use; the runtime learns of one when a task parks
+on it. All final-slab nodes are owned by DS_FINAL, so they run on the
+high-priority queue; interface activations stay on the low queue. m comes
+from the runtime's p unless overridden.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ from .segments import (
     PairedSegment, boundary_move, seg_move_task, seg_update_task,
 )
 from .tree23 import (
-    Tree23, batch_delete_leaves_task, batch_insert_task, batch_search_task,
-    pop_extreme_task,
+    Tree23, batch_search_task, batch_update_task, pop_extreme_task,
 )
 
 
@@ -189,8 +189,8 @@ class PipelinedWorkingSetMap(SegmentedMap):
             else:
                 admitted.append(g)
         if admitted:
-            leaves = yield from batch_insert_task(
-                self.filter, [(g.key, g) for g in admitted])
+            leaves = yield from batch_update_task(
+                self.filter, [], [(g.key, g) for g in admitted])
             for g, lf in zip(admitted, leaves):
                 g.filter_leaf = lf
             self._resize_filter(len(admitted))
@@ -212,7 +212,8 @@ class PipelinedWorkingSetMap(SegmentedMap):
     def _hand_off(self, seg, groups):
         """Add key-sorted groups to a final-slab segment's buffer and
         activate its actor on the high-priority queue."""
-        yield from batch_insert_task(seg.buffer, [(g.key, g) for g in groups])
+        yield from batch_update_task(seg.buffer, [],
+                                     [(g.key, g) for g in groups])
         self.rt.detach(seg.gate.activate(), owner=DS_FINAL)
 
     def _segment_cycle(self, seg):
@@ -254,8 +255,7 @@ class PipelinedWorkingSetMap(SegmentedMap):
         found = [(g, lf) for g, lf in zip(batch, leaves) if lf is not None]
         found_leaves = [lf for _g, lf in found]
         if k > self.m:
-            yield from seg_update_task(seg, [lf.twin for lf in found_leaves],
-                                       found_leaves, [], [], "front")
+            yield from seg_update_task(seg, found_leaves, [], [], "front")
             # step 4b: deeper segments' front access spans steps 4b-4f
             fl_t0 = yield from self._front_acquire(k)
         # step 4c: consult the filter to split R into kept items R' and
@@ -280,12 +280,13 @@ class PipelinedWorkingSetMap(SegmentedMap):
             # S[m-1]'s surplus, counted with the block, as S[m-1] holds
             surplus = dst.size - dst.cap + len(block)
             update = seg_move_task(dst, seg, min(max(surplus, 0), dst.size),
-                                   "back", "front", found_leaves, block)
+                                   found_leaves, block)
         elif block:
-            update = seg_update_task(dst, [], [], block, block, "front")
+            update = seg_update_task(dst, [], block, block, "front")
         if delivered:
-            drop = batch_delete_leaves_task(self.filter, sorted(
-                (g.filter_leaf for g, _r in delivered), key=lambda lf: lf.hi))
+            entries = sorted((g.filter_leaf for g, _r in delivered),
+                             key=lambda lf: lf.hi)
+            drop = batch_update_task(self.filter, entries, [])
         if update and drop:
             yield Par(update, drop)
         elif update or drop:

@@ -13,7 +13,11 @@ batch tasks convert meter deltas into simulator cost, so measured work/span
 reflect what an update batch's split/apply/rejoin recursion, or a search
 batch's read-only descent, actually touched. A search batch also charges, at
 each inner node, the comparisons of the binary searches that partition its
-keys among the kids.
+keys among the kids. The batch tasks: `batch_search_task` finds keys,
+`batch_update_task` is the one key-addressed update (deletes by handle and
+inserts, key-sorted), `batch_delete_pos_task` deletes handles in any order
+by position through `reverse_index_task`, and `push_edge_task` and
+`pop_extreme_task` add and remove blocks at either end.
 
 Descents route on raw key values: every node keeps its largest key's raw
 value in ``hi``, a leaf its own key's value (the key itself when it has no
@@ -573,19 +577,6 @@ def _split_by_pos(t, located, mid):
     return (*t.split_pos(cut), [(p - cut, lf) for p, lf in located[mid:]])
 
 
-def key_batch_task(tree, items, key, apply):
-    """Run apply(t, item) on each item of a batch whose keys key(item) are
-    sorted and distinct, as a split/apply/rejoin task DAG that applies runs
-    of items in one node (the keys are distinct, so in any order; see
-    _split_join_task); returns the results in batch order."""
-    _check_sorted_distinct([key(item) for item in items])
-
-    def split(t, part, mid):
-        return (*t.split_lt(key(part[mid])), part[mid:])
-
-    return (yield from _split_join_task(tree, items, split, apply))
-
-
 def _cut(vals, kv, lo, hi):
     """The first index in [lo, hi) whose value exceeds kv (hi if none), by
     binary search; also returns the comparisons it made, at most
@@ -695,29 +686,30 @@ def batch_search_task(tree, keys):
 def batch_update_task(tree, leaves, pairs):
     """One key batch that deletes the key-sorted live leaves of tree by
     handle (a leaf survives the batch's key splits, so no deletion descends)
-    and inserts the key-sorted (key, val) pairs of absent keys; no key is in
-    both, and the two lists merge on raw values, which counts no comparison
-    and leaves an unsorted list for key_batch_task's check to reject.
-    Returns the new leaves in pairs' order."""
+    and inserts the key-sorted (key, val) pairs of absent keys, as a
+    split/apply/rejoin task DAG that applies runs of items in one node (the
+    keys are distinct, so in any order; see _split_join_task). No key is in
+    both lists, and the two merge on raw values, which counts no comparison
+    and leaves an unsorted list for the usage check to reject. Returns the
+    new leaves in pairs' order."""
     items = leaves or pairs
     if leaves and pairs:
         items = list(heapq.merge(
             leaves, pairs, key=lambda it: it.hi if type(it) is Leaf
             else getattr(it[0], "value", it[0])))
-    done = yield from key_batch_task(
-        tree, items, lambda it: it.key if type(it) is Leaf else it[0],
+
+    def key(it):
+        return it.key if type(it) is Leaf else it[0]
+
+    _check_sorted_distinct([key(it) for it in items])
+
+    def split(t, part, mid):
+        return (*t.split_lt(key(part[mid])), part[mid:])
+
+    done = yield from _split_join_task(
+        tree, items, split,
         lambda t, it: t.delete_leaf(it) if type(it) is Leaf else t.insert(*it))
     return [lf for it, lf in zip(items, done) if type(it) is not Leaf]
-
-
-def batch_insert_task(tree, pairs):
-    """Insert (key, val) pairs of absent keys; returns the new leaves."""
-    return (yield from batch_update_task(tree, [], pairs))
-
-
-def batch_delete_leaves_task(tree, leaves):
-    """Delete live leaves of tree, key-sorted, by handle."""
-    return (yield from batch_update_task(tree, leaves, []))
 
 
 def reverse_index_task(tree, handles):
@@ -739,15 +731,15 @@ def reverse_index_task(tree, handles):
     return ordered
 
 
-def batch_delete_pos_task(tree, located):
-    """Delete live leaves by handle, given as the position-sorted (position,
-    leaf) list reverse_index_task returns: the positions only address the
+def batch_delete_pos_task(tree, handles):
+    """Delete live leaves of tree, given as handles in any order: one
+    reverse index sorts them by position, the positions only address the
     splits, and a leaf survives them, so no item descends; returns the
     leaves in tree order."""
-    for (a, _), (b, _) in zip(located, located[1:]):
-        if not a < b:
-            raise TreeUsageError("positions must be sorted and distinct")
-    return (yield from _split_join_task(tree, list(located), _split_by_pos,
+    if len(set(handles)) < len(handles):
+        raise TreeUsageError("delete of a repeated handle")
+    located = yield from reverse_index_task(tree, handles)
+    return (yield from _split_join_task(tree, located, _split_by_pos,
                                         lambda t, pl: t.delete_leaf(pl[1])))
 
 
@@ -771,9 +763,6 @@ def pop_extreme_task(tree, count, end):
         raise TreeUsageError("pop_extreme count exceeds size")
     meter = tree.meter
     start = meter.count
-    if count == 0:
-        yield 1
-        return []
     if end == "front":
         taken, rest = tree.split_pos(count)
     else:

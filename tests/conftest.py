@@ -2,7 +2,6 @@ import functools
 import json
 import random
 import sys
-from operator import itemgetter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -14,7 +13,9 @@ from wsmap import bench, sortlib
 from wsmap.bench import WorkloadSpec
 from wsmap.calibrate import measure_line_constants
 from wsmap.runtime import Runtime, DS
-from wsmap.tree23 import Leaf, TreeUsageError, key_batch_task
+from wsmap.tree23 import (
+    Leaf, TreeUsageError, _check_sorted_distinct, _split_join_task,
+)
 
 from regen_golden import GOLDEN
 
@@ -79,8 +80,14 @@ def batch_op_task(tree, ops):
     {'search','insert','delete'}; an insert of a present key updates its
     value. Returns one result per op: the live leaf for search/insert hits
     and inserts, the dead leaf for deletes that removed something, None for
-    misses."""
-    return (yield from key_batch_task(tree, ops, itemgetter(1), _apply_op))
+    misses. Runs through the maps' split/apply/rejoin recursion, split at
+    the middle op's key."""
+    _check_sorted_distinct([key for _kind, key, _val in ops])
+
+    def split(t, part, mid):
+        return (*t.split_lt(part[mid][1]), part[mid:])
+
+    return (yield from _split_join_task(tree, ops, split, _apply_op))
 
 
 def run_map_workload(make_map, chains, p=8, scheduler="greedy"):

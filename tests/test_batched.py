@@ -16,8 +16,7 @@ from wsmap.segments import (
     PairedSegment, preload_segment, seg_move_task, seg_update_task,
 )
 from wsmap.tree23 import (
-    StepMeter, batch_delete_leaves_task, batch_insert_task, pop_extreme_task,
-    push_edge_task,
+    StepMeter, batch_update_task, pop_extreme_task, push_edge_task,
 )
 
 
@@ -253,10 +252,10 @@ def test_block_insert_sorts_nothing_and_a_move_sorts_once(monkeypatch):
     src, dst = PairedSegment(3, meter), PairedSegment(4, meter)
     for lo in (0, 4):
         block = [(Key(k, ctr), k) for k in range(lo, lo + 4)]
-        run_task(seg_update_task(src, [], [], block, block, "front"))
+        run_task(seg_update_task(src, [], block, block, "front"))
     assert sorts == []
     # recency order 4..7, 0..3: the moved back block is not key-sorted
-    run_task(seg_move_task(src, dst, 6, "back", "front"))
+    run_task(seg_move_task(src, dst, 6))
     assert sorts == [6]
     assert [lf.key.value for lf in dst.rec.leaves()] == [6, 7, 0, 1, 2, 3]
     assert [lf.key.value for lf in src.rec.leaves()] == [4, 5]
@@ -281,13 +280,12 @@ def test_paired_segment_fork_keeps_both_trees_and_twins():
     meter, ctr = StepMeter(), CmpCounter()
     seg = _preloaded_segment(40, meter, ctr)
     block = [(Key(k, ctr), k) for k in (0, 10, 20, 30, 84)]
-    run_task(seg_update_task(seg, [], [], block, block, "front"))
+    run_task(seg_update_task(seg, [], block, block, "front"))
     _audit_both_ways(seg)
     assert [lf.key.value for lf in seg.rec.leaves()][:6] == [0, 10, 20, 30,
                                                             84, 79]
     found = [seg.keys.search(Key(k, ctr)) for k in (0, 7, 30, 79, 84)]
-    run_task(seg_update_task(seg, [lf.twin for lf in found], found, [], [],
-                             "front"))
+    run_task(seg_update_task(seg, found, [], [], "front"))
     _audit_both_ways(seg)
     assert seg.size == 40
     assert [lf.key.value for lf in seg.rec.leaves()][:4] == [10, 20, 77, 75]
@@ -303,12 +301,11 @@ def test_block_insert_span_below_its_two_tree_updates_in_sequence():
     meter, ctr = StepMeter(), CmpCounter()
     alone = _preloaded_segment(200, meter, ctr)
     _, push, _rt = run_task(push_edge_task(alone.rec, block(ctr), "front"))
-    _, insert, _rt = run_task(batch_insert_task(alone.keys, block(ctr)))
+    _, insert, _rt = run_task(batch_update_task(alone.keys, [], block(ctr)))
     meter, ctr = StepMeter(), CmpCounter()
     seg = _preloaded_segment(200, meter, ctr)
     pairs = block(ctr)
-    _, both, _rt = run_task(seg_update_task(seg, [], [], pairs, pairs,
-                                            "front"))
+    _, both, _rt = run_task(seg_update_task(seg, [], pairs, pairs, "front"))
     seg.audit()
     # each run_task adds one root node to the span it reports
     push_span, insert_span, both_span = (
@@ -332,12 +329,12 @@ def test_block_move_span_below_its_two_tree_updates_in_sequence():
     by_key, sort, _rt = run_task(
         segments.merge_sort_task(rec_leaves, key=lambda lf: lf.key))
     _, delete, _rt = run_task(
-        batch_delete_leaves_task(src.keys, [lf.twin for lf in by_key]))
+        batch_update_task(src.keys, [lf.twin for lf in by_key], []))
     _, insert, _rt = run_task(seg_update_task(
-        dst, [], [], [(lf.key, lf.val) for lf in rec_leaves],
+        dst, [], [(lf.key, lf.val) for lf in rec_leaves],
         [(lf.key, lf.val) for lf in by_key], "front"))
     src, dst = segments_pair()
-    _, move, _rt = run_task(seg_move_task(src, dst, 16, "back", "front"))
+    _, move, _rt = run_task(seg_move_task(src, dst, 16))
     _audit_both_ways(src)
     _audit_both_ways(dst)
     assert src.size == 184 and dst.size == 216

@@ -7,7 +7,8 @@ and `__all__` must list exactly those. The simulator is the bottom layer:
 site and moves its clock in `run` alone. The batch tasks derive their
 grains from their input, so none of them takes a defaulted parameter.
 Every function, class and method in `src/wsmap` is named somewhere in src
-besides its own definition, or exported.
+besides its own definition, or exported. `segments.py` alone pairs a key
+tree with its recency tree, so no other module reads a leaf's `twin`.
 """
 
 import ast
@@ -149,8 +150,7 @@ def test_checker_finds_a_defaulted_parameter():
 
 def test_batch_tasks_take_no_tuning_parameter():
     # a grain turned into a knob would be a setting someone has to tune
-    tasks = {"tree23.py": {"key_batch_task", "batch_search_task",
-                           "batch_insert_task", "batch_delete_leaves_task",
+    tasks = {"tree23.py": {"batch_search_task", "batch_update_task",
                            "batch_delete_pos_task"},
              "sortlib.py": {"pesort_task"}}
     for module, names in tasks.items():
@@ -159,6 +159,36 @@ def test_batch_tasks_take_no_tuning_parameter():
                    if isinstance(node, ast.FunctionDef)}
         assert names <= defined, (module, names - defined)
         assert defaulted_parameters(source, names) == []
+
+
+def twin_uses(source):
+    """Lines of source that use a `.twin` attribute, outside a class named
+    Leaf (the slot's own initialisation)."""
+    tree = ast.parse(source)
+    skip = {id(n) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            and cls.name == "Leaf" for n in ast.walk(cls)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "twin"
+                  and id(node) not in skip)
+
+
+def test_checker_finds_a_twin_use():
+    source = ("class Leaf:\n    def __init__(self):\n"
+              "        self.twin = None\n"
+              "x = [lf.twin for lf in y]\ntwin = 1\n"
+              "def f(lf):\n    lf.twin.twin = lf\n")
+    assert twin_uses(source) == [4, 7, 7]
+
+
+def test_only_segments_pairs_the_trees():
+    # the pairing rule exists once: a map that reads a twin or a tree
+    # module that follows one would be a second place to keep in step
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             if path.name != "segments.py"
+             for line in twin_uses(path.read_text())]
+    assert found == []
+    assert twin_uses((SRC / "segments.py").read_text()), \
+        "segments.py no longer pairs the trees"
 
 
 def _read_names(node):

@@ -12,9 +12,7 @@ from wsmap.core import (
 )
 from wsmap.pipelined import PipelinedWorkingSetMap, first_slab_depth
 from wsmap.runtime import Runtime
-from wsmap.tree23 import (
-    TreeUsageError, batch_delete_leaves_task, batch_insert_task,
-)
+from wsmap.tree23 import TreeUsageError, batch_update_task
 
 
 def _maker(m_override=None, audit=True):
@@ -281,7 +279,7 @@ def test_interface_waits_while_a_filter_batch_holds_a_full_filter():
     rt.run()
     m.feed.append([[(Operation(0, SEARCH, Key(0)), None)]])
     assert not m._ready()
-    insert = batch_insert_task(m.filter, [(Key(m.p2 + 1), None)])
+    insert = batch_update_task(m.filter, [], [(Key(m.p2 + 1), None)])
     next(insert)
     assert len(m.filter) == 0
     assert not m._ready()
@@ -505,7 +503,7 @@ def test_distinctness_audit_skips_a_filter_a_batch_holds_detached():
     m.filter_size += 2
     m.gate.held = True
     m.audit_distinctness()
-    drop = batch_delete_leaves_task(m.filter, [delivered])
+    drop = batch_update_task(m.filter, [delivered], [])
     next(drop)
     assert len(m.filter) == 0 and m.filter_size == 2
     m.audit_distinctness()

@@ -16,7 +16,7 @@ from wsmap.segments import (
     PairedSegment, boundary_move, preload_segment, seg_move_task,
     seg_update_task,
 )
-from wsmap.tree23 import StepMeter
+from wsmap.tree23 import StepMeter, pop_extreme_task
 
 
 def _pair(left_items, right_items):
@@ -53,14 +53,12 @@ def _run_both(left_items, right_items, found_idx, block_items, surplus):
         block = [(Key(k, ctr), v) for k, v in block_items]
         if shift:
             count = min(surplus, left.size)
-            run_task(seg_move_task(left, right, count, "back", "front",
-                                   found, block))
+            run_task(seg_move_task(left, right, count, found, block))
             rest = boundary_move(left, right, surplus - count)
         else:
-            run_task(seg_update_task(right, [lf.twin for lf in found], found,
-                                     [], [], "front"))
+            run_task(seg_update_task(right, found, [], [], "front"))
             if block:
-                run_task(seg_update_task(left, [], [], block, block, "front"))
+                run_task(seg_update_task(left, [], block, block, "front"))
             rest = boundary_move(left, right, surplus)
         if rest is not None:
             run_task(rest)
@@ -88,6 +86,44 @@ def test_shift_equals_remove_insert_move(seed):
         shifted, phased = _run_both(left_items, right_items, found_idx,
                                     block_items, surplus)
         assert shifted == phased, (seed, n_left, n_right, surplus)
+
+
+def _recency(seg):
+    return [lf.key.value for lf in seg.rec.leaves()]
+
+
+def test_update_deletes_the_live_twins_of_its_dead_leaves():
+    # the caller names key-tree leaves only: their live recency twins go
+    # too, and a twin pop_extreme_task already popped is skipped
+    (seg, _right), _ctr = _pair([(k, -k) for k in (5, 1, 7, 3, 9, 2)], [])
+    found = [seg.keys.leaves()[i] for i in (1, 4)]        # keys 2 and 7
+    twins = [lf.twin for lf in found]
+    run_task(seg_update_task(seg, found, [], [], "front"))
+    assert not any(lf.alive for lf in found + twins)
+    assert _recency(seg) == [5, 1, 3, 9]
+    popped, _m, _rt = run_task(pop_extreme_task(seg.rec, 2, "back"))
+    assert [lf.key.value for lf in popped] == [3, 9]
+    live = seg.keys.leaves()[0]                            # key 1
+    dead = sorted([live] + [lf.twin for lf in popped], key=lambda lf: lf.hi)
+    run_task(seg_update_task(seg, dead, [], [], "front"))
+    _state(seg)
+    assert _recency(seg) == [5]
+    assert [lf.key.value for lf in seg.keys.leaves()] == [5]
+
+
+def test_move_takes_its_ends_from_segment_order():
+    # toward a later segment: src's back to dst's front; toward an earlier
+    # one: src's front to dst's back, each block in its recency order
+    (left, right), _ctr = _pair([(k, k) for k in (1, 2, 3, 4)],
+                                [(k, k) for k in (10, 11, 12, 13, 14)])
+    run_task(seg_move_task(right, left, 3))
+    assert (_recency(left), _recency(right)) == ([1, 2, 3, 4, 10, 11, 12],
+                                                 [13, 14])
+    run_task(seg_move_task(left, right, 2))
+    assert (_recency(left), _recency(right)) == ([1, 2, 3, 4, 10],
+                                                 [11, 12, 13, 14])
+    _state(left)
+    _state(right)
 
 
 def _map_with_pass_spies(monkeypatch, sizes):

@@ -8,10 +8,9 @@ from conftest import batch_op_task, delete_key, run_task, tree_dump
 from wsmap.core import CmpCounter, Key
 from wsmap.runtime import Runtime, concat_tree
 from wsmap.tree23 import (
-    Inner, Leaf, StepMeter, Tree23, TreeUsageError, batch_delete_leaves_task,
-    batch_delete_pos_task, batch_insert_task, batch_search_task,
-    batch_update_task, key_batch_task, pop_extreme_task, push_edge_task,
-    reverse_index_task,
+    Inner, Leaf, StepMeter, Tree23, TreeUsageError, _split_by_pos,
+    _split_join_task, batch_delete_pos_task, batch_search_task,
+    batch_update_task, pop_extreme_task, push_edge_task, reverse_index_task,
 )
 
 
@@ -51,10 +50,10 @@ def test_dead_handle_and_position_errors_raise():
     t.delete_leaf(leaves[0])
     with pytest.raises(TreeUsageError, match="delete of a dead handle"):
         t.delete_leaf(leaves[0])
-    with pytest.raises(TreeUsageError, match="positions must be sorted"):
-        run_task(batch_delete_pos_task(t, [(1, leaves[2]), (0, leaves[1])]))
-    with pytest.raises(TreeUsageError, match="delete of a dead handle"):
-        run_task(batch_delete_pos_task(t, [(0, leaves[0])]))
+    with pytest.raises(TreeUsageError, match="repeated handle"):
+        run_task(batch_delete_pos_task(t, [leaves[2], leaves[1], leaves[2]]))
+    with pytest.raises(TreeUsageError, match="of a dead handle"):
+        run_task(batch_delete_pos_task(t, [leaves[0]]))
     with pytest.raises(TreeUsageError, match="index_of a dead handle"):
         t.index_of(leaves[0])
 
@@ -189,8 +188,8 @@ def test_batch_rejects_unsorted_or_duplicate():
     t2, leaves = _build(range(8))
     with pytest.raises(TreeUsageError):
         run_task(batch_op_task(t2, [("search", 3, None), ("search", 3, None)]))
-    with pytest.raises(TreeUsageError, match="positions must be sorted"):
-        run_task(batch_delete_pos_task(t2, [(1, leaves[1]), (0, leaves[0])]))
+    with pytest.raises(TreeUsageError, match="repeated handle"):
+        run_task(batch_delete_pos_task(t2, [leaves[1], leaves[1]]))
     with pytest.raises(TreeUsageError, match="unknown batch op kind 'upsert'"):
         run_task(batch_op_task(t2, [("upsert", 2, None)]))
 
@@ -226,7 +225,7 @@ def test_batch_insert_makes_no_search(monkeypatch):
 
     monkeypatch.setattr(Tree23, "search", spy)
     t, _ = _build(range(0, 64, 2))
-    run_task(batch_insert_task(t, [(k, None) for k in range(1, 64, 4)]))
+    run_task(batch_update_task(t, [], [(k, None) for k in range(1, 64, 4)]))
     assert searched == []
     t.audit(sorted_keys=True)
     # a search batch still finds every key the insert batch added
@@ -249,17 +248,18 @@ def test_insert_rejects_a_present_key(n, height):
         t.audit(sorted_keys=True)
         assert [lf.key.value for lf in t.leaves()] == list(range(n))
         with pytest.raises(TreeUsageError, match="present key"):
-            run_task(batch_insert_task(t, [(Key(k, ctr), None)]))
+            run_task(batch_update_task(t, [], [(Key(k, ctr), None)]))
         assert ctr.count == before
 
 
 def test_handle_stability_across_batches():
     t, _ = _build([])
-    res, _m, _rt = run_task(batch_insert_task(t, [(k, k) for k in range(0, 40, 2)]))
+    res, _m, _rt = run_task(batch_update_task(t, [], [(k, k)
+                                                      for k in range(0, 40, 2)]))
     handles = {lf.key: lf for lf in res}
-    odd, _m, _rt = run_task(batch_insert_task(t, [(k, k)
-                                                  for k in range(1, 40, 2)]))
-    run_task(batch_delete_leaves_task(t, odd[::4]))
+    odd, _m, _rt = run_task(batch_update_task(t, [], [(k, k)
+                                                      for k in range(1, 40, 2)]))
+    run_task(batch_update_task(t, odd[::4], []))
     for k, lf in handles.items():
         assert lf.alive and lf.key == k
         assert t.index_of(lf) == k  # keys 0..39 dense at this point minus dels
@@ -284,12 +284,38 @@ def test_reverse_index_returns_sorted():
 def test_batch_delete_pos():
     keys = list("abcdefghij")
     t, leaves = _build(keys)
-    located = [(i, leaves[i]) for i in (0, 3, 4, 9)]
-    removed, _m, _rt = run_task(batch_delete_pos_task(t, located))
+    held = [leaves[i] for i in (0, 3, 4, 9)]
+    removed, _m, _rt = run_task(batch_delete_pos_task(t, held))
     assert [lf.key for lf in removed] == ["a", "d", "e", "j"]
-    assert all(lf is held for lf, (_i, held) in zip(removed, located))
+    assert all(lf is h for lf, h in zip(removed, held))
     assert [lf.key for lf in t.leaves()] == ["b", "c", "f", "g", "h", "i"]
     t.audit()
+
+
+def test_batch_delete_pos_takes_handles_in_any_order():
+    # one reverse index sorts the handles by position, so their order is
+    # free; a repeated or a dead handle is a usage error
+    keys = list(range(40))
+    for seed in range(5):
+        t, leaves = _build(keys)
+        gone = random.Random(seed).sample(range(40), 12)
+        assert gone != sorted(gone)
+        removed, _m, _rt = run_task(batch_delete_pos_task(
+            t, [leaves[i] for i in gone]))
+        assert removed == [leaves[i] for i in sorted(gone)]
+        assert not any(lf.alive for lf in removed)
+        t.audit(sorted_keys=True)
+        assert [lf.key for lf in t.leaves()] == \
+            [k for k in keys if k not in set(gone)]
+    t, leaves = _build(keys)
+    shape = tree_dump(t)
+    with pytest.raises(TreeUsageError, match="repeated handle"):
+        run_task(batch_delete_pos_task(t, leaves[30:10:-1] + [leaves[20]]))
+    assert tree_dump(t) == shape and all(lf.alive for lf in leaves)
+    t.delete_leaf(leaves[5])
+    with pytest.raises(TreeUsageError, match="dead handle"):
+        run_task(batch_delete_pos_task(t, [leaves[9], leaves[5], leaves[2]]))
+    assert len(t) == 39 and leaves[9].alive and leaves[2].alive
 
 
 def test_push_edge_and_pop_extreme():
@@ -326,7 +352,8 @@ def test_batch_work_and_span_scale():
         t, _ = _build(range(0, 2 * n, 2))
         t.meter = meter
         keys = sorted(random.Random(3).sample(range(1, 2 * n, 2), 16))
-        _res, m, _rt = run_task(batch_insert_task(t, [(k, None) for k in keys]))
+        _res, m, _rt = run_task(batch_update_task(t, [], [(k, None)
+                                                          for k in keys]))
         spans[logn] = m.ds_span
         assert m.ds_work <= 60 * 16 * (logn + 1)
     # span must scale with log2 n: the 256x size jump from 2^6 to 2^14
@@ -343,6 +370,14 @@ def test_bunch():
     assert out == list(range(1, 13))
     empty, _m, _rt = run_task(concat_tree([]))
     assert empty == []
+
+
+def _delete_located(t, located):
+    """Delete a position-sorted (position, leaf) list through the shared
+    split/join recursion, as batch_delete_pos_task does after its reverse
+    index; the pinned trail charges the splits and joins alone."""
+    return _split_join_task(t, located, _split_by_pos,
+                            lambda t, pl: t.delete_leaf(pl[1]))
 
 
 def _split_join_trail():
@@ -388,7 +423,7 @@ def _split_join_trail():
         else:
             positions = sorted(rnd.sample(range(len(t)), min(12, len(t))))
             leaves = t.leaves()
-            _res, metrics, _rt = run_task(batch_delete_pos_task(
+            _res, metrics, _rt = run_task(_delete_located(
                 t, [(p, leaves[p]) for p in positions]))
             work += metrics.ds_work
             span += metrics.ds_span
@@ -530,7 +565,8 @@ def test_update_batches_of_every_length_match_a_sorted_list(n):
     for b in range(41):
         t, _ = _build(keys)
         new = sorted(rnd.sample(range(-81, 2 * n + 81, 2), b))
-        got, _m, _rt = run_task(batch_insert_task(t, [(k, k) for k in new]))
+        got, _m, _rt = run_task(batch_update_task(t, [], [(k, k)
+                                                          for k in new]))
         assert [lf.key for lf in got] == new and all(lf.alive for lf in got)
         t.audit(sorted_keys=True)
         assert [lf.key for lf in t.leaves()] == sorted(keys + new)
@@ -549,7 +585,7 @@ def test_update_batches_of_every_length_match_a_sorted_list(n):
             t, leaves = _build(keys)
             positions = sorted(rnd.sample(range(n), b))
             got, _m, _rt = run_task(batch_delete_pos_task(
-                t, [(i, leaves[i]) for i in positions]))
+                t, [leaves[i] for i in positions]))
             assert got == [leaves[i] for i in positions]
             assert all(lf is leaves[i] for lf, i in zip(got, positions))
             assert not any(lf.alive for lf in got)
@@ -579,7 +615,7 @@ def test_leaf_delete_batch_matches_the_key_delete_batch(n):
         leaves = by_leaf.leaves()
         run_task(batch_op_task(by_key, _deletes([Key(2 * i, ctr)
                                                  for i in gone])))
-        run_task(batch_delete_leaves_task(by_leaf, [leaves[i] for i in gone]))
+        run_task(batch_update_task(by_leaf, [leaves[i] for i in gone], []))
         by_leaf.audit(sorted_keys=True)
         assert tree_dump(by_leaf) == tree_dump(by_key)
         assert not any(leaves[i].alive for i in gone)
@@ -601,10 +637,12 @@ def test_leaf_delete_batch_searches_nothing():
         if kind == "keys":
             task = batch_op_task(t, _deletes([Key(2 * i, ctr) for i in gone]))
         elif kind == "leaves":
-            task = batch_delete_leaves_task(t, held)
+            task = batch_update_task(t, held, [])
         else:
-            task = key_batch_task(t, held, lambda lf: lf.key,
-                                  lambda _t, _lf: None)
+            task = _split_join_task(
+                t, held, lambda t, part, mid: (*t.split_lt(part[mid].key),
+                                               part[mid:]),
+                lambda _t, _lf: None)
         _res, metrics, _rt = run_task(task)
         return ctr.count, t.meter.count, metrics.ds_work
 
@@ -620,12 +658,12 @@ def test_leaf_delete_batch_rejects_dead_or_unsorted_leaves():
     t, leaves = _build(range(8))
     t.delete_leaf(leaves[3])
     with pytest.raises(TreeUsageError, match="dead handle"):
-        run_task(batch_delete_leaves_task(t, [leaves[1], leaves[3]]))
+        run_task(batch_update_task(t, [leaves[1], leaves[3]], []))
     t, leaves = _build(range(8))
     with pytest.raises(TreeUsageError, match="sorted and distinct"):
-        run_task(batch_delete_leaves_task(t, [leaves[4], leaves[2]]))
+        run_task(batch_update_task(t, [leaves[4], leaves[2]], []))
     with pytest.raises(TreeUsageError, match="sorted and distinct"):
-        run_task(batch_delete_leaves_task(t, [leaves[2], leaves[2]]))
+        run_task(batch_update_task(t, [leaves[2], leaves[2]], []))
 
 
 def test_mixed_update_batch_deletes_and_inserts_in_one_pass():
@@ -657,7 +695,7 @@ def test_insert_batch_span_grows_by_one_split_and_join_per_doubling():
         assert t.height == 12
         keys = sorted(random.Random(j).sample(range(1, 2 ** 13, 2), 2 ** j))
         _res, m, _rt = run_task(
-            batch_insert_task(t, [(k, None) for k in keys]))
+            batch_update_task(t, [], [(k, None) for k in keys]))
         spans.append(m.ds_span)
     steps = [b - a for a, b in zip(spans, spans[1:])]
     assert max(steps) <= 6 * (12 + 1), (spans, steps)
