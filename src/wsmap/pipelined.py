@@ -333,7 +333,10 @@ class PipelinedWorkingSetMap(SegmentedMap):
         if self.audit:
             self.audit_distinctness()
             self.audit_balance()
-            self.audit_rank_invariant()
+            # an actor records its moved items' events only after its
+            # front-locked window, so ranks are exact only while FL[0] is free
+            if not self._lock("fl", 0).count:
+                self.audit_rank_invariant()
             if self._quiescent():
                 self.audit_segments()
 

@@ -148,6 +148,19 @@ def test_deep_final_slab_actors_match_the_oracle(m_override, seed, scheduler):
     _check_equivalence(results, m)
 
 
+@pytest.mark.parametrize("scheduler, seed", [("greedy", 3),
+                                             ("weak_priority", 24)])
+def test_rank_audit_waits_for_the_front_locks(scheduler, seed):
+    # an actor records its moved items' events only after its front-locked
+    # window; these runs once audited ranks while a deeper actor held FL[0]
+    # and raised "final-slab item ... has no event"
+    ops = random_ops(700, 160, seed, mix=(0.35, 0.4, 0.2, 0.05))
+    results, m, _metrics, _rt = run_map_workload(
+        _maker(m_override=2), chunk_chains(ops, 16), p=4, scheduler=scheduler)
+    m._maybe_audit()
+    _check_equivalence(results, m)
+
+
 @pytest.mark.parametrize("scheduler", ["weak_priority", "greedy"])
 def test_final_slab_drains_while_the_interface_waits(scheduler, monkeypatch):
     # the interface takes nl[m] and the front-locks for a final slab that
