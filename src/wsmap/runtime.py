@@ -497,37 +497,6 @@ def concat_tree(pieces):
     return left + right
 
 
-def merge_sort_task(items, key):
-    """Balanced merge-sort task DAG; O(n log n) work, O(n) span: each
-    level's merge is one sequential node of its length, so the critical
-    path carries n + n/2 + ... < 2n merge steps."""
-    n = len(items)
-    if n <= 1:
-        yield 1
-        return list(items)
-    mid = n // 2
-    left, right = yield Par(merge_sort_task(items[:mid], key),
-                            merge_sort_task(items[mid:], key))
-    yield max(1, n)
-    return merge(left, right, key)
-
-
-def merge(left, right, key):
-    """Stable merge of two key-sorted lists; ties keep left's items first."""
-    out = []
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if key(right[j]) < key(left[i]):
-            out.append(right[j])
-            j += 1
-        else:
-            out.append(left[i])
-            i += 1
-    out.extend(left[i:])
-    out.extend(right[j:])
-    return out
-
-
 class ActivationGate:
     """Non-blocking-lock guard that runs a process iff it is not already
     running and its readiness predicate holds, and again after each run

@@ -18,8 +18,9 @@ taking the move's ends from segment order.
 
 from __future__ import annotations
 
-from .runtime import Par, merge_sort_task
+from .runtime import Par
 from .seqmap import segment_capacity
+from .sortlib import pesort_task
 from .tree23 import (
     Tree23, batch_delete_pos_task, batch_update_task, pop_extreme_task,
     push_edge_task,
@@ -106,7 +107,8 @@ def seg_move_task(src, dst, count, found=(), block=()):
     moved = by_key = ()
     if count:
         moved = yield from pop_extreme_task(src.rec, count, src_end)
-        by_key = yield from merge_sort_task(moved, key=lambda lf: lf.key)
+        order = yield from pesort_task([lf.key for lf in moved])
+        by_key = [moved[i] for i in order]
     dst_update = seg_update_task(dst, found,
                                  [(lf.key, lf.val) for lf in moved],
                                  [(lf.key, lf.val) for lf in by_key], dst_end)

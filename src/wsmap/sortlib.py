@@ -7,14 +7,15 @@ entropy of the key frequencies) rather than n log n. It runs as a task DAG
 on the runtime. Runs of at most g = ceil(log2(n + 1)) positions, the chunk
 of the top-level partition, are sorted sequentially in one node, which
 charges s * ceil(log2(s + 1)) steps for s positions (at least the
-comparisons it makes).
+comparisons it makes). It is the one parallel sort: segment moves and
+reverse indexes sort with it too.
 """
 
 from __future__ import annotations
 
 import math
 
-from .runtime import Par, merge_sort_task, par_map
+from .runtime import Par, par_map
 
 
 def entropy(counts, n=None):
@@ -36,7 +37,7 @@ def entropy(counts, n=None):
 def pesort_task(keys):
     """Task: sort by key; returns input positions (stable, duplicates
     grouped)."""
-    order = yield from _pesort_rec(keys, list(range(len(keys))), 0,
+    order = yield from _pesort_rec(keys, list(range(len(keys))),
                                    _log_chunk(len(keys)))
     return order
 
@@ -47,18 +48,17 @@ def _log_chunk(n):
     return n.bit_length()
 
 
-def _pesort_rec(keys, idx, pivot_depth, grain):
+def _pesort_rec(keys, idx, grain):
     s = len(idx)
     if s <= grain:
         # Python's stable sort makes at most s * ceil(log2(s + 1))
         # comparisons (a natural run, then binary insertion)
         yield max(1, s * _log_chunk(s))
         return sorted(idx, key=keys.__getitem__)
-    pivot = yield from _pivot_task(keys, idx, pivot_depth, grain)
+    pivot = yield from _pivot_task(keys, idx, grain)
     low, mid, high = yield from _partition_task(keys, idx, pivot)
     lo_sorted, hi_sorted = yield Par(
-        _pesort_rec(keys, low, pivot_depth, grain),
-        _pesort_rec(keys, high, pivot_depth, grain))
+        _pesort_rec(keys, low, grain), _pesort_rec(keys, high, grain))
     yield 1
     return lo_sorted + mid + hi_sorted
 
@@ -94,14 +94,14 @@ def _partition_task(keys, idx, pivot):
     return (yield from _chunked_task(idx, _log_chunk(len(idx)), part))
 
 
-def _pivot_task(keys, idx, pivot_depth, grain):
+def _pivot_task(keys, idx, grain):
     """Blocks of ceil(log2 k) take their lower median sequentially; the
-    medians are sorted (recursively via the entropy sort, with the grain of
-    the sort the pivot serves, or a plain merge-sort DAG for few blocks or
-    deep pivot recursions) and the lower median of medians is the
+    medians are sorted by the entropy sort itself, with the grain of the
+    sort the pivot serves, and the lower median of medians is the
     candidate. Ragged last blocks can push the candidate just outside the
     middle quartiles for adversarial sizes, so a counting pass verifies it
-    and falls back to the exact lower median when needed.
+    and falls back to the exact lower median, sorted in one node charged as
+    the base case is.
     """
     k = len(idx)
     if k == 1:
@@ -116,18 +116,12 @@ def _pivot_task(keys, idx, pivot_depth, grain):
         return vals[(len(vals) - 1) // 2]
 
     medians = yield from par_map(blocks, block_median)
-    c = len(medians)
-    if c < 8 or pivot_depth >= 2:
-        ordered = yield from merge_sort_task(medians, key=lambda x: x)
-    else:
-        perm = yield from _pesort_rec(medians, list(range(c)), pivot_depth + 1,
-                                      grain)
-        ordered = [medians[i] for i in perm]
-    candidate = ordered[(c - 1) // 2]
+    perm = yield from _pesort_rec(medians, list(range(len(medians))), grain)
+    candidate = medians[perm[(len(medians) - 1) // 2]]
     le, ge = yield from _chunked_task(idx, bsz, lambda run: (
         sum(1 for i in run if not candidate < keys[i]),
         sum(1 for i in run if not keys[i] < candidate)))
     if 4 * le >= k and 4 * ge >= k:
         return candidate
-    allv = yield from merge_sort_task([keys[i] for i in idx], key=lambda x: x)
-    return allv[(k - 1) // 2]
+    yield k * _log_chunk(k)
+    return sorted(keys[i] for i in idx)[(k - 1) // 2]

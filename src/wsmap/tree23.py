@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import heapq
 
-from .runtime import Par, par_map, merge_sort_task
+from .runtime import Par, par_map
+from .sortlib import pesort_task
 
 
 class TreeUsageError(RuntimeError):
@@ -727,8 +728,8 @@ def reverse_index_task(tree, handles):
         return (pos, leaf)
 
     located = yield from par_map(list(handles), locate)
-    ordered = yield from merge_sort_task(located, key=lambda pl: pl[0])
-    return ordered
+    order = yield from pesort_task([pos for pos, _leaf in located])
+    return [located[i] for i in order]
 
 
 def batch_delete_pos_task(tree, handles):

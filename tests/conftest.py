@@ -56,8 +56,7 @@ def delete_key(t, key):
 def ppivot_task(keys, idx):
     """Task: pick a pivot guaranteed to lie in the two middle quartiles of
     the keys at positions idx, as pesort would for a run of that size."""
-    return (yield from sortlib._pivot_task(keys, idx, 0,
-                                           len(idx).bit_length()))
+    return (yield from sortlib._pivot_task(keys, idx, len(idx).bit_length()))
 
 
 def _apply_op(t, op):

@@ -241,13 +241,13 @@ def test_audit_segments_catches_corrupted_state(corrupt, message):
 
 def test_block_insert_sorts_nothing_and_a_move_sorts_once(monkeypatch):
     sorts = []
-    merge_sort_task = segments.merge_sort_task
+    pesort_task = segments.pesort_task
 
-    def spy(items, key):
-        sorts.append(len(items))
-        return merge_sort_task(items, key)
+    def spy(keys):
+        sorts.append(len(keys))
+        return pesort_task(keys)
 
-    monkeypatch.setattr(segments, "merge_sort_task", spy)
+    monkeypatch.setattr(segments, "pesort_task", spy)
     meter, ctr = StepMeter(), CmpCounter()
     src, dst = PairedSegment(3, meter), PairedSegment(4, meter)
     for lo in (0, 4):
@@ -326,8 +326,9 @@ def test_block_move_span_below_its_two_tree_updates_in_sequence():
 
     src, dst = segments_pair()
     rec_leaves, pop, _rt = run_task(pop_extreme_task(src.rec, 16, "back"))
-    by_key, sort, _rt = run_task(
-        segments.merge_sort_task(rec_leaves, key=lambda lf: lf.key))
+    order, sort, _rt = run_task(
+        segments.pesort_task([lf.key for lf in rec_leaves]))
+    by_key = [rec_leaves[i] for i in order]
     _, delete, _rt = run_task(
         batch_update_task(src.keys, [lf.twin for lf in by_key], []))
     _, insert, _rt = run_task(seg_update_task(

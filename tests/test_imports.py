@@ -9,6 +9,8 @@ grains from their input, so none of them takes a defaulted parameter.
 Every function, class and method in `src/wsmap` is named somewhere in src
 besides its own definition, or exported. `segments.py` alone pairs a key
 tree with its recency tree, so no other module reads a leaf's `twin`.
+`sortlib.py` alone defines a sort task, and the segment moves and reverse
+indexes sort with its `pesort_task`.
 """
 
 import ast
@@ -189,6 +191,46 @@ def test_only_segments_pairs_the_trees():
     assert found == []
     assert twin_uses((SRC / "segments.py").read_text()), \
         "segments.py no longer pairs the trees"
+
+
+def sort_definitions(source):
+    """Names of the module-level functions and the methods of source that
+    define a sort task (a name with "sort" ending in "_task") or a merge (a
+    name with "merge"). Nested functions are skipped: `batch_search_task`'s
+    `merge` walks one batch's keys along a subtree's leaves and sorts
+    nothing."""
+    tree = ast.parse(source)
+    defs = []
+    for node in tree.body:
+        defs.append(node)
+        if isinstance(node, ast.ClassDef):
+            defs += node.body
+    return [node.name for node in defs if isinstance(node, ast.FunctionDef)
+            and ("merge" in node.name
+                 or "sort" in node.name and node.name.endswith("_task"))]
+
+
+def test_checker_finds_a_sort_definition():
+    source = ("def merge(a, b):\n    pass\n"
+              "def merge_sort_task(items):\n    yield 1\n"
+              "def _sorted_groups():\n    pass\n"
+              "class C:\n    def sort_task(self):\n        yield 1\n"
+              "def search(keys):\n    def merge(lo, hi):\n        pass\n")
+    assert sort_definitions(source) == ["merge", "merge_sort_task",
+                                        "sort_task"]
+
+
+def test_only_sortlib_sorts():
+    # one parallel sort: every sort a map runs is pesort_task, so a second
+    # sort task or merge elsewhere would be a second cost model to keep
+    found = [f"{path.name}:{name}" for path in sorted(SRC.glob("*.py"))
+             if path.name != "sortlib.py"
+             for name in sort_definitions(path.read_text())]
+    assert found == []
+    assert "pesort_task" in sort_definitions((SRC / "sortlib.py").read_text())
+    for module in ("segments.py", "tree23.py"):
+        imported = imported_names(ast.parse((SRC / module).read_text()))
+        assert "pesort_task" in imported, f"{module} no longer sorts by pesort"
 
 
 def _read_names(node):

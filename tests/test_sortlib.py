@@ -70,12 +70,20 @@ def test_pesort_all_equal_linear_comparisons():
 
 
 def test_pesort_matches_reference():
+    # counted Keys with duplicates; plain ints, as a reverse index sorts
+    # positions; distinct Keys, as a segment move sorts its popped items
+    inputs = []
     for seed, n, u in ((0, 63, 7), (1, 256, 10 ** 6), (2, 300, 3)):
         rnd = random.Random(seed)
-        values = [rnd.randrange(u) for _ in range(n)]
-        keys, _ = _keys(values)
+        inputs.append(_keys([rnd.randrange(u) for _ in range(n)])[0])
+    rnd = random.Random(7)
+    inputs.append([rnd.randrange(100) for _ in range(57)])
+    inputs.append(rnd.sample(range(10 ** 4), 500))
+    for n in (1, 2, 6, 16, 200):
+        inputs.append(_keys(rnd.sample(range(4 * n), n))[0])
+    for keys in inputs:
         order, _m, _rt = run_task(pesort_task(keys))
-        assert order == _reference(values)
+        assert order == _reference(keys)
 
 
 def test_pesort_recursion_depth_bound(monkeypatch):
@@ -142,7 +150,7 @@ def test_pesort_base_case_charges_at_least_its_comparisons():
         s = len(values)
         keys, ctr = _keys(values)
         idx = list(range(s))
-        order, metrics, _rt = run_task(sortlib._pesort_rec(keys, idx, 0, s))
+        order, metrics, _rt = run_task(sortlib._pesort_rec(keys, idx, s))
         assert order == _reference(values)
         assert metrics.ds_work >= ctr.count, (values, ctr.count)
         # the one node's charge, plus run_task's root node
