@@ -152,8 +152,8 @@ def test_deep_final_slab_actors_match_the_oracle(m_override, seed, scheduler):
                                              ("weak_priority", 24)])
 def test_rank_audit_waits_for_the_front_locks(scheduler, seed):
     # an actor records its moved items' events only after its front-locked
-    # window; these runs once audited ranks while a deeper actor held FL[0]
-    # and raised "final-slab item ... has no event"
+    # window; these runs reach end-of-cycle audits while an actor holds
+    # FL[0], where a rank check would read "final-slab item ... has no event"
     ops = random_ops(700, 160, seed, mix=(0.35, 0.4, 0.2, 0.05))
     results, m, _metrics, _rt = run_map_workload(
         _maker(m_override=2), chunk_chains(ops, 16), p=4, scheduler=scheduler)
