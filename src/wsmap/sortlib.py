@@ -4,11 +4,10 @@ pesort is the parallel quicksort that M1 and M2 run on every cut batch:
 guaranteed-middle-quartile pivots and a three-way partition that groups
 equal keys, so duplicate-heavy inputs sort in O(nH + n) comparisons (H the
 entropy of the key frequencies) rather than n log n. It runs as a task DAG
-on the runtime. Runs of at most g = ceil(log2(n + 1)) positions, the chunk
-of the top-level partition, are sorted sequentially in one node, which
-charges s * ceil(log2(s + 1)) steps for s positions (at least the
-comparisons it makes). It is the one parallel sort: segment moves and
-reverse indexes sort with it too.
+on the runtime. Runs of at most g = max(ceil(log2(n + 1)), 16) positions
+are sorted sequentially in one node, which charges s * ceil(log2(s + 1))
+steps for s positions (at least the comparisons it makes). It is the one
+parallel sort: segment moves and reverse indexes sort with it too.
 """
 
 from __future__ import annotations
@@ -37,14 +36,19 @@ def entropy(counts, n=None):
 def pesort_task(keys):
     """Task: sort by key; returns input positions (stable, duplicates
     grouped)."""
-    order = yield from _pesort_rec(keys, list(range(len(keys))),
-                                   _log_chunk(len(keys)))
+    order = yield from _pesort_rec(
+        keys, list(range(len(keys))), max(_log_chunk(len(keys)), _MIN_GRAIN))
     return order
 
 
+# the largest power of two a pivot level (pivot, partition, two one-node
+# children) costs more work and span to sort than one node does
+_MIN_GRAIN = 16
+
+
 def _log_chunk(n):
-    """ceil(log2(n + 1)), exactly, as n.bit_length(): pesort's grain, and
-    the partition's chunk, for n positions."""
+    """ceil(log2(n + 1)), exactly, as n.bit_length(): the partition's chunk
+    for n positions, and pesort's grain where that exceeds _MIN_GRAIN."""
     return n.bit_length()
 
 
@@ -104,9 +108,6 @@ def _pivot_task(keys, idx, grain):
     the base case is.
     """
     k = len(idx)
-    if k == 1:
-        yield 1
-        return keys[idx[0]]
     bsz = max(1, math.ceil(math.log2(k)))
     blocks = [idx[i:i + bsz] for i in range(0, k, bsz)]
 

@@ -56,7 +56,8 @@ def delete_key(t, key):
 def ppivot_task(keys, idx):
     """Task: pick a pivot guaranteed to lie in the two middle quartiles of
     the keys at positions idx, as pesort would for a run of that size."""
-    return (yield from sortlib._pivot_task(keys, idx, len(idx).bit_length()))
+    grain = max(len(idx).bit_length(), sortlib._MIN_GRAIN)
+    return (yield from sortlib._pivot_task(keys, idx, grain))
 
 
 def _apply_op(t, op):

@@ -885,13 +885,13 @@ def test_untraced_matches_traced_map_runs(structure, scheduler, m_override):
 
 @pytest.mark.parametrize("structure, scheduler, m_override, digest", [
     ("m1", "greedy", None,
-     "97724d092bad6357d250fc1ab00d9d33364831d8624a7b942ba8cac2baf6ffeb"),
+     "b7d9244055cf664872fc605d66bf0d121b98000c6ab8c7b9122c4e09cae56cc1"),
     ("m2", "weak_priority", None,
-     "5e67149fa89c67061f6bb454de5561c1099488a632b3baee24a0851cececb481"),
+     "61574da17a58f39de60de670ae3388f8a16d4e90506d7689c17eb50296319d6e"),
     ("m2", "weak_priority", 1,
-     "618f4c23907cf0f590828dca7ef2c09d0e025d914e24b426ab9cfe407071c85f"),
+     "f5039c7fad82f5816d6402ae0b62393fb663bf08d7d1af754dabf4c320433fc0"),
     ("m2", "greedy", 1,
-     "30b3665fce0de78e8760a6c0feeaeff35359dd637a238d635149b4ab1db1ab2e"),
+     "c54998eceac486fd480e161cae1eef5cafa3e363c0d2924c6c0c0495b391b17e"),
 ], ids=[f"{s}-{sched}-{m}" for s, sched, m in _MAP_CASES])
 def test_traced_runtime_pinned(structure, scheduler, m_override, digest):
     assert _traced_map_digest(structure, scheduler, m_override) == digest

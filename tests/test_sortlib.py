@@ -155,3 +155,50 @@ def test_pesort_base_case_charges_at_least_its_comparisons():
         assert metrics.ds_work >= ctr.count, (values, ctr.count)
         # the one node's charge, plus run_task's root node
         assert metrics.ds_work == max(1, s * math.ceil(math.log2(s + 1))) + 1
+
+
+def _pivot_calls(monkeypatch):
+    """Record the size of every run pesort picks a pivot for."""
+    pivot = sortlib._pivot_task
+    calls = []
+
+    def spy(keys, idx, grain):
+        calls.append(len(idx))
+        return (yield from pivot(keys, idx, grain))
+
+    monkeypatch.setattr(sortlib, "_pivot_task", spy)
+    return calls
+
+
+def test_pesort_sorts_16_positions_in_one_node(monkeypatch):
+    calls = _pivot_calls(monkeypatch)
+    values = random.Random(16).sample(range(10 ** 6), 16)
+    keys, _ = _keys(values)
+    order, metrics, _rt = run_task(pesort_task(keys))
+    assert order == _reference(values)
+    assert calls == []
+    # one node charged 16 * ceil(log2 17) = 80, plus run_task's root node
+    assert metrics.ds_work == 81
+
+
+def test_pesort_pivots_on_17_positions(monkeypatch):
+    calls = _pivot_calls(monkeypatch)
+    values = random.Random(17).sample(range(10 ** 6), 17)
+    keys, _ = _keys(values)
+    order, _m, _rt = run_task(pesort_task(keys))
+    assert order == _reference(values)
+    assert calls == [17]
+
+
+def test_one_node_costs_at_most_one_pivot_level_at_16():
+    # the grain floor is only worth it while one node is no dearer than
+    # one pivot level (pivot, partition, two one-node children) on distinct
+    # keys: a pivot that gets cheaper must move the floor down
+    rnd = random.Random(32)
+    for _trial in range(20):
+        keys, _ = _keys(rnd.sample(range(10 ** 6), 16))
+        _o, one, _rt = run_task(sortlib._pesort_rec(keys, list(range(16)), 16))
+        _o, level, _rt = run_task(
+            sortlib._pesort_rec(keys, list(range(16)), 15))
+        assert one.ds_work <= level.ds_work
+        assert one.ds_span <= level.ds_span
