@@ -16,6 +16,10 @@ import math
 
 from .runtime import Par, par_map
 
+# the largest power of two at which one node sorts for less work and span
+# than one pivot level (pivot, partition and two one-node children)
+_MIN_GRAIN = 16
+
 
 def entropy(counts, n=None):
     """Entropy in nats of normalized frequencies counts/n."""
@@ -39,11 +43,6 @@ def pesort_task(keys):
     order = yield from _pesort_rec(
         keys, list(range(len(keys))), max(_log_chunk(len(keys)), _MIN_GRAIN))
     return order
-
-
-# the largest power of two a pivot level (pivot, partition, two one-node
-# children) costs more work and span to sort than one node does
-_MIN_GRAIN = 16
 
 
 def _log_chunk(n):

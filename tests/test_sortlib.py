@@ -124,8 +124,9 @@ def test_pesort_work_and_span_scaling():
 
 
 def test_pesort_short_inputs_match_the_stable_reference():
-    # sizes around the sequential grain ceil(log2(n + 1)), with many equal
-    # keys, so base-case runs and partitions both group duplicates stably
+    # sizes around the sequential grain max(ceil(log2(n + 1)), 16), with
+    # many equal keys, so base-case runs and partitions both group
+    # duplicates stably
     rnd = random.Random(5)
     for n in range(41):
         for u in (1, 2, 3, 5):
@@ -157,8 +158,7 @@ def test_pesort_base_case_charges_at_least_its_comparisons():
         assert metrics.ds_work == max(1, s * math.ceil(math.log2(s + 1))) + 1
 
 
-def _pivot_calls(monkeypatch):
-    """Record the size of every run pesort picks a pivot for."""
+def test_pesort_pivots_only_above_16_positions(monkeypatch):
     pivot = sortlib._pivot_task
     calls = []
 
@@ -167,33 +167,24 @@ def _pivot_calls(monkeypatch):
         return (yield from pivot(keys, idx, grain))
 
     monkeypatch.setattr(sortlib, "_pivot_task", spy)
-    return calls
-
-
-def test_pesort_sorts_16_positions_in_one_node(monkeypatch):
-    calls = _pivot_calls(monkeypatch)
-    values = random.Random(16).sample(range(10 ** 6), 16)
-    keys, _ = _keys(values)
-    order, metrics, _rt = run_task(pesort_task(keys))
-    assert order == _reference(values)
-    assert calls == []
-    # one node charged 16 * ceil(log2 17) = 80, plus run_task's root node
-    assert metrics.ds_work == 81
-
-
-def test_pesort_pivots_on_17_positions(monkeypatch):
-    calls = _pivot_calls(monkeypatch)
-    values = random.Random(17).sample(range(10 ** 6), 17)
-    keys, _ = _keys(values)
-    order, _m, _rt = run_task(pesort_task(keys))
-    assert order == _reference(values)
-    assert calls == [17]
+    for n, pivots in ((16, []), (17, [17])):
+        values = random.Random(n).sample(range(10 ** 6), n)
+        keys, _ = _keys(values)
+        calls.clear()
+        order, metrics, _rt = run_task(pesort_task(keys))
+        assert order == _reference(values)
+        assert calls == pivots
+        if n == 16:
+            # one node charged 16 * ceil(log2 17) = 80, plus run_task's root
+            assert metrics.ds_work == 81
 
 
 def test_one_node_costs_at_most_one_pivot_level_at_16():
     # the grain floor is only worth it while one node is no dearer than
     # one pivot level (pivot, partition, two one-node children) on distinct
-    # keys: a pivot that gets cheaper must move the floor down
+    # keys: a pivot that gets cheaper must move the floor down. Grain 15
+    # makes 16 positions pivot once and leaves each side (at most 12) to
+    # one node
     rnd = random.Random(32)
     for _trial in range(20):
         keys, _ = _keys(rnd.sample(range(10 ** 6), 16))
